@@ -8,17 +8,14 @@ On top of that sit robust residual reweighing, forgetting schemes for
 drifting targets, and evidence-weighted hyperparameter ensembles.
 """
 
-from .features import KernelSpec, FeatureMap, sample_frequencies, feature_matrix, feature_map
+from .features import KernelSpec, FeatureMap, sample_frequencies, feature_matrix
 from .info_filter import (
     InfoState,
     Increment,
-    Prediction,
     NumericalDegeneracyError,
     prior_state,
-    compute_increment,
     apply_increment,
     posterior_moments,
-    predict,
     predict_batch,
     save_state,
     load_state,
@@ -31,7 +28,7 @@ from .robust import (
     standardized_residuals,
     robust_increment,
 )
-from .dynamics import DynamicsConfig, apply_forgetting, augment_time, augment_time_matrix
+from .dynamics import DynamicsConfig, apply_forgetting, augment_time_matrix
 from .consensus import (
     Topology,
     ConsensusConfig,
@@ -42,13 +39,11 @@ from .consensus import (
 from .ensemble import (
     EnsembleSpec,
     EnsembleState,
-    MixturePrediction,
     member_seed,
     init_ensemble,
     update_evidence,
     ensemble_weights,
     mixture_log_density,
-    mixture_predict,
     mixture_predict_batch,
 )
 
@@ -59,16 +54,12 @@ __all__ = [
     "FeatureMap",
     "sample_frequencies",
     "feature_matrix",
-    "feature_map",
     "InfoState",
     "Increment",
-    "Prediction",
     "NumericalDegeneracyError",
     "prior_state",
-    "compute_increment",
     "apply_increment",
     "posterior_moments",
-    "predict",
     "predict_batch",
     "save_state",
     "load_state",
@@ -80,7 +71,6 @@ __all__ = [
     "robust_increment",
     "DynamicsConfig",
     "apply_forgetting",
-    "augment_time",
     "augment_time_matrix",
     "Topology",
     "ConsensusConfig",
@@ -89,13 +79,11 @@ __all__ = [
     "consensus_sum",
     "EnsembleSpec",
     "EnsembleState",
-    "MixturePrediction",
     "member_seed",
     "init_ensemble",
     "update_evidence",
     "ensemble_weights",
     "mixture_log_density",
-    "mixture_predict",
     "mixture_predict_batch",
     "__version__",
 ]

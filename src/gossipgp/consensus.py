@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -58,16 +58,13 @@ class Topology:
 
 @dataclass(frozen=True)
 class ConsensusConfig:
-    """Number of synchronous rounds L and the mixing-weight rule."""
+    """Number of synchronous Metropolis mixing rounds L."""
 
     rounds: int = 1
-    weight_rule: str = "metropolis"
 
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.weight_rule != "metropolis":
-            raise ValueError(f"unknown weight rule {self.weight_rule!r}")
 
 
 def _is_connected(A: np.ndarray) -> bool:
@@ -106,15 +103,13 @@ def build_topology(
             j = (i + 1) % K
             A[i, j] = A[j, i] = True
     elif kind == "grid":
-        rows = _near_square_rows(K)
-        cols = (K + rows - 1) // rows
+        rows, cols = _grid_shape(K)
         for i in range(K):
             r, c = divmod(i, cols)
-            for dr, dc in ((0, 1), (1, 0)):
-                rr, cc = r + dr, c + dc
-                j = rr * cols + cc
-                if rr < rows and cc < cols and j < K:
-                    A[i, j] = A[j, i] = True
+            if c + 1 < cols:
+                A[i, i + 1] = A[i + 1, i] = True
+            if r + 1 < rows:
+                A[i, i + cols] = A[i + cols, i] = True
     else:  # custom
         if custom_edges is None:
             raise ValueError("custom topology requires an edge list")
@@ -125,11 +120,17 @@ def build_topology(
     return Topology(num_agents=K, adjacency=A)
 
 
-def _near_square_rows(K: int) -> int:
+def _grid_shape(K: int) -> tuple[int, int]:
+    """Factor K into rows x cols, as square as possible, with rows <= cols.
+
+    Node r * cols + c of the grid topology and spatial block (r, c) of a grid
+    file's partition (harness.streams) both use this split, so grid
+    neighbours own edge-adjacent blocks.
+    """
     r = int(np.floor(np.sqrt(K)))
-    while r > 1 and K % r != 0:
+    while K % r:
         r -= 1
-    return max(r, 1)
+    return r, K // r
 
 
 def metropolis_weights(topo: Topology) -> np.ndarray:
@@ -145,26 +146,21 @@ def metropolis_weights(topo: Topology) -> np.ndarray:
     return W
 
 
-def consensus_sum(
-    values: Sequence[np.ndarray], topo: Topology, cfg: ConsensusConfig
-) -> list[np.ndarray]:
+def consensus_sum(values: np.ndarray, topo: Topology, cfg: ConsensusConfig) -> np.ndarray:
     """L synchronous mixing rounds, then scale by K to approximate the sum.
 
-    Every agent contributes one tensor; all must share a shape. After L
-    rounds of v_k <- sum_j W[k][j] v_j elementwise, each agent holds an
-    approximation of the network average, so K times it approximates the
-    network sum. L=0 returns K times each local value unchanged.
+    Axis 0 of `values` is the agent: values[k] is agent k's message, of any
+    shape. After L rounds of v_k <- sum_j W[k][j] v_j elementwise, each agent
+    holds an approximation of the network average, so K times it
+    approximates the network sum. L=0 returns K times each local value.
+    The result has the shape of `values`.
     """
     K = topo.num_agents
-    if len(values) != K:
-        raise ValueError(f"expected {K} per-agent tensors, got {len(values)}")
-    arrays = [np.asarray(v, dtype=float) for v in values]
-    shape = arrays[0].shape
-    if any(a.shape != shape for a in arrays):
-        raise ValueError("per-agent tensors must all share one shape")
-    V = np.stack([a.ravel() for a in arrays], axis=0)  # K x numel
+    V = np.asarray(values, dtype=float)
+    if V.ndim == 0 or V.shape[0] != K:
+        raise ValueError(f"expected {K} per-agent messages on axis 0, got shape {V.shape}")
+    flat = V.reshape(K, -1)
     W = metropolis_weights(topo)
     for _ in range(cfg.rounds):
-        V = W @ V
-    V *= K
-    return [V[k].reshape(shape) for k in range(K)]
+        flat = W @ flat
+    return (K * flat).reshape(V.shape)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .info_filter import InfoState
 
-__all__ = ["DynamicsConfig", "apply_forgetting", "augment_time", "augment_time_matrix"]
+__all__ = ["DynamicsConfig", "apply_forgetting", "augment_time_matrix"]
 
 MODES = ("static", "b2p", "ui", "spatiotemporal")
 
@@ -39,6 +39,11 @@ class DynamicsConfig:
             raise ValueError(f"unknown dynamics mode {self.mode!r}")
         if not 0.0 <= self.nu <= 1.0:
             raise ValueError(f"nu must lie in [0, 1], got {self.nu}")
+        if self.mode == "ui" and self.nu < _MIN_UI_NU:
+            raise ValueError(
+                f"ui forgetting needs nu >= {_MIN_UI_NU}: nu={self.nu} "
+                "degenerates the precision"
+            )
 
 
 def apply_forgetting(state: InfoState, cfg: DynamicsConfig) -> InfoState:
@@ -47,8 +52,6 @@ def apply_forgetting(state: InfoState, cfg: DynamicsConfig) -> InfoState:
         return state
     nu = cfg.nu
     if cfg.mode == "ui":
-        if nu < _MIN_UI_NU:
-            raise ValueError(f"ui forgetting with nu={nu} degenerates the precision")
         D = nu * state.D
     else:  # b2p
         dim = state.dim
@@ -61,14 +64,11 @@ def apply_forgetting(state: InfoState, cfg: DynamicsConfig) -> InfoState:
     )
 
 
-def augment_time(x: np.ndarray, t: float) -> np.ndarray:
-    """Concatenate [x, t]; time is deliberately not normalized."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.concatenate([x, [float(t)]])
-
-
 def augment_time_matrix(X: np.ndarray, t: float) -> np.ndarray:
-    """Append a constant time column to an N x d input matrix."""
+    """Append a constant time column to an N x d input matrix.
+
+    Time is deliberately not normalized.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")

@@ -24,12 +24,10 @@ from .info_filter import InfoState, predict_batch, prior_state
 __all__ = [
     "EnsembleSpec",
     "EnsembleState",
-    "MixturePrediction",
     "member_seed",
     "init_ensemble",
     "update_evidence",
     "ensemble_weights",
-    "mixture_predict",
     "mixture_predict_batch",
     "mixture_log_density",
 ]
@@ -160,27 +158,6 @@ def mixture_log_density(
     return logsumexp(log_pdf, axis=0, b=np.asarray(weights)[:, np.newaxis])
 
 
-@dataclass(frozen=True)
-class MixturePrediction:
-    """Moment-matched mixture moments plus the exact mixture density."""
-
-    mean: float
-    variance: float
-    member_means: np.ndarray = field(repr=False)
-    member_variances: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    def log_density(self, y: float) -> float:
-        return float(
-            mixture_log_density(
-                self.weights,
-                self.member_means[:, np.newaxis],
-                self.member_variances[:, np.newaxis],
-                np.asarray([y], dtype=float),
-            )[0]
-        )
-
-
 def mixture_predict_batch(
     state: EnsembleState, feature_maps: list[FeatureMap], X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -202,19 +179,3 @@ def mixture_predict_batch(
     variance = w @ (member_variances + member_means**2) - mean**2
     return mean, variance, member_means, member_variances, w
 
-
-def mixture_predict(
-    state: EnsembleState, feature_maps: list[FeatureMap], x_star: np.ndarray
-) -> MixturePrediction:
-    """Mixture prediction at a single input."""
-    x_star = np.asarray(x_star, dtype=float)
-    mean, variance, mm, mv, w = mixture_predict_batch(
-        state, feature_maps, x_star[np.newaxis, :]
-    )
-    return MixturePrediction(
-        mean=float(mean[0]),
-        variance=float(variance[0]),
-        member_means=mm[:, 0],
-        member_variances=mv[:, 0],
-        weights=w,
-    )

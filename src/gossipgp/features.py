@@ -22,7 +22,6 @@ __all__ = [
     "KernelSpec",
     "FeatureMap",
     "sample_frequencies",
-    "feature_map",
     "feature_matrix",
 ]
 
@@ -146,11 +145,3 @@ def feature_matrix(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
     Phi[1::2, :] = np.cos(proj).T
     Phi /= np.sqrt(J)
     return Phi
-
-
-def feature_map(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """Evaluate phi(x), a vector of length 2J with interleaved sin/cos pairs."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"x must be a vector, got shape {x.shape}")
-    return feature_matrix(fm, x[np.newaxis, :])[:, 0]

@@ -7,7 +7,7 @@ component configs.
 
 seed: 0
 topology: {kind: complete, num_agents: 4, custom_edges: null}
-consensus: {rounds: 1, mode: sum}          # mode: sum | local
+consensus: {rounds: 1, mode: sum}          # mode: sum | local; sum needs rounds >= 1 if K > 1
 ensemble:
   shared_J: 200
   base_seed: 0
@@ -16,7 +16,7 @@ ensemble:
   members: [{lengthscales: [0.2, 0.2], prior_variance: 1.0, obs_variance: 0.05}]
   # or instead of members:
   # grid: {lengthscales: [0.01, 0.05], prior_variances: [1.0, 25.0], obs_variance: 0.05}
-dynamics: {mode: static, nu: 1.0}
+dynamics: {mode: static, nu: 1.0}          # ui needs nu >= 1e-6
 robust: {kind: none, delta: 1.345, breakpoints: [2.0, 4.0, 8.0]}
 stream:
   kind: grid_file                          # grid_file | synthetic
@@ -202,6 +202,11 @@ def scenario_from_dict(cfg: dict) -> Scenario:
                 f"consensus.mode must be sum or local, got {cons_cfg['mode']!r}"
             )
         consensus = ConsensusConfig(rounds=int(cons_cfg["rounds"]))
+        if cons_cfg["mode"] == "sum" and consensus.rounds == 0 and topology.num_agents > 1:
+            raise ConfigError(
+                "consensus.rounds 0 with mode sum gives every agent K times its own "
+                "increment; use consensus.mode local to keep agents independent"
+            )
         dynamics = DynamicsConfig(mode=dyn_cfg["mode"], nu=float(dyn_cfg["nu"]))
         bp = rob_cfg["breakpoints"]
         if not (isinstance(bp, (list, tuple)) and len(bp) == 3):

@@ -33,14 +33,13 @@ from ..features import feature_matrix
 from ..info_filter import (
     Increment,
     InfoState,
+    _read_state,
     apply_increment,
-    load_state,
     posterior_moments,
     predict_batch,
-    prior_state,
     save_state,
 )
-from ..robust import robust_increment, weights_for
+from ..robust import robust_increment, standardized_residuals, weights_for
 from .config import GridFileSource, Scenario, SyntheticSource
 from .metrics import MetricsRecord, npll, rmse, wasserstein2_gaussians
 from .streams import Stream, inject_outliers, load_grid_dataset, synth_stream
@@ -90,11 +89,6 @@ def _gaussian_log_pdf(y, means, variances):
     return -0.5 * (np.log(2.0 * np.pi * variances) + (y - means) ** 2 / variances)
 
 
-def _prior_ensemble(spec) -> EnsembleState:
-    models = tuple(prior_state(m, spec.shared_J) for m in spec.members)
-    return EnsembleState(models=models, log_evidence=np.zeros(spec.num_members))
-
-
 def run_scenario(scenario: Scenario, capture_states: bool = False) -> RunResult:
     stream = materialize_stream(scenario)
     _check_stream(scenario, stream)
@@ -104,13 +98,14 @@ def run_scenario(scenario: Scenario, capture_states: bool = False) -> RunResult:
     dim = 2 * spec.shared_J
     spatiotemporal = scenario.dynamics.mode == "spatiotemporal"
 
-    first_state, fmaps = init_ensemble(spec)
-    agent_states = [first_state] + [_prior_ensemble(spec) for _ in range(K - 1)]
+    # Every agent and the oracle start from the one immutable prior.
+    prior, fmaps = init_ensemble(spec)
+    agent_states = [prior] * K
 
     need_w2 = "w2" in scenario.eval.metrics
     track_oracle = need_w2 or capture_states
-    oracle_state = _prior_ensemble(spec) if track_oracle else None
-    unit_oracle = scenario.eval.w2_oracle == "unit"
+    oracle_state = prior if track_oracle else None
+    unit_oracle = track_oracle and scenario.eval.w2_oracle == "unit"
 
     share_increments = scenario.consensus_mode == "sum"
     share_evidence = share_increments and scenario.evidence_mode == "consensus"
@@ -132,77 +127,84 @@ def run_scenario(scenario: Scenario, capture_states: bool = False) -> RunResult:
     snapshots: dict[int, list[list[InfoState]]] = {}
     captured: dict | None = {} if capture_states else None
 
+    # Each epoch's increments and evidence, stacked with the agent on axis 0;
+    # every epoch overwrites them. The oracle sums the same increments, or
+    # the unit-weight ones.
+    P, s, ev = np.empty((K, M, dim, dim)), np.empty((K, M, dim)), np.empty((K, M))
+    oracle_P, oracle_s, oracle_ev = (
+        (np.empty_like(P), np.empty_like(s), np.empty_like(ev)) if unit_oracle else (P, s, ev)
+    )
+
     for t in stream.epochs:
         batches = stream.batches[t]
         # Per-agent local step: forget, weigh residuals, build increments.
-        forgotten = [[None] * M for _ in range(K)]
-        local_inc = [[None] * M for _ in range(K)]
-        unit_inc = [[None] * M for _ in range(K)] if (track_oracle and unit_oracle) else None
-        local_ev = np.zeros((K, M))
-        unit_ev = np.zeros((K, M))
+        forgotten = [[] for _ in range(K)]
         for k in range(K):
             batch = batches[k]
             X_in = augment_time_matrix(batch.X, t) if spatiotemporal else batch.X
             for m in range(M):
                 try:
                     state = apply_forgetting(agent_states[k].models[m], scenario.dynamics)
-                    forgotten[k][m] = state
-                    member = spec.members[m]
+                    forgotten[k].append(state)
+                    obs_variance = spec.members[m].obs_variance
                     means, variances = predict_batch(state, fmaps[m], X_in)
-                    e = (batch.y - means) / np.sqrt(variances)
-                    w = weights_for(e, scenario.robust)
+                    w = weights_for(standardized_residuals(batch.y, means, variances),
+                                    scenario.robust)
                     Phi = feature_matrix(fmaps[m], X_in)
-                    local_inc[k][m] = robust_increment(Phi, batch.y, w, member.obs_variance)
+                    inc = robust_increment(Phi, batch.y, w, obs_variance)
+                    P[k, m], s[k, m] = inc.P, inc.s
                     log_pdf = _gaussian_log_pdf(batch.y, means, variances)
-                    local_ev[k, m] = float(np.sum(w * log_pdf))
-                    unit_ev[k, m] = float(np.sum(log_pdf))
-                    if unit_inc is not None:
-                        unit_inc[k][m] = robust_increment(
-                            Phi, batch.y, np.ones_like(batch.y), member.obs_variance
-                        )
+                    ev[k, m] = float(np.sum(w * log_pdf))
+                    if unit_oracle:
+                        ones = np.ones_like(batch.y)
+                        inc = robust_increment(Phi, batch.y, ones, obs_variance)
+                        oracle_P[k, m], oracle_s[k, m] = inc.P, inc.s
+                        oracle_ev[k, m] = float(np.sum(log_pdf))
                 except Exception as exc:
                     raise RunError(f"epoch {t}, agent {k}, member {m}: {exc}") from exc
 
-        # Gossip: approximate network sums of the stacked increments.
+        # Gossip: one message per agent, each member's P, s and (if shared)
+        # evidence in turn; mixing approximates the network sums.
+        mixed_P, mixed_s, mixed_ev = P, s, ev
         if share_increments:
-            packed = [_pack(local_inc[k], local_ev[k], share_evidence) for k in range(K)]
-            mixed = consensus_sum(packed, scenario.topology, scenario.consensus)
-            applied_inc, applied_ev = zip(
-                *(_unpack(mixed[k], M, dim, local_ev[k], share_evidence) for k in range(K))
-            )
-        else:
-            applied_inc = local_inc
-            applied_ev = local_ev
+            parts = [P.reshape(K, M, dim * dim), s]
+            if share_evidence:
+                parts.append(ev[:, :, np.newaxis])
+            message = np.concatenate(parts, axis=2).reshape(K, -1)
+            mixed = consensus_sum(message, scenario.topology, scenario.consensus)
+            mixed = mixed.reshape(K, M, -1)
+            mixed_P = mixed[:, :, : dim * dim].reshape(K, M, dim, dim)
+            mixed_s = mixed[:, :, dim * dim : dim * dim + dim]
+            if share_evidence:
+                mixed_ev = mixed[:, :, -1]
 
         # Apply and accumulate evidence.
         for k in range(K):
             try:
                 models = tuple(
-                    apply_increment(forgotten[k][m], applied_inc[k][m]) for m in range(M)
+                    apply_increment(forgotten[k][m], Increment(mixed_P[k, m], mixed_s[k, m]))
+                    for m in range(M)
                 )
                 agent_states[k] = update_evidence(
                     EnsembleState(models=models, log_evidence=agent_states[k].log_evidence),
-                    applied_ev[k],
+                    mixed_ev[k],
                 )
             except Exception as exc:
                 raise RunError(f"epoch {t}, agent {k}: {exc}") from exc
 
+        # The oracle applies the exact network sums, added in agent order.
         if track_oracle:
-            oracle_inc = unit_inc if unit_oracle else local_inc
-            oracle_ev = unit_ev if unit_oracle else local_ev
+            total_P, total_s = oracle_P.sum(axis=0), oracle_s.sum(axis=0)
             try:
-                models = []
-                for m in range(M):
-                    o = apply_forgetting(oracle_state.models[m], scenario.dynamics)
-                    total = Increment(
-                        P=_sum_over_agents([oracle_inc[k][m].P for k in range(K)]),
-                        s=_sum_over_agents([oracle_inc[k][m].s for k in range(K)]),
+                models = tuple(
+                    apply_increment(
+                        apply_forgetting(oracle_state.models[m], scenario.dynamics),
+                        Increment(P=total_P[m], s=total_s[m]),
                     )
-                    models.append(apply_increment(o, total))
+                    for m in range(M)
+                )
                 oracle_state = update_evidence(
-                    EnsembleState(
-                        models=tuple(models), log_evidence=oracle_state.log_evidence
-                    ),
+                    EnsembleState(models=models, log_evidence=oracle_state.log_evidence),
                     oracle_ev.sum(axis=0),
                 )
             except Exception as exc:
@@ -215,10 +217,7 @@ def run_scenario(scenario: Scenario, capture_states: bool = False) -> RunResult:
         if t in snapshot_set:
             snapshots[t] = [list(agent_states[k].models) for k in range(K)]
         if capture_states:
-            captured[t] = {
-                "agents": list(agent_states),
-                "oracle": oracle_state,
-            }
+            captured[t] = {"agents": list(agent_states), "oracle": oracle_state}
 
     return RunResult(
         scenario=scenario,
@@ -245,37 +244,6 @@ def _check_stream(scenario: Scenario, stream: Stream) -> None:
         )
     if scenario.eval.mode == "stitched" and stream.eval_owner is None:
         raise RunError("stitched evaluation requires a stream with block ownership")
-
-
-def _pack(increments, evidences, with_evidence: bool) -> np.ndarray:
-    parts = []
-    for m, inc in enumerate(increments):
-        parts.append(inc.P.ravel())
-        parts.append(inc.s)
-        if with_evidence:
-            parts.append(np.asarray([evidences[m]]))
-    return np.concatenate(parts)
-
-
-def _unpack(flat: np.ndarray, M: int, dim: int, local_ev: np.ndarray, with_evidence: bool):
-    incs = []
-    evs = np.array(local_ev, dtype=float)
-    stride = dim * dim + dim + (1 if with_evidence else 0)
-    for m in range(M):
-        base = m * stride
-        P = flat[base : base + dim * dim].reshape(dim, dim)
-        s = flat[base + dim * dim : base + dim * dim + dim]
-        incs.append(Increment(P=P, s=s))
-        if with_evidence:
-            evs[m] = flat[base + dim * dim + dim]
-    return incs, evs
-
-
-def _sum_over_agents(arrays: list[np.ndarray]) -> np.ndarray:
-    total = arrays[0].copy()
-    for a in arrays[1:]:
-        total += a
-    return total
 
 
 def _evaluate_epoch(scenario, stream, t, agent_states, oracle_state, fmaps):
@@ -340,9 +308,16 @@ def save_snapshot(path, states: list[InfoState]) -> None:
 
 
 def load_snapshot(path) -> list[InfoState]:
+    """Read a snapshot written by save_snapshot; any corruption is a ValueError."""
     with open(path, "rb") as fp:
         magic = fp.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        (count,) = struct.unpack("<I", fp.read(4))
-        return [load_state(fp) for _ in range(count)]
+        raw = fp.read(4)
+        if len(raw) != 4:
+            raise ValueError("truncated snapshot: the member count is missing")
+        (count,) = struct.unpack("<I", raw)
+        states = [_read_state(fp) for _ in range(count)]
+        if fp.read(1):
+            raise ValueError(f"trailing data after the {count} snapshot states")
+    return states

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..consensus import _grid_shape
 from ..features import KernelSpec, sample_frequencies, feature_matrix
 
 __all__ = [
@@ -114,24 +115,17 @@ class GridParseError(ValueError):
     """Malformed gridded input file."""
 
 
-def _block_splits(K: int) -> tuple[int, int]:
-    """Factor K into rows x cols, as square as possible."""
-    r = int(np.floor(np.sqrt(K)))
-    while r > 1 and K % r != 0:
-        r -= 1
-    r = max(r, 1)
-    return r, K // r
+def load_grid_dataset(path, K: int) -> Stream:
+    """Load a lat,lon,t,value file and split space into K agent blocks.
 
-
-def load_grid_dataset(path, K: int, partition: str = "spatial_blocks") -> Stream:
-    """Load a lat,lon,t,value file and split space into K agent blocks."""
-    if partition != "spatial_blocks":
-        raise ValueError(f"unknown partition {partition!r}")
+    Block (lat_block, lon_block) goes to agent lat_block * cols + lon_block,
+    the grid topology's node at the same position.
+    """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     lat, lon, t_raw, val = _read_grid_rows(path)
 
-    rows, cols = _block_splits(K)
+    rows, cols = _grid_shape(K)
     uniq_lat = np.unique(lat)
     uniq_lon = np.unique(lon)
     if uniq_lat.size < rows or uniq_lon.size < cols:

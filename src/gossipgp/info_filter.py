@@ -14,10 +14,13 @@ sum of per-agent increments.
 
 Snapshot serialization (see save_state/load_state): little-endian binary,
 magic b"GGPIF001", uint32 dim, float64 obs_variance, float64 prior_variance,
-then D row-major (dim*dim float64) and eta (dim float64).
+then D row-major (dim*dim float64) and eta (dim float64). Loading rejects
+short data, non-finite values, an asymmetric D and trailing bytes with a
+ValueError that names the cause.
 """
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
@@ -30,19 +33,17 @@ from .features import FeatureMap, KernelSpec, feature_matrix
 __all__ = [
     "InfoState",
     "Increment",
-    "Prediction",
     "NumericalDegeneracyError",
     "prior_state",
-    "compute_increment",
     "apply_increment",
     "posterior_moments",
-    "predict",
     "predict_batch",
     "save_state",
     "load_state",
 ]
 
 STATE_MAGIC = b"GGPIF001"
+_STATE_HEADER = struct.Struct("<Idd")  # dim, obs_variance, prior_variance
 
 # Relative jitter added once if the Cholesky factorization fails.
 _JITTER_SCALE = 1e-10
@@ -108,14 +109,6 @@ class Increment:
         return self.P.shape[0]
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Predictive distribution at one input; variance includes obs noise."""
-
-    mean: float
-    variance: float
-
-
 def prior_state(spec: KernelSpec, J: int) -> InfoState:
     """Prior information state: D = I / sigma_theta^2, eta = 0."""
     if J < 1:
@@ -128,24 +121,6 @@ def prior_state(spec: KernelSpec, J: int) -> InfoState:
         obs_variance=spec.obs_variance,
         prior_variance=spec.prior_variance,
     )
-
-
-def compute_increment(Phi: np.ndarray, y: np.ndarray, obs_variance: float) -> Increment:
-    """Increment of one batch: P = Phi Phi^T / s2, s = Phi y / s2."""
-    Phi = np.asarray(Phi, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if Phi.ndim != 2:
-        raise ValueError(f"Phi must be 2-D, got shape {Phi.shape}")
-    if y.shape != (Phi.shape[1],):
-        raise ValueError(
-            f"batch size mismatch: Phi has {Phi.shape[1]} columns, y has shape {y.shape}"
-        )
-    if obs_variance <= 0:
-        raise ValueError("obs_variance must be strictly positive")
-    P = (Phi @ Phi.T) / obs_variance
-    P = 0.5 * (P + P.T)  # exact no-op in value, pins bitwise symmetry
-    s = (Phi @ y) / obs_variance
-    return Increment(P=P, s=s)
 
 
 def apply_increment(state: InfoState, inc: Increment) -> InfoState:
@@ -212,34 +187,55 @@ def predict_batch(
     return means, variances
 
 
-def predict(state: InfoState, fm: FeatureMap, x_star: np.ndarray) -> Prediction:
-    """Predictive distribution at a single input x_star."""
-    x_star = np.asarray(x_star, dtype=float)
-    means, variances = predict_batch(state, fm, x_star[np.newaxis, :])
-    return Prediction(mean=float(means[0]), variance=float(variances[0]))
-
-
 def save_state(state: InfoState, fp: BinaryIO) -> None:
     """Write the binary snapshot of one InfoState (layout in module docstring)."""
     fp.write(STATE_MAGIC)
-    fp.write(struct.pack("<I", state.dim))
-    fp.write(struct.pack("<dd", state.obs_variance, state.prior_variance))
+    fp.write(_STATE_HEADER.pack(state.dim, state.obs_variance, state.prior_variance))
     fp.write(np.ascontiguousarray(state.D, dtype="<f8").tobytes())
     fp.write(np.ascontiguousarray(state.eta, dtype="<f8").tobytes())
 
 
 def load_state(fp: BinaryIO) -> InfoState:
-    """Read one InfoState snapshot written by save_state."""
+    """Read one InfoState snapshot written by save_state; nothing may follow it."""
+    state = _read_state(fp)
+    if fp.read(1):
+        raise ValueError("trailing data after the snapshot state")
+    return state
+
+
+def _read_state(fp: BinaryIO) -> InfoState:
+    """Read and validate one state block, leaving fp just past it."""
     magic = fp.read(len(STATE_MAGIC))
     if magic != STATE_MAGIC:
         raise ValueError(f"bad snapshot magic {magic!r}, expected {STATE_MAGIC!r}")
-    (dim,) = struct.unpack("<I", fp.read(4))
-    obs_variance, prior_variance = struct.unpack("<dd", fp.read(16))
-    D = np.frombuffer(fp.read(8 * dim * dim), dtype="<f8").reshape(dim, dim)
-    eta = np.frombuffer(fp.read(8 * dim), dtype="<f8")
+    dim, obs_variance, prior_variance = _STATE_HEADER.unpack(
+        _read_exact(fp, _STATE_HEADER.size, "state header")
+    )
+    body = np.frombuffer(
+        _read_exact(fp, 8 * dim * (dim + 1), f"state of dim {dim}"), dtype="<f8"
+    )
+    if not (np.all(np.isfinite(body)) and np.isfinite(obs_variance)
+            and np.isfinite(prior_variance)):
+        raise ValueError(f"snapshot state of dim {dim} holds non-finite values")
+    D = body[: dim * dim].reshape(dim, dim).astype(float)
+    if not np.array_equal(D, D.T):
+        raise ValueError(f"snapshot state of dim {dim} has an asymmetric D")
     return InfoState(
-        D=D.astype(float),
-        eta=eta.astype(float),
+        D=D,
+        eta=body[dim * dim :].astype(float),
         obs_variance=obs_variance,
         prior_variance=prior_variance,
     )
+
+
+def _read_exact(fp: BinaryIO, n: int, what: str) -> bytes:
+    """Read exactly n bytes, checking first that the stream holds them.
+
+    A corrupt length field is thus reported before any buffer is requested.
+    """
+    here = fp.tell()
+    left = fp.seek(0, io.SEEK_END) - here
+    fp.seek(here)
+    if left < n:
+        raise ValueError(f"truncated snapshot: {what} needs {n} bytes, only {left} remain")
+    return fp.read(n)

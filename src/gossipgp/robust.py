@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMap
-from .info_filter import Increment, InfoState, predict_batch
+from .info_filter import Increment
 
 __all__ = [
     "RobustConfig",
@@ -96,14 +95,18 @@ def weights_for(e, cfg: RobustConfig):
     return np.ones_like(e)
 
 
-def standardized_residuals(
-    state: InfoState, fm: FeatureMap, X: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Residuals (y - yhat)/sigma_y from the pre-update predictive distribution."""
+def standardized_residuals(y, means, variances) -> np.ndarray:
+    """Residuals (y - yhat)/sigma_y against pre-update predictive moments.
+
+    `means` and `variances` are the predictive moments at the inputs of `y`,
+    as predict_batch returns them (variances include observation noise).
+    """
     y = np.asarray(y, dtype=float)
-    means, variances = predict_batch(state, fm, X)
-    if means.shape != y.shape:
-        raise ValueError(f"y shape {y.shape} does not match {means.shape} inputs")
+    if np.shape(means) != y.shape or np.shape(variances) != y.shape:
+        raise ValueError(
+            f"y shape {y.shape} does not match predictive moments of shapes "
+            f"{np.shape(means)} and {np.shape(variances)}"
+        )
     return (y - means) / np.sqrt(variances)
 
 

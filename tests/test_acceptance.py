@@ -8,8 +8,8 @@ import time
 import numpy as np
 
 from gossipgp.features import KernelSpec, feature_matrix, sample_frequencies
-from gossipgp.info_filter import apply_increment, compute_increment, prior_state
-from gossipgp.robust import hampel_weight, huber_weight
+from gossipgp.info_filter import apply_increment, prior_state
+from gossipgp.robust import hampel_weight, huber_weight, robust_increment
 from gossipgp.harness.cli import main
 from gossipgp.harness.config import scenario_from_dict
 from gossipgp.harness.metrics import write_metrics_csv
@@ -45,7 +45,7 @@ def test_online_updates_match_batch_posterior():
             sl = slice(t * N, (t + 1) * N)
             Phi = feature_matrix(fm, X[sl])
             state = apply_increment(
-                state, compute_increment(Phi, y[sl], spec.obs_variance)
+                state, robust_increment(Phi, y[sl], np.ones(N), spec.obs_variance)
             )
         Phi_all = feature_matrix(fm, X)
         D_direct = Phi_all @ Phi_all.T / spec.obs_variance + np.eye(2 * J)

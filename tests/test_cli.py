@@ -108,6 +108,19 @@ class TestExitCodes:
         assert rc == 1
         assert "run failed" in capsys.readouterr().err
 
+    def test_zero_rounds_sum_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**BASE, "consensus": {"rounds": 0, "mode": "sum"}})
+        rc = main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "mode local" in err
+
+    def test_degenerate_ui_nu_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**BASE, "dynamics": {"mode": "ui", "nu": 0.0}})
+        rc = main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_bad_snapshot_tokens(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["run", cfg, "--out", str(tmp_path / "o"), "--snapshots", "a,b"])

@@ -148,6 +148,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sum or local"):
             scenario_from_dict(minimal(consensus={"mode": "average"}))
 
+    def test_zero_rounds_sum_rejected_for_several_agents(self):
+        # With no mixing, "sum" would scale each agent's own increment by K.
+        with pytest.raises(ConfigError, match="mode local"):
+            scenario_from_dict(minimal(consensus={"rounds": 0, "mode": "sum"}))
+        local = scenario_from_dict(minimal(consensus={"rounds": 0, "mode": "local"}))
+        assert local.consensus.rounds == 0
+        single = scenario_from_dict(minimal(topology={"num_agents": 1},
+                                            consensus={"rounds": 0, "mode": "sum"}))
+        assert single.consensus.rounds == 0
+
+    def test_degenerate_ui_nu_rejected(self):
+        with pytest.raises(ConfigError, match="ui forgetting"):
+            scenario_from_dict(minimal(dynamics={"mode": "ui", "nu": 0.0}))
+
     def test_bad_evidence_mode(self):
         cfg = minimal()
         cfg["ensemble"]["evidence"] = "broadcast"

@@ -132,6 +132,19 @@ class TestConsensusSum:
         out = consensus_sum(values, topo, ConsensusConfig(rounds=0))
         assert np.array_equal(out[0], values[0])
 
+    def test_stacked_messages_keep_their_shape(self):
+        # Axis 0 is the agent; each agent's message may have any shape, and
+        # the caller's array is left untouched.
+        topo = build_topology("complete", 3)
+        values = np.random.default_rng(3).standard_normal((3, 2, 4, 4))
+        before = values.copy()
+        for rounds in (0, 1):
+            out = consensus_sum(values, topo, ConsensusConfig(rounds=rounds))
+            assert out.shape == values.shape
+            assert np.array_equal(values, before)
+        assert np.allclose(out, np.broadcast_to(values.sum(axis=0), values.shape),
+                           rtol=1e-12, atol=1e-12)
+
     def test_shape_mismatch_rejected(self):
         topo = build_topology("ring", 3)
         values = [np.zeros(2), np.zeros(2), np.zeros(3)]

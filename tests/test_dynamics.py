@@ -7,14 +7,14 @@ from gossipgp import (
     KernelSpec,
     apply_forgetting,
     apply_increment,
-    augment_time,
     augment_time_matrix,
-    compute_increment,
     feature_matrix,
     posterior_moments,
     prior_state,
+    robust_increment,
     sample_frequencies,
 )
+from gossipgp.dynamics import _MIN_UI_NU
 
 
 def fitted_state(seed=0, prior_variance=1.0, obs_variance=0.2):
@@ -25,7 +25,7 @@ def fitted_state(seed=0, prior_variance=1.0, obs_variance=0.2):
     rng = np.random.default_rng(seed + 1)
     X = rng.uniform(size=(12, 1))
     y = rng.standard_normal(12)
-    inc = compute_increment(feature_matrix(fm, X), y, obs_variance)
+    inc = robust_increment(feature_matrix(fm, X), y, np.ones(12), obs_variance)
     return apply_increment(prior_state(spec, J=3), inc), spec
 
 
@@ -85,9 +85,16 @@ class TestApplyForgetting:
         assert np.allclose(Sigma1, Sigma0 / nu, atol=1e-10)
 
     def test_ui_rejects_degenerate_nu(self):
+        # The degenerate ui coefficient is a configuration error, caught when
+        # the config is built rather than mid-run.
+        for nu in (0.0, 0.5 * _MIN_UI_NU):
+            with pytest.raises(ValueError, match="degenerates"):
+                DynamicsConfig(mode="ui", nu=nu)
         state, _ = fitted_state()
-        with pytest.raises(ValueError):
-            apply_forgetting(state, DynamicsConfig(mode="ui", nu=0.0))
+        out = apply_forgetting(state, DynamicsConfig(mode="ui", nu=_MIN_UI_NU))
+        assert np.array_equal(out.D, _MIN_UI_NU * state.D)
+        # Other modes accept any nu in [0, 1].
+        DynamicsConfig(mode="b2p", nu=0.0)
 
     def test_forgetting_is_pure(self):
         state, _ = fitted_state()
@@ -98,12 +105,12 @@ class TestApplyForgetting:
 
 class TestTimeAugmentation:
     def test_basic(self):
-        out = augment_time(np.array([0.2, 0.7]), 46)
-        assert np.array_equal(out, np.array([0.2, 0.7, 46.0]))
+        out = augment_time_matrix(np.array([[0.2, 0.7]]), 46)
+        assert np.array_equal(out, np.array([[0.2, 0.7, 46.0]]))
 
     def test_zero_dimensional_edge(self):
-        out = augment_time(np.zeros(0), 5)
-        assert np.array_equal(out, np.array([5.0]))
+        out = augment_time_matrix(np.zeros((1, 0)), 5)
+        assert np.array_equal(out, np.array([[5.0]]))
 
     def test_matrix_form(self):
         X = np.array([[0.1, 0.2], [0.3, 0.4]])

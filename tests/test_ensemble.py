@@ -8,15 +8,14 @@ from gossipgp import (
     EnsembleState,
     KernelSpec,
     apply_increment,
-    compute_increment,
     ensemble_weights,
     feature_matrix,
     init_ensemble,
     member_seed,
     mixture_log_density,
-    mixture_predict,
     mixture_predict_batch,
-    predict,
+    predict_batch,
+    robust_increment,
     update_evidence,
 )
 
@@ -151,13 +150,13 @@ class TestMixturePrediction:
         X = rng.uniform(size=(6, 2))
         y = rng.standard_normal(6)
         Phi = feature_matrix(maps[0], X)
-        model = apply_increment(state.models[0], compute_increment(Phi, y, 0.2))
+        model = apply_increment(state.models[0], robust_increment(Phi, y, np.ones(6), 0.2))
         state = EnsembleState(models=(model,), log_evidence=state.log_evidence)
-        x_star = np.array([0.3, 0.6])
-        mix = mixture_predict(state, maps, x_star)
-        single = predict(model, maps[0], x_star)
-        assert mix.mean == pytest.approx(single.mean, abs=1e-14)
-        assert mix.variance == pytest.approx(single.variance, abs=1e-14)
+        X_star = np.array([[0.3, 0.6], [0.9, 0.1]])
+        mean, variance, _, _, _ = mixture_predict_batch(state, maps, X_star)
+        single_mean, single_variance = predict_batch(model, maps[0], X_star)
+        assert np.allclose(mean, single_mean, rtol=0, atol=1e-14)
+        assert np.allclose(variance, single_variance, rtol=0, atol=1e-14)
 
     def test_moment_matched_variance_equal_means(self):
         # equal weights, equal means, member variances (1, 3): variance 2
@@ -201,14 +200,11 @@ class TestMixturePrediction:
         )
         assert np.allclose(ours, direct, atol=1e-12)
 
-    def test_prediction_object_log_density(self):
+    def test_batch_prediction_log_density(self):
         spec = two_member_spec(J=3)
         state, maps = init_ensemble(spec)
-        pred = mixture_predict(state, maps, np.array([0.1, 0.9]))
-        direct = mixture_log_density(
-            pred.weights,
-            pred.member_means[:, np.newaxis],
-            pred.member_variances[:, np.newaxis],
-            np.array([0.7]),
-        )[0]
-        assert pred.log_density(0.7) == pytest.approx(direct, abs=1e-14)
+        state = update_evidence(state, np.array([0.3, -0.2]))
+        _, _, mm, mv, w = mixture_predict_batch(state, maps, np.array([[0.1, 0.9]]))
+        ours = mixture_log_density(w, mm, mv, np.array([0.7]))[0]
+        direct = np.log(w @ norm.pdf(0.7, mm[:, 0], np.sqrt(mv[:, 0])))
+        assert ours == pytest.approx(direct, abs=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgp import KernelSpec, feature_map, feature_matrix, sample_frequencies
+from gossipgp import KernelSpec, feature_matrix, sample_frequencies
 
 
 def rbf(x, xp, lengthscales):
@@ -88,7 +88,7 @@ class TestFeatureMapEvaluation:
         spec = KernelSpec(spatial_lengthscales=(0.5, 0.5))
         J = 4
         fm = sample_frequencies(spec, J=J, d=2, seed=1)
-        phi = feature_map(fm, np.zeros(2))
+        phi = feature_matrix(fm, np.zeros((1, 2)))[:, 0]
         expected = np.zeros(2 * J)
         expected[1::2] = 1.0 / np.sqrt(J)
         assert np.array_equal(phi, expected)
@@ -96,18 +96,16 @@ class TestFeatureMapEvaluation:
     def test_unit_norm(self):
         spec = KernelSpec(spatial_lengthscales=(0.3, 0.7))
         fm = sample_frequencies(spec, J=16, d=2, seed=2)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = rng.uniform(-5, 5, size=2)
-            phi = feature_map(fm, x)
-            assert abs(phi @ phi - 1.0) <= 1e-12
+        X = np.random.default_rng(3).uniform(-5, 5, size=(20, 2))
+        Phi = feature_matrix(fm, X)
+        assert np.all(np.abs(np.sum(Phi**2, axis=0) - 1.0) <= 1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=2))
     def test_unit_norm_property(self, coords):
         spec = KernelSpec(spatial_lengthscales=(0.3, 0.7))
         fm = sample_frequencies(spec, J=8, d=2, seed=2)
-        phi = feature_map(fm, np.asarray(coords))
+        phi = feature_matrix(fm, np.asarray([coords]))[:, 0]
         assert abs(phi @ phi - 1.0) <= 1e-12
 
     def test_kernel_approximation_1d(self):
@@ -119,7 +117,8 @@ class TestFeatureMapEvaluation:
         errs = []
         for _ in range(100):
             x, xp = rng.uniform(-2, 2, size=(2, 1))
-            approx = feature_map(fm, x) @ feature_map(fm, xp)
+            Phi = feature_matrix(fm, np.stack([x, xp]))
+            approx = Phi[:, 0] @ Phi[:, 1]
             errs.append(abs(approx - rbf(x, xp, [1.0])))
         assert np.mean(errs) <= 3.0 / np.sqrt(J)
 
@@ -134,20 +133,21 @@ class TestFeatureMapEvaluation:
         for _ in range(100):
             x, xp = rng.uniform(-2, 2, size=2)
             t, tp = rng.uniform(0, 48, size=2)
-            approx = feature_map(fm, np.array([x, t])) @ feature_map(fm, np.array([xp, tp]))
+            Phi = feature_matrix(fm, np.array([[x, t], [xp, tp]]))
+            approx = Phi[:, 0] @ Phi[:, 1]
             exact = rbf([x], [xp], [1.0]) * rbf([t], [tp], [4.0])
             errs.append(abs(approx - exact))
         assert np.mean(errs) <= 3.0 / np.sqrt(J)
 
 
 class TestFeatureMatrix:
-    def test_single_row_equals_feature_map(self):
+    def test_single_row_equals_column_of_batch(self):
         spec = KernelSpec(spatial_lengthscales=(0.4, 0.9))
         fm = sample_frequencies(spec, J=6, d=2, seed=4)
-        x = np.array([0.3, -1.2])
-        Phi = feature_matrix(fm, x[np.newaxis, :])
+        X = np.array([[0.7, 0.1], [0.3, -1.2], [-2.0, 0.5]])
+        Phi = feature_matrix(fm, X[1:2])
         assert Phi.shape == (12, 1)
-        assert np.array_equal(Phi[:, 0], feature_map(fm, x))
+        assert np.allclose(Phi[:, 0], feature_matrix(fm, X)[:, 1], rtol=0, atol=1e-15)
 
     def test_identical_rows_give_identical_columns(self):
         spec = KernelSpec(spatial_lengthscales=(0.4,))

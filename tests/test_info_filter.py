@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipgp import (
     Increment,
@@ -10,16 +12,20 @@ from gossipgp import (
     KernelSpec,
     NumericalDegeneracyError,
     apply_increment,
-    compute_increment,
-    feature_map,
     feature_matrix,
     load_state,
     posterior_moments,
-    predict,
     predict_batch,
     prior_state,
+    robust_increment,
     sample_frequencies,
+    save_state,
 )
+
+
+def increment(Phi, y, obs_variance):
+    """The plain (unit-weight) increment of one batch."""
+    return robust_increment(Phi, y, np.ones(np.shape(y)), obs_variance)
 
 
 def brute_force_posterior(Phi, y, obs_variance, prior_variance):
@@ -66,8 +72,10 @@ class TestPriorState:
 
 
 class TestComputeIncrement:
+    """The batch increment (P, s), formed by robust_increment at unit weights."""
+
     def test_empty_batch_is_zero(self):
-        inc = compute_increment(np.zeros((4, 0)), np.zeros(0), obs_variance=0.5)
+        inc = increment(np.zeros((4, 0)), np.zeros(0), obs_variance=0.5)
         assert np.array_equal(inc.P, np.zeros((4, 4)))
         assert np.array_equal(inc.s, np.zeros(4))
 
@@ -75,9 +83,9 @@ class TestComputeIncrement:
         # phi = (0, 1) at the origin with J=1; y=2, noise variance 0.5:
         # P = 2 * phi phi^T has a single nonzero entry, s = (0, 4).
         spec, fm = make_model(J=1, d=1)
-        phi = feature_map(fm, np.zeros(1))
-        assert np.array_equal(phi, np.array([0.0, 1.0]))
-        inc = compute_increment(phi[:, np.newaxis], np.array([2.0]), obs_variance=0.5)
+        Phi = feature_matrix(fm, np.zeros((1, 1)))
+        assert np.array_equal(Phi, np.array([[0.0], [1.0]]))
+        inc = increment(Phi, np.array([2.0]), obs_variance=0.5)
         assert np.array_equal(inc.P, np.array([[0.0, 0.0], [0.0, 2.0]]))
         assert np.array_equal(inc.s, np.array([0.0, 4.0]))
 
@@ -87,27 +95,27 @@ class TestComputeIncrement:
         X = rng.uniform(size=(3, 2))
         y = rng.standard_normal(3)
         Phi = feature_matrix(fm, X)
-        whole = compute_increment(Phi, y, obs_variance=0.2)
+        whole = increment(Phi, y, obs_variance=0.2)
         parts_P = sum(
-            compute_increment(Phi[:, i : i + 1], y[i : i + 1], 0.2).P for i in range(3)
+            increment(Phi[:, i : i + 1], y[i : i + 1], 0.2).P for i in range(3)
         )
         parts_s = sum(
-            compute_increment(Phi[:, i : i + 1], y[i : i + 1], 0.2).s for i in range(3)
+            increment(Phi[:, i : i + 1], y[i : i + 1], 0.2).s for i in range(3)
         )
         assert np.allclose(whole.P, parts_P, atol=1e-14)
         assert np.allclose(whole.s, parts_s, atol=1e-14)
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
-            compute_increment(np.zeros((4, 2)), np.zeros(3), 0.1)
+            robust_increment(np.zeros((4, 2)), np.zeros(3), np.ones(3), 0.1)
         with pytest.raises(ValueError):
-            compute_increment(np.zeros((4, 2)), np.zeros(2), 0.0)
+            increment(np.zeros((4, 2)), np.zeros(2), 0.0)
 
     def test_increment_is_symmetric(self):
         spec, fm = make_model(J=5, d=2)
         X = np.random.default_rng(2).uniform(size=(10, 2))
         Phi = feature_matrix(fm, X)
-        inc = compute_increment(Phi, np.ones(10), 0.3)
+        inc = increment(Phi, np.ones(10), 0.3)
         assert np.array_equal(inc.P, inc.P.T)
 
 
@@ -139,7 +147,7 @@ class TestApplyIncrement:
             X = rng.uniform(size=(5, 2))
             y = rng.standard_normal(5)
             Phi = feature_matrix(fm, X)
-            state = apply_increment(state, compute_increment(Phi, y, 0.3))
+            state = apply_increment(state, increment(Phi, y, 0.3))
             all_Phi.append(Phi)
             all_y.append(y)
         Phi = np.hstack(all_Phi)
@@ -156,7 +164,7 @@ class TestApplyIncrement:
         incs = []
         for _ in range(2):
             X = rng.uniform(size=(3, 2))
-            incs.append(compute_increment(feature_matrix(fm, X), rng.standard_normal(3), 0.1))
+            incs.append(increment(feature_matrix(fm, X), rng.standard_normal(3), 0.1))
         ab = apply_increment(apply_increment(state, incs[0]), incs[1])
         ba = apply_increment(apply_increment(state, incs[1]), incs[0])
         assert np.allclose(ab.D, ba.D, atol=1e-14)
@@ -174,8 +182,8 @@ class TestPosteriorMoments:
         spec, fm = make_model(J=1, d=1, prior_variance=2.0, obs_variance=0.5)
         x = np.array([0.7])
         y = np.array([1.3])
-        phi = feature_map(fm, x)[:, np.newaxis]
-        state = apply_increment(prior_state(spec, J=1), compute_increment(phi, y, 0.5))
+        phi = feature_matrix(fm, x[np.newaxis, :])
+        state = apply_increment(prior_state(spec, J=1), increment(phi, y, 0.5))
         mu, Sigma = posterior_moments(state)
         mu_direct, Sigma_direct, _ = brute_force_posterior(phi, y, 0.5, 2.0)
         assert np.allclose(mu, mu_direct, atol=1e-12)
@@ -187,7 +195,7 @@ class TestPosteriorMoments:
         X = rng.uniform(size=(20, 2))
         y = rng.standard_normal(20)
         state = apply_increment(
-            prior_state(spec, J=5), compute_increment(feature_matrix(fm, X), y, 0.2)
+            prior_state(spec, J=5), increment(feature_matrix(fm, X), y, 0.2)
         )
         mu, _ = posterior_moments(state)
         residual = np.linalg.norm(state.D @ mu - state.eta)
@@ -204,33 +212,34 @@ class TestPredict:
     def test_prior_prediction(self):
         spec, fm = make_model(J=8, d=2, prior_variance=3.0, obs_variance=0.25)
         state = prior_state(spec, J=8)
-        pred = predict(state, fm, np.array([0.4, -0.2]))
-        assert abs(pred.mean) <= 1e-12
+        means, variances = predict_batch(state, fm, np.array([[0.4, -0.2], [1.0, 3.0]]))
+        assert np.all(np.abs(means) <= 1e-12)
         # ||phi||^2 = 1, so the prior predictive variance is
         # prior_variance + obs_variance exactly.
-        assert abs(pred.variance - 3.25) <= 1e-10
+        assert np.all(np.abs(variances - 3.25) <= 1e-10)
 
     def test_variance_floor_is_observation_noise(self):
         spec, fm = make_model(J=4, d=1, obs_variance=0.1)
-        x_star = np.array([0.5])
-        Phi = np.repeat(feature_map(fm, x_star)[:, np.newaxis], 400, axis=1)
+        X_star = np.array([[0.5]])
+        Phi = np.repeat(feature_matrix(fm, X_star), 400, axis=1)
         y = np.full(400, 2.0)
-        state = apply_increment(prior_state(spec, J=4), compute_increment(Phi, y, 0.1))
-        pred = predict(state, fm, x_star)
-        assert 0.1 < pred.variance < 0.101
+        state = apply_increment(prior_state(spec, J=4), increment(Phi, y, 0.1))
+        _, variances = predict_batch(state, fm, X_star)
+        assert 0.1 < variances[0] < 0.101
 
     def test_hand_case_against_direct_formula(self):
         spec, fm = make_model(J=1, d=1, prior_variance=1.5, obs_variance=0.4)
         X = np.array([[0.2], [0.9], [-0.3]])
         y = np.array([0.5, -1.0, 0.25])
         Phi = feature_matrix(fm, X)
-        state = apply_increment(prior_state(spec, J=1), compute_increment(Phi, y, 0.4))
+        state = apply_increment(prior_state(spec, J=1), increment(Phi, y, 0.4))
         mu_direct, Sigma_direct, _ = brute_force_posterior(Phi, y, 0.4, 1.5)
-        x_star = np.array([0.6])
-        phi = feature_map(fm, x_star)
-        pred = predict(state, fm, x_star)
-        assert abs(pred.mean - phi @ mu_direct) <= 1e-12
-        assert abs(pred.variance - (phi @ Sigma_direct @ phi + 0.4)) <= 1e-12
+        X_star = np.array([[0.6], [-1.1]])
+        Phi_star = feature_matrix(fm, X_star)
+        means, variances = predict_batch(state, fm, X_star)
+        assert np.allclose(means, Phi_star.T @ mu_direct, rtol=0, atol=1e-12)
+        direct_var = np.einsum("jn,jk,kn->n", Phi_star, Sigma_direct, Phi_star) + 0.4
+        assert np.allclose(variances, direct_var, rtol=0, atol=1e-12)
 
     def test_batch_matches_pointwise(self):
         spec, fm = make_model(J=3, d=2)
@@ -238,14 +247,14 @@ class TestPredict:
         X = rng.uniform(size=(12, 2))
         y = rng.standard_normal(12)
         state = apply_increment(
-            prior_state(spec, J=3), compute_increment(feature_matrix(fm, X), y, 0.1)
+            prior_state(spec, J=3), increment(feature_matrix(fm, X), y, 0.1)
         )
         X_star = rng.uniform(size=(5, 2))
         means, variances = predict_batch(state, fm, X_star)
         for i in range(5):
-            p = predict(state, fm, X_star[i])
-            assert abs(means[i] - p.mean) <= 1e-12
-            assert abs(variances[i] - p.variance) <= 1e-12
+            mean_i, variance_i = predict_batch(state, fm, X_star[i : i + 1])
+            assert abs(means[i] - mean_i[0]) <= 1e-12
+            assert abs(variances[i] - variance_i[0]) <= 1e-12
 
     def test_empty_batch(self):
         spec, fm = make_model(J=3, d=2)
@@ -261,11 +270,9 @@ class TestSerialization:
         X = rng.uniform(size=(9, 2))
         y = rng.standard_normal(9)
         state = apply_increment(
-            prior_state(spec, J=4), compute_increment(feature_matrix(fm, X), y, 0.3)
+            prior_state(spec, J=4), increment(feature_matrix(fm, X), y, 0.3)
         )
         buf = io.BytesIO()
-        from gossipgp import save_state
-
         save_state(state, buf)
         buf.seek(0)
         loaded = load_state(buf)
@@ -277,6 +284,67 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             load_state(io.BytesIO(b"NOTMAGIC" + b"\x00" * 64))
+
+    def test_short_header_rejected(self):
+        data = state_bytes()
+        with pytest.raises(ValueError, match="state header"):
+            load_state(io.BytesIO(data[:14]))
+
+    def test_corrupt_dim_rejected_without_reading_it(self):
+        # dim 2^32 - 1 implies ~1.5e20 bytes; the loader must report the
+        # shortfall instead of requesting that much memory.
+        data = bytearray(state_bytes())
+        data[8:12] = b"\xff\xff\xff\xff"
+        with pytest.raises(ValueError, match="truncated"):
+            load_state(io.BytesIO(bytes(data)))
+
+    def test_non_finite_rejected(self):
+        state = fitted_state()
+        state.D[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            load_state(io.BytesIO(state_bytes(state)))
+        state = fitted_state()
+        state.eta[1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            load_state(io.BytesIO(state_bytes(state)))
+
+    def test_asymmetric_d_rejected(self):
+        state = fitted_state()
+        state.D[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="asymmetric"):
+            load_state(io.BytesIO(state_bytes(state)))
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(ValueError, match="trailing"):
+            load_state(io.BytesIO(state_bytes() + b"\x00"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_truncation_and_bit_flips_fail_only_with_value_error(self, data):
+        raw = state_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(ValueError):
+            load_state(io.BytesIO(raw[:cut]))
+        flipped = bytearray(raw)
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            load_state(io.BytesIO(bytes(flipped)))
+        except ValueError:
+            pass
+
+
+def fitted_state():
+    spec, fm = make_model(J=2, d=2, prior_variance=2.0, obs_variance=0.3)
+    X = np.random.default_rng(8).uniform(size=(5, 2))
+    Phi = feature_matrix(fm, X)
+    return apply_increment(prior_state(spec, J=2), increment(Phi, np.ones(5), 0.3))
+
+
+def state_bytes(state=None):
+    buf = io.BytesIO()
+    save_state(fitted_state() if state is None else state, buf)
+    return buf.getvalue()
 
 
 class TestValidation:

@@ -8,10 +8,10 @@ from gossipgp import (
     KernelSpec,
     RobustConfig,
     apply_increment,
-    compute_increment,
     feature_matrix,
     hampel_weight,
     huber_weight,
+    predict_batch,
     prior_state,
     robust_increment,
     sample_frequencies,
@@ -128,7 +128,7 @@ class TestStandardizedResiduals:
         state = prior_state(spec, J=3)
         X = np.array([[0.4]])
         # prior mean is 0, so y=0 sits exactly at the prediction
-        e = standardized_residuals(state, fm, X, np.array([0.0]))
+        e = standardized_residuals(np.array([0.0]), *predict_batch(state, fm, X))
         assert e[0] == 0.0
 
     def test_prior_residual_scale(self):
@@ -136,7 +136,7 @@ class TestStandardizedResiduals:
         spec = KernelSpec(spatial_lengthscales=(0.5,), prior_variance=1.0, obs_variance=1.0)
         fm = sample_frequencies(spec, J=4, d=1, seed=1)
         state = prior_state(spec, J=4)
-        e = standardized_residuals(state, fm, np.array([[0.3]]), np.array([2.0]))
+        e = standardized_residuals(np.array([2.0]), *predict_batch(state, fm, np.array([[0.3]])))
         assert e[0] == pytest.approx(2.0 / np.sqrt(2.0), abs=1e-10)
 
     def test_huber_membership_invariant_under_joint_scaling(self):
@@ -152,12 +152,18 @@ class TestStandardizedResiduals:
         fm2 = sample_frequencies(spec2, J=4, d=1, seed=2)
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.array([0.5, 3.0, -4.0])
-        e1 = standardized_residuals(prior_state(spec1, J=4), fm1, X, y)
-        e2 = standardized_residuals(prior_state(spec2, J=4), fm2, X, 2.0 * y)
+        e1 = standardized_residuals(y, *predict_batch(prior_state(spec1, J=4), fm1, X))
+        e2 = standardized_residuals(2.0 * y, *predict_batch(prior_state(spec2, J=4), fm2, X))
         assert np.allclose(e1, e2, atol=1e-12)
         cfg = RobustConfig(kind="huber", delta=1.345)
         w1, w2 = weights_for(e1, cfg), weights_for(e2, cfg)
         assert np.array_equal(w1 == 1.0, w2 == 1.0)
+
+    def test_moment_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            standardized_residuals(np.zeros(3), np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="does not match"):
+            standardized_residuals(np.zeros(2), np.zeros(2), np.ones(3))
 
 
 class TestRobustIncrement:
@@ -168,10 +174,10 @@ class TestRobustIncrement:
         X = rng.uniform(size=(6, 2))
         y = rng.standard_normal(6)
         Phi = feature_matrix(fm, X)
-        plain = compute_increment(Phi, y, 0.3)
         weighted = robust_increment(Phi, y, np.ones(6), 0.3)
-        assert np.array_equal(weighted.P, plain.P)
-        assert np.array_equal(weighted.s, plain.s)
+        assert np.allclose(weighted.P, Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
+        assert np.allclose(weighted.s, Phi @ y / 0.3, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(weighted.P, weighted.P.T)
 
     def test_zero_weight_deletes_observation(self):
         spec = KernelSpec(spatial_lengthscales=(0.5,), obs_variance=0.2)
@@ -183,7 +189,7 @@ class TestRobustIncrement:
         w = np.array([1.0, 1.0, 0.0, 1.0])
         masked = robust_increment(Phi, y, w, 0.2)
         kept = [0, 1, 3]
-        direct = compute_increment(Phi[:, kept], y[kept], 0.2)
+        direct = robust_increment(Phi[:, kept], y[kept], np.ones(3), 0.2)
         assert np.allclose(masked.P, direct.P, atol=1e-14)
         assert np.allclose(masked.s, direct.s, atol=1e-14)
 

@@ -1,13 +1,19 @@
 """Simulation loop: centralized equivalence, gossip wiring, eval modes, errors."""
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gossipgp import (
     apply_increment,
-    compute_increment,
     feature_matrix,
     init_ensemble,
     predict_batch,
+    robust_increment,
 )
 from gossipgp.harness.config import scenario_from_dict
 from gossipgp.harness.runner import (
@@ -58,7 +64,8 @@ class TestSingleAgentComposition:
                               + (batch.y - means) ** 2 / variances)
             log_ev += float(np.sum(log_pdf))
             Phi = feature_matrix(fmaps[0], batch.X)
-            model = apply_increment(model, compute_increment(Phi, batch.y, obs_var))
+            inc = robust_increment(Phi, batch.y, np.ones(batch.size), obs_var)
+            model = apply_increment(model, inc)
 
         got = res.agent_states[0].models[0]
         assert np.array_equal(got.D, model.D)
@@ -274,6 +281,51 @@ class TestSnapshots:
         path.write_bytes(b"NOTASNAP" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_snapshot(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        path.write_bytes(snapshot_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            load_snapshot(path)
+
+    def test_missing_member_count_rejected(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        path.write_bytes(snapshot_bytes()[:10])
+        with pytest.raises(ValueError, match="member count"):
+            load_snapshot(path)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_truncation_and_bit_flips_fail_only_with_value_error(self, tmp_path, data):
+        raw = snapshot_bytes()
+        path = tmp_path / "fuzzed.bin"
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(ValueError):
+            load_snapshot(path)
+        flipped = bytearray(raw)
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        try:
+            load_snapshot(path)
+        except ValueError:
+            pass
+
+
+@functools.cache
+def snapshot_bytes():
+    """A two-member snapshot of one agent of a small run."""
+    cfg = make_config(
+        eval={"snapshots": [1]},
+        ensemble={"shared_J": 2,
+                  "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
+    )
+    res = run_scenario(scenario_from_dict(cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.bin"
+        save_snapshot(path, res.snapshots[1][0])
+        return path.read_bytes()
 
 
 class TestRunErrors:

@@ -4,10 +4,11 @@ import pytest
 
 from gossipgp import (
     apply_increment,
-    compute_increment,
+    build_topology,
     feature_matrix,
     posterior_moments,
     prior_state,
+    robust_increment,
     sample_frequencies,
 )
 from gossipgp.harness.streams import (
@@ -102,10 +103,19 @@ class TestGridLoader:
         with pytest.raises(ValueError, match="split"):
             load_grid_dataset(path, K=9)
 
-    def test_unknown_partition_rejected(self, tmp_path):
-        path = write_grid(tmp_path / "g.csv")
-        with pytest.raises(ValueError):
-            load_grid_dataset(path, K=1, partition="random")
+    @pytest.mark.parametrize("K", range(1, 21))
+    def test_grid_neighbours_own_adjacent_blocks(self, tmp_path, K):
+        # Agents i and j are grid-topology neighbours exactly when their
+        # spatial blocks share an edge, i.e. when some site of one block has
+        # a 4-neighbour site in the other.
+        path = write_grid(tmp_path / "g.csv", nlat=20, nlon=20, epochs=1)
+        owner = load_grid_dataset(path, K).eval_owner.reshape(20, 20)
+        touching = set()
+        for a, b in ((owner[:, :-1], owner[:, 1:]), (owner[:-1, :], owner[1:, :])):
+            touching |= {(int(i), int(j)) for i, j in zip(a.ravel(), b.ravel()) if i != j}
+            touching |= {(int(j), int(i)) for i, j in zip(a.ravel(), b.ravel()) if i != j}
+        A = build_topology("grid", K).adjacency
+        assert touching == {(int(i), int(j)) for i, j in zip(*np.nonzero(A))}
 
     def test_eval_grid_matches_batches(self, tmp_path):
         path = write_grid(tmp_path / "g.csv", nlat=4, nlon=4, epochs=2)
@@ -169,7 +179,8 @@ class TestSynthStream:
         state = prior_state(spec, cfg.true_J)
         for t in stream.epochs:
             batch = stream.batches[t][0]
-            inc = compute_increment(feature_matrix(fm, batch.X), batch.y, cfg.obs_variance)
+            Phi = feature_matrix(fm, batch.X)
+            inc = robust_increment(Phi, batch.y, np.ones(batch.size), cfg.obs_variance)
             state = apply_increment(state, inc)
         mu, _ = posterior_moments(state)
         theta_star = stream.truth["theta"][0]
