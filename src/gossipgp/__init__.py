@@ -15,7 +15,7 @@ from .info_filter import (
     NumericalDegeneracyError,
     prior_state,
     apply_increment,
-    posterior_moments,
+    posterior_root,
     predict_batch,
     save_state,
     load_state,
@@ -59,7 +59,7 @@ __all__ = [
     "NumericalDegeneracyError",
     "prior_state",
     "apply_increment",
-    "posterior_moments",
+    "posterior_root",
     "predict_batch",
     "save_state",
     "load_state",

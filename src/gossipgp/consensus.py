@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+from scipy.linalg import blas
 
 __all__ = [
     "Topology",
@@ -154,6 +155,9 @@ def consensus_sum(values: np.ndarray, topo: Topology, cfg: ConsensusConfig) -> n
     holds an approximation of the network average, so K times it
     approximates the network sum. L=0 returns K times each local value.
     The result has the shape of `values`.
+
+    The L rounds are applied as one product with W^L, built from the K x K
+    matrix, so each message is read once whatever L is.
     """
     K = topo.num_agents
     V = np.asarray(values, dtype=float)
@@ -161,6 +165,10 @@ def consensus_sum(values: np.ndarray, topo: Topology, cfg: ConsensusConfig) -> n
         raise ValueError(f"expected {K} per-agent messages on axis 0, got shape {V.shape}")
     flat = V.reshape(K, -1)
     W = metropolis_weights(topo)
+    WL = np.eye(K)
     for _ in range(cfg.rounds):
-        flat = W @ flat
-    return (K * flat).reshape(V.shape)
+        WL = blas.dgemm(1.0, W, WL)
+    # K (W^L flat) computed as (K flat^T (W^L)^T)^T: flat^T is a Fortran-ordered
+    # view, and the Fortran-ordered result transposes back to C order, so the
+    # message is never copied.
+    return blas.dgemm(float(K), flat.T, WL, trans_b=True).T.reshape(V.shape)

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.special import logsumexp
 
 from .features import FeatureMap, KernelSpec, sample_frequencies
@@ -175,7 +176,9 @@ def mixture_predict_batch(
     for m, (model, fm) in enumerate(zip(state.models, feature_maps)):
         member_means[m], member_variances[m] = predict_batch(model, fm, X)
     w = ensemble_weights(state)
-    mean = w @ member_means
-    variance = w @ (member_variances + member_means**2) - mean**2
+    row = w[np.newaxis, :]
+    mean = blas.dgemm(1.0, row, member_means.T, trans_b=True)[0]
+    second = blas.dgemm(1.0, row, (member_variances + member_means**2).T, trans_b=True)[0]
+    variance = second - mean**2
     return mean, variance, member_means, member_variances, w
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 
 __all__ = [
     "KernelSpec",
@@ -138,10 +139,12 @@ def feature_matrix(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input dimension {X.shape[1]} does not match frequency columns {fm.input_dim}"
         )
-    proj = X @ fm.frequencies.T  # N x J
+    # J x N projections V X^T; the transposed views are Fortran-ordered, so
+    # BLAS reads both operands in place.
+    proj = blas.dgemm(1.0, fm.frequencies.T, X.T, trans_a=True)
     J = fm.num_features
     Phi = np.empty((2 * J, X.shape[0]), dtype=float)
-    Phi[0::2, :] = np.sin(proj).T
-    Phi[1::2, :] = np.cos(proj).T
+    Phi[0::2, :] = np.sin(proj)
+    Phi[1::2, :] = np.cos(proj)
     Phi /= np.sqrt(J)
     return Phi

@@ -35,7 +35,7 @@ from ..info_filter import (
     InfoState,
     _read_state,
     apply_increment,
-    posterior_moments,
+    posterior_root,
     predict_batch,
     save_state,
 )
@@ -251,10 +251,10 @@ def _evaluate_epoch(scenario, stream, t, agent_states, oracle_state, fmaps):
     y_true = stream.eval_truth[t]
     spatiotemporal = scenario.dynamics.mode == "spatiotemporal"
     want = scenario.eval.metrics
-    oracle_moments = None
+    oracle_roots = None
     if "w2" in want:
         try:
-            oracle_moments = [posterior_moments(m) for m in oracle_state.models]
+            oracle_roots = [posterior_root(m) for m in oracle_state.models]
         except Exception as exc:
             raise RunError(f"epoch {t}, centralized oracle: {exc}") from exc
 
@@ -275,7 +275,7 @@ def _evaluate_epoch(scenario, stream, t, agent_states, oracle_state, fmaps):
                 if "npll" in want:
                     npll_val = npll(mm, mv, y_k, weights=w)
             if "w2" in want:
-                w2_val = _w2_to_oracle(agent_states[k], oracle_moments)
+                w2_val = _w2_to_oracle(agent_states[k], oracle_roots)
             out.append(
                 MetricsRecord(
                     t=t, agent_id=k, rmse=rmse_val, npll=npll_val,
@@ -287,14 +287,14 @@ def _evaluate_epoch(scenario, stream, t, agent_states, oracle_state, fmaps):
     return out
 
 
-def _w2_to_oracle(state: EnsembleState, oracle_moments) -> float:
+def _w2_to_oracle(state: EnsembleState, oracle_roots) -> float:
     """Evidence-weighted member-wise distance to the centralized posterior."""
     w = ensemble_weights(state)
     total = 0.0
     for m, model in enumerate(state.models):
-        mu, Sigma = posterior_moments(model)
-        mu_o, Sigma_o = oracle_moments[m]
-        total += w[m] * wasserstein2_gaussians(mu, Sigma, mu_o, Sigma_o)
+        mu, B = posterior_root(model)
+        mu_o, B_o = oracle_roots[m]
+        total += w[m] * wasserstein2_gaussians(mu, B, mu_o, B_o)
     return float(total)
 
 

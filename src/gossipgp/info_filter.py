@@ -27,6 +27,7 @@ from typing import BinaryIO
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .features import FeatureMap, KernelSpec, feature_matrix
 
@@ -36,7 +37,7 @@ __all__ = [
     "NumericalDegeneracyError",
     "prior_state",
     "apply_increment",
-    "posterior_moments",
+    "posterior_root",
     "predict_batch",
     "save_state",
     "load_state",
@@ -149,20 +150,25 @@ def _cholesky(state: InfoState):
             state.D + jitter * np.eye(state.dim), lower=True, check_finite=False
         )
     except scipy.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(state.D)[0])
+        smallest = float(scipy.linalg.eigvalsh(state.D, check_finite=False)[0])
         raise NumericalDegeneracyError(
             f"information matrix is not positive definite even after jitter "
             f"{jitter:.3e}; smallest eigenvalue {smallest:.6e}"
         ) from None
 
 
-def posterior_moments(state: InfoState) -> tuple[np.ndarray, np.ndarray]:
-    """Recover (mu, Sigma) = (D^-1 eta, D^-1) via Cholesky; Sigma symmetrized."""
+def posterior_root(state: InfoState) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean mu = D^-1 eta and a covariance root B with Sigma = B^T B.
+
+    With the Cholesky factor D = L L^T, B = L^-1 is lower triangular, so the
+    dense D^-1 is never formed.
+    """
     factor = _cholesky(state)
-    Sigma = scipy.linalg.cho_solve(factor, np.eye(state.dim), check_finite=False)
-    Sigma = 0.5 * (Sigma + Sigma.T)
     mu = scipy.linalg.cho_solve(factor, state.eta, check_finite=False)
-    return mu, Sigma
+    inv, info = lapack.dtrtri(factor[0], lower=1)
+    if info != 0:
+        raise NumericalDegeneracyError(f"Cholesky factor is singular (dtrtri info {info})")
+    return mu, np.tril(inv)
 
 
 def predict_batch(
@@ -182,7 +188,7 @@ def predict_batch(
         )
     factor = _cholesky(state)
     SigmaPhi = scipy.linalg.cho_solve(factor, Phi, check_finite=False)
-    means = SigmaPhi.T @ state.eta
+    means = blas.dgemv(1.0, SigmaPhi, state.eta, trans=1)
     variances = np.einsum("jn,jn->n", Phi, SigmaPhi) + state.obs_variance
     return means, variances
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .info_filter import Increment
 
@@ -125,7 +126,11 @@ def robust_increment(
         raise ValueError("weights must lie in [0, 1]")
     if obs_variance <= 0:
         raise ValueError("obs_variance must be strictly positive")
-    P = ((Phi * weights) @ Phi.T) / obs_variance
+    dim = Phi.shape[0]
+    if y.size == 0:
+        return Increment(P=np.zeros((dim, dim)), s=np.zeros(dim))
+    # The BLAS calls take transposed, Fortran-ordered views: nothing is copied.
+    P = blas.dgemm(1.0 / obs_variance, (Phi * weights).T, Phi.T, trans_a=True)
     P = 0.5 * (P + P.T)
-    s = (Phi @ (weights * y)) / obs_variance
+    s = blas.dgemv(1.0 / obs_variance, Phi.T, weights * y, trans=1)
     return Increment(P=P, s=s)

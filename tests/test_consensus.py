@@ -159,3 +159,58 @@ class TestConsensusSum:
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError):
             ConsensusConfig(rounds=-1)
+
+
+@st.composite
+def connected_topologies(draw):
+    """Random connected graphs: a random spanning tree plus random extra edges."""
+    K = draw(st.integers(1, 12))
+    edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, K)]
+    if K > 1:
+        pair = st.tuples(st.integers(0, K - 1), st.integers(0, K - 1))
+        edges += [(i, j) for i, j in draw(st.lists(pair, max_size=2 * K)) if i != j]
+    return build_topology("custom", K, custom_edges=edges)
+
+
+class TestGossipInvariants:
+    """Properties of Metropolis mixing that must hold for any connected graph and L."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_topologies(), st.integers(0, 60), st.integers(0, 2**32 - 1))
+    def test_mixing_invariants(self, topo, rounds, seed):
+        K, n, M = topo.num_agents, 4, 2
+        W = metropolis_weights(topo)
+        assert np.array_equal(W, W.T)
+        assert np.all(W >= 0)
+        assert np.all(np.abs(W.sum(axis=0) - 1.0) <= 1e-14)
+        assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-14)
+
+        # Each agent's message: per member a rank-deficient PSD P (as a batch
+        # increment is) and a signed s, stacked as the runner stacks them.
+        rng = np.random.default_rng(seed)
+        Phi = rng.standard_normal((K, M, n, 2))
+        P = np.einsum("kmib,kmjb->kmij", Phi, Phi)
+        s = rng.standard_normal((K, M, n))
+        values = np.concatenate([P.reshape(K, M, n * n), s], axis=2)
+        out = consensus_sum(values, topo, ConsensusConfig(rounds=rounds))
+        assert out.shape == values.shape
+        assert out.flags.c_contiguous
+
+        # Agent mean equals the exact network sum; the tolerance is relative
+        # to the summed magnitudes, since signed entries may cancel.
+        scale = np.abs(values).sum(axis=0)
+        total = values.sum(axis=0)
+        assert np.all(np.abs(out.mean(axis=0) - total) <= 1e-12 * scale)
+
+        # The one W^L product equals L explicit rounds.
+        loop = values.reshape(K, -1)
+        for _ in range(rounds):
+            loop = W @ loop
+        loop = (K * loop).reshape(values.shape)
+        np.testing.assert_allclose(out, loop, rtol=1e-12,
+                                   atol=1e-12 * K * np.abs(values).max())
+
+        # W^L has nonnegative entries, so each mixed P stays PSD.
+        for Pk in out[:, :, : n * n].reshape(K * M, n, n):
+            smallest = np.linalg.eigvalsh(0.5 * (Pk + Pk.T))[0]
+            assert smallest >= -1e-12 * np.trace(Pk)

@@ -9,7 +9,7 @@ from gossipgp import (
     apply_increment,
     augment_time_matrix,
     feature_matrix,
-    posterior_moments,
+    posterior_root,
     prior_state,
     robust_increment,
     sample_frequencies,
@@ -79,10 +79,10 @@ class TestApplyForgetting:
         state, _ = fitted_state()
         nu = 0.6
         out = apply_forgetting(state, DynamicsConfig(mode="ui", nu=nu))
-        mu0, Sigma0 = posterior_moments(state)
-        mu1, Sigma1 = posterior_moments(out)
+        mu0, B0 = posterior_root(state)
+        mu1, B1 = posterior_root(out)
         assert np.linalg.norm(mu1 - mu0) <= 1e-10 * max(np.linalg.norm(mu0), 1.0)
-        assert np.allclose(Sigma1, Sigma0 / nu, atol=1e-10)
+        assert np.allclose(B1.T @ B1, B0.T @ B0 / nu, atol=1e-10)
 
     def test_ui_rejects_degenerate_nu(self):
         # The degenerate ui coefficient is a configuration error, caught when

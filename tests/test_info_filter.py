@@ -14,7 +14,7 @@ from gossipgp import (
     apply_increment,
     feature_matrix,
     load_state,
-    posterior_moments,
+    posterior_root,
     predict_batch,
     prior_state,
     robust_increment,
@@ -61,9 +61,9 @@ class TestPriorState:
 
     def test_prior_moments(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,), prior_variance=7.5)
-        mu, Sigma = posterior_moments(prior_state(spec, J=3))
+        mu, B = posterior_root(prior_state(spec, J=3))
         assert np.allclose(mu, 0.0, atol=1e-12)
-        assert np.allclose(Sigma, 7.5 * np.eye(6), atol=1e-10)
+        assert np.allclose(B.T @ B, 7.5 * np.eye(6), atol=1e-10)
 
     def test_rejects_bad_j(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,))
@@ -184,10 +184,10 @@ class TestPosteriorMoments:
         y = np.array([1.3])
         phi = feature_matrix(fm, x[np.newaxis, :])
         state = apply_increment(prior_state(spec, J=1), increment(phi, y, 0.5))
-        mu, Sigma = posterior_moments(state)
+        mu, B = posterior_root(state)
         mu_direct, Sigma_direct, _ = brute_force_posterior(phi, y, 0.5, 2.0)
         assert np.allclose(mu, mu_direct, atol=1e-12)
-        assert np.allclose(Sigma, Sigma_direct, atol=1e-12)
+        assert np.allclose(B.T @ B, Sigma_direct, atol=1e-12)
 
     def test_mean_solves_information_equation(self):
         spec, fm = make_model(J=5, d=2, obs_variance=0.2)
@@ -197,7 +197,7 @@ class TestPosteriorMoments:
         state = apply_increment(
             prior_state(spec, J=5), increment(feature_matrix(fm, X), y, 0.2)
         )
-        mu, _ = posterior_moments(state)
+        mu, _ = posterior_root(state)
         residual = np.linalg.norm(state.D @ mu - state.eta)
         assert residual <= 1e-10 * np.linalg.norm(state.eta)
 
@@ -205,7 +205,20 @@ class TestPosteriorMoments:
         state = prior_state(KernelSpec(spatial_lengthscales=(1.0,)), J=1)
         state.D = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericalDegeneracyError, match="eigenvalue"):
-            posterior_moments(state)
+            posterior_root(state)
+
+    def test_root_is_lower_triangular_inverse_cholesky_factor(self):
+        # B = L^-1 for D = L L^T: lower triangular, B D B^T = I, B^T B = D^-1.
+        spec, fm = make_model(J=6, d=2, obs_variance=0.2)
+        X = np.random.default_rng(8).uniform(size=(15, 2))
+        y = np.sin(X[:, 0])
+        state = apply_increment(
+            prior_state(spec, J=6), increment(feature_matrix(fm, X), y, 0.2)
+        )
+        _, B = posterior_root(state)
+        assert np.array_equal(B, np.tril(B))
+        assert np.allclose(B @ state.D @ B.T, np.eye(12), atol=1e-10)
+        assert np.allclose(B.T @ B, np.linalg.inv(state.D), rtol=1e-9, atol=1e-12)
 
 
 class TestPredict:

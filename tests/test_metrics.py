@@ -1,6 +1,7 @@
 """Metric definitions and the deterministic CSV format."""
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import norm
 
 from gossipgp.harness.metrics import (
@@ -68,38 +69,60 @@ class TestNpll:
             npll(np.zeros(0), np.ones(0), np.zeros(0))
 
 
+def root(Sigma):
+    """Covariance root B with B^T B = Sigma (the transposed Cholesky factor)."""
+    return np.linalg.cholesky(Sigma).T
+
+
+def spd(rng, n, cond):
+    """Random SPD matrix with eigenvalues log-spaced from 1 down to 1/cond."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (Q * np.logspace(0.0, -np.log10(cond), n)) @ Q.T
+
+
+def w2_via_sqrtm(mu1, S1, mu2, S2):
+    """W2 from the textbook formula with principal square roots (scipy sqrtm)."""
+    r2 = scipy.linalg.sqrtm(S2).real
+    cross = scipy.linalg.sqrtm(r2 @ S1 @ r2).real
+    d2 = np.sum((mu1 - mu2) ** 2) + np.trace(S1) + np.trace(S2) - 2.0 * np.trace(cross)
+    return float(np.sqrt(d2))
+
+
 class TestWasserstein2:
     def test_identical_gaussians(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((4, 4))
         Sigma = A @ A.T + np.eye(4)
         mu = rng.standard_normal(4)
-        assert wasserstein2_gaussians(mu, Sigma, mu, Sigma) <= 1e-8
+        # d^2 is a difference of trace-sized terms, so it vanishes to rounding
+        # relative to the trace; d itself then sits near sqrt(eps * trace).
+        d = wasserstein2_gaussians(mu, root(Sigma), mu, root(Sigma))
+        assert d**2 <= 1e-13 * np.trace(Sigma)
 
     def test_equal_covariance_mean_shift(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((3, 3))
-        Sigma = A @ A.T + np.eye(3)
+        B = root(A @ A.T + np.eye(3))
         mu1 = np.array([1.0, 2.0, 3.0])
         v = np.array([0.3, -0.4, 1.2])
-        d = wasserstein2_gaussians(mu1, Sigma, mu1 + v, Sigma)
+        d = wasserstein2_gaussians(mu1, B, mu1 + v, B)
         assert d == pytest.approx(np.linalg.norm(v), abs=1e-8)
 
     def test_1d_closed_form(self):
         # In 1D the distance is sqrt((mu1-mu2)^2 + (sd1-sd2)^2).
         d = wasserstein2_gaussians(
-            np.array([0.0]), np.array([[1.0]]), np.array([0.0]), np.array([[4.0]])
+            np.array([0.0]), np.array([[1.0]]), np.array([0.0]), np.array([[2.0]])
         )
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_closed_form(self):
         # Commuting covariances: trace term reduces to sum of (sqrt(l1)-sqrt(l2))^2.
-        S1 = np.diag([1.0, 4.0])
-        S2 = np.diag([9.0, 1.0])
+        B1 = np.diag([1.0, 2.0])
+        B2 = np.diag([3.0, 1.0])
         mu1 = np.zeros(2)
         mu2 = np.array([1.0, 1.0])
         expected = np.sqrt(2.0 + (1.0 - 3.0) ** 2 + (2.0 - 1.0) ** 2)
-        d = wasserstein2_gaussians(mu1, S1, mu2, S2)
+        d = wasserstein2_gaussians(mu1, B1, mu2, B2)
         assert d == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry(self):
@@ -107,29 +130,51 @@ class TestWasserstein2:
         for _ in range(5):
             A = rng.standard_normal((3, 3))
             B = rng.standard_normal((3, 3))
-            S1 = A @ A.T + 0.1 * np.eye(3)
-            S2 = B @ B.T + 0.1 * np.eye(3)
+            R1 = root(A @ A.T + 0.1 * np.eye(3))
+            R2 = root(B @ B.T + 0.1 * np.eye(3))
             m1, m2 = rng.standard_normal((2, 3))
-            d12 = wasserstein2_gaussians(m1, S1, m2, S2)
-            d21 = wasserstein2_gaussians(m2, S2, m1, S1)
+            d12 = wasserstein2_gaussians(m1, R1, m2, R2)
+            d21 = wasserstein2_gaussians(m2, R2, m1, R1)
             assert d12 == pytest.approx(d21, rel=1e-8, abs=1e-10)
 
-    def test_tiny_negative_eigenvalues_tolerated(self):
-        # A covariance that is PSD only up to rounding must not raise; the
-        # rank-deficient directions cost sqrt-of-rounding accuracy at worst.
+    @pytest.mark.parametrize("n, cond, seed", [(5, 10.0, 0), (40, 1e3, 1), (60, 1e8, 2)])
+    def test_matches_sqrtm_formula(self, n, cond, seed):
+        # Independent reference: the textbook formula with scipy's sqrtm. Any
+        # root of Sigma gives the same distance: the Cholesky root and the
+        # symmetric square root are both checked.
+        rng = np.random.default_rng(seed)
+        S1, S2 = spd(rng, n, cond), spd(rng, n, cond)
+        assert np.linalg.cond(S1) >= 0.99 * cond
+        mu1, mu2 = rng.standard_normal((2, n))
+        expected = w2_via_sqrtm(mu1, S1, mu2, S2)
+        for B1, B2 in ((root(S1), root(S2)),
+                       (scipy.linalg.sqrtm(S1).real, scipy.linalg.sqrtm(S2).real)):
+            d = wasserstein2_gaussians(mu1, B1, mu2, B2)
+            assert d == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_rank_deficient_root_tolerated(self):
+        # A rank-one root puts rounding-level negatives among the eigenvalues
+        # of A A^T; they are clipped, and the distance of a Gaussian to
+        # itself stays at the floor.
         v = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
-        Sigma = np.outer(v, v)  # rank one, eigenvalues (1, 0, 0) up to rounding
-        d = wasserstein2_gaussians(np.zeros(3), Sigma, np.zeros(3), Sigma)
+        B = np.zeros((3, 3))
+        B[0] = v
+        d = wasserstein2_gaussians(np.zeros(3), B, np.zeros(3), B)
         assert d <= 1e-6
 
-    def test_indefinite_matrix_rejected(self):
-        S_bad = np.diag([1.0, -0.5])
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            wasserstein2_gaussians(np.zeros(2), S_bad, np.zeros(2), np.eye(2))
+    def test_negative_squared_distance_rejected(self, monkeypatch):
+        # The nuclear norm never exceeds the mean of the two traces, so a
+        # negative d^2 beyond rounding means broken linear algebra.
+        exact = scipy.linalg.eigvalsh
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", lambda *a, **k: 4.0 * exact(*a, **k))
+        with pytest.raises(ValueError, match="negative squared distance"):
+            wasserstein2_gaussians(np.zeros(2), np.eye(2), np.zeros(2), np.eye(2))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             wasserstein2_gaussians(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="shapes do not match"):
+            wasserstein2_gaussians(np.zeros(3), np.eye(2), np.zeros(3), np.eye(2))
 
 
 class TestMetricsCsv:

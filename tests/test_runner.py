@@ -358,3 +358,36 @@ class TestRunErrors:
         monkeypatch.setattr(runner_mod, "mixture_predict_batch", boom)
         with pytest.raises(RunError, match=r"epoch 0, agent 0, evaluation"):
             run_scenario(scenario_from_dict(make_config()))
+
+
+class TestDegeneratePaths:
+    @pytest.mark.parametrize("dynamics", [{"mode": "static"}, {"mode": "b2p", "nu": 0.9}],
+                             ids=["static", "b2p"])
+    def test_empty_agent_batch_runs_with_finite_metrics(self, monkeypatch, dynamics):
+        # Agent 1 receives no observations at epoch 2: its increment is zero,
+        # gossip and the oracle proceed, and every metric stays finite.
+        import gossipgp.harness.runner as runner_mod
+        from gossipgp.harness.streams import StreamBatch
+
+        def with_empty_batch(scenario):
+            stream = materialize_stream(scenario)
+            batch = stream.batches[2][1]
+            stream.batches[2][1] = StreamBatch(
+                agent_id=batch.agent_id, t=batch.t,
+                X=batch.X[:0], y=batch.y[:0],
+            )
+            return stream
+
+        monkeypatch.setattr(runner_mod, "materialize_stream", with_empty_batch)
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": 4},
+            consensus={"rounds": 2, "mode": "sum"},
+            dynamics=dynamics,
+            robust={"kind": "hampel"},
+            eval={"metrics": ["rmse", "npll", "w2"]},
+        )
+        res = run_scenario(scenario_from_dict(cfg))
+        assert res.stream.batches[2][1].size == 0
+        assert len(res.records) == 4 * 4
+        for r in res.records:
+            assert np.isfinite([r.rmse, r.npll, r.w2_to_centralized]).all()
