@@ -12,9 +12,11 @@ from .features import KernelSpec, FeatureMap, sample_frequencies, feature_matrix
 from .info_filter import (
     InfoState,
     Increment,
+    PosteriorFactor,
     NumericalDegeneracyError,
     prior_state,
     apply_increment,
+    factorize,
     posterior_root,
     predict_batch,
     save_state,
@@ -56,9 +58,11 @@ __all__ = [
     "feature_matrix",
     "InfoState",
     "Increment",
+    "PosteriorFactor",
     "NumericalDegeneracyError",
     "prior_state",
     "apply_increment",
+    "factorize",
     "posterior_root",
     "predict_batch",
     "save_state",

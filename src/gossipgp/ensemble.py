@@ -20,7 +20,7 @@ from scipy.linalg import blas
 from scipy.special import logsumexp
 
 from .features import FeatureMap, KernelSpec, sample_frequencies
-from .info_filter import InfoState, predict_batch, prior_state
+from .info_filter import InfoState, PosteriorFactor, predict_batch, prior_state
 
 __all__ = [
     "EnsembleSpec",
@@ -160,25 +160,28 @@ def mixture_log_density(
 
 
 def mixture_predict_batch(
-    state: EnsembleState, feature_maps: list[FeatureMap], X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mixture mean/variance at the rows of X plus per-member moments.
+    weights: np.ndarray, factors: list[PosteriorFactor], Phis: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mixture mean/variance at n points plus per-member moments.
 
-    Returns (mean, variance, member_means, member_variances, weights) with
-    member arrays of shape (M, n). The variance is moment-matched:
-    sum_m w_m (var_m + mu_m^2) - mean^2.
+    factors[m] is member m's posterior factor and Phis[m] its (2J, n)
+    feature matrix at the points. Returns (mean, variance, member_means,
+    member_variances) with member arrays of shape (M, n). The variance is
+    moment-matched: sum_m w_m (var_m + mu_m^2) - mean^2.
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    M = state.num_members
+    M = len(factors)
+    if len(Phis) != M or np.shape(weights) != (M,):
+        raise ValueError(
+            f"{M} factors need {M} feature matrices and weights, got "
+            f"{len(Phis)} and weights of shape {np.shape(weights)}"
+        )
+    n = Phis[0].shape[1]
     member_means = np.empty((M, n))
     member_variances = np.empty((M, n))
-    for m, (model, fm) in enumerate(zip(state.models, feature_maps)):
-        member_means[m], member_variances[m] = predict_batch(model, fm, X)
-    w = ensemble_weights(state)
-    row = w[np.newaxis, :]
+    for m, (factor, Phi) in enumerate(zip(factors, Phis)):
+        member_means[m], member_variances[m] = predict_batch(factor, Phi)
+    row = np.asarray(weights, dtype=float)[np.newaxis, :]
     mean = blas.dgemm(1.0, row, member_means.T, trans_b=True)[0]
     second = blas.dgemm(1.0, row, (member_variances + member_means**2).T, trans_b=True)[0]
     variance = second - mean**2
-    return mean, variance, member_means, member_variances, w
-
+    return mean, variance, member_means, member_variances

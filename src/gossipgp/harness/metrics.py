@@ -87,15 +87,25 @@ def wasserstein2_gaussians(mu1, B1, mu2, B2) -> float:
         raise ValueError(
             f"shapes do not match: mu {mu1.shape}, {mu2.shape}; roots {B1.shape}, {B2.shape}"
         )
+    for name, B in (("B1", B1), ("B2", B2)):
+        if not np.all(np.isfinite(B)):
+            raise ValueError(f"covariance root {name} holds non-finite values")
     # A = B1 B2^T; the transposed views are Fortran-ordered, so BLAS reads
     # them in place.
     A = blas.dgemm(1.0, B1.T, B2.T, trans_a=True)
-    gram = blas.dsyrk(1.0, A)  # A A^T, upper triangle
+    if not np.all(np.isfinite(A)):
+        raise ValueError("the cross product B1 B2^T of the covariance roots overflows")
+    # Scaling A by 2^-e (largest entry in [0.5, 1)) keeps the Gram A A^T
+    # finite; a power of two scales exactly, so ||A||_* = 2^e ||2^-e A||_*.
+    _, e = np.frexp(np.max(np.abs(A)))
+    gram = blas.dsyrk(1.0, np.ldexp(A, -e))  # upper triangle
     eig = scipy.linalg.eigvalsh(gram, lower=False, check_finite=False)
-    nuclear = float(np.sum(np.sqrt(np.clip(eig, 0.0, None))))
+    nuclear = float(np.ldexp(np.sum(np.sqrt(np.clip(eig, 0.0, None))), e))
     trace1 = float(np.einsum("ij,ij->", B1, B1))
     trace2 = float(np.einsum("ij,ij->", B2, B2))
     d2 = float(np.sum((mu1 - mu2) ** 2)) + trace1 + trace2 - 2.0 * nuclear
+    if not np.isfinite(d2):
+        raise ValueError(f"squared distance {d2} is not finite")
     if d2 < -1e-10 * max(trace1 + trace2, 1.0):
         raise ValueError(f"negative squared distance {d2:.3e} beyond tolerance")
     return float(np.sqrt(max(d2, 0.0)))

@@ -35,6 +35,7 @@ from ..info_filter import (
     InfoState,
     _read_state,
     apply_increment,
+    factorize,
     posterior_root,
     predict_batch,
     save_state,
@@ -147,10 +148,10 @@ def run_scenario(scenario: Scenario, capture_states: bool = False) -> RunResult:
                     state = apply_forgetting(agent_states[k].models[m], scenario.dynamics)
                     forgotten[k].append(state)
                     obs_variance = spec.members[m].obs_variance
-                    means, variances = predict_batch(state, fmaps[m], X_in)
+                    Phi = feature_matrix(fmaps[m], X_in)
+                    means, variances = predict_batch(factorize(state), Phi)
                     w = weights_for(standardized_residuals(batch.y, means, variances),
                                     scenario.robust)
-                    Phi = feature_matrix(fmaps[m], X_in)
                     inc = robust_increment(Phi, batch.y, w, obs_variance)
                     P[k, m], s[k, m] = inc.P, inc.s
                     log_pdf = _gaussian_log_pdf(batch.y, means, variances)
@@ -247,55 +248,74 @@ def _check_stream(scenario: Scenario, stream: Stream) -> None:
 
 
 def _evaluate_epoch(scenario, stream, t, agent_states, oracle_state, fmaps):
-    X_eval = stream.eval_inputs[t]
+    """One MetricsRecord per agent; each (agent, member) is factorized once.
+
+    Each member's features over the whole evaluation grid are built once and
+    shared by all agents; stitched evaluation selects an agent's own columns.
+    """
     y_true = stream.eval_truth[t]
-    spatiotemporal = scenario.dynamics.mode == "spatiotemporal"
     want = scenario.eval.metrics
-    oracle_roots = None
-    if "w2" in want:
+    predict = "rmse" in want or "npll" in want
+    need_w2 = "w2" in want
+    if predict:
+        X_eval = stream.eval_inputs[t]
+        if scenario.dynamics.mode == "spatiotemporal":
+            X_eval = augment_time_matrix(X_eval, t)
         try:
-            oracle_roots = [posterior_root(m) for m in oracle_state.models]
+            Phis = [feature_matrix(fm, X_eval) for fm in fmaps]
+        except Exception as exc:
+            raise RunError(f"epoch {t}, evaluation features: {exc}") from exc
+    if need_w2:
+        try:
+            oracle_roots = [posterior_root(factorize(m)) for m in oracle_state.models]
         except Exception as exc:
             raise RunError(f"epoch {t}, centralized oracle: {exc}") from exc
 
     out = []
-    for k in range(len(agent_states)):
+    for k, agent in enumerate(agent_states):
         try:
             if scenario.eval.mode == "stitched":
                 sel = stream.eval_owner == k
-                X_k, y_k = X_eval[sel], y_true[sel]
+                y_k = y_true[sel]
             else:
-                X_k, y_k = X_eval, y_true
-            X_in = augment_time_matrix(X_k, t) if spatiotemporal else X_k
+                sel, y_k = None, y_true
+            predict_k = predict and y_k.size > 0
+            factors, w2_terms = [], []
+            if predict_k or need_w2:
+                for m, model in enumerate(agent.models):
+                    try:
+                        factor = factorize(model)
+                        if need_w2:
+                            mu, B = posterior_root(factor)
+                            w2_terms.append(wasserstein2_gaussians(mu, B, *oracle_roots[m]))
+                    except Exception as exc:
+                        raise RunError(
+                            f"epoch {t}, agent {k}, member {m}, evaluation: {exc}"
+                        ) from exc
+                    factors.append(factor)
+            w = ensemble_weights(agent)
             rmse_val = npll_val = w2_val = None
-            if ("rmse" in want or "npll" in want) and X_k.shape[0] > 0:
-                mean, _, mm, mv, w = mixture_predict_batch(agent_states[k], fmaps, X_in)
+            if predict_k:
+                Phis_k = Phis if sel is None else [Phi[:, sel] for Phi in Phis]
+                mean, _, mm, mv = mixture_predict_batch(w, factors, Phis_k)
                 if "rmse" in want:
                     rmse_val = rmse(mean, y_k)
                 if "npll" in want:
                     npll_val = npll(mm, mv, y_k, weights=w)
-            if "w2" in want:
-                w2_val = _w2_to_oracle(agent_states[k], oracle_roots)
+            if need_w2:
+                # Evidence-weighted member-wise distance to the centralized posterior.
+                w2_val = float(sum(w_m * d for w_m, d in zip(w, w2_terms)))
             out.append(
                 MetricsRecord(
                     t=t, agent_id=k, rmse=rmse_val, npll=npll_val,
                     w2_to_centralized=w2_val,
                 )
             )
+        except RunError:
+            raise
         except Exception as exc:
             raise RunError(f"epoch {t}, agent {k}, evaluation: {exc}") from exc
     return out
-
-
-def _w2_to_oracle(state: EnsembleState, oracle_roots) -> float:
-    """Evidence-weighted member-wise distance to the centralized posterior."""
-    w = ensemble_weights(state)
-    total = 0.0
-    for m, model in enumerate(state.models):
-        mu, B = posterior_root(model)
-        mu_o, B_o = oracle_roots[m]
-        total += w[m] * wasserstein2_gaussians(mu, B, mu_o, B_o)
-    return float(total)
 
 
 def save_snapshot(path, states: list[InfoState]) -> None:

@@ -12,6 +12,10 @@ P = sigma_obs^-2 Phi Phi^T and s = sigma_obs^-2 Phi y, which makes the
 recursion online (D += P, eta += s) and makes network-wide fusion a plain
 sum of per-agent increments.
 
+Predictions and covariance roots of a state come from one Cholesky factor
+D = L L^T (factorize): the predictive variance at phi is |L^-1 phi|^2 plus
+the noise variance, and the root of Sigma is B = L^-1.
+
 Snapshot serialization (see save_state/load_state): little-endian binary,
 magic b"GGPIF001", uint32 dim, float64 obs_variance, float64 prior_variance,
 then D row-major (dim*dim float64) and eta (dim float64). Loading rejects
@@ -29,14 +33,16 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .features import FeatureMap, KernelSpec, feature_matrix
+from .features import KernelSpec
 
 __all__ = [
     "InfoState",
     "Increment",
+    "PosteriorFactor",
     "NumericalDegeneracyError",
     "prior_state",
     "apply_increment",
+    "factorize",
     "posterior_root",
     "predict_batch",
     "save_state",
@@ -138,6 +144,24 @@ def apply_increment(state: InfoState, inc: Increment) -> InfoState:
     )
 
 
+@dataclass(frozen=True)
+class PosteriorFactor:
+    """One factorization of a posterior: D = L L^T and the mean mu = D^-1 eta.
+
+    Only the lower triangle of L is meaningful; the strict upper triangle
+    holds whatever cho_factor left there. Predictions and the covariance
+    root of one state both come from one PosteriorFactor.
+    """
+
+    L: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+    obs_variance: float
+
+    @property
+    def dim(self) -> int:
+        return self.L.shape[0]
+
+
 def _cholesky(state: InfoState):
     """SPD factor of D with a single jitter retry on failure."""
     try:
@@ -157,39 +181,46 @@ def _cholesky(state: InfoState):
         ) from None
 
 
-def posterior_root(state: InfoState) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean mu = D^-1 eta and a covariance root B with Sigma = B^T B.
-
-    With the Cholesky factor D = L L^T, B = L^-1 is lower triangular, so the
-    dense D^-1 is never formed.
-    """
+def factorize(state: InfoState) -> PosteriorFactor:
+    """Cholesky factor of D (one jitter retry) and the posterior mean it gives."""
     factor = _cholesky(state)
     mu = scipy.linalg.cho_solve(factor, state.eta, check_finite=False)
-    inv, info = lapack.dtrtri(factor[0], lower=1)
+    return PosteriorFactor(L=factor[0], mu=mu, obs_variance=state.obs_variance)
+
+
+def posterior_root(factor: PosteriorFactor) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean mu and a covariance root B with Sigma = B^T B.
+
+    B = L^-1 is lower triangular, so the dense D^-1 is never formed.
+    """
+    inv, info = lapack.dtrtri(factor.L, lower=1)
     if info != 0:
         raise NumericalDegeneracyError(f"Cholesky factor is singular (dtrtri info {info})")
-    return mu, np.tril(inv)
+    return factor.mu, np.tril(inv)
 
 
 def predict_batch(
-    state: InfoState, fm: FeatureMap, X: np.ndarray
+    factor: PosteriorFactor, Phi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive means and variances at the rows of X, sharing one factorization.
+    """Predictive means and variances at the columns of the feature matrix Phi.
 
-    mean_i = phi(x_i)^T mu and var_i = phi(x_i)^T Sigma phi(x_i) + sigma_obs^2.
+    mean_i = phi_i^T mu and var_i = |L^-1 phi_i|^2 + sigma_obs^2, since
+    phi^T Sigma phi = |L^-1 phi|^2 with D = L L^T: one triangular solve.
     """
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] == 0:
-        return np.zeros(0), np.zeros(0)
-    Phi = feature_matrix(fm, X)
-    if Phi.shape[0] != state.dim:
+    Phi = np.asarray(Phi, dtype=float)
+    if Phi.ndim != 2 or Phi.shape[0] != factor.dim:
         raise ValueError(
-            f"feature dim {Phi.shape[0]} does not match state dim {state.dim}"
+            f"feature matrix of shape {Phi.shape} does not match state dim {factor.dim}"
         )
-    factor = _cholesky(state)
-    SigmaPhi = scipy.linalg.cho_solve(factor, Phi, check_finite=False)
-    means = blas.dgemv(1.0, SigmaPhi, state.eta, trans=1)
-    variances = np.einsum("jn,jn->n", Phi, SigmaPhi) + state.obs_variance
+    if Phi.shape[1] == 0:
+        return np.zeros(0), np.zeros(0)
+    # Phi^T is a Fortran-ordered view, so BLAS reads it in place; the solve
+    # returns Z^T = Phi^T L^-T, whose transpose Z = L^-1 Phi is C-ordered.
+    means = blas.dgemv(1.0, Phi.T, factor.mu)
+    Z = blas.dtrsm(1.0, factor.L, Phi.T, side=1, lower=1, trans_a=1).T
+    variances = np.einsum("jn,jn->n", Z, Z) + factor.obs_variance
+    if not np.all(np.isfinite(variances)):
+        raise NumericalDegeneracyError("predictive variance overflows")
     return means, variances
 
 

@@ -8,6 +8,7 @@ from gossipgp import (
     apply_forgetting,
     apply_increment,
     augment_time_matrix,
+    factorize,
     feature_matrix,
     posterior_root,
     prior_state,
@@ -79,8 +80,8 @@ class TestApplyForgetting:
         state, _ = fitted_state()
         nu = 0.6
         out = apply_forgetting(state, DynamicsConfig(mode="ui", nu=nu))
-        mu0, B0 = posterior_root(state)
-        mu1, B1 = posterior_root(out)
+        mu0, B0 = posterior_root(factorize(state))
+        mu1, B1 = posterior_root(factorize(out))
         assert np.linalg.norm(mu1 - mu0) <= 1e-10 * max(np.linalg.norm(mu0), 1.0)
         assert np.allclose(B1.T @ B1, B0.T @ B0 / nu, atol=1e-10)
 

@@ -9,6 +9,7 @@ from gossipgp import (
     KernelSpec,
     apply_increment,
     ensemble_weights,
+    factorize,
     feature_matrix,
     init_ensemble,
     member_seed,
@@ -18,6 +19,14 @@ from gossipgp import (
     robust_increment,
     update_evidence,
 )
+
+
+def mixture_at(state, maps, X):
+    """Mixture moments of an ensemble state at the rows of X, and its weights."""
+    w = ensemble_weights(state)
+    factors = [factorize(model) for model in state.models]
+    Phis = [feature_matrix(fm, X) for fm in maps]
+    return (*mixture_predict_batch(w, factors, Phis), w)
 
 
 def two_member_spec(J=4, base_seed=3):
@@ -153,8 +162,10 @@ class TestMixturePrediction:
         model = apply_increment(state.models[0], robust_increment(Phi, y, np.ones(6), 0.2))
         state = EnsembleState(models=(model,), log_evidence=state.log_evidence)
         X_star = np.array([[0.3, 0.6], [0.9, 0.1]])
-        mean, variance, _, _, _ = mixture_predict_batch(state, maps, X_star)
-        single_mean, single_variance = predict_batch(model, maps[0], X_star)
+        mean, variance, _, _, _ = mixture_at(state, maps, X_star)
+        single_mean, single_variance = predict_batch(
+            factorize(model), feature_matrix(maps[0], X_star)
+        )
         assert np.allclose(mean, single_mean, rtol=0, atol=1e-14)
         assert np.allclose(variance, single_variance, rtol=0, atol=1e-14)
 
@@ -183,7 +194,7 @@ class TestMixturePrediction:
         state = update_evidence(state, np.array([0.2, -0.4]))
         rng = np.random.default_rng(1)
         X = rng.uniform(size=(5, 2))
-        mean, variance, mm, mv, w = mixture_predict_batch(state, maps, X)
+        mean, variance, mm, mv, w = mixture_at(state, maps, X)
         assert mm.shape == (2, 5) and mv.shape == (2, 5)
         assert np.allclose(mean, w @ mm, atol=1e-14)
         assert np.allclose(variance, w @ (mv + mm**2) - mean**2, atol=1e-14)
@@ -204,7 +215,16 @@ class TestMixturePrediction:
         spec = two_member_spec(J=3)
         state, maps = init_ensemble(spec)
         state = update_evidence(state, np.array([0.3, -0.2]))
-        _, _, mm, mv, w = mixture_predict_batch(state, maps, np.array([[0.1, 0.9]]))
+        _, _, mm, mv, w = mixture_at(state, maps, np.array([[0.1, 0.9]]))
         ours = mixture_log_density(w, mm, mv, np.array([0.7]))[0]
         direct = np.log(w @ norm.pdf(0.7, mm[:, 0], np.sqrt(mv[:, 0])))
         assert ours == pytest.approx(direct, abs=1e-12)
+
+    def test_member_count_mismatch_rejected(self):
+        state, maps = init_ensemble(two_member_spec(J=3))
+        factors = [factorize(model) for model in state.models]
+        Phi = feature_matrix(maps[0], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="2 factors need 2 feature matrices"):
+            mixture_predict_batch(ensemble_weights(state), factors, [Phi])
+        with pytest.raises(ValueError, match="weights"):
+            mixture_predict_batch(np.ones(3) / 3, factors, [Phi, Phi])

@@ -11,7 +11,9 @@ from gossipgp import (
     InfoState,
     KernelSpec,
     NumericalDegeneracyError,
+    PosteriorFactor,
     apply_increment,
+    factorize,
     feature_matrix,
     load_state,
     posterior_root,
@@ -61,7 +63,7 @@ class TestPriorState:
 
     def test_prior_moments(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,), prior_variance=7.5)
-        mu, B = posterior_root(prior_state(spec, J=3))
+        mu, B = posterior_root(factorize(prior_state(spec, J=3)))
         assert np.allclose(mu, 0.0, atol=1e-12)
         assert np.allclose(B.T @ B, 7.5 * np.eye(6), atol=1e-10)
 
@@ -184,7 +186,7 @@ class TestPosteriorMoments:
         y = np.array([1.3])
         phi = feature_matrix(fm, x[np.newaxis, :])
         state = apply_increment(prior_state(spec, J=1), increment(phi, y, 0.5))
-        mu, B = posterior_root(state)
+        mu, B = posterior_root(factorize(state))
         mu_direct, Sigma_direct, _ = brute_force_posterior(phi, y, 0.5, 2.0)
         assert np.allclose(mu, mu_direct, atol=1e-12)
         assert np.allclose(B.T @ B, Sigma_direct, atol=1e-12)
@@ -197,7 +199,7 @@ class TestPosteriorMoments:
         state = apply_increment(
             prior_state(spec, J=5), increment(feature_matrix(fm, X), y, 0.2)
         )
-        mu, _ = posterior_root(state)
+        mu, _ = posterior_root(factorize(state))
         residual = np.linalg.norm(state.D @ mu - state.eta)
         assert residual <= 1e-10 * np.linalg.norm(state.eta)
 
@@ -205,7 +207,7 @@ class TestPosteriorMoments:
         state = prior_state(KernelSpec(spatial_lengthscales=(1.0,)), J=1)
         state.D = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericalDegeneracyError, match="eigenvalue"):
-            posterior_root(state)
+            factorize(state)
 
     def test_root_is_lower_triangular_inverse_cholesky_factor(self):
         # B = L^-1 for D = L L^T: lower triangular, B D B^T = I, B^T B = D^-1.
@@ -215,8 +217,11 @@ class TestPosteriorMoments:
         state = apply_increment(
             prior_state(spec, J=6), increment(feature_matrix(fm, X), y, 0.2)
         )
-        _, B = posterior_root(state)
+        factor = factorize(state)
+        _, B = posterior_root(factor)
         assert np.array_equal(B, np.tril(B))
+        assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T, state.D,
+                           rtol=1e-12, atol=1e-12)
         assert np.allclose(B @ state.D @ B.T, np.eye(12), atol=1e-10)
         assert np.allclose(B.T @ B, np.linalg.inv(state.D), rtol=1e-9, atol=1e-12)
 
@@ -225,7 +230,8 @@ class TestPredict:
     def test_prior_prediction(self):
         spec, fm = make_model(J=8, d=2, prior_variance=3.0, obs_variance=0.25)
         state = prior_state(spec, J=8)
-        means, variances = predict_batch(state, fm, np.array([[0.4, -0.2], [1.0, 3.0]]))
+        Phi = feature_matrix(fm, np.array([[0.4, -0.2], [1.0, 3.0]]))
+        means, variances = predict_batch(factorize(state), Phi)
         assert np.all(np.abs(means) <= 1e-12)
         # ||phi||^2 = 1, so the prior predictive variance is
         # prior_variance + obs_variance exactly.
@@ -237,7 +243,7 @@ class TestPredict:
         Phi = np.repeat(feature_matrix(fm, X_star), 400, axis=1)
         y = np.full(400, 2.0)
         state = apply_increment(prior_state(spec, J=4), increment(Phi, y, 0.1))
-        _, variances = predict_batch(state, fm, X_star)
+        _, variances = predict_batch(factorize(state), feature_matrix(fm, X_star))
         assert 0.1 < variances[0] < 0.101
 
     def test_hand_case_against_direct_formula(self):
@@ -249,7 +255,7 @@ class TestPredict:
         mu_direct, Sigma_direct, _ = brute_force_posterior(Phi, y, 0.4, 1.5)
         X_star = np.array([[0.6], [-1.1]])
         Phi_star = feature_matrix(fm, X_star)
-        means, variances = predict_batch(state, fm, X_star)
+        means, variances = predict_batch(factorize(state), feature_matrix(fm, X_star))
         assert np.allclose(means, Phi_star.T @ mu_direct, rtol=0, atol=1e-12)
         direct_var = np.einsum("jn,jk,kn->n", Phi_star, Sigma_direct, Phi_star) + 0.4
         assert np.allclose(variances, direct_var, rtol=0, atol=1e-12)
@@ -263,17 +269,45 @@ class TestPredict:
             prior_state(spec, J=3), increment(feature_matrix(fm, X), y, 0.1)
         )
         X_star = rng.uniform(size=(5, 2))
-        means, variances = predict_batch(state, fm, X_star)
+        factor = factorize(state)
+        means, variances = predict_batch(factor, feature_matrix(fm, X_star))
         for i in range(5):
-            mean_i, variance_i = predict_batch(state, fm, X_star[i : i + 1])
+            mean_i, variance_i = predict_batch(factor, feature_matrix(fm, X_star[i : i + 1]))
             assert abs(means[i] - mean_i[0]) <= 1e-12
             assert abs(variances[i] - variance_i[0]) <= 1e-12
 
     def test_empty_batch(self):
         spec, fm = make_model(J=3, d=2)
         state = prior_state(spec, J=3)
-        means, variances = predict_batch(state, fm, np.zeros((0, 2)))
+        means, variances = predict_batch(factorize(state), feature_matrix(fm, np.zeros((0, 2))))
         assert means.shape == (0,) and variances.shape == (0,)
+
+    def test_variance_overflow_raises(self):
+        spec, fm = make_model(J=2, d=1)
+        factor = PosteriorFactor(L=1e-200 * np.eye(4), mu=np.zeros(4), obs_variance=0.1)
+        with pytest.raises(NumericalDegeneracyError, match="variance overflows"):
+            predict_batch(factor, feature_matrix(fm, np.array([[0.3]])))
+
+    def test_feature_dim_mismatch_rejected(self):
+        spec, fm = make_model(J=3, d=2)
+        factor = factorize(prior_state(spec, J=4))
+        with pytest.raises(ValueError, match="does not match state dim 8"):
+            predict_batch(factor, feature_matrix(fm, np.zeros((2, 2))))
+
+    def test_jittered_factor_predicts_from_the_jittered_matrix(self):
+        # A rank-deficient D fails the first Cholesky; the prediction then
+        # uses the factor of D + jitter I, as the mean and root do.
+        spec, fm = make_model(J=2, d=1)
+        state = prior_state(spec, J=2)
+        state.D = np.diag([1.0, 1.0, 1.0, 0.0])
+        factor = factorize(state)
+        jittered = state.D + 1e-10 * 0.75 * np.eye(4)
+        assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T, jittered,
+                           rtol=0, atol=1e-15)
+        Phi = feature_matrix(fm, np.array([[0.3], [-0.8]]))
+        _, variances = predict_batch(factor, Phi)
+        direct = np.einsum("jn,jk,kn->n", Phi, np.linalg.inv(jittered), Phi)
+        assert np.allclose(variances, direct + state.obs_variance, rtol=1e-9)
 
 
 class TestSerialization:

@@ -176,6 +176,35 @@ class TestWasserstein2:
         with pytest.raises(ValueError, match="shapes do not match"):
             wasserstein2_gaussians(np.zeros(3), np.eye(2), np.zeros(3), np.eye(2))
 
+    def test_huge_roots_scale_exactly(self):
+        # W2 is homogeneous of degree one. At a scale of 2^200 the Gram A A^T
+        # of the cross product would overflow; scaling A by a power of two
+        # keeps it finite and exact.
+        rng = np.random.default_rng(9)
+        B1 = np.tril(rng.standard_normal((6, 6)))
+        B2 = np.tril(rng.standard_normal((6, 6)))
+        mu1, mu2 = rng.standard_normal(6), rng.standard_normal(6)
+        c = 2.0**200
+        d = wasserstein2_gaussians(mu1, B1, mu2, B2)
+        assert wasserstein2_gaussians(c * mu1, c * B1, c * mu2, c * B2) == c * d
+
+    def test_non_finite_root_rejected(self):
+        B = np.eye(3)
+        B[2, 1] = np.inf
+        with pytest.raises(ValueError, match="covariance root B2 holds non-finite"):
+            wasserstein2_gaussians(np.zeros(3), np.eye(3), np.zeros(3), B)
+
+    def test_overflowing_squared_distance_rejected(self):
+        # A = B1 B2^T is the identity, but tr(Sigma1) = ||B1||_F^2 overflows.
+        B1, B2 = 1e160 * np.eye(3), 1e-160 * np.eye(3)
+        with pytest.raises(ValueError, match="squared distance inf is not finite"):
+            wasserstein2_gaussians(np.zeros(3), B1, np.zeros(3), B2)
+
+    def test_overflowing_cross_product_rejected(self):
+        B = 1e160 * np.ones((3, 3))
+        with pytest.raises(ValueError, match="cross product .* overflows"):
+            wasserstein2_gaussians(np.zeros(3), B, np.zeros(3), B)
+
 
 class TestMetricsCsv:
     def records(self):

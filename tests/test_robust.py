@@ -8,6 +8,7 @@ from gossipgp import (
     KernelSpec,
     RobustConfig,
     apply_increment,
+    factorize,
     feature_matrix,
     hampel_weight,
     huber_weight,
@@ -128,7 +129,8 @@ class TestStandardizedResiduals:
         state = prior_state(spec, J=3)
         X = np.array([[0.4]])
         # prior mean is 0, so y=0 sits exactly at the prediction
-        e = standardized_residuals(np.array([0.0]), *predict_batch(state, fm, X))
+        moments = predict_batch(factorize(state), feature_matrix(fm, X))
+        e = standardized_residuals(np.array([0.0]), *moments)
         assert e[0] == 0.0
 
     def test_prior_residual_scale(self):
@@ -136,7 +138,8 @@ class TestStandardizedResiduals:
         spec = KernelSpec(spatial_lengthscales=(0.5,), prior_variance=1.0, obs_variance=1.0)
         fm = sample_frequencies(spec, J=4, d=1, seed=1)
         state = prior_state(spec, J=4)
-        e = standardized_residuals(np.array([2.0]), *predict_batch(state, fm, np.array([[0.3]])))
+        moments = predict_batch(factorize(state), feature_matrix(fm, np.array([[0.3]])))
+        e = standardized_residuals(np.array([2.0]), *moments)
         assert e[0] == pytest.approx(2.0 / np.sqrt(2.0), abs=1e-10)
 
     def test_huber_membership_invariant_under_joint_scaling(self):
@@ -152,8 +155,10 @@ class TestStandardizedResiduals:
         fm2 = sample_frequencies(spec2, J=4, d=1, seed=2)
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.array([0.5, 3.0, -4.0])
-        e1 = standardized_residuals(y, *predict_batch(prior_state(spec1, J=4), fm1, X))
-        e2 = standardized_residuals(2.0 * y, *predict_batch(prior_state(spec2, J=4), fm2, X))
+        moments1 = predict_batch(factorize(prior_state(spec1, J=4)), feature_matrix(fm1, X))
+        moments2 = predict_batch(factorize(prior_state(spec2, J=4)), feature_matrix(fm2, X))
+        e1 = standardized_residuals(y, *moments1)
+        e2 = standardized_residuals(2.0 * y, *moments2)
         assert np.allclose(e1, e2, atol=1e-12)
         cfg = RobustConfig(kind="huber", delta=1.345)
         w1, w2 = weights_for(e1, cfg), weights_for(e2, cfg)

@@ -1,4 +1,5 @@
 """Simulation loop: centralized equivalence, gossip wiring, eval modes, errors."""
+import dataclasses
 import functools
 import tempfile
 from pathlib import Path
@@ -10,12 +11,18 @@ from hypothesis import strategies as st
 
 from gossipgp import (
     apply_increment,
+    augment_time_matrix,
+    ensemble_weights,
+    factorize,
     feature_matrix,
     init_ensemble,
+    mixture_predict_batch,
     predict_batch,
     robust_increment,
 )
+from gossipgp.dynamics import _MIN_UI_NU
 from gossipgp.harness.config import scenario_from_dict
+from gossipgp.harness.metrics import npll, rmse
 from gossipgp.harness.runner import (
     RunError,
     load_snapshot,
@@ -23,7 +30,7 @@ from gossipgp.harness.runner import (
     run_scenario,
     save_snapshot,
 )
-from gossipgp.harness.streams import write_synthetic_weather_csv
+from gossipgp.harness.streams import StreamBatch, write_synthetic_weather_csv
 
 
 def make_config(**overrides):
@@ -59,11 +66,11 @@ class TestSingleAgentComposition:
         obs_var = sc.ensemble.members[0].obs_variance
         for t in stream.epochs:
             batch = stream.batches[t][0]
-            means, variances = predict_batch(model, fmaps[0], batch.X)
+            Phi = feature_matrix(fmaps[0], batch.X)
+            means, variances = predict_batch(factorize(model), Phi)
             log_pdf = -0.5 * (np.log(2.0 * np.pi * variances)
                               + (batch.y - means) ** 2 / variances)
             log_ev += float(np.sum(log_pdf))
-            Phi = feature_matrix(fmaps[0], batch.X)
             inc = robust_increment(Phi, batch.y, np.ones(batch.size), obs_var)
             model = apply_increment(model, inc)
 
@@ -219,6 +226,63 @@ class TestEvalModes:
         stit = run_scenario(scenario_from_dict({**base, "eval": {"mode": "stitched"}}))
         assert glob.records == stit.records
 
+    def test_stitched_shared_features_equal_own_block_prediction(self, tmp_path):
+        # The runner featurizes the whole grid once and selects each agent's
+        # columns; predicting from the agent's own block alone must agree.
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=3, seed=4)
+        cfg = {
+            "topology": {"kind": "ring", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
+                         "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+            "dynamics": {"mode": "spatiotemporal"},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"mode": "stitched", "metrics": ["rmse", "npll"]},
+        }
+        res = run_scenario(scenario_from_dict(cfg), capture_states=True)
+        stream = res.stream
+        for r in res.records:
+            agent = res.captured[r.t]["agents"][r.agent_id]
+            sel = stream.eval_owner == r.agent_id
+            X_k = augment_time_matrix(stream.eval_inputs[r.t][sel], r.t)
+            y_k = stream.eval_truth[r.t][sel]
+            w = ensemble_weights(agent)
+            mean, _, mm, mv = mixture_predict_batch(
+                w,
+                [factorize(model) for model in agent.models],
+                [feature_matrix(fm, X_k) for fm in res.feature_maps],
+            )
+            assert r.rmse == pytest.approx(rmse(mean, y_k), rel=1e-12, abs=0)
+            assert r.npll == pytest.approx(npll(mm, mv, y_k, weights=w), rel=1e-12, abs=0)
+
+    def test_stitched_empty_block_gives_empty_cells(self, monkeypatch, tmp_path):
+        # Agent 1 keeps its training batches but owns no evaluation point:
+        # its rmse/npll cells are empty (never NaN) and its w2 is still scored.
+        import gossipgp.harness.runner as runner_mod
+
+        def without_agent_1_block(scenario):
+            stream = materialize_stream(scenario)
+            owner = np.where(stream.eval_owner == 1, 0, stream.eval_owner)
+            return dataclasses.replace(stream, eval_owner=owner)
+
+        monkeypatch.setattr(runner_mod, "materialize_stream", without_agent_1_block)
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=6, nlon=6, epochs=3, seed=1)
+        cfg = {
+            "topology": {"kind": "ring", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "members": [{"lengthscales": 0.4}]},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"mode": "stitched", "metrics": ["rmse", "npll", "w2"]},
+        }
+        res = run_scenario(scenario_from_dict(cfg))
+        assert len(res.records) == 4 * 3
+        for r in res.records:
+            assert np.isfinite(r.w2_to_centralized)
+            if r.agent_id == 1:
+                assert r.rmse is None and r.npll is None
+            else:
+                assert np.isfinite([r.rmse, r.npll]).all()
+
     def test_spatiotemporal_run_produces_finite_metrics(self):
         cfg = make_config(
             dynamics={"mode": "spatiotemporal"},
@@ -359,6 +423,28 @@ class TestRunErrors:
         with pytest.raises(RunError, match=r"epoch 0, agent 0, evaluation"):
             run_scenario(scenario_from_dict(make_config()))
 
+    def test_evaluation_member_failure_names_the_member(self, monkeypatch):
+        import gossipgp.harness.runner as runner_mod
+
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("synthetic failure")
+            return 0.0
+
+        monkeypatch.setattr(runner_mod, "wasserstein2_gaussians", fail_second)
+        cfg = make_config(
+            ensemble={"shared_J": 8,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
+            eval={"metrics": ["rmse", "w2"]},
+        )
+        with pytest.raises(
+            RunError, match=r"^epoch 0, agent 0, member 1, evaluation: synthetic failure$"
+        ):
+            run_scenario(scenario_from_dict(cfg))
+
 
 class TestDegeneratePaths:
     @pytest.mark.parametrize("dynamics", [{"mode": "static"}, {"mode": "b2p", "nu": 0.9}],
@@ -391,3 +477,85 @@ class TestDegeneratePaths:
         assert len(res.records) == 4 * 4
         for r in res.records:
             assert np.isfinite([r.rmse, r.npll, r.w2_to_centralized]).all()
+
+    @pytest.mark.parametrize("epochs", [30, 60])
+    def test_ui_at_min_nu_with_empty_batches(self, monkeypatch, epochs):
+        # ui at the smallest legal nu and no data after epoch 0: the
+        # covariance grows by 1/nu per epoch. Until the covariance roots
+        # overflow, W2 stays finite; after that the run stops with a named
+        # cause and its epoch/agent/member context, never with NaN metrics.
+        import gossipgp.harness.runner as runner_mod
+
+        def empty_after_epoch_0(scenario):
+            stream = materialize_stream(scenario)
+            for t in stream.epochs[1:]:
+                stream.batches[t] = [
+                    StreamBatch(agent_id=b.agent_id, t=b.t, X=b.X[:0], y=b.y[:0])
+                    for b in stream.batches[t]
+                ]
+            return stream
+
+        monkeypatch.setattr(runner_mod, "materialize_stream", empty_after_epoch_0)
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": 4},
+            consensus={"rounds": 2, "mode": "sum"},
+            dynamics={"mode": "ui", "nu": _MIN_UI_NU},
+            stream={"kind": "synthetic",
+                    "synthetic": {"epochs": epochs, "batch_size": 10,
+                                  "num_eval_points": 40}},
+            eval={"metrics": ["rmse", "npll", "w2"]},
+        )
+        if epochs == 30:
+            res = run_scenario(scenario_from_dict(cfg))
+            assert len(res.records) == 4 * 30
+            for r in res.records:
+                assert np.isfinite([r.rmse, r.npll, r.w2_to_centralized]).all()
+        else:
+            with pytest.raises(
+                RunError,
+                match=r"^epoch 51, agent 0, member 0, evaluation: .* overflows$",
+            ):
+                run_scenario(scenario_from_dict(cfg))
+
+
+class TestWorkCounts:
+    def test_one_factorization_and_feature_matrix_per_member(self, monkeypatch):
+        # Per epoch: one factorization and one feature matrix per (agent,
+        # member) batch. Per evaluated epoch, additionally: one feature
+        # matrix per member over the evaluation grid, one factorization per
+        # (agent, member), and one per member for the oracle.
+        import scipy.linalg
+
+        import gossipgp.harness.runner as runner_mod
+
+        factorizations = []
+        columns = []
+        cho_factor = scipy.linalg.cho_factor
+        feature_matrix_ = runner_mod.feature_matrix
+
+        def counted_cho_factor(*args, **kwargs):
+            factorizations.append(None)
+            return cho_factor(*args, **kwargs)
+
+        def counted_feature_matrix(fm, X):
+            Phi = feature_matrix_(fm, X)
+            columns.append(Phi.shape[1])
+            return Phi
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted_cho_factor)
+        monkeypatch.setattr(runner_mod, "feature_matrix", counted_feature_matrix)
+        K, M, epochs, batch, n_eval = 3, 2, 4, 10, 40
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": K},
+            ensemble={"shared_J": 8,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
+            stream={"kind": "synthetic",
+                    "synthetic": {"epochs": epochs, "batch_size": batch,
+                                  "num_eval_points": n_eval}},
+            eval={"metrics": ["rmse", "npll", "w2"], "epochs": [1, 3]},
+        )
+        run_scenario(scenario_from_dict(cfg))
+        evaluated = 2
+        assert len(factorizations) == epochs * K * M + evaluated * (K * M + M)
+        assert len(columns) == epochs * K * M + evaluated * M
+        assert sum(columns) == epochs * K * M * batch + evaluated * M * n_eval

@@ -5,6 +5,7 @@ import pytest
 from gossipgp import (
     apply_increment,
     build_topology,
+    factorize,
     feature_matrix,
     posterior_root,
     prior_state,
@@ -182,7 +183,7 @@ class TestSynthStream:
             Phi = feature_matrix(fm, batch.X)
             inc = robust_increment(Phi, batch.y, np.ones(batch.size), cfg.obs_variance)
             state = apply_increment(state, inc)
-        mu, _ = posterior_root(state)
+        mu, _ = posterior_root(factorize(state))
         theta_star = stream.truth["theta"][0]
         rel_err = np.linalg.norm(mu - theta_star) / np.linalg.norm(theta_star)
         assert rel_err <= 1e-3
