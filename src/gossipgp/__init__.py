@@ -11,7 +11,6 @@ drifting targets, and evidence-weighted hyperparameter ensembles.
 from .features import KernelSpec, FeatureMap, sample_frequencies, feature_matrix
 from .info_filter import (
     InfoState,
-    Increment,
     PosteriorFactor,
     NumericalDegeneracyError,
     prior_state,
@@ -45,6 +44,7 @@ from .ensemble import (
     init_ensemble,
     update_evidence,
     ensemble_weights,
+    gaussian_log_density,
     mixture_log_density,
     mixture_predict_batch,
 )
@@ -57,7 +57,6 @@ __all__ = [
     "sample_frequencies",
     "feature_matrix",
     "InfoState",
-    "Increment",
     "PosteriorFactor",
     "NumericalDegeneracyError",
     "prior_state",
@@ -87,6 +86,7 @@ __all__ = [
     "init_ensemble",
     "update_evidence",
     "ensemble_weights",
+    "gaussian_log_density",
     "mixture_log_density",
     "mixture_predict_batch",
     "__version__",

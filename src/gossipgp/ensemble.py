@@ -30,6 +30,7 @@ __all__ = [
     "update_evidence",
     "ensemble_weights",
     "mixture_predict_batch",
+    "gaussian_log_density",
     "mixture_log_density",
 ]
 
@@ -141,6 +142,11 @@ def ensemble_weights(state: EnsembleState) -> np.ndarray:
     return w / w.sum()
 
 
+def gaussian_log_density(y, means, variances) -> np.ndarray:
+    """Elementwise log N(y | means, variances)."""
+    return -0.5 * (np.log(2.0 * np.pi * variances) + (y - means) ** 2 / variances)
+
+
 def mixture_log_density(
     weights: np.ndarray,
     member_means: np.ndarray,
@@ -154,8 +160,7 @@ def mixture_log_density(
     member_means = np.asarray(member_means, dtype=float)
     member_variances = np.asarray(member_variances, dtype=float)
     y = np.asarray(y, dtype=float)
-    log_norm = -0.5 * (np.log(2.0 * np.pi * member_variances))
-    log_pdf = log_norm - 0.5 * (y[np.newaxis, :] - member_means) ** 2 / member_variances
+    log_pdf = gaussian_log_density(y[np.newaxis, :], member_means, member_variances)
     return logsumexp(log_pdf, axis=0, b=np.asarray(weights)[:, np.newaxis])
 
 

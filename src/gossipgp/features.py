@@ -102,10 +102,6 @@ class FeatureMap:
     def input_dim(self) -> int:
         return self.frequencies.shape[1]
 
-    @property
-    def embedding_dim(self) -> int:
-        return 2 * self.num_features
-
 
 def sample_frequencies(spec: KernelSpec, J: int, d: int, seed: int) -> FeatureMap:
     """Draw J spectral frequencies for an ARD RBF kernel, deterministically.

@@ -14,6 +14,7 @@ epoch/agent context), 2 configuration or input error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import yaml
 
 from ..info_filter import NumericalDegeneracyError
 from .config import ConfigError, load_config, resolved_yaml, scenario_from_dict
-from .metrics import write_metrics_csv, CSV_HEADER
+from .metrics import CSV_HEADER, _row, write_metrics_csv
 from .runner import RunError, RunResult, run_scenario, save_snapshot
 
 __all__ = ["main", "build_parser"]
@@ -82,9 +83,9 @@ def _write_run(out_dir: Path, result: RunResult) -> None:
     if result.snapshots:
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)
-        for t, per_agent in sorted(result.snapshots.items()):
-            for k, states in enumerate(per_agent):
-                save_snapshot(snap_dir / f"epoch_{t}_agent_{k}.bin", states)
+        for t, rows in sorted(result.snapshots.items()):
+            for k in range(result.scenario.num_agents):
+                save_snapshot(snap_dir / f"epoch_{t}_agent_{k}.bin", rows[k].models)
 
 
 def _cmd_run(args) -> int:
@@ -99,7 +100,7 @@ def _cmd_run(args) -> int:
     _write_run(out_dir, result)
     print(f"wrote {out_dir / 'metrics.csv'} ({len(result.records)} rows)")
     if result.snapshots:
-        n_files = sum(len(v) for v in result.snapshots.values())
+        n_files = len(result.snapshots) * scenario.num_agents
         print(f"wrote {n_files} snapshots under {out_dir / 'snapshots'}")
     return 0
 
@@ -136,15 +137,10 @@ def _cmd_sweep(args) -> int:
 
     summary_path = out_dir / "sweep_summary.csv"
     with open(summary_path, "w", newline="") as fp:
-        fp.write(",".join((dotted,) + CSV_HEADER) + "\n")
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow((dotted,) + CSV_HEADER)
         for value, r in summary_rows:
-            cells = [
-                str(value), str(r.t), str(r.agent_id),
-                "" if r.rmse is None else repr(r.rmse),
-                "" if r.npll is None else repr(r.npll),
-                "" if r.w2_to_centralized is None else repr(r.w2_to_centralized),
-            ]
-            fp.write(",".join(cells) + "\n")
+            writer.writerow([str(value)] + _row(r))
     print(f"wrote {summary_path}")
     return 0
 

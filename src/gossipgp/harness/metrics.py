@@ -126,6 +126,11 @@ def _cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _row(r: MetricsRecord) -> list:
+    """The metrics.csv cells of one record."""
+    return [r.t, r.agent_id, _cell(r.rmse), _cell(r.npll), _cell(r.w2_to_centralized)]
+
+
 def write_metrics_csv(path, records: list[MetricsRecord]) -> None:
     """Write records in (t, agent_id) order with repr() float formatting."""
     ordered = sorted(records, key=lambda r: (r.t, r.agent_id))
@@ -133,9 +138,7 @@ def write_metrics_csv(path, records: list[MetricsRecord]) -> None:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in ordered:
-            writer.writerow(
-                [r.t, r.agent_id, _cell(r.rmse), _cell(r.npll), _cell(r.w2_to_centralized)]
-            )
+            writer.writerow(_row(r))
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:

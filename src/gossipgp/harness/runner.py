@@ -7,8 +7,9 @@ network-wide sums of increments are exactly the increments a fusion center
 would form from the pooled batch.
 
 A shadow centralized oracle is maintained whenever the w2 metric is
-requested (or states are captured): it applies the exact network sum of the
-per-agent increments every epoch. With eval.w2_oracle == "identical" the
+requested: it is one more row beside the agents' posteriors, goes through
+the same forgetting and apply passes, and applies the exact network sum of
+the per-agent increments every epoch. With eval.w2_oracle == "identical" the
 oracle uses the same robustness weights as the agents; with "unit" it uses
 unit weights, measuring what the robust network deviates from a
 non-robust fusion center.
@@ -25,13 +26,13 @@ from ..dynamics import apply_forgetting, augment_time_matrix
 from ..ensemble import (
     EnsembleState,
     ensemble_weights,
+    gaussian_log_density,
     init_ensemble,
     update_evidence,
     mixture_predict_batch,
 )
 from ..features import feature_matrix
 from ..info_filter import (
-    Increment,
     InfoState,
     _read_state,
     apply_increment,
@@ -70,8 +71,9 @@ class RunResult:
     feature_maps: list = field(repr=False)
     agent_states: list[EnsembleState] = field(repr=False)
     oracle_state: EnsembleState | None = field(repr=False)
-    snapshots: dict = field(repr=False)
-    captured: dict | None = field(repr=False, default=None)
+    # snapshots[t]: each agent's EnsembleState, then the oracle's when w2
+    # is requested, at every epoch of eval.snapshots.
+    snapshots: dict[int, list[EnsembleState]] = field(repr=False)
 
 
 def materialize_stream(scenario: Scenario) -> Stream:
@@ -86,11 +88,7 @@ def materialize_stream(scenario: Scenario) -> Stream:
     return stream
 
 
-def _gaussian_log_pdf(y, means, variances):
-    return -0.5 * (np.log(2.0 * np.pi * variances) + (y - means) ** 2 / variances)
-
-
-def run_scenario(scenario: Scenario, capture_states: bool = False) -> RunResult:
+def run_scenario(scenario: Scenario) -> RunResult:
     stream = materialize_stream(scenario)
     _check_stream(scenario, stream)
     K = scenario.num_agents
@@ -99,15 +97,8 @@ def run_scenario(scenario: Scenario, capture_states: bool = False) -> RunResult:
     dim = 2 * spec.shared_J
     spatiotemporal = scenario.dynamics.mode == "spatiotemporal"
 
-    # Every agent and the oracle start from the one immutable prior.
-    prior, fmaps = init_ensemble(spec)
-    agent_states = [prior] * K
-
     need_w2 = "w2" in scenario.eval.metrics
-    track_oracle = need_w2 or capture_states
-    oracle_state = prior if track_oracle else None
-    unit_oracle = track_oracle and scenario.eval.w2_oracle == "unit"
-
+    unit_oracle = need_w2 and scenario.eval.w2_oracle == "unit"
     share_increments = scenario.consensus_mode == "sum"
     share_evidence = share_increments and scenario.evidence_mode == "consensus"
 
@@ -124,112 +115,99 @@ def run_scenario(scenario: Scenario, capture_states: bool = False) -> RunResult:
     if bad_snapshots:
         raise RunError(f"snapshot epochs {sorted(bad_snapshots)} are not in the stream")
 
+    # One row per posterior: the K agents, then the oracle when w2 needs it.
+    # Every row starts from the one immutable prior.
+    prior, fmaps = init_ensemble(spec)
+    rows = [prior] * (K + 1 if need_w2 else K)
+    labels = [f"agent {k}" for k in range(K)] + ["centralized oracle"]
+
+    # The gossip message, allocated once per run and overwritten every epoch:
+    # for each agent and member, P, s and the evidence. The local step writes
+    # the increments straight into it. The oracle sums the same increments,
+    # or the unit-weight ones.
+    message = np.empty((K, M, dim * dim + dim + 1))
+    P, s, ev = _split(message, dim)
+    oracle_message = np.empty_like(message) if unit_oracle else message
+    oracle_P, oracle_s, oracle_ev = _split(oracle_message, dim)
+
     records: list[MetricsRecord] = []
-    snapshots: dict[int, list[list[InfoState]]] = {}
-    captured: dict | None = {} if capture_states else None
-
-    # Each epoch's increments and evidence, stacked with the agent on axis 0;
-    # every epoch overwrites them. The oracle sums the same increments, or
-    # the unit-weight ones.
-    P, s, ev = np.empty((K, M, dim, dim)), np.empty((K, M, dim)), np.empty((K, M))
-    oracle_P, oracle_s, oracle_ev = (
-        (np.empty_like(P), np.empty_like(s), np.empty_like(ev)) if unit_oracle else (P, s, ev)
-    )
-
+    snapshots: dict[int, list[EnsembleState]] = {}
     for t in stream.epochs:
+        # One forgetting pass over every row.
+        forgotten = []
+        for i, row in enumerate(rows):
+            try:
+                forgotten.append([apply_forgetting(x, scenario.dynamics) for x in row.models])
+            except Exception as exc:
+                raise RunError(f"epoch {t}, {labels[i]}: {exc}") from exc
+
+        # Per-agent local step: weigh residuals, build increments.
         batches = stream.batches[t]
-        # Per-agent local step: forget, weigh residuals, build increments.
-        forgotten = [[] for _ in range(K)]
         for k in range(K):
             batch = batches[k]
             X_in = augment_time_matrix(batch.X, t) if spatiotemporal else batch.X
             for m in range(M):
                 try:
-                    state = apply_forgetting(agent_states[k].models[m], scenario.dynamics)
-                    forgotten[k].append(state)
                     obs_variance = spec.members[m].obs_variance
                     Phi = feature_matrix(fmaps[m], X_in)
-                    means, variances = predict_batch(factorize(state), Phi)
+                    means, variances = predict_batch(factorize(forgotten[k][m]), Phi)
                     w = weights_for(standardized_residuals(batch.y, means, variances),
                                     scenario.robust)
-                    inc = robust_increment(Phi, batch.y, w, obs_variance)
-                    P[k, m], s[k, m] = inc.P, inc.s
-                    log_pdf = _gaussian_log_pdf(batch.y, means, variances)
+                    P[k, m], s[k, m] = robust_increment(Phi, batch.y, w, obs_variance)
+                    log_pdf = gaussian_log_density(batch.y, means, variances)
                     ev[k, m] = float(np.sum(w * log_pdf))
                     if unit_oracle:
                         ones = np.ones_like(batch.y)
-                        inc = robust_increment(Phi, batch.y, ones, obs_variance)
-                        oracle_P[k, m], oracle_s[k, m] = inc.P, inc.s
+                        oracle_P[k, m], oracle_s[k, m] = robust_increment(
+                            Phi, batch.y, ones, obs_variance
+                        )
                         oracle_ev[k, m] = float(np.sum(log_pdf))
                 except Exception as exc:
                     raise RunError(f"epoch {t}, agent {k}, member {m}: {exc}") from exc
 
-        # Gossip: one message per agent, each member's P, s and (if shared)
-        # evidence in turn; mixing approximates the network sums.
-        mixed_P, mixed_s, mixed_ev = P, s, ev
+        # Gossip approximates the network sums; the oracle takes the exact
+        # sums, added in agent order. Then one apply-and-evidence pass over
+        # every row; with local evidence the agents read the unmixed column.
+        mixed = message
         if share_increments:
-            parts = [P.reshape(K, M, dim * dim), s]
-            if share_evidence:
-                parts.append(ev[:, :, np.newaxis])
-            message = np.concatenate(parts, axis=2).reshape(K, -1)
             mixed = consensus_sum(message, scenario.topology, scenario.consensus)
-            mixed = mixed.reshape(K, M, -1)
-            mixed_P = mixed[:, :, : dim * dim].reshape(K, M, dim, dim)
-            mixed_s = mixed[:, :, dim * dim : dim * dim + dim]
-            if share_evidence:
-                mixed_ev = mixed[:, :, -1]
-
-        # Apply and accumulate evidence.
-        for k in range(K):
+        increments = list(mixed)
+        if need_w2:
+            increments.append(oracle_message.sum(axis=0))
+        for i, inc in enumerate(increments):
+            inc_P, inc_s, inc_ev = _split(inc, dim)
+            if i < K and not share_evidence:
+                inc_ev = ev[i]
             try:
                 models = tuple(
-                    apply_increment(forgotten[k][m], Increment(mixed_P[k, m], mixed_s[k, m]))
-                    for m in range(M)
+                    apply_increment(forgotten[i][m], inc_P[m], inc_s[m]) for m in range(M)
                 )
-                agent_states[k] = update_evidence(
-                    EnsembleState(models=models, log_evidence=agent_states[k].log_evidence),
-                    mixed_ev[k],
+                rows[i] = update_evidence(
+                    EnsembleState(models=models, log_evidence=rows[i].log_evidence), inc_ev
                 )
             except Exception as exc:
-                raise RunError(f"epoch {t}, agent {k}: {exc}") from exc
-
-        # The oracle applies the exact network sums, added in agent order.
-        if track_oracle:
-            total_P, total_s = oracle_P.sum(axis=0), oracle_s.sum(axis=0)
-            try:
-                models = tuple(
-                    apply_increment(
-                        apply_forgetting(oracle_state.models[m], scenario.dynamics),
-                        Increment(P=total_P[m], s=total_s[m]),
-                    )
-                    for m in range(M)
-                )
-                oracle_state = update_evidence(
-                    EnsembleState(models=models, log_evidence=oracle_state.log_evidence),
-                    oracle_ev.sum(axis=0),
-                )
-            except Exception as exc:
-                raise RunError(f"epoch {t}, centralized oracle: {exc}") from exc
+                raise RunError(f"epoch {t}, {labels[i]}: {exc}") from exc
 
         if t in eval_set:
-            records.extend(
-                _evaluate_epoch(scenario, stream, t, agent_states, oracle_state, fmaps)
-            )
+            records.extend(_evaluate_epoch(scenario, stream, t, rows, fmaps))
         if t in snapshot_set:
-            snapshots[t] = [list(agent_states[k].models) for k in range(K)]
-        if capture_states:
-            captured[t] = {"agents": list(agent_states), "oracle": oracle_state}
+            snapshots[t] = list(rows)
 
     return RunResult(
         scenario=scenario,
         stream=stream,
         records=records,
         feature_maps=fmaps,
-        agent_states=agent_states,
-        oracle_state=oracle_state,
+        agent_states=rows[:K],
+        oracle_state=rows[K] if need_w2 else None,
         snapshots=snapshots,
-        captured=captured,
     )
+
+
+def _split(message: np.ndarray, dim: int):
+    """Views of a (..., dim*dim + dim + 1) message as P, s and the evidence."""
+    P = message[..., : dim * dim].reshape(message.shape[:-1] + (dim, dim))
+    return P, message[..., dim * dim : -1], message[..., -1]
 
 
 def _check_stream(scenario: Scenario, stream: Stream) -> None:
@@ -247,8 +225,10 @@ def _check_stream(scenario: Scenario, stream: Stream) -> None:
         raise RunError("stitched evaluation requires a stream with block ownership")
 
 
-def _evaluate_epoch(scenario, stream, t, agent_states, oracle_state, fmaps):
+def _evaluate_epoch(scenario, stream, t, rows, fmaps):
     """One MetricsRecord per agent; each (agent, member) is factorized once.
+
+    rows are the agents' states, then the oracle's when w2 is requested.
 
     Each member's features over the whole evaluation grid are built once and
     shared by all agents; stitched evaluation selects an agent's own columns.
@@ -267,15 +247,16 @@ def _evaluate_epoch(scenario, stream, t, agent_states, oracle_state, fmaps):
             raise RunError(f"epoch {t}, evaluation features: {exc}") from exc
     if need_w2:
         try:
-            oracle_roots = [posterior_root(factorize(m)) for m in oracle_state.models]
+            oracle = rows[scenario.num_agents]
+            oracle_roots = [posterior_root(factorize(m)) for m in oracle.models]
         except Exception as exc:
             raise RunError(f"epoch {t}, centralized oracle: {exc}") from exc
 
     out = []
-    for k, agent in enumerate(agent_states):
+    for k, agent in enumerate(rows[: scenario.num_agents]):
         try:
             if scenario.eval.mode == "stitched":
-                sel = stream.eval_owner == k
+                sel = stream.eval_owner[t] == k
                 y_k = y_true[sel]
             else:
                 sel, y_k = None, y_true

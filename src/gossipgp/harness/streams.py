@@ -74,25 +74,18 @@ class Normalization:
         span = np.where(self.x_max > self.x_min, self.x_max - self.x_min, 1.0)
         return (np.asarray(X, dtype=float) - self.x_min) / span
 
-    def denormalize_x(self, X: np.ndarray) -> np.ndarray:
-        span = np.where(self.x_max > self.x_min, self.x_max - self.x_min, 1.0)
-        return np.asarray(X, dtype=float) * span + self.x_min
-
     def normalize_y(self, y: np.ndarray) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.y_mean) / self.y_std
-
-    def denormalize_y(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=float) * self.y_std + self.y_mean
 
 
 @dataclass(frozen=True)
 class Stream:
     """Per-epoch per-agent batches plus the evaluation grid and its truth.
 
-    eval_owner maps each evaluation point to the agent whose block contains
-    it (grid streams only). output_sd is the output standard deviation in
-    stream units, used to scale injected outlier magnitudes. For synthetic
-    streams, `truth` records the generating basis and weights.
+    eval_owner[t] maps each evaluation point of epoch t to the agent whose
+    block contains it (grid streams only). output_sd is the output standard
+    deviation in stream units, used to scale injected outlier magnitudes. For
+    synthetic streams, `truth` records the generating basis and weights.
     """
 
     num_agents: int
@@ -100,7 +93,7 @@ class Stream:
     batches: dict[int, list[StreamBatch]] = field(repr=False)
     eval_inputs: dict[int, np.ndarray] = field(repr=False)
     eval_truth: dict[int, np.ndarray] = field(repr=False)
-    eval_owner: np.ndarray | None = field(default=None, repr=False)
+    eval_owner: dict[int, np.ndarray] | None = field(default=None, repr=False)
     normalization: Normalization | None = None
     output_sd: float = 1.0
     truth: dict | None = field(default=None, repr=False)
@@ -155,15 +148,14 @@ def load_grid_dataset(path, K: int) -> Stream:
     batches: dict[int, list[StreamBatch]] = {}
     eval_inputs: dict[int, np.ndarray] = {}
     eval_truth: dict[int, np.ndarray] = {}
-    eval_owner = None
+    eval_owner: dict[int, np.ndarray] = {}
     for t in epochs:
         in_t = t_raw == t
         order = np.lexsort((X[in_t, 1], X[in_t, 0]))
         Xt, yt, ot = X[in_t][order], y[in_t][order], owner[in_t][order]
         eval_inputs[t] = Xt
         eval_truth[t] = yt
-        if eval_owner is None:
-            eval_owner = ot
+        eval_owner[t] = ot
         batches[t] = [
             StreamBatch(agent_id=k, t=t, X=Xt[ot == k], y=yt[ot == k])
             for k in range(K)

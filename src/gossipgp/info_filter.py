@@ -37,7 +37,6 @@ from .features import KernelSpec
 
 __all__ = [
     "InfoState",
-    "Increment",
     "PosteriorFactor",
     "NumericalDegeneracyError",
     "prior_state",
@@ -90,32 +89,6 @@ class InfoState:
         return self.D.shape[0]
 
 
-@dataclass
-class Increment:
-    """One batch's additive contribution (P, s) to an InfoState.
-
-    P is symmetric PSD with rank at most the batch size; this is the unit
-    exchanged by consensus.
-    """
-
-    P: np.ndarray = field(repr=False)
-    s: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
-        if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1]:
-            raise ValueError(f"P must be square, got shape {self.P.shape}")
-        if self.s.shape != (self.P.shape[0],):
-            raise ValueError(
-                f"s shape {self.s.shape} inconsistent with P shape {self.P.shape}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.P.shape[0]
-
-
 def prior_state(spec: KernelSpec, J: int) -> InfoState:
     """Prior information state: D = I / sigma_theta^2, eta = 0."""
     if J < 1:
@@ -130,15 +103,23 @@ def prior_state(spec: KernelSpec, J: int) -> InfoState:
     )
 
 
-def apply_increment(state: InfoState, inc: Increment) -> InfoState:
-    """Add an increment: D += P, eta += s. Pure, returns a new state."""
-    if inc.dim != state.dim:
-        raise ValueError(f"increment dim {inc.dim} does not match state dim {state.dim}")
-    D = state.D + inc.P
+def apply_increment(state: InfoState, P: np.ndarray, s: np.ndarray) -> InfoState:
+    """Add one batch's increment: D += P, eta += s. Pure, returns a new state.
+
+    P is symmetric PSD with rank at most the batch size and s has length
+    dim; robust_increment forms them, and consensus mixes them.
+    """
+    P = np.asarray(P, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if P.shape != state.D.shape or s.shape != state.eta.shape:
+        raise ValueError(
+            f"increment shapes P {P.shape}, s {s.shape} do not match state dim {state.dim}"
+        )
+    D = state.D + P
     D = 0.5 * (D + D.T)
     return InfoState(
         D=D,
-        eta=state.eta + inc.s,
+        eta=state.eta + s,
         obs_variance=state.obs_variance,
         prior_variance=state.prior_variance,
     )

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .info_filter import Increment
-
 __all__ = [
     "RobustConfig",
     "huber_weight",
@@ -113,8 +111,8 @@ def standardized_residuals(y, means, variances) -> np.ndarray:
 
 def robust_increment(
     Phi: np.ndarray, y: np.ndarray, weights: np.ndarray, obs_variance: float
-) -> Increment:
-    """Weighted increment P = Phi W Phi^T / s2, s = Phi W y / s2, W = diag(weights)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted increment (P, s): P = Phi W Phi^T / s2, s = Phi W y / s2, W = diag(weights)."""
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -128,9 +126,9 @@ def robust_increment(
         raise ValueError("obs_variance must be strictly positive")
     dim = Phi.shape[0]
     if y.size == 0:
-        return Increment(P=np.zeros((dim, dim)), s=np.zeros(dim))
+        return np.zeros((dim, dim)), np.zeros(dim)
     # The BLAS calls take transposed, Fortran-ordered views: nothing is copied.
     P = blas.dgemm(1.0 / obs_variance, (Phi * weights).T, Phi.T, trans_a=True)
     P = 0.5 * (P + P.T)
     s = blas.dgemv(1.0 / obs_variance, Phi.T, weights * y, trans=1)
-    return Increment(P=P, s=s)
+    return P, s

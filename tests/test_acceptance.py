@@ -45,7 +45,7 @@ def test_online_updates_match_batch_posterior():
             sl = slice(t * N, (t + 1) * N)
             Phi = feature_matrix(fm, X[sl])
             state = apply_increment(
-                state, robust_increment(Phi, y[sl], np.ones(N), spec.obs_variance)
+                state, *robust_increment(Phi, y[sl], np.ones(N), spec.obs_variance)
             )
         Phi_all = feature_matrix(fm, X)
         D_direct = Phi_all @ Phi_all.T / spec.obs_variance + np.eye(2 * J)
@@ -97,12 +97,14 @@ def test_complete_graph_round_matches_fusion_center():
         "stream": {"kind": "synthetic",
                    "synthetic": {"epochs": 10, "batch_size": 12,
                                  "num_eval_points": 20}},
+        "eval": {"metrics": ["rmse", "npll", "w2"], "snapshots": list(range(10))},
     }
-    res = run_scenario(scenario_from_dict(cfg), capture_states=True)
+    res = run_scenario(scenario_from_dict(cfg))
     worst = 0.0
-    for snap in res.captured.values():
-        oracle = snap["oracle"].models[0]
-        for agent in snap["agents"]:
+    for snap in res.snapshots.values():
+        *agents, oracle_state = snap
+        oracle = oracle_state.models[0]
+        for agent in agents:
             worst = max(worst, rel_fro(agent.models[0].D, oracle.D),
                         rel_fro(agent.models[0].eta, oracle.eta))
     elapsed = time.perf_counter() - t0

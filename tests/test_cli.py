@@ -143,6 +143,10 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 2
         assert lines[1].startswith("1,2,0,")
         assert lines[3].startswith("2,2,0,")
+        # each summary row is its sub-run's last-epoch metrics.csv row
+        for value, summary in (("1", lines[1:3]), ("2", lines[3:5])):
+            rows = (out / f"rounds_{value}" / "metrics.csv").read_text().splitlines()
+            assert summary == [f"{value},{row}" for row in rows[-2:]]
 
     def test_sweep_creates_missing_sections(self, tmp_path):
         cfg = write_config(tmp_path)  # BASE has no robust section

@@ -27,7 +27,7 @@ def fitted_state(seed=0, prior_variance=1.0, obs_variance=0.2):
     X = rng.uniform(size=(12, 1))
     y = rng.standard_normal(12)
     inc = robust_increment(feature_matrix(fm, X), y, np.ones(12), obs_variance)
-    return apply_increment(prior_state(spec, J=3), inc), spec
+    return apply_increment(prior_state(spec, J=3), *inc), spec
 
 
 class TestDynamicsConfig:

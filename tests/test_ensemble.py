@@ -159,7 +159,7 @@ class TestMixturePrediction:
         X = rng.uniform(size=(6, 2))
         y = rng.standard_normal(6)
         Phi = feature_matrix(maps[0], X)
-        model = apply_increment(state.models[0], robust_increment(Phi, y, np.ones(6), 0.2))
+        model = apply_increment(state.models[0], *robust_increment(Phi, y, np.ones(6), 0.2))
         state = EnsembleState(models=(model,), log_evidence=state.log_evidence)
         X_star = np.array([[0.3, 0.6], [0.9, 0.1]])
         mean, variance, _, _, _ = mixture_at(state, maps, X_star)

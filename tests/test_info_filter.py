@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipgp import (
-    Increment,
     InfoState,
     KernelSpec,
     NumericalDegeneracyError,
@@ -77,9 +76,9 @@ class TestComputeIncrement:
     """The batch increment (P, s), formed by robust_increment at unit weights."""
 
     def test_empty_batch_is_zero(self):
-        inc = increment(np.zeros((4, 0)), np.zeros(0), obs_variance=0.5)
-        assert np.array_equal(inc.P, np.zeros((4, 4)))
-        assert np.array_equal(inc.s, np.zeros(4))
+        P, s = increment(np.zeros((4, 0)), np.zeros(0), obs_variance=0.5)
+        assert np.array_equal(P, np.zeros((4, 4)))
+        assert np.array_equal(s, np.zeros(4))
 
     def test_single_observation_hand_case(self):
         # phi = (0, 1) at the origin with J=1; y=2, noise variance 0.5:
@@ -87,9 +86,9 @@ class TestComputeIncrement:
         spec, fm = make_model(J=1, d=1)
         Phi = feature_matrix(fm, np.zeros((1, 1)))
         assert np.array_equal(Phi, np.array([[0.0], [1.0]]))
-        inc = increment(Phi, np.array([2.0]), obs_variance=0.5)
-        assert np.array_equal(inc.P, np.array([[0.0, 0.0], [0.0, 2.0]]))
-        assert np.array_equal(inc.s, np.array([0.0, 4.0]))
+        P, s = increment(Phi, np.array([2.0]), obs_variance=0.5)
+        assert np.array_equal(P, np.array([[0.0, 0.0], [0.0, 2.0]]))
+        assert np.array_equal(s, np.array([0.0, 4.0]))
 
     def test_batch_equals_sum_of_singles(self):
         spec, fm = make_model(J=3, d=2)
@@ -97,15 +96,10 @@ class TestComputeIncrement:
         X = rng.uniform(size=(3, 2))
         y = rng.standard_normal(3)
         Phi = feature_matrix(fm, X)
-        whole = increment(Phi, y, obs_variance=0.2)
-        parts_P = sum(
-            increment(Phi[:, i : i + 1], y[i : i + 1], 0.2).P for i in range(3)
-        )
-        parts_s = sum(
-            increment(Phi[:, i : i + 1], y[i : i + 1], 0.2).s for i in range(3)
-        )
-        assert np.allclose(whole.P, parts_P, atol=1e-14)
-        assert np.allclose(whole.s, parts_s, atol=1e-14)
+        whole_P, whole_s = increment(Phi, y, obs_variance=0.2)
+        parts = [increment(Phi[:, i : i + 1], y[i : i + 1], 0.2) for i in range(3)]
+        assert np.allclose(whole_P, sum(P for P, _ in parts), atol=1e-14)
+        assert np.allclose(whole_s, sum(s for _, s in parts), atol=1e-14)
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
@@ -117,16 +111,15 @@ class TestComputeIncrement:
         spec, fm = make_model(J=5, d=2)
         X = np.random.default_rng(2).uniform(size=(10, 2))
         Phi = feature_matrix(fm, X)
-        inc = increment(Phi, np.ones(10), 0.3)
-        assert np.array_equal(inc.P, inc.P.T)
+        P, _ = increment(Phi, np.ones(10), 0.3)
+        assert np.array_equal(P, P.T)
 
 
 class TestApplyIncrement:
     def test_zero_increment_no_op(self):
         spec, fm = make_model(J=2)
         state = prior_state(spec, J=2)
-        inc = Increment(P=np.zeros((4, 4)), s=np.zeros(4))
-        out = apply_increment(state, inc)
+        out = apply_increment(state, np.zeros((4, 4)), np.zeros(4))
         assert np.array_equal(out.D, state.D)
         assert np.array_equal(out.eta, state.eta)
 
@@ -134,8 +127,7 @@ class TestApplyIncrement:
         spec, fm = make_model(J=2)
         state = prior_state(spec, J=2)
         D0 = state.D.copy()
-        inc = Increment(P=np.eye(4), s=np.ones(4))
-        apply_increment(state, inc)
+        apply_increment(state, np.eye(4), np.ones(4))
         assert np.array_equal(state.D, D0)
 
     def test_sequential_matches_batch_oracle(self):
@@ -149,7 +141,7 @@ class TestApplyIncrement:
             X = rng.uniform(size=(5, 2))
             y = rng.standard_normal(5)
             Phi = feature_matrix(fm, X)
-            state = apply_increment(state, increment(Phi, y, 0.3))
+            state = apply_increment(state, *increment(Phi, y, 0.3))
             all_Phi.append(Phi)
             all_y.append(y)
         Phi = np.hstack(all_Phi)
@@ -167,8 +159,8 @@ class TestApplyIncrement:
         for _ in range(2):
             X = rng.uniform(size=(3, 2))
             incs.append(increment(feature_matrix(fm, X), rng.standard_normal(3), 0.1))
-        ab = apply_increment(apply_increment(state, incs[0]), incs[1])
-        ba = apply_increment(apply_increment(state, incs[1]), incs[0])
+        ab = apply_increment(apply_increment(state, *incs[0]), *incs[1])
+        ba = apply_increment(apply_increment(state, *incs[1]), *incs[0])
         assert np.allclose(ab.D, ba.D, atol=1e-14)
         assert np.allclose(ab.eta, ba.eta, atol=1e-14)
 
@@ -176,7 +168,7 @@ class TestApplyIncrement:
         spec, fm = make_model(J=2)
         state = prior_state(spec, J=2)
         with pytest.raises(ValueError):
-            apply_increment(state, Increment(P=np.zeros((2, 2)), s=np.zeros(2)))
+            apply_increment(state, np.zeros((2, 2)), np.zeros(2))
 
 
 class TestPosteriorMoments:
@@ -185,7 +177,7 @@ class TestPosteriorMoments:
         x = np.array([0.7])
         y = np.array([1.3])
         phi = feature_matrix(fm, x[np.newaxis, :])
-        state = apply_increment(prior_state(spec, J=1), increment(phi, y, 0.5))
+        state = apply_increment(prior_state(spec, J=1), *increment(phi, y, 0.5))
         mu, B = posterior_root(factorize(state))
         mu_direct, Sigma_direct, _ = brute_force_posterior(phi, y, 0.5, 2.0)
         assert np.allclose(mu, mu_direct, atol=1e-12)
@@ -197,7 +189,7 @@ class TestPosteriorMoments:
         X = rng.uniform(size=(20, 2))
         y = rng.standard_normal(20)
         state = apply_increment(
-            prior_state(spec, J=5), increment(feature_matrix(fm, X), y, 0.2)
+            prior_state(spec, J=5), *increment(feature_matrix(fm, X), y, 0.2)
         )
         mu, _ = posterior_root(factorize(state))
         residual = np.linalg.norm(state.D @ mu - state.eta)
@@ -215,7 +207,7 @@ class TestPosteriorMoments:
         X = np.random.default_rng(8).uniform(size=(15, 2))
         y = np.sin(X[:, 0])
         state = apply_increment(
-            prior_state(spec, J=6), increment(feature_matrix(fm, X), y, 0.2)
+            prior_state(spec, J=6), *increment(feature_matrix(fm, X), y, 0.2)
         )
         factor = factorize(state)
         _, B = posterior_root(factor)
@@ -242,7 +234,7 @@ class TestPredict:
         X_star = np.array([[0.5]])
         Phi = np.repeat(feature_matrix(fm, X_star), 400, axis=1)
         y = np.full(400, 2.0)
-        state = apply_increment(prior_state(spec, J=4), increment(Phi, y, 0.1))
+        state = apply_increment(prior_state(spec, J=4), *increment(Phi, y, 0.1))
         _, variances = predict_batch(factorize(state), feature_matrix(fm, X_star))
         assert 0.1 < variances[0] < 0.101
 
@@ -251,7 +243,7 @@ class TestPredict:
         X = np.array([[0.2], [0.9], [-0.3]])
         y = np.array([0.5, -1.0, 0.25])
         Phi = feature_matrix(fm, X)
-        state = apply_increment(prior_state(spec, J=1), increment(Phi, y, 0.4))
+        state = apply_increment(prior_state(spec, J=1), *increment(Phi, y, 0.4))
         mu_direct, Sigma_direct, _ = brute_force_posterior(Phi, y, 0.4, 1.5)
         X_star = np.array([[0.6], [-1.1]])
         Phi_star = feature_matrix(fm, X_star)
@@ -266,7 +258,7 @@ class TestPredict:
         X = rng.uniform(size=(12, 2))
         y = rng.standard_normal(12)
         state = apply_increment(
-            prior_state(spec, J=3), increment(feature_matrix(fm, X), y, 0.1)
+            prior_state(spec, J=3), *increment(feature_matrix(fm, X), y, 0.1)
         )
         X_star = rng.uniform(size=(5, 2))
         factor = factorize(state)
@@ -317,7 +309,7 @@ class TestSerialization:
         X = rng.uniform(size=(9, 2))
         y = rng.standard_normal(9)
         state = apply_increment(
-            prior_state(spec, J=4), increment(feature_matrix(fm, X), y, 0.3)
+            prior_state(spec, J=4), *increment(feature_matrix(fm, X), y, 0.3)
         )
         buf = io.BytesIO()
         save_state(state, buf)
@@ -385,7 +377,7 @@ def fitted_state():
     spec, fm = make_model(J=2, d=2, prior_variance=2.0, obs_variance=0.3)
     X = np.random.default_rng(8).uniform(size=(5, 2))
     Phi = feature_matrix(fm, X)
-    return apply_increment(prior_state(spec, J=2), increment(Phi, np.ones(5), 0.3))
+    return apply_increment(prior_state(spec, J=2), *increment(Phi, np.ones(5), 0.3))
 
 
 def state_bytes(state=None):
@@ -404,7 +396,8 @@ class TestValidation:
             InfoState(D=np.eye(2), eta=np.zeros(2), obs_variance=0.0, prior_variance=1.0)
 
     def test_increment_shape_checks(self):
+        state = InfoState(D=np.eye(2), eta=np.zeros(2), obs_variance=1.0, prior_variance=1.0)
         with pytest.raises(ValueError):
-            Increment(P=np.zeros((2, 3)), s=np.zeros(2))
+            apply_increment(state, np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
-            Increment(P=np.eye(2), s=np.zeros(3))
+            apply_increment(state, np.eye(2), np.zeros(3))

@@ -179,10 +179,10 @@ class TestRobustIncrement:
         X = rng.uniform(size=(6, 2))
         y = rng.standard_normal(6)
         Phi = feature_matrix(fm, X)
-        weighted = robust_increment(Phi, y, np.ones(6), 0.3)
-        assert np.allclose(weighted.P, Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
-        assert np.allclose(weighted.s, Phi @ y / 0.3, rtol=1e-14, atol=1e-15)
-        assert np.array_equal(weighted.P, weighted.P.T)
+        P, s = robust_increment(Phi, y, np.ones(6), 0.3)
+        assert np.allclose(P, Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
+        assert np.allclose(s, Phi @ y / 0.3, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(P, P.T)
 
     def test_zero_weight_deletes_observation(self):
         spec = KernelSpec(spatial_lengthscales=(0.5,), obs_variance=0.2)
@@ -192,23 +192,23 @@ class TestRobustIncrement:
         y = rng.standard_normal(4)
         Phi = feature_matrix(fm, X)
         w = np.array([1.0, 1.0, 0.0, 1.0])
-        masked = robust_increment(Phi, y, w, 0.2)
+        masked_P, masked_s = robust_increment(Phi, y, w, 0.2)
         kept = [0, 1, 3]
-        direct = robust_increment(Phi[:, kept], y[kept], np.ones(3), 0.2)
-        assert np.allclose(masked.P, direct.P, atol=1e-14)
-        assert np.allclose(masked.s, direct.s, atol=1e-14)
+        direct_P, direct_s = robust_increment(Phi[:, kept], y[kept], np.ones(3), 0.2)
+        assert np.allclose(masked_P, direct_P, atol=1e-14)
+        assert np.allclose(masked_s, direct_s, atol=1e-14)
 
     def test_two_point_hand_case(self):
         # Explicit matrix products for weights (1, 0.5).
         Phi = np.array([[1.0, 0.0], [0.0, 2.0]])
         y = np.array([3.0, 4.0])
         w = np.array([1.0, 0.5])
-        inc = robust_increment(Phi, y, w, obs_variance=0.5)
+        P, s = robust_increment(Phi, y, w, obs_variance=0.5)
         W = np.diag(w)
-        assert np.allclose(inc.P, Phi @ W @ Phi.T / 0.5, atol=1e-15)
-        assert np.allclose(inc.s, Phi @ W @ y / 0.5, atol=1e-15)
-        assert np.array_equal(inc.P, np.array([[2.0, 0.0], [0.0, 4.0]]))
-        assert np.array_equal(inc.s, np.array([6.0, 8.0]))
+        assert np.allclose(P, Phi @ W @ Phi.T / 0.5, atol=1e-15)
+        assert np.allclose(s, Phi @ W @ y / 0.5, atol=1e-15)
+        assert np.array_equal(P, np.array([[2.0, 0.0], [0.0, 4.0]]))
+        assert np.array_equal(s, np.array([6.0, 8.0]))
 
     def test_downweighting_shrinks_information(self):
         spec = KernelSpec(spatial_lengthscales=(0.5,), obs_variance=0.1)
@@ -216,10 +216,10 @@ class TestRobustIncrement:
         X = np.random.default_rng(8).uniform(size=(5, 1))
         Phi = feature_matrix(fm, X)
         y = np.ones(5)
-        full = robust_increment(Phi, y, np.ones(5), 0.1)
-        half = robust_increment(Phi, y, np.full(5, 0.5), 0.1)
+        full_P, _ = robust_increment(Phi, y, np.ones(5), 0.1)
+        half_P, _ = robust_increment(Phi, y, np.full(5, 0.5), 0.1)
         # trace measures total added information
-        assert np.trace(half.P) == pytest.approx(0.5 * np.trace(full.P), rel=1e-12)
+        assert np.trace(half_P) == pytest.approx(0.5 * np.trace(full_P), rel=1e-12)
 
     def test_rejects_out_of_range_weights(self):
         Phi = np.zeros((2, 1))
@@ -237,7 +237,7 @@ class TestRobustIncrement:
         y = rng.standard_normal(8)
         w = rng.uniform(0.1, 1.0, size=8)
         Phi = feature_matrix(fm, X)
-        state = apply_increment(prior_state(spec, J=4), robust_increment(Phi, y, w, 0.3))
+        state = apply_increment(prior_state(spec, J=4), *robust_increment(Phi, y, w, 0.3))
         D_direct = Phi @ np.diag(w) @ Phi.T / 0.3 + np.eye(8) / 2.0
         eta_direct = Phi @ np.diag(w) @ y / 0.3
         assert np.allclose(state.D, D_direct, atol=1e-12)

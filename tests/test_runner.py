@@ -72,7 +72,7 @@ class TestSingleAgentComposition:
                               + (batch.y - means) ** 2 / variances)
             log_ev += float(np.sum(log_pdf))
             inc = robust_increment(Phi, batch.y, np.ones(batch.size), obs_var)
-            model = apply_increment(model, inc)
+            model = apply_increment(model, *inc)
 
         got = res.agent_states[0].models[0]
         assert np.array_equal(got.D, model.D)
@@ -96,13 +96,15 @@ class TestCompleteGraphExactness:
             ensemble={"shared_J": 8,
                       "members": [{"lengthscales": 0.4},
                                   {"lengthscales": 0.15, "prior_variance": 2.0}]},
-            eval={"metrics": ["rmse", "npll", "w2"]},
+            eval={"metrics": ["rmse", "npll", "w2"], "snapshots": [0, 1, 2, 3]},
         )
         sc = scenario_from_dict(cfg)
-        res = run_scenario(sc, capture_states=True)
-        for t, snap in res.captured.items():
-            oracle = snap["oracle"]
-            for k, agent in enumerate(snap["agents"]):
+        res = run_scenario(sc)
+        assert sorted(res.snapshots) == [0, 1, 2, 3]
+        for t, snap in res.snapshots.items():
+            *agents, oracle = snap
+            assert len(agents) == 4
+            for agent in agents:
                 for m in range(2):
                     assert rel_fro(agent.models[m].D, oracle.models[m].D) <= 1e-10
                     assert rel_fro(agent.models[m].eta, oracle.models[m].eta) <= 1e-10
@@ -163,7 +165,7 @@ class TestConsensusModes:
                       "members": [{"lengthscales": 0.4}]},
             eval={"metrics": ["rmse", "w2"]},
         )
-        res = run_scenario(scenario_from_dict(cfg), capture_states=True)
+        res = run_scenario(scenario_from_dict(cfg))
         for k in range(3):
             assert np.allclose(res.agent_states[k].log_evidence,
                                res.oracle_state.log_evidence, rtol=1e-10)
@@ -237,13 +239,13 @@ class TestEvalModes:
                          "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
             "dynamics": {"mode": "spatiotemporal"},
             "stream": {"kind": "grid_file", "path": str(path)},
-            "eval": {"mode": "stitched", "metrics": ["rmse", "npll"]},
+            "eval": {"mode": "stitched", "metrics": ["rmse", "npll"], "snapshots": [0, 1, 2]},
         }
-        res = run_scenario(scenario_from_dict(cfg), capture_states=True)
+        res = run_scenario(scenario_from_dict(cfg))
         stream = res.stream
         for r in res.records:
-            agent = res.captured[r.t]["agents"][r.agent_id]
-            sel = stream.eval_owner == r.agent_id
+            agent = res.snapshots[r.t][r.agent_id]
+            sel = stream.eval_owner[r.t] == r.agent_id
             X_k = augment_time_matrix(stream.eval_inputs[r.t][sel], r.t)
             y_k = stream.eval_truth[r.t][sel]
             w = ensemble_weights(agent)
@@ -255,6 +257,26 @@ class TestEvalModes:
             assert r.rmse == pytest.approx(rmse(mean, y_k), rel=1e-12, abs=0)
             assert r.npll == pytest.approx(npll(mm, mv, y_k, weights=w), rel=1e-12, abs=0)
 
+    def test_stitched_with_a_site_missing_in_one_epoch(self, tmp_path):
+        # Epoch 1 lacks one of the 36 sites; ownership is taken per epoch, so
+        # stitched evaluation selects the right points and stays finite.
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=6, nlon=6, epochs=3, seed=1)
+        lines = path.read_text().splitlines()
+        del lines[1 + 36]  # the first site of epoch 1
+        path.write_text("\n".join(lines) + "\n")
+        cfg = {
+            "topology": {"kind": "ring", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "members": [{"lengthscales": 0.4}]},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"mode": "stitched", "metrics": ["rmse", "npll", "w2"]},
+        }
+        res = run_scenario(scenario_from_dict(cfg))
+        assert res.stream.eval_truth[1].size == 35
+        assert len(res.records) == 4 * 3
+        for r in res.records:
+            assert np.isfinite([r.rmse, r.npll, r.w2_to_centralized]).all()
+
     def test_stitched_empty_block_gives_empty_cells(self, monkeypatch, tmp_path):
         # Agent 1 keeps its training batches but owns no evaluation point:
         # its rmse/npll cells are empty (never NaN) and its w2 is still scored.
@@ -262,7 +284,7 @@ class TestEvalModes:
 
         def without_agent_1_block(scenario):
             stream = materialize_stream(scenario)
-            owner = np.where(stream.eval_owner == 1, 0, stream.eval_owner)
+            owner = {t: np.where(o == 1, 0, o) for t, o in stream.eval_owner.items()}
             return dataclasses.replace(stream, eval_owner=owner)
 
         monkeypatch.setattr(runner_mod, "materialize_stream", without_agent_1_block)
@@ -319,7 +341,7 @@ class TestSnapshots:
         res = run_scenario(scenario_from_dict(cfg))
         assert sorted(res.snapshots) == [0, 2]
         assert len(res.snapshots[0]) == 2          # agents
-        assert len(res.snapshots[0][0]) == 1       # members
+        assert res.snapshots[0][0].num_members == 1
 
     def test_snapshot_round_trip(self, tmp_path):
         cfg = make_config(
@@ -329,7 +351,7 @@ class TestSnapshots:
                                   {"lengthscales": 0.1, "obs_variance": 0.1}]},
         )
         res = run_scenario(scenario_from_dict(cfg))
-        states = res.snapshots[3][1]
+        states = res.snapshots[3][1].models
         path = tmp_path / "agent1.bin"
         save_snapshot(path, states)
         back = load_snapshot(path)
@@ -388,7 +410,7 @@ def snapshot_bytes():
     res = run_scenario(scenario_from_dict(cfg))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snap.bin"
-        save_snapshot(path, res.snapshots[1][0])
+        save_snapshot(path, res.snapshots[1][0].models)
         return path.read_bytes()
 
 

@@ -14,7 +14,6 @@ from gossipgp import (
 )
 from gossipgp.harness.streams import (
     GridParseError,
-    Normalization,
     OutlierSpec,
     SynthConfig,
     inject_outliers,
@@ -59,18 +58,24 @@ class TestGridLoader:
         for t in stream.epochs:
             total = sum(b.size for b in stream.batches[t])
             assert total == 24
-        assert stream.eval_owner.shape == (24,)
-        assert set(np.unique(stream.eval_owner)) == {0, 1, 2, 3}
+            assert stream.eval_owner[t].shape == (24,)
+            assert set(np.unique(stream.eval_owner[t])) == {0, 1, 2, 3}
 
-    def test_normalization_round_trip(self, tmp_path):
-        path = write_grid(tmp_path / "g.csv")
-        stream = load_grid_dataset(path, K=1)
-        norm = stream.normalization
-        raw_x = np.array([[41.3, 62.7], [40.0, 60.0]])
-        back = norm.denormalize_x(norm.normalize_x(raw_x))
-        assert np.allclose(back, raw_x, atol=1e-10)
-        raw_y = np.array([17.2, -3.0])
-        assert np.allclose(norm.denormalize_y(norm.normalize_y(raw_y)), raw_y, atol=1e-10)
+    def test_owner_follows_each_epochs_sites(self, tmp_path):
+        # Both epochs hold 15 of the 16 sites, but not the same 15: each
+        # point's owner must be the block of its own site, not the point at
+        # the same position in another epoch.
+        path = write_grid(tmp_path / "g.csv", nlat=4, nlon=4, epochs=2)
+        lines = path.read_text().splitlines()
+        missing = {"40.0,60.0,0", "43.0,63.0,1"}
+        path.write_text("\n".join(l for l in lines if l.rsplit(",", 1)[0] not in missing))
+        stream = load_grid_dataset(path, K=4)
+        for t in stream.epochs:
+            X, owner = stream.eval_inputs[t], stream.eval_owner[t]
+            assert owner.shape == (15,)
+            assert np.array_equal(owner, 2 * (X[:, 0] > 0.5) + (X[:, 1] > 0.5))
+            for k, batch in enumerate(stream.batches[t]):
+                assert np.array_equal(X[owner == k], batch.X)
 
     def test_inputs_normalized_outputs_standardized(self, tmp_path):
         path = write_grid(tmp_path / "g.csv", nlat=5, nlon=5, epochs=2)
@@ -110,7 +115,7 @@ class TestGridLoader:
         # spatial blocks share an edge, i.e. when some site of one block has
         # a 4-neighbour site in the other.
         path = write_grid(tmp_path / "g.csv", nlat=20, nlon=20, epochs=1)
-        owner = load_grid_dataset(path, K).eval_owner.reshape(20, 20)
+        owner = load_grid_dataset(path, K).eval_owner[0].reshape(20, 20)
         touching = set()
         for a, b in ((owner[:, :-1], owner[:, 1:]), (owner[:-1, :], owner[1:, :])):
             touching |= {(int(i), int(j)) for i, j in zip(a.ravel(), b.ravel()) if i != j}
@@ -182,7 +187,7 @@ class TestSynthStream:
             batch = stream.batches[t][0]
             Phi = feature_matrix(fm, batch.X)
             inc = robust_increment(Phi, batch.y, np.ones(batch.size), cfg.obs_variance)
-            state = apply_increment(state, inc)
+            state = apply_increment(state, *inc)
         mu, _ = posterior_root(factorize(state))
         theta_star = stream.truth["theta"][0]
         rel_err = np.linalg.norm(mu - theta_star) / np.linalg.norm(theta_star)
