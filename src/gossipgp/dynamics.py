@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_filter import InfoState
-
 __all__ = ["DynamicsConfig", "apply_forgetting", "augment_time_matrix"]
 
 MODES = ("static", "b2p", "ui", "spatiotemporal")
@@ -46,22 +44,21 @@ class DynamicsConfig:
             )
 
 
-def apply_forgetting(state: InfoState, cfg: DynamicsConfig) -> InfoState:
-    """Discount (D, eta) per the configured mode; identity for static modes."""
+def apply_forgetting(D: np.ndarray, eta: np.ndarray, prior_variance, cfg: DynamicsConfig) -> None:
+    """Discount (D, eta) in place per the configured mode; no-op for static modes.
+
+    D (..., dim, dim) and eta (..., dim) are one state's arrays or a stack
+    of them; prior_variance is a scalar or an array that broadcasts against
+    their leading shape (one value per ensemble member, say).
+    """
     if cfg.mode in ("static", "spatiotemporal") or cfg.nu == 1.0:
-        return state
+        return
     nu = cfg.nu
-    if cfg.mode == "ui":
-        D = nu * state.D
-    else:  # b2p
-        dim = state.dim
-        D = nu * state.D + ((1.0 - nu) / state.prior_variance) * np.eye(dim)
-    return InfoState(
-        D=D,
-        eta=nu * state.eta,
-        obs_variance=state.obs_variance,
-        prior_variance=state.prior_variance,
-    )
+    D *= nu
+    eta *= nu
+    if cfg.mode == "b2p":
+        diagonal = np.einsum("...ii->...i", D)  # a writeable view
+        diagonal += ((1.0 - nu) / np.asarray(prior_variance, dtype=float))[..., np.newaxis]
 
 
 def augment_time_matrix(X: np.ndarray, t: float) -> np.ndarray:

@@ -123,16 +123,16 @@ def init_ensemble(spec: EnsembleSpec) -> tuple[EnsembleState, list[FeatureMap]]:
     return state, maps
 
 
-def update_evidence(state: EnsembleState, log_densities: np.ndarray) -> EnsembleState:
-    """Accumulate one batch's per-member predictive log-densities."""
+def update_evidence(log_evidence: np.ndarray, log_densities: np.ndarray) -> None:
+    """Add one batch's per-member predictive log-densities to log_evidence in place."""
     inc = np.asarray(log_densities, dtype=float)
-    if inc.shape != state.log_evidence.shape:
+    if inc.shape != log_evidence.shape:
         raise ValueError(
-            f"expected {state.log_evidence.shape[0]} log-densities, got shape {inc.shape}"
+            f"expected log-densities of shape {log_evidence.shape}, got shape {inc.shape}"
         )
     if not np.all(np.isfinite(inc)):
         raise ValueError("log-densities must be finite")
-    return EnsembleState(models=state.models, log_evidence=state.log_evidence + inc)
+    log_evidence += inc
 
 
 def ensemble_weights(state: EnsembleState) -> np.ndarray:

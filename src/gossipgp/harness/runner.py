@@ -16,8 +16,9 @@ non-robust fusion center.
 """
 from __future__ import annotations
 
+import copy
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,9 +117,18 @@ def run_scenario(scenario: Scenario) -> RunResult:
         raise RunError(f"snapshot epochs {sorted(bad_snapshots)} are not in the stream")
 
     # One row per posterior: the K agents, then the oracle when w2 needs it.
-    # Every row starts from the one immutable prior.
+    # Their states live in buffers allocated once per run, every row starting
+    # from the one prior, and are updated in place; rows[i] holds views of
+    # row i, so whatever outlives an epoch is a deep copy.
     prior, fmaps = init_ensemble(spec)
-    rows = [prior] * (K + 1 if need_w2 else K)
+    R = K + 1 if need_w2 else K
+    D = np.tile(np.stack([x.D for x in prior.models]), (R, 1, 1, 1))
+    eta = np.tile(np.stack([x.eta for x in prior.models]), (R, 1, 1))
+    log_evidence = np.tile(prior.log_evidence, (R, 1))
+    prior_variances = np.array([x.prior_variance for x in prior.models])
+    rows = [EnsembleState(models=[replace(x, D=D[i, m], eta=eta[i, m])
+                                  for m, x in enumerate(prior.models)],
+                          log_evidence=log_evidence[i]) for i in range(R)]
     labels = [f"agent {k}" for k in range(K)] + ["centralized oracle"]
 
     # The gossip message, allocated once per run and overwritten every epoch:
@@ -133,13 +143,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     records: list[MetricsRecord] = []
     snapshots: dict[int, list[EnsembleState]] = {}
     for t in stream.epochs:
-        # One forgetting pass over every row.
-        forgotten = []
-        for i, row in enumerate(rows):
-            try:
-                forgotten.append([apply_forgetting(x, scenario.dynamics) for x in row.models])
-            except Exception as exc:
-                raise RunError(f"epoch {t}, {labels[i]}: {exc}") from exc
+        apply_forgetting(D, eta, prior_variances, scenario.dynamics)
 
         # Per-agent local step: weigh residuals, build increments.
         batches = stream.batches[t]
@@ -150,17 +154,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 try:
                     obs_variance = spec.members[m].obs_variance
                     Phi = feature_matrix(fmaps[m], X_in)
-                    means, variances = predict_batch(factorize(forgotten[k][m]), Phi)
+                    means, variances = predict_batch(factorize(rows[k].models[m]), Phi)
                     w = weights_for(standardized_residuals(batch.y, means, variances),
                                     scenario.robust)
-                    P[k, m], s[k, m] = robust_increment(Phi, batch.y, w, obs_variance)
+                    robust_increment(Phi, batch.y, w, obs_variance, out=(P[k, m], s[k, m]))
                     log_pdf = gaussian_log_density(batch.y, means, variances)
                     ev[k, m] = float(np.sum(w * log_pdf))
                     if unit_oracle:
                         ones = np.ones_like(batch.y)
-                        oracle_P[k, m], oracle_s[k, m] = robust_increment(
-                            Phi, batch.y, ones, obs_variance
-                        )
+                        robust_increment(Phi, batch.y, ones, obs_variance,
+                                         out=(oracle_P[k, m], oracle_s[k, m]))
                         oracle_ev[k, m] = float(np.sum(log_pdf))
                 except Exception as exc:
                     raise RunError(f"epoch {t}, agent {k}, member {m}: {exc}") from exc
@@ -179,27 +182,24 @@ def run_scenario(scenario: Scenario) -> RunResult:
             if i < K and not share_evidence:
                 inc_ev = ev[i]
             try:
-                models = tuple(
-                    apply_increment(forgotten[i][m], inc_P[m], inc_s[m]) for m in range(M)
-                )
-                rows[i] = update_evidence(
-                    EnsembleState(models=models, log_evidence=rows[i].log_evidence), inc_ev
-                )
+                apply_increment(D[i], eta[i], inc_P, inc_s)
+                update_evidence(log_evidence[i], inc_ev)
             except Exception as exc:
                 raise RunError(f"epoch {t}, {labels[i]}: {exc}") from exc
 
         if t in eval_set:
             records.extend(_evaluate_epoch(scenario, stream, t, rows, fmaps))
         if t in snapshot_set:
-            snapshots[t] = list(rows)
+            snapshots[t] = copy.deepcopy(rows)
 
+    final = copy.deepcopy(rows)
     return RunResult(
         scenario=scenario,
         stream=stream,
         records=records,
         feature_maps=fmaps,
-        agent_states=rows[:K],
-        oracle_state=rows[K] if need_w2 else None,
+        agent_states=final[:K],
+        oracle_state=final[K] if need_w2 else None,
         snapshots=snapshots,
     )
 

@@ -23,7 +23,6 @@ from ..features import KernelSpec, sample_frequencies, feature_matrix
 
 __all__ = [
     "StreamBatch",
-    "Normalization",
     "Stream",
     "SynthConfig",
     "OutlierSpec",
@@ -62,23 +61,6 @@ class StreamBatch:
 
 
 @dataclass(frozen=True)
-class Normalization:
-    """Min-max record for inputs and standardization record for outputs."""
-
-    x_min: np.ndarray
-    x_max: np.ndarray
-    y_mean: float
-    y_std: float
-
-    def normalize_x(self, X: np.ndarray) -> np.ndarray:
-        span = np.where(self.x_max > self.x_min, self.x_max - self.x_min, 1.0)
-        return (np.asarray(X, dtype=float) - self.x_min) / span
-
-    def normalize_y(self, y: np.ndarray) -> np.ndarray:
-        return (np.asarray(y, dtype=float) - self.y_mean) / self.y_std
-
-
-@dataclass(frozen=True)
 class Stream:
     """Per-epoch per-agent batches plus the evaluation grid and its truth.
 
@@ -94,7 +76,6 @@ class Stream:
     eval_inputs: dict[int, np.ndarray] = field(repr=False)
     eval_truth: dict[int, np.ndarray] = field(repr=False)
     eval_owner: dict[int, np.ndarray] | None = field(default=None, repr=False)
-    normalization: Normalization | None = None
     output_sd: float = 1.0
     truth: dict | None = field(default=None, repr=False)
 
@@ -127,14 +108,11 @@ def load_grid_dataset(path, K: int) -> Stream:
             f"{rows} x {cols} agent blocks"
         )
 
-    norm = Normalization(
-        x_min=np.array([lat.min(), lon.min()]),
-        x_max=np.array([lat.max(), lon.max()]),
-        y_mean=float(val.mean()),
-        y_std=float(val.std()) if val.std() > 0 else 1.0,
-    )
-    X = norm.normalize_x(np.column_stack([lat, lon]))
-    y = norm.normalize_y(val)
+    # Min-max inputs to [0, 1] per column; standardize the outputs.
+    X = np.column_stack([lat, lon])
+    x_min, x_max = X.min(axis=0), X.max(axis=0)
+    X = (X - x_min) / np.where(x_max > x_min, x_max - x_min, 1.0)
+    y = (val - float(val.mean())) / (float(val.std()) if val.std() > 0 else 1.0)
 
     # Rank-based block assignment over unique coordinate values gives equal
     # blocks whenever the grid divides evenly.
@@ -167,7 +145,6 @@ def load_grid_dataset(path, K: int) -> Stream:
         eval_inputs=eval_inputs,
         eval_truth=eval_truth,
         eval_owner=eval_owner,
-        normalization=norm,
         output_sd=1.0,
     )
 
@@ -294,7 +271,6 @@ def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
         eval_inputs=eval_inputs,
         eval_truth=eval_truth,
         eval_owner=None,
-        normalization=None,
         output_sd=float(stacked.std()) if stacked.std() > 0 else 1.0,
         truth={
             "kernel": spec,

@@ -9,8 +9,8 @@ The posterior after T batches is Gaussian with
 
 Each batch contributes an additive increment (P, s) with
 P = sigma_obs^-2 Phi Phi^T and s = sigma_obs^-2 Phi y, which makes the
-recursion online (D += P, eta += s) and makes network-wide fusion a plain
-sum of per-agent increments.
+recursion online (D += P, eta += s, in place) and makes network-wide fusion
+a plain sum of per-agent increments.
 
 Predictions and covariance roots of a state come from one Cholesky factor
 D = L L^T (factorize): the predictive variance at phi is |L^-1 phi|^2 plus
@@ -24,6 +24,7 @@ ValueError that names the cause.
 """
 from __future__ import annotations
 
+import functools
 import io
 import struct
 from dataclasses import dataclass, field
@@ -59,12 +60,22 @@ class NumericalDegeneracyError(RuntimeError):
     """Raised when the information matrix cannot be factorized as SPD."""
 
 
+@functools.lru_cache(maxsize=8)
+def _strict_upper(dim: int) -> np.ndarray:
+    """Read-only mask of the strict upper triangle of a dim x dim matrix."""
+    mask = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclass
 class InfoState:
     """Information-form Gaussian posterior of one RF-GP model.
 
-    Treated as immutable: every operation returns a new state. Single-writer
-    per agent and per ensemble member.
+    D and eta may be views into a run's stacked state buffers;
+    apply_increment and apply_forgetting update such arrays in place, so
+    copy a state that must outlive the next update. Single-writer per agent
+    and per ensemble member.
     """
 
     D: np.ndarray = field(repr=False)
@@ -103,26 +114,26 @@ def prior_state(spec: KernelSpec, J: int) -> InfoState:
     )
 
 
-def apply_increment(state: InfoState, P: np.ndarray, s: np.ndarray) -> InfoState:
-    """Add one batch's increment: D += P, eta += s. Pure, returns a new state.
+def apply_increment(D: np.ndarray, eta: np.ndarray, P: np.ndarray, s: np.ndarray) -> None:
+    """Add increments in place: D += P, eta += s.
 
-    P is symmetric PSD with rank at most the batch size and s has length
-    dim; robust_increment forms them, and consensus mixes them.
+    D (..., dim, dim) and eta (..., dim) are one state's arrays or a stack of
+    them, and P and s must have exactly their shapes. robust_increment forms
+    P exactly symmetric and consensus mixing keeps it so; a P that is not
+    bitwise symmetric is rejected, so a symmetric D stays symmetric without
+    being re-symmetrized.
     """
     P = np.asarray(P, dtype=float)
     s = np.asarray(s, dtype=float)
-    if P.shape != state.D.shape or s.shape != state.eta.shape:
+    if P.shape != D.shape or s.shape != eta.shape or D.shape[:-1] != eta.shape:
         raise ValueError(
-            f"increment shapes P {P.shape}, s {s.shape} do not match state dim {state.dim}"
+            f"increment shapes P {P.shape}, s {s.shape} do not match state shapes "
+            f"D {D.shape}, eta {eta.shape}"
         )
-    D = state.D + P
-    D = 0.5 * (D + D.T)
-    return InfoState(
-        D=D,
-        eta=state.eta + s,
-        obs_variance=state.obs_variance,
-        prior_variance=state.prior_variance,
-    )
+    if not np.array_equal(P, np.swapaxes(P, -1, -2)):
+        raise ValueError("increment P is not symmetric")
+    D += P
+    eta += s
 
 
 @dataclass(frozen=True)
@@ -177,7 +188,9 @@ def posterior_root(factor: PosteriorFactor) -> tuple[np.ndarray, np.ndarray]:
     inv, info = lapack.dtrtri(factor.L, lower=1)
     if info != 0:
         raise NumericalDegeneracyError(f"Cholesky factor is singular (dtrtri info {info})")
-    return factor.mu, np.tril(inv)
+    # dtrtri leaves the strict upper triangle of L's storage in its output.
+    np.copyto(inv, 0.0, where=_strict_upper(factor.dim))
+    return factor.mu, inv
 
 
 def predict_batch(

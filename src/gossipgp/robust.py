@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
+from .info_filter import _strict_upper
+
 __all__ = [
     "RobustConfig",
     "huber_weight",
@@ -110,9 +112,15 @@ def standardized_residuals(y, means, variances) -> np.ndarray:
 
 
 def robust_increment(
-    Phi: np.ndarray, y: np.ndarray, weights: np.ndarray, obs_variance: float
+    Phi: np.ndarray, y: np.ndarray, weights: np.ndarray, obs_variance: float, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted increment (P, s): P = Phi W Phi^T / s2, s = Phi W y / s2, W = diag(weights)."""
+    """Weighted increment (P, s): P = Phi W Phi^T / s2, s = Phi W y / s2, W = diag(weights).
+
+    P comes from one symmetric rank-k update (dsyrk) of Phi W^1/2 whose
+    triangle is then mirrored, so it is exactly symmetric. With out=(P, s),
+    slices of a gossip message say, the increment is written into them and
+    they are returned; otherwise new arrays are.
+    """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -125,10 +133,18 @@ def robust_increment(
     if obs_variance <= 0:
         raise ValueError("obs_variance must be strictly positive")
     dim = Phi.shape[0]
+    P, s = out if out is not None else (np.empty((dim, dim)), np.empty(dim))
+    if P.shape != (dim, dim) or P.dtype != np.float64 or not P.flags.c_contiguous \
+            or s.shape != (dim,):
+        raise ValueError(f"out needs a C-contiguous float64 ({dim}, {dim}) P and a ({dim},) s")
     if y.size == 0:
-        return np.zeros((dim, dim)), np.zeros(dim)
-    # The BLAS calls take transposed, Fortran-ordered views: nothing is copied.
-    P = blas.dgemm(1.0 / obs_variance, (Phi * weights).T, Phi.T, trans_a=True)
-    P = 0.5 * (P + P.T)
-    s = blas.dgemv(1.0 / obs_variance, Phi.T, weights * y, trans=1)
+        P.fill(0.0)
+        s.fill(0.0)
+        return P, s
+    # The BLAS calls take transposed, Fortran-ordered views: nothing is copied,
+    # and dsyrk writes the lower triangle of P through P^T in place.
+    blas.dsyrk(1.0 / obs_variance, (Phi * np.sqrt(weights)).T, beta=0.0, c=P.T,
+               trans=1, overwrite_c=1)
+    np.copyto(P, P.T, where=_strict_upper(dim))
+    s[...] = blas.dgemv(1.0 / obs_variance, Phi.T, weights * y, trans=1)
     return P, s

@@ -44,8 +44,9 @@ def test_online_updates_match_batch_posterior():
         for t in range(T):
             sl = slice(t * N, (t + 1) * N)
             Phi = feature_matrix(fm, X[sl])
-            state = apply_increment(
-                state, *robust_increment(Phi, y[sl], np.ones(N), spec.obs_variance)
+            apply_increment(
+                state.D, state.eta,
+                *robust_increment(Phi, y[sl], np.ones(N), spec.obs_variance),
             )
         Phi_all = feature_matrix(fm, X)
         D_direct = Phi_all @ Phi_all.T / spec.obs_variance + np.eye(2 * J)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgp import ConsensusConfig, Topology, build_topology, consensus_sum, metropolis_weights
+from gossipgp import (
+    ConsensusConfig,
+    Topology,
+    build_topology,
+    consensus_sum,
+    metropolis_weights,
+    robust_increment,
+)
 
 
 class TestBuildTopology:
@@ -176,22 +183,26 @@ class TestGossipInvariants:
     """Properties of Metropolis mixing that must hold for any connected graph and L."""
 
     @settings(max_examples=60, deadline=None)
-    @given(connected_topologies(), st.integers(0, 60), st.integers(0, 2**32 - 1))
-    def test_mixing_invariants(self, topo, rounds, seed):
-        K, n, M = topo.num_agents, 4, 2
+    @given(connected_topologies(), st.integers(0, 60), st.integers(0, 2**32 - 1),
+           st.integers(1, 40))
+    def test_mixing_invariants(self, topo, rounds, seed, n):
+        K, M = topo.num_agents, 2
         W = metropolis_weights(topo)
         assert np.array_equal(W, W.T)
         assert np.all(W >= 0)
         assert np.all(np.abs(W.sum(axis=0) - 1.0) <= 1e-14)
         assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-14)
 
-        # Each agent's message: per member a rank-deficient PSD P (as a batch
-        # increment is) and a signed s, stacked as the runner stacks them.
+        # Each agent's message: per member a weighted batch increment (an
+        # exactly symmetric, rank-deficient PSD P and a signed s), stacked as
+        # the runner stacks them.
         rng = np.random.default_rng(seed)
-        Phi = rng.standard_normal((K, M, n, 2))
-        P = np.einsum("kmib,kmjb->kmij", Phi, Phi)
-        s = rng.standard_normal((K, M, n))
-        values = np.concatenate([P.reshape(K, M, n * n), s], axis=2)
+        values = np.empty((K, M, n * n + n))
+        for k in range(K):
+            for m in range(M):
+                robust_increment(rng.standard_normal((n, 2)), rng.standard_normal(2),
+                                 rng.uniform(size=2), 0.3,
+                                 out=(values[k, m, : n * n].reshape(n, n), values[k, m, n * n :]))
         out = consensus_sum(values, topo, ConsensusConfig(rounds=rounds))
         assert out.shape == values.shape
         assert out.flags.c_contiguous
@@ -210,7 +221,9 @@ class TestGossipInvariants:
         np.testing.assert_allclose(out, loop, rtol=1e-12,
                                    atol=1e-12 * K * np.abs(values).max())
 
-        # W^L has nonnegative entries, so each mixed P stays PSD.
+        # Mixing keeps each P bitwise symmetric, as apply_increment requires,
+        # and W^L has nonnegative entries, so each mixed P stays PSD.
         for Pk in out[:, :, : n * n].reshape(K * M, n, n):
-            smallest = np.linalg.eigvalsh(0.5 * (Pk + Pk.T))[0]
+            assert np.array_equal(Pk, Pk.T)
+            smallest = np.linalg.eigvalsh(Pk)[0]
             assert smallest >= -1e-12 * np.trace(Pk)

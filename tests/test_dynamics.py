@@ -1,4 +1,6 @@
 """Forgetting operators and time augmentation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,17 @@ def fitted_state(seed=0, prior_variance=1.0, obs_variance=0.2):
     rng = np.random.default_rng(seed + 1)
     X = rng.uniform(size=(12, 1))
     y = rng.standard_normal(12)
+    state = prior_state(spec, J=3)
     inc = robust_increment(feature_matrix(fm, X), y, np.ones(12), obs_variance)
-    return apply_increment(prior_state(spec, J=3), *inc), spec
+    apply_increment(state.D, state.eta, *inc)
+    return state, spec
+
+
+def forgotten(state, cfg):
+    """A copy of state with forgetting applied to it in place."""
+    out = replace(state, D=state.D.copy(), eta=state.eta.copy())
+    apply_forgetting(out.D, out.eta, out.prior_variance, cfg)
+    return out
 
 
 class TestDynamicsConfig:
@@ -49,37 +60,55 @@ class TestDynamicsConfig:
 
 
 class TestApplyForgetting:
-    def test_static_returns_same_object(self):
+    def test_static_modes_leave_state_unchanged(self):
         state, _ = fitted_state()
-        assert apply_forgetting(state, DynamicsConfig(mode="static")) is state
-        assert apply_forgetting(state, DynamicsConfig(mode="spatiotemporal")) is state
+        for mode in ("static", "spatiotemporal"):
+            out = forgotten(state, DynamicsConfig(mode=mode, nu=0.5))
+            assert np.array_equal(out.D, state.D)
+            assert np.array_equal(out.eta, state.eta)
 
     def test_nu_one_is_identity_for_both_modes(self):
         state, _ = fitted_state()
         for mode in ("b2p", "ui"):
-            out = apply_forgetting(state, DynamicsConfig(mode=mode, nu=1.0))
+            out = forgotten(state, DynamicsConfig(mode=mode, nu=1.0))
             assert np.array_equal(out.D, state.D)
             assert np.array_equal(out.eta, state.eta)
 
     def test_b2p_nu_zero_resets_to_prior(self):
         state, spec = fitted_state(prior_variance=2.5)
-        out = apply_forgetting(state, DynamicsConfig(mode="b2p", nu=0.0))
+        out = forgotten(state, DynamicsConfig(mode="b2p", nu=0.0))
         fresh = prior_state(spec, J=3)
         assert np.array_equal(out.D, fresh.D)
         assert np.array_equal(out.eta, fresh.eta)
 
     def test_b2p_formula(self):
+        # In place, b2p gives exactly the bits of nu D + ((1 - nu) / pv) I.
         state, spec = fitted_state(prior_variance=2.0)
         nu = 0.7
-        out = apply_forgetting(state, DynamicsConfig(mode="b2p", nu=nu))
-        expected_D = nu * state.D + (1.0 - nu) / 2.0 * np.eye(state.dim)
-        assert np.allclose(out.D, expected_D, atol=1e-15)
-        assert np.allclose(out.eta, nu * state.eta, atol=1e-15)
+        out = forgotten(state, DynamicsConfig(mode="b2p", nu=nu))
+        expected_D = nu * state.D + ((1.0 - nu) / 2.0) * np.eye(state.dim)
+        assert np.array_equal(out.D, expected_D)
+        assert np.array_equal(out.eta, nu * state.eta)
+
+    def test_stack_with_per_member_prior_variances(self):
+        # One call over a (rows, members, dim, dim) stack equals forgetting
+        # each state alone with its member's prior variance.
+        states = [[fitted_state(seed=3 * r + m, prior_variance=pv)[0]
+                   for m, pv in enumerate((0.5, 2.0, 8.0))] for r in range(2)]
+        D = np.array([[x.D for x in row] for row in states])
+        eta = np.array([[x.eta for x in row] for row in states])
+        cfg = DynamicsConfig(mode="b2p", nu=0.8)
+        apply_forgetting(D, eta, np.array([0.5, 2.0, 8.0]), cfg)
+        for r, row in enumerate(states):
+            for m, x in enumerate(row):
+                out = forgotten(x, cfg)
+                assert np.array_equal(D[r, m], out.D)
+                assert np.array_equal(eta[r, m], out.eta)
 
     def test_ui_preserves_mean_and_inflates_covariance(self):
         state, _ = fitted_state()
         nu = 0.6
-        out = apply_forgetting(state, DynamicsConfig(mode="ui", nu=nu))
+        out = forgotten(state, DynamicsConfig(mode="ui", nu=nu))
         mu0, B0 = posterior_root(factorize(state))
         mu1, B1 = posterior_root(factorize(out))
         assert np.linalg.norm(mu1 - mu0) <= 1e-10 * max(np.linalg.norm(mu0), 1.0)
@@ -92,16 +121,20 @@ class TestApplyForgetting:
             with pytest.raises(ValueError, match="degenerates"):
                 DynamicsConfig(mode="ui", nu=nu)
         state, _ = fitted_state()
-        out = apply_forgetting(state, DynamicsConfig(mode="ui", nu=_MIN_UI_NU))
+        out = forgotten(state, DynamicsConfig(mode="ui", nu=_MIN_UI_NU))
         assert np.array_equal(out.D, _MIN_UI_NU * state.D)
         # Other modes accept any nu in [0, 1].
         DynamicsConfig(mode="b2p", nu=0.0)
 
-    def test_forgetting_is_pure(self):
+    def test_forgetting_updates_in_place(self):
         state, _ = fitted_state()
-        D0 = state.D.copy()
-        apply_forgetting(state, DynamicsConfig(mode="b2p", nu=0.5))
-        assert np.array_equal(state.D, D0)
+        D, eta = state.D, state.eta
+        D0, eta0 = D.copy(), eta.copy()
+        cfg = DynamicsConfig(mode="b2p", nu=0.5)
+        assert apply_forgetting(D, eta, state.prior_variance, cfg) is None
+        assert state.D is D and state.eta is eta
+        assert np.array_equal(D, 0.5 * D0 + (0.5 / state.prior_variance) * np.eye(6))
+        assert np.array_equal(eta, 0.5 * eta0)
 
 
 class TestTimeAugmentation:

@@ -29,6 +29,13 @@ def increment(Phi, y, obs_variance):
     return robust_increment(Phi, y, np.ones(np.shape(y)), obs_variance)
 
 
+def fitted(spec, J, Phi, y, obs_variance):
+    """The prior state of spec with one plain increment applied in place."""
+    state = prior_state(spec, J=J)
+    apply_increment(state.D, state.eta, *increment(Phi, y, obs_variance))
+    return state
+
+
 def brute_force_posterior(Phi, y, obs_variance, prior_variance):
     """Direct dense evaluation of the Gaussian posterior over weights."""
     dim = Phi.shape[0]
@@ -119,16 +126,20 @@ class TestApplyIncrement:
     def test_zero_increment_no_op(self):
         spec, fm = make_model(J=2)
         state = prior_state(spec, J=2)
-        out = apply_increment(state, np.zeros((4, 4)), np.zeros(4))
-        assert np.array_equal(out.D, state.D)
-        assert np.array_equal(out.eta, state.eta)
+        D0, eta0 = state.D.copy(), state.eta.copy()
+        apply_increment(state.D, state.eta, np.zeros((4, 4)), np.zeros(4))
+        assert np.array_equal(state.D, D0)
+        assert np.array_equal(state.eta, eta0)
 
-    def test_is_pure(self):
+    def test_updates_in_place(self):
         spec, fm = make_model(J=2)
         state = prior_state(spec, J=2)
-        D0 = state.D.copy()
-        apply_increment(state, np.eye(4), np.ones(4))
-        assert np.array_equal(state.D, D0)
+        D, eta = state.D, state.eta
+        D0 = D.copy()
+        assert apply_increment(D, eta, np.eye(4), np.ones(4)) is None
+        assert state.D is D and state.eta is eta
+        assert np.array_equal(D, D0 + np.eye(4))
+        assert np.array_equal(eta, np.ones(4))
 
     def test_sequential_matches_batch_oracle(self):
         # Streaming through T batches reproduces the one-shot posterior on the
@@ -141,7 +152,7 @@ class TestApplyIncrement:
             X = rng.uniform(size=(5, 2))
             y = rng.standard_normal(5)
             Phi = feature_matrix(fm, X)
-            state = apply_increment(state, *increment(Phi, y, 0.3))
+            apply_increment(state.D, state.eta, *increment(Phi, y, 0.3))
             all_Phi.append(Phi)
             all_y.append(y)
         Phi = np.hstack(all_Phi)
@@ -150,25 +161,74 @@ class TestApplyIncrement:
         eta_direct = Phi @ y / 0.3
         assert np.linalg.norm(state.D - D_direct) <= 1e-10 * np.linalg.norm(D_direct)
         assert np.linalg.norm(state.eta - eta_direct) <= 1e-10 * np.linalg.norm(eta_direct)
+        assert np.array_equal(state.D, state.D.T)
 
     def test_commutativity(self):
         spec, fm = make_model(J=4, d=2)
         rng = np.random.default_rng(4)
-        state = prior_state(spec, J=4)
+        ab, ba = prior_state(spec, J=4), prior_state(spec, J=4)
         incs = []
         for _ in range(2):
             X = rng.uniform(size=(3, 2))
             incs.append(increment(feature_matrix(fm, X), rng.standard_normal(3), 0.1))
-        ab = apply_increment(apply_increment(state, *incs[0]), *incs[1])
-        ba = apply_increment(apply_increment(state, *incs[1]), *incs[0])
+        for inc in incs:
+            apply_increment(ab.D, ab.eta, *inc)
+        for inc in reversed(incs):
+            apply_increment(ba.D, ba.eta, *inc)
         assert np.allclose(ab.D, ba.D, atol=1e-14)
         assert np.allclose(ab.eta, ba.eta, atol=1e-14)
+
+    def test_stack_equals_each_slice(self):
+        # A (2, 3, dim, dim) stack updates exactly as its six states one by one.
+        rng = np.random.default_rng(9)
+        Phi = rng.standard_normal((2, 3, 5, 4))
+        incs = [[increment(Phi[i, m], rng.standard_normal(4), 0.2) for m in range(3)]
+                for i in range(2)]
+        P = np.array([[P for P, _ in row] for row in incs])
+        s = np.array([[s for _, s in row] for row in incs])
+        D = np.tile(np.eye(5), (2, 3, 1, 1))
+        eta = rng.standard_normal((2, 3, 5))
+        D_each, eta_each = D.copy(), eta.copy()
+        apply_increment(D, eta, P, s)
+        for i in range(2):
+            for m in range(3):
+                apply_increment(D_each[i, m], eta_each[i, m], P[i, m], s[i, m])
+        assert np.array_equal(D, D_each)
+        assert np.array_equal(eta, eta_each)
 
     def test_dim_mismatch_rejected(self):
         spec, fm = make_model(J=2)
         state = prior_state(spec, J=2)
-        with pytest.raises(ValueError):
-            apply_increment(state, np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="do not match state shapes"):
+            apply_increment(state.D, state.eta, np.zeros((2, 2)), np.zeros(2))
+
+    def test_stack_shape_mismatch_rejected(self):
+        D, eta = np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3))
+        with pytest.raises(ValueError, match="do not match state shapes"):
+            apply_increment(D, eta, np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match="do not match state shapes"):
+            apply_increment(D, eta, np.tile(np.eye(3), (2, 1, 1)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="do not match state shapes"):
+            apply_increment(D, np.zeros((2, 4)), np.tile(np.eye(3), (2, 1, 1)),
+                            np.zeros((2, 4)))
+
+    def test_asymmetric_increment_rejected(self):
+        # One off-diagonal entry one ulp apart is enough; nothing is applied.
+        spec, fm = make_model(J=2)
+        state = prior_state(spec, J=2)
+        P = np.full((4, 4), 0.1)
+        P[2, 1] = np.nextafter(0.1, 1.0)
+        with pytest.raises(ValueError, match="not symmetric"):
+            apply_increment(state.D, state.eta, P, np.ones(4))
+        assert np.array_equal(state.D, np.eye(4))
+        assert np.array_equal(state.eta, np.zeros(4))
+
+    def test_asymmetric_member_of_a_stack_rejected(self):
+        D, eta = np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3))
+        P = np.tile(np.eye(3), (2, 1, 1))
+        P[1, 0, 2] = 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            apply_increment(D, eta, P, np.zeros((2, 3)))
 
 
 class TestPosteriorMoments:
@@ -177,7 +237,7 @@ class TestPosteriorMoments:
         x = np.array([0.7])
         y = np.array([1.3])
         phi = feature_matrix(fm, x[np.newaxis, :])
-        state = apply_increment(prior_state(spec, J=1), *increment(phi, y, 0.5))
+        state = fitted(spec, 1, phi, y, 0.5)
         mu, B = posterior_root(factorize(state))
         mu_direct, Sigma_direct, _ = brute_force_posterior(phi, y, 0.5, 2.0)
         assert np.allclose(mu, mu_direct, atol=1e-12)
@@ -188,9 +248,7 @@ class TestPosteriorMoments:
         rng = np.random.default_rng(5)
         X = rng.uniform(size=(20, 2))
         y = rng.standard_normal(20)
-        state = apply_increment(
-            prior_state(spec, J=5), *increment(feature_matrix(fm, X), y, 0.2)
-        )
+        state = fitted(spec, 5, feature_matrix(fm, X), y, 0.2)
         mu, _ = posterior_root(factorize(state))
         residual = np.linalg.norm(state.D @ mu - state.eta)
         assert residual <= 1e-10 * np.linalg.norm(state.eta)
@@ -206,9 +264,7 @@ class TestPosteriorMoments:
         spec, fm = make_model(J=6, d=2, obs_variance=0.2)
         X = np.random.default_rng(8).uniform(size=(15, 2))
         y = np.sin(X[:, 0])
-        state = apply_increment(
-            prior_state(spec, J=6), *increment(feature_matrix(fm, X), y, 0.2)
-        )
+        state = fitted(spec, 6, feature_matrix(fm, X), y, 0.2)
         factor = factorize(state)
         _, B = posterior_root(factor)
         assert np.array_equal(B, np.tril(B))
@@ -234,7 +290,7 @@ class TestPredict:
         X_star = np.array([[0.5]])
         Phi = np.repeat(feature_matrix(fm, X_star), 400, axis=1)
         y = np.full(400, 2.0)
-        state = apply_increment(prior_state(spec, J=4), *increment(Phi, y, 0.1))
+        state = fitted(spec, 4, Phi, y, 0.1)
         _, variances = predict_batch(factorize(state), feature_matrix(fm, X_star))
         assert 0.1 < variances[0] < 0.101
 
@@ -243,7 +299,7 @@ class TestPredict:
         X = np.array([[0.2], [0.9], [-0.3]])
         y = np.array([0.5, -1.0, 0.25])
         Phi = feature_matrix(fm, X)
-        state = apply_increment(prior_state(spec, J=1), *increment(Phi, y, 0.4))
+        state = fitted(spec, 1, Phi, y, 0.4)
         mu_direct, Sigma_direct, _ = brute_force_posterior(Phi, y, 0.4, 1.5)
         X_star = np.array([[0.6], [-1.1]])
         Phi_star = feature_matrix(fm, X_star)
@@ -257,9 +313,7 @@ class TestPredict:
         rng = np.random.default_rng(6)
         X = rng.uniform(size=(12, 2))
         y = rng.standard_normal(12)
-        state = apply_increment(
-            prior_state(spec, J=3), *increment(feature_matrix(fm, X), y, 0.1)
-        )
+        state = fitted(spec, 3, feature_matrix(fm, X), y, 0.1)
         X_star = rng.uniform(size=(5, 2))
         factor = factorize(state)
         means, variances = predict_batch(factor, feature_matrix(fm, X_star))
@@ -308,9 +362,7 @@ class TestSerialization:
         rng = np.random.default_rng(7)
         X = rng.uniform(size=(9, 2))
         y = rng.standard_normal(9)
-        state = apply_increment(
-            prior_state(spec, J=4), *increment(feature_matrix(fm, X), y, 0.3)
-        )
+        state = fitted(spec, 4, feature_matrix(fm, X), y, 0.3)
         buf = io.BytesIO()
         save_state(state, buf)
         buf.seek(0)
@@ -377,7 +429,7 @@ def fitted_state():
     spec, fm = make_model(J=2, d=2, prior_variance=2.0, obs_variance=0.3)
     X = np.random.default_rng(8).uniform(size=(5, 2))
     Phi = feature_matrix(fm, X)
-    return apply_increment(prior_state(spec, J=2), *increment(Phi, np.ones(5), 0.3))
+    return fitted(spec, 2, Phi, np.ones(5), 0.3)
 
 
 def state_bytes(state=None):
@@ -398,6 +450,6 @@ class TestValidation:
     def test_increment_shape_checks(self):
         state = InfoState(D=np.eye(2), eta=np.zeros(2), obs_variance=1.0, prior_variance=1.0)
         with pytest.raises(ValueError):
-            apply_increment(state, np.zeros((2, 3)), np.zeros(2))
+            apply_increment(state.D, state.eta, np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
-            apply_increment(state, np.eye(2), np.zeros(3))
+            apply_increment(state.D, state.eta, np.eye(2), np.zeros(3))

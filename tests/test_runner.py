@@ -72,7 +72,7 @@ class TestSingleAgentComposition:
                               + (batch.y - means) ** 2 / variances)
             log_ev += float(np.sum(log_pdf))
             inc = robust_increment(Phi, batch.y, np.ones(batch.size), obs_var)
-            model = apply_increment(model, *inc)
+            apply_increment(model.D, model.eta, *inc)
 
         got = res.agent_states[0].models[0]
         assert np.array_equal(got.D, model.D)
@@ -361,6 +361,39 @@ class TestSnapshots:
             assert np.array_equal(orig.eta, loaded.eta)
             assert orig.obs_variance == loaded.obs_variance
             assert orig.prior_variance == loaded.prior_variance
+
+    def test_recorded_states_are_copies_of_the_live_buffers(self, tmp_path):
+        # The loop updates its stacked state in place. An epoch-0 snapshot
+        # must keep the epoch-0 posterior, and every recorded array must own
+        # its memory rather than view the loop's buffers.
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": 4},
+            ensemble={"shared_J": 6,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.15}]},
+            dynamics={"mode": "b2p", "nu": 0.8},
+            eval={"metrics": ["rmse", "w2"], "snapshots": [0, 3]},
+        )
+        res = run_scenario(scenario_from_dict(cfg))
+        final = res.agent_states + [res.oracle_state]
+        early, last = res.snapshots[0], res.snapshots[3]
+        assert len(early) == len(last) == len(final) == 5
+        for i, (e, l, f) in enumerate(zip(early, last, final)):
+            assert not np.array_equal(e.log_evidence, f.log_evidence)
+            assert np.array_equal(l.log_evidence, f.log_evidence)
+            for em, lm, fm in zip(e.models, l.models, f.models):
+                assert not np.array_equal(em.D, fm.D)
+                assert not np.array_equal(em.eta, fm.eta)
+                assert np.array_equal(lm.D, fm.D) and np.array_equal(lm.eta, fm.eta)
+            path = tmp_path / f"row{i}.bin"
+            save_snapshot(path, e.models)
+            for em, back in zip(e.models, load_snapshot(path)):
+                assert np.array_equal(em.D, back.D) and np.array_equal(em.eta, back.eta)
+        arrays = [a for states in (early, last, final) for x in states
+                  for a in [x.log_evidence] + [b for m in x.models for b in (m.D, m.eta)]]
+        for j, a in enumerate(arrays):
+            assert a.base is None  # owns its memory: no view of a run buffer
+            for b in arrays[j + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -187,7 +187,7 @@ class TestSynthStream:
             batch = stream.batches[t][0]
             Phi = feature_matrix(fm, batch.X)
             inc = robust_increment(Phi, batch.y, np.ones(batch.size), cfg.obs_variance)
-            state = apply_increment(state, *inc)
+            apply_increment(state.D, state.eta, *inc)
         mu, _ = posterior_root(factorize(state))
         theta_star = stream.truth["theta"][0]
         rel_err = np.linalg.norm(mu - theta_star) / np.linalg.norm(theta_star)
