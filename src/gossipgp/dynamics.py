@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .info_filter import _packed_layout
+
 __all__ = ["DynamicsConfig", "apply_forgetting", "augment_time_matrix"]
 
 MODES = ("static", "b2p", "ui", "spatiotemporal")
@@ -47,9 +49,9 @@ class DynamicsConfig:
 def apply_forgetting(D: np.ndarray, eta: np.ndarray, prior_variance, cfg: DynamicsConfig) -> None:
     """Discount (D, eta) in place per the configured mode; no-op for static modes.
 
-    D (..., dim, dim) and eta (..., dim) are one state's arrays or a stack
-    of them; prior_variance is a scalar or an array that broadcasts against
-    their leading shape (one value per ensemble member, say).
+    D (..., dim(dim+1)/2) and eta (..., dim) are one state's packed arrays or
+    a stack of them; prior_variance is a scalar or an array that broadcasts
+    against their leading shape (one value per ensemble member, say).
     """
     if cfg.mode in ("static", "spatiotemporal") or cfg.nu == 1.0:
         return
@@ -57,8 +59,8 @@ def apply_forgetting(D: np.ndarray, eta: np.ndarray, prior_variance, cfg: Dynami
     D *= nu
     eta *= nu
     if cfg.mode == "b2p":
-        diagonal = np.einsum("...ii->...i", D)  # a writeable view
-        diagonal += ((1.0 - nu) / np.asarray(prior_variance, dtype=float))[..., np.newaxis]
+        diagonal = _packed_layout(eta.shape[-1])[1]
+        D[..., diagonal] += ((1.0 - nu) / np.asarray(prior_variance, dtype=float))[..., np.newaxis]
 
 
 def augment_time_matrix(X: np.ndarray, t: float) -> np.ndarray:

@@ -75,6 +75,7 @@ class RunResult:
     # snapshots[t]: each agent's EnsembleState, then the oracle's when w2
     # is requested, at every epoch of eval.snapshots.
     snapshots: dict[int, list[EnsembleState]] = field(repr=False)
+    jitter_retries: int = 0  # factorizations that needed jitter
 
 
 def materialize_stream(scenario: Scenario) -> Stream:
@@ -122,7 +123,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     # row i, so whatever outlives an epoch is a deep copy.
     prior, fmaps = init_ensemble(spec)
     R = K + 1 if need_w2 else K
-    D = np.tile(np.stack([x.D for x in prior.models]), (R, 1, 1, 1))
+    D = np.tile(np.stack([x.D for x in prior.models]), (R, 1, 1))
     eta = np.tile(np.stack([x.eta for x in prior.models]), (R, 1, 1))
     log_evidence = np.tile(prior.log_evidence, (R, 1))
     prior_variances = np.array([x.prior_variance for x in prior.models])
@@ -135,13 +136,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
     # for each agent and member, P, s and the evidence. The local step writes
     # the increments straight into it. The oracle sums the same increments,
     # or the unit-weight ones.
-    message = np.empty((K, M, dim * dim + dim + 1))
+    message = np.empty((K, M, dim * (dim + 1) // 2 + dim + 1))
     P, s, ev = _split(message, dim)
     oracle_message = np.empty_like(message) if unit_oracle else message
     oracle_P, oracle_s, oracle_ev = _split(oracle_message, dim)
 
     records: list[MetricsRecord] = []
     snapshots: dict[int, list[EnsembleState]] = {}
+    jittered = []
     for t in stream.epochs:
         apply_forgetting(D, eta, prior_variances, scenario.dynamics)
 
@@ -154,7 +156,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 try:
                     obs_variance = spec.members[m].obs_variance
                     Phi = feature_matrix(fmaps[m], X_in)
-                    means, variances = predict_batch(factorize(rows[k].models[m]), Phi)
+                    factor = factorize(rows[k].models[m])
+                    jittered.append(factor.jitter > 0.0)
+                    means, variances = predict_batch(factor, Phi)
                     w = weights_for(standardized_residuals(batch.y, means, variances),
                                     scenario.robust)
                     robust_increment(Phi, batch.y, w, obs_variance, out=(P[k, m], s[k, m]))
@@ -188,7 +192,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 raise RunError(f"epoch {t}, {labels[i]}: {exc}") from exc
 
         if t in eval_set:
-            records.extend(_evaluate_epoch(scenario, stream, t, rows, fmaps))
+            records.extend(_evaluate_epoch(scenario, stream, t, rows, fmaps, jittered))
         if t in snapshot_set:
             snapshots[t] = copy.deepcopy(rows)
 
@@ -201,13 +205,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
         agent_states=final[:K],
         oracle_state=final[K] if need_w2 else None,
         snapshots=snapshots,
+        jitter_retries=sum(jittered),
     )
 
 
 def _split(message: np.ndarray, dim: int):
-    """Views of a (..., dim*dim + dim + 1) message as P, s and the evidence."""
-    P = message[..., : dim * dim].reshape(message.shape[:-1] + (dim, dim))
-    return P, message[..., dim * dim : -1], message[..., -1]
+    """Views of a (..., dim(dim+1)/2 + dim + 1) message as packed P, s and the evidence."""
+    return message[..., : -dim - 1], message[..., -dim - 1 : -1], message[..., -1]
 
 
 def _check_stream(scenario: Scenario, stream: Stream) -> None:
@@ -225,7 +229,7 @@ def _check_stream(scenario: Scenario, stream: Stream) -> None:
         raise RunError("stitched evaluation requires a stream with block ownership")
 
 
-def _evaluate_epoch(scenario, stream, t, rows, fmaps):
+def _evaluate_epoch(scenario, stream, t, rows, fmaps, jittered):
     """One MetricsRecord per agent; each (agent, member) is factorized once.
 
     rows are the agents' states, then the oracle's when w2 is requested.
@@ -248,7 +252,9 @@ def _evaluate_epoch(scenario, stream, t, rows, fmaps):
     if need_w2:
         try:
             oracle = rows[scenario.num_agents]
-            oracle_roots = [posterior_root(factorize(m)) for m in oracle.models]
+            oracle_factors = [factorize(m) for m in oracle.models]
+            jittered.extend(f.jitter > 0.0 for f in oracle_factors)
+            oracle_roots = [posterior_root(f) for f in oracle_factors]
         except Exception as exc:
             raise RunError(f"epoch {t}, centralized oracle: {exc}") from exc
 
@@ -266,6 +272,7 @@ def _evaluate_epoch(scenario, stream, t, rows, fmaps):
                 for m, model in enumerate(agent.models):
                     try:
                         factor = factorize(model)
+                        jittered.append(factor.jitter > 0.0)
                         if need_w2:
                             mu, B = posterior_root(factor)
                             w2_terms.append(wasserstein2_gaussians(mu, B, *oracle_roots[m]))

@@ -10,7 +10,9 @@ The posterior after T batches is Gaussian with
 Each batch contributes an additive increment (P, s) with
 P = sigma_obs^-2 Phi Phi^T and s = sigma_obs^-2 Phi y, which makes the
 recursion online (D += P, eta += s, in place) and makes network-wide fusion
-a plain sum of per-agent increments.
+a plain sum of per-agent increments. The symmetric D and P are held as their
+packed lower triangle, LAPACK's 'L' column-major layout of n(n+1)/2 floats
+(for a symmetric A, its row-major upper triangle).
 
 Predictions and covariance roots of a state come from one Cholesky factor
 D = L L^T (factorize): the predictive variance at phi is |L^-1 phi|^2 plus
@@ -18,9 +20,9 @@ the noise variance, and the root of Sigma is B = L^-1.
 
 Snapshot serialization (see save_state/load_state): little-endian binary,
 magic b"GGPIF001", uint32 dim, float64 obs_variance, float64 prior_variance,
-then D row-major (dim*dim float64) and eta (dim float64). Loading rejects
-short data, non-finite values, an asymmetric D and trailing bytes with a
-ValueError that names the cause.
+then the full D row-major (dim*dim float64) and eta (dim float64). Loading
+rejects short data, non-finite values, an asymmetric D and trailing bytes
+with a ValueError that names the cause, then packs D.
 """
 from __future__ import annotations
 
@@ -68,14 +70,34 @@ def _strict_upper(dim: int) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=8)
+def _packed_layout(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat indices of A[i >= j] in a C-ordered A, and packed offsets of diag(A)."""
+    j, i = np.triu_indices(dim)
+    lower, diagonal = i * dim + j, np.flatnonzero(i == j)
+    lower.flags.writeable = diagonal.flags.writeable = False
+    return lower, diagonal
+
+
+def _lower(D: np.ndarray, dim: int) -> np.ndarray:
+    """A fresh Fortran-ordered dim x dim array whose lower triangle is the packed D."""
+    return lapack.dtpttr(dim, D, uplo="L")[0]
+
+
+def _unpack(D: np.ndarray, dim: int) -> np.ndarray:
+    """The full symmetric dim x dim matrix of the packed D."""
+    A = _lower(D, dim)
+    return np.where(_strict_upper(dim), A.T, A)
+
+
 @dataclass
 class InfoState:
     """Information-form Gaussian posterior of one RF-GP model.
 
-    D and eta may be views into a run's stacked state buffers;
-    apply_increment and apply_forgetting update such arrays in place, so
-    copy a state that must outlive the next update. Single-writer per agent
-    and per ensemble member.
+    D is the packed precision. D and eta may be views into a run's stacked
+    state buffers; apply_increment and apply_forgetting update such arrays
+    in place, so copy a state that must outlive the next update.
+    Single-writer per agent and per ensemble member.
     """
 
     D: np.ndarray = field(repr=False)
@@ -86,18 +108,14 @@ class InfoState:
     def __post_init__(self):
         self.D = np.asarray(self.D, dtype=float)
         self.eta = np.asarray(self.eta, dtype=float)
-        if self.D.ndim != 2 or self.D.shape[0] != self.D.shape[1]:
-            raise ValueError(f"D must be square, got shape {self.D.shape}")
-        if self.eta.shape != (self.D.shape[0],):
-            raise ValueError(
-                f"eta shape {self.eta.shape} inconsistent with D shape {self.D.shape}"
-            )
+        if self.eta.ndim != 1 or self.D.shape != (self.dim * (self.dim + 1) // 2,):
+            raise ValueError(f"D shape {self.D.shape} does not pack eta shape {self.eta.shape}")
         if self.obs_variance <= 0 or self.prior_variance <= 0:
             raise ValueError("variances must be strictly positive")
 
     @property
     def dim(self) -> int:
-        return self.D.shape[0]
+        return self.eta.shape[0]
 
 
 def prior_state(spec: KernelSpec, J: int) -> InfoState:
@@ -105,9 +123,8 @@ def prior_state(spec: KernelSpec, J: int) -> InfoState:
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
     dim = 2 * J
-    D = np.eye(dim) / spec.prior_variance
     return InfoState(
-        D=D,
+        D=np.eye(dim).ravel()[_packed_layout(dim)[0]] / spec.prior_variance,
         eta=np.zeros(dim),
         obs_variance=spec.obs_variance,
         prior_variance=spec.prior_variance,
@@ -117,21 +134,17 @@ def prior_state(spec: KernelSpec, J: int) -> InfoState:
 def apply_increment(D: np.ndarray, eta: np.ndarray, P: np.ndarray, s: np.ndarray) -> None:
     """Add increments in place: D += P, eta += s.
 
-    D (..., dim, dim) and eta (..., dim) are one state's arrays or a stack of
-    them, and P and s must have exactly their shapes. robust_increment forms
-    P exactly symmetric and consensus mixing keeps it so; a P that is not
-    bitwise symmetric is rejected, so a symmetric D stays symmetric without
-    being re-symmetrized.
+    D (..., dim(dim+1)/2) and eta (..., dim) are one state's packed arrays
+    or a stack of them, and P and s must have exactly their shapes.
     """
     P = np.asarray(P, dtype=float)
     s = np.asarray(s, dtype=float)
-    if P.shape != D.shape or s.shape != eta.shape or D.shape[:-1] != eta.shape:
+    n = eta.shape[-1]
+    if (P.shape, s.shape, D.shape) != (D.shape, eta.shape, eta.shape[:-1] + (n * (n + 1) // 2,)):
         raise ValueError(
             f"increment shapes P {P.shape}, s {s.shape} do not match state shapes "
             f"D {D.shape}, eta {eta.shape}"
         )
-    if not np.array_equal(P, np.swapaxes(P, -1, -2)):
-        raise ValueError("increment P is not symmetric")
     D += P
     eta += s
 
@@ -148,36 +161,38 @@ class PosteriorFactor:
     L: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
     obs_variance: float
+    jitter: float = 0.0  # added to the diagonal of D; 0.0 unless a first Cholesky failed
 
     @property
     def dim(self) -> int:
         return self.L.shape[0]
 
 
-def _cholesky(state: InfoState):
-    """SPD factor of D with a single jitter retry on failure."""
-    try:
-        return scipy.linalg.cho_factor(state.D, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        pass
-    jitter = _JITTER_SCALE * np.trace(state.D) / state.dim
-    try:
-        return scipy.linalg.cho_factor(
-            state.D + jitter * np.eye(state.dim), lower=True, check_finite=False
-        )
-    except scipy.linalg.LinAlgError:
-        smallest = float(scipy.linalg.eigvalsh(state.D, check_finite=False)[0])
-        raise NumericalDegeneracyError(
-            f"information matrix is not positive definite even after jitter "
-            f"{jitter:.3e}; smallest eigenvalue {smallest:.6e}"
-        ) from None
-
-
 def factorize(state: InfoState) -> PosteriorFactor:
-    """Cholesky factor of D (one jitter retry) and the posterior mean it gives."""
-    factor = _cholesky(state)
-    mu = scipy.linalg.cho_solve(factor, state.eta, check_finite=False)
-    return PosteriorFactor(L=factor[0], mu=mu, obs_variance=state.obs_variance)
+    """Cholesky factor of D and the posterior mean it gives.
+
+    If D is not numerically SPD, one retry factorizes D + jitter I, and the
+    factor records the jitter. Each attempt unpacks D afresh, since
+    cho_factor overwrites its input.
+    """
+    jitter = 0.0
+    try:
+        L = scipy.linalg.cho_factor(_lower(state.D, state.dim), lower=True, overwrite_a=True,
+                                    check_finite=False)[0]
+    except scipy.linalg.LinAlgError:
+        a = _lower(state.D, state.dim)
+        jitter = _JITTER_SCALE * np.trace(a) / state.dim
+        a[np.diag_indices(state.dim)] += jitter
+        try:
+            L = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
+        except scipy.linalg.LinAlgError:
+            smallest = scipy.linalg.eigvalsh(_lower(state.D, state.dim), check_finite=False)[0]
+            raise NumericalDegeneracyError(
+                f"information matrix is not positive definite even after jitter "
+                f"{jitter:.3e}; smallest eigenvalue {smallest:.6e}"
+            ) from None
+    mu = scipy.linalg.cho_solve((L, True), state.eta, check_finite=False)
+    return PosteriorFactor(L=L, mu=mu, obs_variance=state.obs_variance, jitter=jitter)
 
 
 def posterior_root(factor: PosteriorFactor) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +237,7 @@ def save_state(state: InfoState, fp: BinaryIO) -> None:
     """Write the binary snapshot of one InfoState (layout in module docstring)."""
     fp.write(STATE_MAGIC)
     fp.write(_STATE_HEADER.pack(state.dim, state.obs_variance, state.prior_variance))
-    fp.write(np.ascontiguousarray(state.D, dtype="<f8").tobytes())
+    fp.write(np.ascontiguousarray(_unpack(state.D, state.dim), dtype="<f8").tobytes())
     fp.write(np.ascontiguousarray(state.eta, dtype="<f8").tobytes())
 
 
@@ -252,7 +267,7 @@ def _read_state(fp: BinaryIO) -> InfoState:
     if not np.array_equal(D, D.T):
         raise ValueError(f"snapshot state of dim {dim} has an asymmetric D")
     return InfoState(
-        D=D,
+        D=D.ravel()[_packed_layout(dim)[0]],
         eta=body[dim * dim :].astype(float),
         obs_variance=obs_variance,
         prior_variance=prior_variance,

@@ -6,7 +6,7 @@ e = (y - yhat) / sigma_y against the pre-update predictive distribution
 Huber or Hampel function, and folded into the increment through a diagonal
 weight matrix W:
 
-    P = sigma_obs^-2 Phi W Phi^T,   s = sigma_obs^-2 Phi W y.
+    P = sigma_obs^-2 Phi W Phi^T (packed, as D is),   s = sigma_obs^-2 Phi W y.
 
 Weights of one downweight nothing; a weight of zero deletes the observation.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .info_filter import _strict_upper
+from .info_filter import _packed_layout
 
 __all__ = [
     "RobustConfig",
@@ -116,10 +116,10 @@ def robust_increment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted increment (P, s): P = Phi W Phi^T / s2, s = Phi W y / s2, W = diag(weights).
 
-    P comes from one symmetric rank-k update (dsyrk) of Phi W^1/2 whose
-    triangle is then mirrored, so it is exactly symmetric. With out=(P, s),
-    slices of a gossip message say, the increment is written into them and
-    they are returned; otherwise new arrays are.
+    P comes from one symmetric rank-k update (dsyrk) of Phi W^1/2, whose
+    triangle is gathered into the packed P. With out=(P, s), slices of a
+    gossip message say, the increment is written into them and they are
+    returned; otherwise new arrays are.
     """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -133,18 +133,19 @@ def robust_increment(
     if obs_variance <= 0:
         raise ValueError("obs_variance must be strictly positive")
     dim = Phi.shape[0]
-    P, s = out if out is not None else (np.empty((dim, dim)), np.empty(dim))
-    if P.shape != (dim, dim) or P.dtype != np.float64 or not P.flags.c_contiguous \
-            or s.shape != (dim,):
-        raise ValueError(f"out needs a C-contiguous float64 ({dim}, {dim}) P and a ({dim},) s")
+    packed = dim * (dim + 1) // 2
+    P, s = out if out is not None else (np.empty(packed), np.empty(dim))
+    if P.shape != (packed,) or P.dtype != np.float64 or s.shape != (dim,):
+        raise ValueError(f"out needs a float64 ({packed},) packed P and a ({dim},) s")
     if y.size == 0:
         P.fill(0.0)
         s.fill(0.0)
         return P, s
-    # The BLAS calls take transposed, Fortran-ordered views: nothing is copied,
-    # and dsyrk writes the lower triangle of P through P^T in place.
-    blas.dsyrk(1.0 / obs_variance, (Phi * np.sqrt(weights)).T, beta=0.0, c=P.T,
+    # The BLAS calls take Fortran-ordered views: dsyrk writes the lower triangle
+    # of `full` through full^T. take's indices are in range; mode="clip" skips its copy.
+    full = np.empty((dim, dim))
+    blas.dsyrk(1.0 / obs_variance, (Phi * np.sqrt(weights)).T, beta=0.0, c=full.T,
                trans=1, overwrite_c=1)
-    np.copyto(P, P.T, where=_strict_upper(dim))
+    np.take(full.ravel(), _packed_layout(dim)[0], out=P, mode="clip")
     s[...] = blas.dgemv(1.0 / obs_variance, Phi.T, weights * y, trans=1)
     return P, s

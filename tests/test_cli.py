@@ -62,7 +62,7 @@ class TestRun:
                          "epoch_2_agent_0.bin", "epoch_2_agent_1.bin"]
         states = load_snapshot(out / "snapshots" / "epoch_2_agent_0.bin")
         assert len(states) == 1
-        assert states[0].D.shape == (16, 16)
+        assert states[0].dim == 16 and states[0].D.shape == (136,)
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

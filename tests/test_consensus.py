@@ -12,6 +12,7 @@ from gossipgp import (
     metropolis_weights,
     robust_increment,
 )
+from gossipgp.info_filter import _unpack
 
 
 class TestBuildTopology:
@@ -193,16 +194,17 @@ class TestGossipInvariants:
         assert np.all(np.abs(W.sum(axis=0) - 1.0) <= 1e-14)
         assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-14)
 
-        # Each agent's message: per member a weighted batch increment (an
-        # exactly symmetric, rank-deficient PSD P and a signed s), stacked as
-        # the runner stacks them.
+        # Each agent's message: per member a weighted batch increment (the
+        # packed triangle of a rank-deficient PSD P and a signed s), stacked
+        # as the runner stacks them.
         rng = np.random.default_rng(seed)
-        values = np.empty((K, M, n * n + n))
+        T = n * (n + 1) // 2
+        values = np.empty((K, M, T + n))
         for k in range(K):
             for m in range(M):
                 robust_increment(rng.standard_normal((n, 2)), rng.standard_normal(2),
                                  rng.uniform(size=2), 0.3,
-                                 out=(values[k, m, : n * n].reshape(n, n), values[k, m, n * n :]))
+                                 out=(values[k, m, :T], values[k, m, T:]))
         out = consensus_sum(values, topo, ConsensusConfig(rounds=rounds))
         assert out.shape == values.shape
         assert out.flags.c_contiguous
@@ -221,9 +223,8 @@ class TestGossipInvariants:
         np.testing.assert_allclose(out, loop, rtol=1e-12,
                                    atol=1e-12 * K * np.abs(values).max())
 
-        # Mixing keeps each P bitwise symmetric, as apply_increment requires,
-        # and W^L has nonnegative entries, so each mixed P stays PSD.
-        for Pk in out[:, :, : n * n].reshape(K * M, n, n):
-            assert np.array_equal(Pk, Pk.T)
+        # W^L has nonnegative entries, so each mixed P, unpacked, stays PSD.
+        for packed in out[:, :, :T].reshape(K * M, T):
+            Pk = _unpack(packed, n)
             smallest = np.linalg.eigvalsh(Pk)[0]
             assert smallest >= -1e-12 * np.trace(Pk)

@@ -18,6 +18,12 @@ from gossipgp import (
     sample_frequencies,
 )
 from gossipgp.dynamics import _MIN_UI_NU
+from gossipgp.info_filter import _packed_layout, _unpack
+
+
+def pack(A):
+    """The packed triangle of a symmetric matrix A."""
+    return A.ravel()[_packed_layout(len(A))[0]]
 
 
 def fitted_state(seed=0, prior_variance=1.0, obs_variance=0.2):
@@ -82,16 +88,18 @@ class TestApplyForgetting:
         assert np.array_equal(out.eta, fresh.eta)
 
     def test_b2p_formula(self):
-        # In place, b2p gives exactly the bits of nu D + ((1 - nu) / pv) I.
+        # In place on the packed D, b2p gives exactly the bits of
+        # nu D + ((1 - nu) / pv) I on the full matrix.
         state, spec = fitted_state(prior_variance=2.0)
         nu = 0.7
         out = forgotten(state, DynamicsConfig(mode="b2p", nu=nu))
-        expected_D = nu * state.D + ((1.0 - nu) / 2.0) * np.eye(state.dim)
+        full = _unpack(state.D, state.dim)
+        expected_D = pack(nu * full + ((1.0 - nu) / 2.0) * np.eye(state.dim))
         assert np.array_equal(out.D, expected_D)
         assert np.array_equal(out.eta, nu * state.eta)
 
     def test_stack_with_per_member_prior_variances(self):
-        # One call over a (rows, members, dim, dim) stack equals forgetting
+        # One call over a (rows, members, dim(dim+1)/2) stack equals forgetting
         # each state alone with its member's prior variance.
         states = [[fitted_state(seed=3 * r + m, prior_variance=pv)[0]
                    for m, pv in enumerate((0.5, 2.0, 8.0))] for r in range(2)]
@@ -133,7 +141,8 @@ class TestApplyForgetting:
         cfg = DynamicsConfig(mode="b2p", nu=0.5)
         assert apply_forgetting(D, eta, state.prior_variance, cfg) is None
         assert state.D is D and state.eta is eta
-        assert np.array_equal(D, 0.5 * D0 + (0.5 / state.prior_variance) * np.eye(6))
+        expected = 0.5 * _unpack(D0, 6) + (0.5 / state.prior_variance) * np.eye(6)
+        assert np.array_equal(D, pack(expected))
         assert np.array_equal(eta, 0.5 * eta0)
 
 

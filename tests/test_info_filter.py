@@ -1,10 +1,13 @@
 """Information-filter tests against brute-force Bayesian linear regression."""
 import io
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import lapack
 
 from gossipgp import (
     InfoState,
@@ -22,6 +25,13 @@ from gossipgp import (
     sample_frequencies,
     save_state,
 )
+from gossipgp.harness.runner import load_snapshot, save_snapshot
+from gossipgp.info_filter import _packed_layout, _unpack
+
+
+def pack(A):
+    """The packed triangle of a symmetric matrix A."""
+    return np.asarray(A, dtype=float).ravel()[_packed_layout(len(A))[0]]
 
 
 def increment(Phi, y, obs_variance):
@@ -59,13 +69,14 @@ class TestPriorState:
     def test_unit_prior_is_identity(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,), prior_variance=1.0)
         state = prior_state(spec, J=1)
-        assert np.array_equal(state.D, np.eye(2))
+        assert np.array_equal(state.D, [1.0, 0.0, 1.0])
+        assert np.array_equal(_unpack(state.D, 2), np.eye(2))
         assert np.array_equal(state.eta, np.zeros(2))
 
     def test_prior_variance_25(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,), prior_variance=25.0)
         state = prior_state(spec, J=2)
-        assert np.array_equal(state.D, 0.04 * np.eye(4))
+        assert np.array_equal(_unpack(state.D, 4), 0.04 * np.eye(4))
 
     def test_prior_moments(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,), prior_variance=7.5)
@@ -84,7 +95,7 @@ class TestComputeIncrement:
 
     def test_empty_batch_is_zero(self):
         P, s = increment(np.zeros((4, 0)), np.zeros(0), obs_variance=0.5)
-        assert np.array_equal(P, np.zeros((4, 4)))
+        assert np.array_equal(P, np.zeros(10))
         assert np.array_equal(s, np.zeros(4))
 
     def test_single_observation_hand_case(self):
@@ -94,7 +105,8 @@ class TestComputeIncrement:
         Phi = feature_matrix(fm, np.zeros((1, 1)))
         assert np.array_equal(Phi, np.array([[0.0], [1.0]]))
         P, s = increment(Phi, np.array([2.0]), obs_variance=0.5)
-        assert np.array_equal(P, np.array([[0.0, 0.0], [0.0, 2.0]]))
+        assert np.array_equal(P, np.array([0.0, 0.0, 2.0]))
+        assert np.array_equal(_unpack(P, 2), np.array([[0.0, 0.0], [0.0, 2.0]]))
         assert np.array_equal(s, np.array([0.0, 4.0]))
 
     def test_batch_equals_sum_of_singles(self):
@@ -115,11 +127,13 @@ class TestComputeIncrement:
             increment(np.zeros((4, 2)), np.zeros(2), 0.0)
 
     def test_increment_is_symmetric(self):
+        # The packed P is the triangle of the symmetric Gram Phi Phi^T / s2.
         spec, fm = make_model(J=5, d=2)
         X = np.random.default_rng(2).uniform(size=(10, 2))
         Phi = feature_matrix(fm, X)
         P, _ = increment(Phi, np.ones(10), 0.3)
-        assert np.array_equal(P, P.T)
+        assert P.shape == (55,)
+        np.testing.assert_allclose(_unpack(P, 10), Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
 
 
 class TestApplyIncrement:
@@ -127,7 +141,7 @@ class TestApplyIncrement:
         spec, fm = make_model(J=2)
         state = prior_state(spec, J=2)
         D0, eta0 = state.D.copy(), state.eta.copy()
-        apply_increment(state.D, state.eta, np.zeros((4, 4)), np.zeros(4))
+        apply_increment(state.D, state.eta, np.zeros(10), np.zeros(4))
         assert np.array_equal(state.D, D0)
         assert np.array_equal(state.eta, eta0)
 
@@ -136,9 +150,9 @@ class TestApplyIncrement:
         state = prior_state(spec, J=2)
         D, eta = state.D, state.eta
         D0 = D.copy()
-        assert apply_increment(D, eta, np.eye(4), np.ones(4)) is None
+        assert apply_increment(D, eta, pack(np.eye(4)), np.ones(4)) is None
         assert state.D is D and state.eta is eta
-        assert np.array_equal(D, D0 + np.eye(4))
+        assert np.array_equal(D, D0 + pack(np.eye(4)))
         assert np.array_equal(eta, np.ones(4))
 
     def test_sequential_matches_batch_oracle(self):
@@ -159,9 +173,9 @@ class TestApplyIncrement:
         y = np.concatenate(all_y)
         _, _, D_direct = brute_force_posterior(Phi, y, 0.3, spec.prior_variance)
         eta_direct = Phi @ y / 0.3
-        assert np.linalg.norm(state.D - D_direct) <= 1e-10 * np.linalg.norm(D_direct)
+        D = _unpack(state.D, 12)
+        assert np.linalg.norm(D - D_direct) <= 1e-10 * np.linalg.norm(D_direct)
         assert np.linalg.norm(state.eta - eta_direct) <= 1e-10 * np.linalg.norm(eta_direct)
-        assert np.array_equal(state.D, state.D.T)
 
     def test_commutativity(self):
         spec, fm = make_model(J=4, d=2)
@@ -179,14 +193,14 @@ class TestApplyIncrement:
         assert np.allclose(ab.eta, ba.eta, atol=1e-14)
 
     def test_stack_equals_each_slice(self):
-        # A (2, 3, dim, dim) stack updates exactly as its six states one by one.
+        # A (2, 3, dim(dim+1)/2) stack updates exactly as its six states one by one.
         rng = np.random.default_rng(9)
         Phi = rng.standard_normal((2, 3, 5, 4))
         incs = [[increment(Phi[i, m], rng.standard_normal(4), 0.2) for m in range(3)]
                 for i in range(2)]
         P = np.array([[P for P, _ in row] for row in incs])
         s = np.array([[s for _, s in row] for row in incs])
-        D = np.tile(np.eye(5), (2, 3, 1, 1))
+        D = np.tile(pack(np.eye(5)), (2, 3, 1))
         eta = rng.standard_normal((2, 3, 5))
         D_each, eta_each = D.copy(), eta.copy()
         apply_increment(D, eta, P, s)
@@ -203,32 +217,17 @@ class TestApplyIncrement:
             apply_increment(state.D, state.eta, np.zeros((2, 2)), np.zeros(2))
 
     def test_stack_shape_mismatch_rejected(self):
-        D, eta = np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3))
+        D, eta = np.tile(pack(np.eye(3)), (2, 1)), np.zeros((2, 3))
         with pytest.raises(ValueError, match="do not match state shapes"):
-            apply_increment(D, eta, np.eye(3), np.zeros(3))
+            apply_increment(D, eta, pack(np.eye(3)), np.zeros(3))
         with pytest.raises(ValueError, match="do not match state shapes"):
-            apply_increment(D, eta, np.tile(np.eye(3), (2, 1, 1)), np.zeros((3, 2)))
+            apply_increment(D, eta, D.copy(), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="do not match state shapes"):
-            apply_increment(D, np.zeros((2, 4)), np.tile(np.eye(3), (2, 1, 1)),
-                            np.zeros((2, 4)))
-
-    def test_asymmetric_increment_rejected(self):
-        # One off-diagonal entry one ulp apart is enough; nothing is applied.
-        spec, fm = make_model(J=2)
-        state = prior_state(spec, J=2)
-        P = np.full((4, 4), 0.1)
-        P[2, 1] = np.nextafter(0.1, 1.0)
-        with pytest.raises(ValueError, match="not symmetric"):
-            apply_increment(state.D, state.eta, P, np.ones(4))
-        assert np.array_equal(state.D, np.eye(4))
-        assert np.array_equal(state.eta, np.zeros(4))
-
-    def test_asymmetric_member_of_a_stack_rejected(self):
-        D, eta = np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3))
-        P = np.tile(np.eye(3), (2, 1, 1))
-        P[1, 0, 2] = 1e-3
-        with pytest.raises(ValueError, match="not symmetric"):
-            apply_increment(D, eta, P, np.zeros((2, 3)))
+            apply_increment(D, eta, np.tile(np.eye(3), (2, 1, 1)), eta.copy())
+        # A state whose D does not pack its eta is rejected, whatever P and s.
+        with pytest.raises(ValueError, match="do not match state shapes"):
+            apply_increment(D, np.zeros((2, 4)), D.copy(), np.zeros((2, 4)))
+        assert np.array_equal(D, np.tile(pack(np.eye(3)), (2, 1)))
 
 
 class TestPosteriorMoments:
@@ -250,12 +249,12 @@ class TestPosteriorMoments:
         y = rng.standard_normal(20)
         state = fitted(spec, 5, feature_matrix(fm, X), y, 0.2)
         mu, _ = posterior_root(factorize(state))
-        residual = np.linalg.norm(state.D @ mu - state.eta)
+        residual = np.linalg.norm(_unpack(state.D, 10) @ mu - state.eta)
         assert residual <= 1e-10 * np.linalg.norm(state.eta)
 
     def test_degenerate_matrix_raises_with_eigenvalue(self):
         state = prior_state(KernelSpec(spatial_lengthscales=(1.0,)), J=1)
-        state.D = np.array([[1.0, 0.0], [0.0, -1.0]])
+        state.D = pack([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericalDegeneracyError, match="eigenvalue"):
             factorize(state)
 
@@ -267,11 +266,11 @@ class TestPosteriorMoments:
         state = fitted(spec, 6, feature_matrix(fm, X), y, 0.2)
         factor = factorize(state)
         _, B = posterior_root(factor)
+        D = _unpack(state.D, 12)
         assert np.array_equal(B, np.tril(B))
-        assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T, state.D,
-                           rtol=1e-12, atol=1e-12)
-        assert np.allclose(B @ state.D @ B.T, np.eye(12), atol=1e-10)
-        assert np.allclose(B.T @ B, np.linalg.inv(state.D), rtol=1e-9, atol=1e-12)
+        assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T, D, rtol=1e-12, atol=1e-12)
+        assert np.allclose(B @ D @ B.T, np.eye(12), atol=1e-10)
+        assert np.allclose(B.T @ B, np.linalg.inv(D), rtol=1e-9, atol=1e-12)
 
 
 class TestPredict:
@@ -345,15 +344,34 @@ class TestPredict:
         # uses the factor of D + jitter I, as the mean and root do.
         spec, fm = make_model(J=2, d=1)
         state = prior_state(spec, J=2)
-        state.D = np.diag([1.0, 1.0, 1.0, 0.0])
+        state.D = pack(np.diag([1.0, 1.0, 1.0, 0.0]))
         factor = factorize(state)
-        jittered = state.D + 1e-10 * 0.75 * np.eye(4)
+        jittered = _unpack(state.D, 4) + 1e-10 * 0.75 * np.eye(4)
         assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T, jittered,
                            rtol=0, atol=1e-15)
         Phi = feature_matrix(fm, np.array([[0.3], [-0.8]]))
         _, variances = predict_batch(factor, Phi)
         direct = np.einsum("jn,jk,kn->n", Phi, np.linalg.inv(jittered), Phi)
         assert np.allclose(variances, direct + state.obs_variance, rtol=1e-9)
+
+
+class TestJitter:
+    def test_spd_state_needs_no_jitter(self):
+        spec, fm = make_model(J=3, d=2)
+        X = np.random.default_rng(12).uniform(size=(4, 2))
+        state = fitted(spec, 3, feature_matrix(fm, X), np.ones(4), 0.1)
+        assert factorize(state).jitter == 0.0
+
+    def test_rank_deficient_state_records_its_jitter(self):
+        # tr(D)/n of diag(2, 1, 1, 0) is 1, so the jitter is exactly 1e-10.
+        spec, _ = make_model(J=2, d=1)
+        state = prior_state(spec, J=2)
+        D = np.diag([2.0, 1.0, 1.0, 0.0])
+        state.D = pack(D)
+        factor = factorize(state)
+        assert factor.jitter == 1e-10 * np.trace(D) / 4 == 1e-10
+        assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T,
+                           D + factor.jitter * np.eye(4), rtol=0, atol=1e-15)
 
 
 class TestSerialization:
@@ -391,7 +409,7 @@ class TestSerialization:
 
     def test_non_finite_rejected(self):
         state = fitted_state()
-        state.D[0, 0] = np.nan
+        state.D[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             load_state(io.BytesIO(state_bytes(state)))
         state = fitted_state()
@@ -400,10 +418,32 @@ class TestSerialization:
             load_state(io.BytesIO(state_bytes(state)))
 
     def test_asymmetric_d_rejected(self):
-        state = fitted_state()
-        state.D[0, 1] += 1e-3
+        # A packed state cannot be asymmetric, so D[0, 1] is changed in the bytes.
+        raw = bytearray(state_bytes())
+        at = 8 + 20 + 8 * 1
+        (d01,) = struct.unpack_from("<d", raw, at)
+        struct.pack_into("<d", raw, at, d01 + 1e-3)
         with pytest.raises(ValueError, match="asymmetric"):
-            load_state(io.BytesIO(state_bytes(state)))
+            load_state(io.BytesIO(bytes(raw)))
+
+    def test_snapshot_layout_holds_the_full_row_major_d(self, tmp_path):
+        # The GGPIF001 block of a packed state is the one built by hand with
+        # the full row-major D, and a snapshot file built from such blocks
+        # loads back to the same packed states, bit for bit.
+        state = fitted_state()
+        D = _unpack(state.D, 4)
+        block = (b"GGPIF001" + struct.pack("<Idd", 4, state.obs_variance, state.prior_variance)
+                 + D.astype("<f8").tobytes() + state.eta.astype("<f8").tobytes())
+        assert state_bytes(state) == block
+        path = tmp_path / "hand.bin"
+        path.write_bytes(b"GGPSNAP1" + struct.pack("<I", 2) + block + block)
+        loaded = load_snapshot(path)
+        assert len(loaded) == 2
+        for got in loaded:
+            assert got.D.tobytes() == state.D.tobytes()
+            assert got.eta.tobytes() == state.eta.tobytes()
+        save_snapshot(tmp_path / "again.bin", loaded)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ValueError, match="trailing"):
@@ -438,18 +478,40 @@ def state_bytes(state=None):
     return buf.getvalue()
 
 
+class TestPackedLayout:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=st.floats(allow_nan=False))))
+    def test_round_trip(self, B):
+        # Any symmetric A, signed zeros and infinities included: unpacking its
+        # packed triangle gives A back bit for bit, the packing is LAPACK's
+        # 'L' layout, and the packed diagonal offsets pick exactly diag(A).
+        n = len(B)
+        A = np.where(np.tri(n, dtype=bool), B, B.T)
+        packed = pack(A)
+        assert packed.shape == (n * (n + 1) // 2,)
+        assert _unpack(packed, n).tobytes() == A.tobytes()
+        assert lapack.dtrttp(A, uplo="L")[0].tobytes() == packed.tobytes()
+        assert packed[_packed_layout(n)[1]].tobytes() == np.diag(A).tobytes()
+
+
 class TestValidation:
     def test_info_state_shape_checks(self):
         with pytest.raises(ValueError):
             InfoState(D=np.zeros((2, 3)), eta=np.zeros(2), obs_variance=1.0, prior_variance=1.0)
         with pytest.raises(ValueError):
-            InfoState(D=np.eye(2), eta=np.zeros(3), obs_variance=1.0, prior_variance=1.0)
+            InfoState(D=np.eye(2), eta=np.zeros(2), obs_variance=1.0, prior_variance=1.0)
         with pytest.raises(ValueError):
-            InfoState(D=np.eye(2), eta=np.zeros(2), obs_variance=0.0, prior_variance=1.0)
+            InfoState(D=np.zeros(3), eta=np.zeros(3), obs_variance=1.0, prior_variance=1.0)
+        with pytest.raises(ValueError):
+            InfoState(D=np.zeros(3), eta=np.zeros(2), obs_variance=0.0, prior_variance=1.0)
 
     def test_increment_shape_checks(self):
-        state = InfoState(D=np.eye(2), eta=np.zeros(2), obs_variance=1.0, prior_variance=1.0)
+        state = InfoState(D=pack(np.eye(2)), eta=np.zeros(2), obs_variance=1.0,
+                          prior_variance=1.0)
         with pytest.raises(ValueError):
             apply_increment(state.D, state.eta, np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
-            apply_increment(state.D, state.eta, np.eye(2), np.zeros(3))
+            apply_increment(state.D, state.eta, np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError):
+            apply_increment(state.D, state.eta, pack(np.eye(2)), np.zeros(3))

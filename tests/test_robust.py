@@ -19,6 +19,7 @@ from gossipgp import (
     standardized_residuals,
     weights_for,
 )
+from gossipgp.info_filter import _unpack
 
 
 class TestHuberWeight:
@@ -180,9 +181,9 @@ class TestRobustIncrement:
         y = rng.standard_normal(6)
         Phi = feature_matrix(fm, X)
         P, s = robust_increment(Phi, y, np.ones(6), 0.3)
-        assert np.allclose(P, Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
+        assert P.shape == (36,)
+        assert np.allclose(_unpack(P, 8), Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
         assert np.allclose(s, Phi @ y / 0.3, rtol=1e-14, atol=1e-15)
-        assert np.array_equal(P, P.T)
 
     def test_zero_weight_deletes_observation(self):
         spec = KernelSpec(spatial_lengthscales=(0.5,), obs_variance=0.2)
@@ -205,11 +206,12 @@ class TestRobustIncrement:
         w = np.array([1.0, 0.5])
         P, s = robust_increment(Phi, y, w, obs_variance=0.5)
         W = np.diag(w)
-        assert np.allclose(P, Phi @ W @ Phi.T / 0.5, atol=1e-15)
+        assert np.allclose(_unpack(P, 2), Phi @ W @ Phi.T / 0.5, atol=1e-15)
         assert np.allclose(s, Phi @ W @ y / 0.5, atol=1e-15)
         # P is the Gram of Phi W^1/2, and sqrt(0.5)^2 rounds one ulp above
-        # 0.5; s takes the weights themselves and stays exact.
-        np.testing.assert_array_max_ulp(P, np.array([[2.0, 0.0], [0.0, 4.0]]), maxulp=1)
+        # 0.5; s takes the weights themselves and stays exact. Packed, P is
+        # (P00, P10, P11).
+        np.testing.assert_array_max_ulp(P, np.array([2.0, 0.0, 4.0]), maxulp=1)
         assert np.array_equal(s, np.array([6.0, 8.0]))
 
     def test_downweighting_shrinks_information(self):
@@ -221,34 +223,35 @@ class TestRobustIncrement:
         full_P, _ = robust_increment(Phi, y, np.ones(5), 0.1)
         half_P, _ = robust_increment(Phi, y, np.full(5, 0.5), 0.1)
         # trace measures total added information
-        assert np.trace(half_P) == pytest.approx(0.5 * np.trace(full_P), rel=1e-12)
+        assert np.trace(_unpack(half_P, 6)) == pytest.approx(
+            0.5 * np.trace(_unpack(full_P, 6)), rel=1e-12)
 
     def test_out_writes_into_message_slices(self):
-        # Into slices of a (2, dim*dim + dim + 1) message, as the epoch loop
-        # writes: the same bits as a fresh increment whatever the slices held
-        # (NaN here), and nothing else moves.
+        # Into slices of a (2, dim(dim+1)/2 + dim + 1) message, as the epoch
+        # loop writes: the same bits as a fresh increment whatever the slices
+        # held (NaN here), and nothing else moves.
         rng = np.random.default_rng(11)
         Phi = rng.standard_normal((5, 7))
         y = rng.standard_normal(7)
         w = rng.uniform(size=7)
-        message = np.full((2, 31), np.nan)
-        out = (message[1, :25].reshape(5, 5), message[1, 25:30])
+        message = np.full((2, 21), np.nan)
+        out = (message[1, :15], message[1, 15:20])
         P, s = robust_increment(Phi, y, w, 0.2, out=out)
         assert P is out[0] and s is out[1]
         fresh_P, fresh_s = robust_increment(Phi, y, w, 0.2)
-        assert np.array_equal(message[1, :25].reshape(5, 5), fresh_P)
-        assert np.array_equal(message[1, 25:30], fresh_s)
-        assert np.all(np.isnan(message[0])) and np.isnan(message[1, 30])
+        assert np.array_equal(message[1, :15], fresh_P)
+        assert np.array_equal(message[1, 15:20], fresh_s)
+        assert np.all(np.isnan(message[0])) and np.isnan(message[1, 20])
         robust_increment(Phi[:, :0], y[:0], w[:0], 0.2, out=out)
-        assert np.all(message[1, :30] == 0.0)
+        assert np.all(message[1, :20] == 0.0)
 
     def test_out_rejects_arrays_it_cannot_fill_in_place(self):
         Phi, y, w = np.ones((3, 2)), np.ones(2), np.ones(2)
-        for P, s in ((np.empty((3, 4)), np.empty(3)),
-                     (np.empty((6, 3))[::2], np.empty(3)),
-                     (np.empty((3, 3), dtype=np.float32), np.empty(3)),
-                     (np.empty((3, 3)), np.empty(4))):
-            with pytest.raises(ValueError, match="out needs a C-contiguous float64"):
+        for P, s in ((np.empty(7), np.empty(3)),
+                     (np.empty((3, 3)), np.empty(3)),
+                     (np.empty(6, dtype=np.float32), np.empty(3)),
+                     (np.empty(6), np.empty(4))):
+            with pytest.raises(ValueError, match=r"out needs a float64 \(6,\) packed P"):
                 robust_increment(Phi, y, w, 0.1, out=(P, s))
 
     def test_rejects_out_of_range_weights(self):
@@ -271,5 +274,5 @@ class TestRobustIncrement:
         apply_increment(state.D, state.eta, *robust_increment(Phi, y, w, 0.3))
         D_direct = Phi @ np.diag(w) @ Phi.T / 0.3 + np.eye(8) / 2.0
         eta_direct = Phi @ np.diag(w) @ y / 0.3
-        assert np.allclose(state.D, D_direct, atol=1e-12)
+        assert np.allclose(_unpack(state.D, 8), D_direct, atol=1e-12)
         assert np.allclose(state.eta, eta_direct, atol=1e-12)

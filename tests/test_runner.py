@@ -31,6 +31,7 @@ from gossipgp.harness.runner import (
     save_snapshot,
 )
 from gossipgp.harness.streams import StreamBatch, write_synthetic_weather_csv
+from gossipgp.info_filter import _unpack
 
 
 def make_config(**overrides):
@@ -106,7 +107,9 @@ class TestCompleteGraphExactness:
             assert len(agents) == 4
             for agent in agents:
                 for m in range(2):
-                    assert rel_fro(agent.models[m].D, oracle.models[m].D) <= 1e-10
+                    dim = oracle.models[m].dim
+                    assert rel_fro(_unpack(agent.models[m].D, dim),
+                                   _unpack(oracle.models[m].D, dim)) <= 1e-10
                     assert rel_fro(agent.models[m].eta, oracle.models[m].eta) <= 1e-10
                 assert np.allclose(agent.log_evidence, oracle.log_evidence,
                                    rtol=1e-10, atol=1e-12)
@@ -609,8 +612,69 @@ class TestWorkCounts:
                                   "num_eval_points": n_eval}},
             eval={"metrics": ["rmse", "npll", "w2"], "epochs": [1, 3]},
         )
-        run_scenario(scenario_from_dict(cfg))
+        result = run_scenario(scenario_from_dict(cfg))
         evaluated = 2
+        assert result.jitter_retries == 0
         assert len(factorizations) == epochs * K * M + evaluated * (K * M + M)
         assert len(columns) == epochs * K * M + evaluated * M
         assert sum(columns) == epochs * K * M * batch + evaluated * M * n_eval
+
+    def test_gossip_message_holds_the_packed_triangle(self, monkeypatch):
+        # Each agent sends, per member, the packed P, s and the evidence:
+        # M (n(n+1)/2 + n + 1) floats a round. The unit-weight oracle's
+        # buffer has the same layout.
+        import gossipgp.harness.runner as runner_mod
+
+        messages, buffers = [], []
+        consensus_sum_ = runner_mod.consensus_sum
+        robust_increment_ = runner_mod.robust_increment
+
+        def recorded_consensus_sum(values, topo, cfg):
+            messages.append(values.shape)
+            return consensus_sum_(values, topo, cfg)
+
+        def recorded_robust_increment(*args, out):
+            buffers.append(out[0].base)
+            return robust_increment_(*args, out=out)
+
+        monkeypatch.setattr(runner_mod, "consensus_sum", recorded_consensus_sum)
+        monkeypatch.setattr(runner_mod, "robust_increment", recorded_robust_increment)
+        K, M, J, epochs = 3, 2, 8, 4
+        n = 2 * J
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": K},
+            ensemble={"shared_J": J,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
+            stream={"kind": "synthetic",
+                    "synthetic": {"epochs": epochs, "batch_size": 10,
+                                  "num_eval_points": 20}},
+            eval={"metrics": ["rmse", "w2"], "w2_oracle": "unit"},
+        )
+        run_scenario(scenario_from_dict(cfg))
+        per_agent = M * (n * (n + 1) // 2 + n + 1)
+        assert messages == [(K, M, n * (n + 1) // 2 + n + 1)] * epochs
+        assert np.prod(messages[0][1:]) == per_agent == 2 * 153
+        distinct = {id(b): b for b in buffers}.values()
+        assert len(buffers) == 2 * epochs * K * M and len(distinct) == 2
+        for buffer in distinct:
+            assert buffer.shape == (K, M, n * (n + 1) // 2 + n + 1)
+            assert buffer[0].size == per_agent
+
+    def test_jitter_retries_total_every_factorization(self, monkeypatch):
+        # Local-step, evaluation and oracle factors all count: every third
+        # factorization is reported as jittered here.
+        import gossipgp.harness.runner as runner_mod
+
+        factorize_ = runner_mod.factorize
+        calls = []
+
+        def every_third_jittered(state):
+            factor = factorize_(state)
+            calls.append(None)
+            return dataclasses.replace(factor, jitter=1e-10) if len(calls) % 3 == 0 else factor
+
+        monkeypatch.setattr(runner_mod, "factorize", every_third_jittered)
+        cfg = make_config(eval={"metrics": ["rmse", "w2"], "epochs": [1, 3]})
+        result = run_scenario(scenario_from_dict(cfg))
+        assert len(calls) == 4 * 2 + 2 * (2 + 1)
+        assert result.jitter_retries == len(calls) // 3
