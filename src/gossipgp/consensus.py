@@ -114,7 +114,13 @@ def build_topology(
     else:  # custom
         if custom_edges is None:
             raise ValueError("custom topology requires an edge list")
-        for i, j in custom_edges:
+        for edge in custom_edges:
+            ids = list(edge) if isinstance(edge, (list, tuple, np.ndarray)) else []
+            if len(ids) != 2 or not all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in ids
+            ):
+                raise ValueError(f"custom edge {edge!r} must be a pair of integer agent ids")
+            i, j = ids
             if not (0 <= i < K and 0 <= j < K) or i == j:
                 raise ValueError(f"invalid edge ({i}, {j}) for K={K}")
             A[i, j] = A[j, i] = True

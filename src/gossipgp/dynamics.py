@@ -8,8 +8,8 @@ nu in [0, 1], applied once per time step before the new batch:
 
 b2p re-injects prior precision so information never falls below the prior;
 ui inflates the covariance by 1/nu while leaving the posterior mean exactly
-unchanged. The spatiotemporal mode instead augments inputs with time and
-leaves states untouched, as does static.
+unchanged; static leaves states untouched. Any mode combines with the time
+column that augment_time_matrix appends for a kernel with a temporal scale.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .info_filter import _packed_layout
 
 __all__ = ["DynamicsConfig", "apply_forgetting", "augment_time_matrix"]
 
-MODES = ("static", "b2p", "ui", "spatiotemporal")
+MODES = ("static", "b2p", "ui")
 
 # ui with nu below this would send the precision to numerical zero.
 _MIN_UI_NU = 1e-6
@@ -29,7 +29,7 @@ _MIN_UI_NU = 1e-6
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    """Temporal mode and forgetting coefficient (ignored for static/spatiotemporal)."""
+    """Forgetting mode and coefficient; static takes only nu == 1."""
 
     mode: str = "static"
     nu: float = 1.0
@@ -39,6 +39,8 @@ class DynamicsConfig:
             raise ValueError(f"unknown dynamics mode {self.mode!r}")
         if not 0.0 <= self.nu <= 1.0:
             raise ValueError(f"nu must lie in [0, 1], got {self.nu}")
+        if self.mode == "static" and self.nu != 1.0:
+            raise ValueError(f"static dynamics forgets nothing, so nu must be 1, got {self.nu}")
         if self.mode == "ui" and self.nu < _MIN_UI_NU:
             raise ValueError(
                 f"ui forgetting needs nu >= {_MIN_UI_NU}: nu={self.nu} "
@@ -47,13 +49,13 @@ class DynamicsConfig:
 
 
 def apply_forgetting(D: np.ndarray, eta: np.ndarray, prior_variance, cfg: DynamicsConfig) -> None:
-    """Discount (D, eta) in place per the configured mode; no-op for static modes.
+    """Discount (D, eta) in place per the configured mode; no-op for static or nu == 1.
 
     D (..., dim(dim+1)/2) and eta (..., dim) are one state's packed arrays or
     a stack of them; prior_variance is a scalar or an array that broadcasts
     against their leading shape (one value per ensemble member, say).
     """
-    if cfg.mode in ("static", "spatiotemporal") or cfg.nu == 1.0:
+    if cfg.mode == "static" or cfg.nu == 1.0:
         return
     nu = cfg.nu
     D *= nu

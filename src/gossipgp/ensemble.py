@@ -62,7 +62,7 @@ class EnsembleSpec:
             if m.spatial_dim != d:
                 raise ValueError("all members must share the spatial input dimension")
             if (m.temporal_lengthscale is not None) != temporal:
-                raise ValueError("members must be all static or all spatiotemporal")
+                raise ValueError("members must all have or all lack a temporal lengthscale")
 
     @property
     def num_members(self) -> int:

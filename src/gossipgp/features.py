@@ -120,8 +120,8 @@ def sample_frequencies(spec: KernelSpec, J: int, d: int, seed: int) -> FeatureMa
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     scales = spec.scales()
-    # Draw standard normals first, then scale columns: the spatiotemporal map
-    # is the static map on per-dimension-scaled inputs.
+    # Draw standard normals first, then scale columns: the map with a time
+    # column is the spatial-only map on per-dimension-scaled inputs.
     V = rng.standard_normal((J, scales.size)) / scales[np.newaxis, :]
     return FeatureMap(frequencies=V, num_features=J, seed=seed)
 

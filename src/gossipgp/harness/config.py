@@ -12,11 +12,11 @@ ensemble:
   shared_J: 200
   base_seed: 0
   evidence: consensus                      # consensus | local
-  temporal_lengthscale: null               # required iff dynamics.mode == spatiotemporal
+  temporal_lengthscale: null               # set: inputs get a time column, any dynamics
   members: [{lengthscales: [0.2, 0.2], prior_variance: 1.0, obs_variance: 0.05}]
   # or instead of members:
   # grid: {lengthscales: [0.01, 0.05], prior_variances: [1.0, 25.0], obs_variance: 0.05}
-dynamics: {mode: static, nu: 1.0}          # ui needs nu >= 1e-6
+dynamics: {mode: static, nu: 1.0}          # static (nu 1) | b2p | ui (nu >= 1e-6)
 robust: {kind: none, delta: 1.345, breakpoints: [2.0, 4.0, 8.0]}
 stream:
   kind: grid_file                          # grid_file | synthetic
@@ -36,6 +36,7 @@ eval:
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import yaml
@@ -61,6 +62,16 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
+
+
+def _int(value, key: str) -> int:
+    """value as an int; a bool or a non-integral value is a ConfigError naming key."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -183,7 +194,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
 
     try:
-        seed = int(cfg.get("seed", _DEFAULTS["seed"]))
+        seed = _int(cfg.get("seed", _DEFAULTS["seed"]), "seed")
         topo_cfg = _merge_section("topology", cfg.get("topology"))
         cons_cfg = _merge_section("consensus", cfg.get("consensus"))
         ens_cfg = _merge_section_ensemble(cfg.get("ensemble"))
@@ -194,19 +205,27 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         outlier_cfg = cfg.get("outliers")
 
         topology = build_topology(
-            topo_cfg["kind"], int(topo_cfg["num_agents"]),
+            topo_cfg["kind"], _int(topo_cfg["num_agents"], "topology.num_agents"),
             custom_edges=topo_cfg["custom_edges"],
         )
         if cons_cfg["mode"] not in ("sum", "local"):
             raise ConfigError(
                 f"consensus.mode must be sum or local, got {cons_cfg['mode']!r}"
             )
-        consensus = ConsensusConfig(rounds=int(cons_cfg["rounds"]))
+        consensus = ConsensusConfig(rounds=_int(cons_cfg["rounds"], "consensus.rounds"))
         if cons_cfg["mode"] == "sum" and consensus.rounds == 0 and topology.num_agents > 1:
             raise ConfigError(
                 "consensus.rounds 0 with mode sum gives every agent K times its own "
                 "increment; use consensus.mode local to keep agents independent"
             )
+        temporal = ens_cfg["temporal_lengthscale"]
+        # Legacy spelling of static forgetting with time features, still used by
+        # the benchmark's weather_stream; delete once bench/ is respelled.
+        legacy = dyn_cfg["mode"] == "spatiotemporal"
+        if legacy and temporal is None:
+            raise ConfigError("dynamics.mode spatiotemporal needs ensemble.temporal_lengthscale")
+        if legacy:
+            dyn_cfg["mode"] = "static"
         dynamics = DynamicsConfig(mode=dyn_cfg["mode"], nu=float(dyn_cfg["nu"]))
         bp = rob_cfg["breakpoints"]
         if not (isinstance(bp, (list, tuple)) and len(bp) == 3):
@@ -218,15 +237,6 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         if ens_cfg["evidence"] not in ("consensus", "local"):
             raise ConfigError(
                 f"ensemble.evidence must be consensus or local, got {ens_cfg['evidence']!r}"
-            )
-        temporal = ens_cfg["temporal_lengthscale"]
-        if dynamics.mode == "spatiotemporal" and temporal is None:
-            raise ConfigError(
-                "dynamics.mode spatiotemporal requires ensemble.temporal_lengthscale"
-            )
-        if dynamics.mode != "spatiotemporal" and temporal is not None:
-            raise ConfigError(
-                "ensemble.temporal_lengthscale is only valid with spatiotemporal dynamics"
             )
         stream_source, stream_resolved = _build_stream(stream_cfg, topology.num_agents)
         spatial_dim = (
@@ -309,6 +319,8 @@ def _member_spec(entry: dict, spatial_dim: int, temporal) -> KernelSpec:
 
 
 def _build_ensemble(ens_cfg: dict, spatial_dim: int, temporal) -> EnsembleSpec:
+    shared_J = _int(ens_cfg["shared_J"], "ensemble.shared_J")
+    base_seed = _int(ens_cfg["base_seed"], "ensemble.base_seed")
     if ens_cfg["members"] is not None:
         members = tuple(
             _member_spec(m, spatial_dim, temporal) for m in ens_cfg["members"]
@@ -330,14 +342,10 @@ def _build_ensemble(ens_cfg: dict, spatial_dim: int, temporal) -> EnsembleSpec:
             obs_variance=obs,
             spatial_dim=spatial_dim,
             temporal_lengthscale=None if temporal is None else float(temporal),
-            shared_J=int(ens_cfg["shared_J"]),
-            base_seed=int(ens_cfg["base_seed"]),
+            shared_J=shared_J,
+            base_seed=base_seed,
         )
-    return EnsembleSpec(
-        members=members,
-        shared_J=int(ens_cfg["shared_J"]),
-        base_seed=int(ens_cfg["base_seed"]),
-    )
+    return EnsembleSpec(members=members, shared_J=shared_J, base_seed=base_seed)
 
 
 def _resolved_ensemble(ensemble: EnsembleSpec, ens_cfg: dict) -> dict:
@@ -382,15 +390,15 @@ def _build_stream(stream_cfg, num_agents: int):
         params = SynthConfig(
             kind=synth["kind"],
             num_agents=num_agents,
-            epochs=int(synth["epochs"]),
-            batch_size=int(synth["batch_size"]),
-            spatial_dim=int(synth["spatial_dim"]),
+            epochs=_int(synth["epochs"], "stream.synthetic.epochs"),
+            batch_size=_int(synth["batch_size"], "stream.synthetic.batch_size"),
+            spatial_dim=_int(synth["spatial_dim"], "stream.synthetic.spatial_dim"),
             lengthscale=float(synth["lengthscale"]),
             prior_variance=float(synth["prior_variance"]),
             obs_variance=float(synth["obs_variance"]),
-            true_J=int(synth["true_J"]),
+            true_J=_int(synth["true_J"], "stream.synthetic.true_J"),
             drift_scale=float(synth["drift_scale"]),
-            num_eval_points=int(synth["num_eval_points"]),
+            num_eval_points=_int(synth["num_eval_points"], "stream.synthetic.num_eval_points"),
         )
         return SyntheticSource(params=params), {"kind": "synthetic", "synthetic": synth}
     raise ConfigError(f"stream.kind must be grid_file or synthetic, got {kind!r}")
@@ -412,15 +420,15 @@ def _build_outliers(outlier_cfg) -> OutlierSpec | None:
         region = (tuple(float(v) for v in region[0]), tuple(float(v) for v in region[1]))
     agents = outlier_cfg.get("agents")
     if agents is not None:
-        agents = tuple(int(a) for a in agents)
+        agents = tuple(_int(a, f"outliers.agents[{i}]") for i, a in enumerate(agents))
     return OutlierSpec(
-        epoch=int(outlier_cfg["epoch"]),
+        epoch=_int(outlier_cfg["epoch"], "outliers.epoch"),
         fraction=float(outlier_cfg["fraction"]),
         magnitude_sd=float(outlier_cfg.get("magnitude_sd", 8.0)),
         region=region,
         agents=agents,
         jitter=float(outlier_cfg.get("jitter", 0.25)),
-        seed=int(outlier_cfg.get("seed", 0)),
+        seed=_int(outlier_cfg.get("seed", 0), "outliers.seed"),
     )
 
 
@@ -444,7 +452,7 @@ def _build_eval(eval_cfg: dict) -> EvalConfig:
     if epochs == "all":
         epochs = None
     elif isinstance(epochs, (list, tuple)):
-        epochs = tuple(int(t) for t in epochs)
+        epochs = tuple(_int(t, f"eval.epochs[{i}]") for i, t in enumerate(epochs))
     else:
         raise ConfigError(f"eval.epochs must be 'all' or a list, got {epochs!r}")
     metrics = eval_cfg["metrics"]
@@ -458,7 +466,7 @@ def _build_eval(eval_cfg: dict) -> EvalConfig:
         mode=eval_cfg["mode"],
         metrics=tuple(metrics),
         w2_oracle=eval_cfg["w2_oracle"],
-        snapshot_epochs=tuple(int(t) for t in snapshots),
+        snapshot_epochs=tuple(_int(t, f"eval.snapshots[{i}]") for i, t in enumerate(snapshots)),
     )
 
 

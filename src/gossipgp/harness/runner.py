@@ -97,7 +97,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     spec = scenario.ensemble
     M = spec.num_members
     dim = 2 * spec.shared_J
-    spatiotemporal = scenario.dynamics.mode == "spatiotemporal"
+    # Inputs get a time column exactly when the kernel has a temporal scale.
+    timed = spec.members[0].temporal_lengthscale is not None
 
     need_w2 = "w2" in scenario.eval.metrics
     unit_oracle = need_w2 and scenario.eval.w2_oracle == "unit"
@@ -151,7 +152,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         batches = stream.batches[t]
         for k in range(K):
             batch = batches[k]
-            X_in = augment_time_matrix(batch.X, t) if spatiotemporal else batch.X
+            X_in = augment_time_matrix(batch.X, t) if timed else batch.X
             for m in range(M):
                 try:
                     obs_variance = spec.members[m].obs_variance
@@ -192,7 +193,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 raise RunError(f"epoch {t}, {labels[i]}: {exc}") from exc
 
         if t in eval_set:
-            records.extend(_evaluate_epoch(scenario, stream, t, rows, fmaps, jittered))
+            records.extend(_evaluate_epoch(scenario, stream, t, timed, rows, fmaps, jittered))
         if t in snapshot_set:
             snapshots[t] = copy.deepcopy(rows)
 
@@ -229,7 +230,7 @@ def _check_stream(scenario: Scenario, stream: Stream) -> None:
         raise RunError("stitched evaluation requires a stream with block ownership")
 
 
-def _evaluate_epoch(scenario, stream, t, rows, fmaps, jittered):
+def _evaluate_epoch(scenario, stream, t, timed, rows, fmaps, jittered):
     """One MetricsRecord per agent; each (agent, member) is factorized once.
 
     rows are the agents' states, then the oracle's when w2 is requested.
@@ -243,7 +244,7 @@ def _evaluate_epoch(scenario, stream, t, rows, fmaps, jittered):
     need_w2 = "w2" in want
     if predict:
         X_eval = stream.eval_inputs[t]
-        if scenario.dynamics.mode == "spatiotemporal":
+        if timed:
             X_eval = augment_time_matrix(X_eval, t)
         try:
             Phis = [feature_matrix(fm, X_eval) for fm in fmaps]

@@ -186,7 +186,7 @@ def _robustness_run(path, robust_kind, with_outliers):
         "consensus": {"rounds": 1},
         "ensemble": {"shared_J": 200, "temporal_lengthscale": 4.0,
                      "members": [{"lengthscales": 0.3, "obs_variance": 0.01}]},
-        "dynamics": {"mode": "spatiotemporal"},
+        "dynamics": {"mode": "static"},
         "robust": {"kind": robust_kind},
         "stream": {"kind": "grid_file", "path": str(path)},
         "eval": {"epochs": [47], "mode": "stitched"},
@@ -257,7 +257,7 @@ def test_forgetting_tracks_drifting_field(tmp_path):
             bitwise_ok &= np.array_equal(a.models[0].eta, b.models[0].eta)
 
     # On a drifting stream the static posterior goes stale; discounting old
-    # data (b2p) or modeling time in the kernel must recover accuracy.
+    # data (b2p) or time features in the kernel must recover accuracy.
     static_rmse = {r.t: r.rmse for r in static_res.records if r.agent_id == 0}
     s_final, s_best = static_rmse[39], min(static_rmse.values())
     degrades = s_final >= 2.0 * s_best
@@ -266,7 +266,7 @@ def test_forgetting_tracks_drifting_field(tmp_path):
                  if r.agent_id == 0 and r.t == 39][0]
     sp_final = [r.rmse for r in
                 run_scenario(scenario_from_dict(
-                    _drift_cfg("spatiotemporal", temporal=8.0))).records
+                    _drift_cfg("static", temporal=8.0))).records
                 if r.agent_id == 0 and r.t == 39][0]
     elapsed = time.perf_counter() - t0
     ok = (bitwise_ok and degrades
@@ -275,7 +275,38 @@ def test_forgetting_tracks_drifting_field(tmp_path):
     report("forgetting modes track a drifting field", ok,
            f"nu=1 bitwise identical: {bitwise_ok}, static degrades "
            f"x{s_final / s_best:.1f} >= 2, b2p {b2p_final / s_final:.2f}x <= 0.7, "
-           f"spatiotemporal {sp_final / s_final:.2f}x <= 0.7, {elapsed:.1f}s < 60s")
+           f"time features {sp_final / s_final:.2f}x <= 0.7, {elapsed:.1f}s < 60s")
+
+
+def _weather_worst_rmse(path, dynamics):
+    cfg = {
+        "seed": 0,
+        "topology": {"kind": "complete", "num_agents": 4},
+        "consensus": {"rounds": 1},
+        "ensemble": {"shared_J": 50, "base_seed": 3, "temporal_lengthscale": 4.0,
+                     "members": [{"lengthscales": [0.25, 0.25], "obs_variance": 0.05}]},
+        "dynamics": dynamics,
+        "robust": {"kind": "hampel"},
+        "stream": {"kind": "grid_file", "path": str(path)},
+    }
+    return max(r.rmse for r in run_scenario(scenario_from_dict(cfg)).records)
+
+
+def test_forgetting_keeps_time_features_bounded(tmp_path):
+    # 30x30 sites, 48 epochs of the seasonal weather file, with time features
+    # and Hampel weights. Without forgetting the model loses the seasonal
+    # cycle and Hampel weighting rejects the data; b2p forgetting at nu=0.5
+    # must keep every agent's rmse below 0.1 at every epoch.
+    t0 = time.perf_counter()
+    path = tmp_path / "weather.csv"
+    write_synthetic_weather_csv(path, nlat=30, nlon=30, epochs=48, seed=0)
+    b2p = _weather_worst_rmse(path, {"mode": "b2p", "nu": 0.5})
+    time_only = _weather_worst_rmse(path, {"mode": "static"})
+    elapsed = time.perf_counter() - t0
+    report("b2p forgetting keeps a time-feature model bounded over 48 epochs",
+           b2p < 0.1 and elapsed < 60.0,
+           f"worst rmse with b2p nu=0.5 {b2p:.3f} < 0.1 (time features alone "
+           f"{time_only:.3f}), {elapsed:.1f}s < 60s")
 
 
 def _hampel_slope_bound(x, a, b, c):
@@ -353,7 +384,7 @@ def test_repeat_executions_are_byte_identical(tmp_path):
         "ensemble": {"shared_J": 24, "temporal_lengthscale": 3.0,
                      "members": [{"lengthscales": 0.3},
                                  {"lengthscales": 0.15, "prior_variance": 2.0}]},
-        "dynamics": {"mode": "spatiotemporal"},
+        "dynamics": {"mode": "static"},
         "robust": {"kind": "hampel"},
         "stream": {"kind": "grid_file", "path": str(path)},
         "outliers": {"epoch": 3, "fraction": 0.2, "magnitude_sd": 6.0},

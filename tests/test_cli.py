@@ -73,6 +73,23 @@ class TestRun:
         assert ((out1 / "config_resolved.txt").read_bytes()
                 == (out2 / "config_resolved.txt").read_bytes())
 
+    def test_legacy_spatiotemporal_spelling_runs_as_static(self, tmp_path):
+        # mode spatiotemporal is read as static forgetting with time features:
+        # same metrics.csv bytes as the static spelling, and the echo says static.
+        ensemble = {**BASE["ensemble"], "temporal_lengthscale": 2.0}
+        outs = []
+        for mode in ("spatiotemporal", "static"):
+            cfg = {**BASE, "ensemble": ensemble, "dynamics": {"mode": mode}}
+            outs.append(tmp_path / mode)
+            assert main(["run", write_config(tmp_path, cfg, f"{mode}.yaml"),
+                         "--out", str(outs[-1])]) == 0
+        legacy, static = outs
+        assert (legacy / "metrics.csv").read_bytes() == (static / "metrics.csv").read_bytes()
+        resolved = yaml.safe_load((legacy / "config_resolved.txt").read_text())
+        assert resolved["dynamics"] == {"mode": "static", "nu": 1.0}
+        assert ((legacy / "config_resolved.txt").read_bytes()
+                == (static / "config_resolved.txt").read_bytes())
+
     def test_metric_values_round_trip_exactly(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -120,6 +137,14 @@ class TestExitCodes:
         rc = main(["run", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_non_integer_custom_edge_is_config_error(self, tmp_path, capsys):
+        topology = {"kind": "custom", "num_agents": 2, "custom_edges": [[0, 1.5]]}
+        cfg = write_config(tmp_path, {**BASE, "topology": topology})
+        rc = main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "custom edge [0, 1.5]" in err
 
     def test_bad_snapshot_tokens(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,4 +1,6 @@
 """Scenario schema: defaults, validation, member grammar, resolved echo."""
+import re
+
 import pytest
 import yaml
 
@@ -204,6 +206,42 @@ class TestValidation:
         with pytest.raises(ConfigError):
             scenario_from_dict(minimal(topology={"kind": "torus"}))
 
+    def test_non_integer_custom_edge_wrapped(self):
+        topology = {"kind": "custom", "num_agents": 3, "custom_edges": [[0, 1.5], [1, 2]]}
+        with pytest.raises(ConfigError, match=re.escape("custom edge [0, 1.5]")):
+            scenario_from_dict(minimal(topology=topology))
+
+
+# Every integer-valued key; list keys name their first entry.
+INTEGER_KEYS = [
+    "seed", "topology.num_agents", "consensus.rounds", "ensemble.shared_J",
+    "ensemble.base_seed", "stream.synthetic.epochs", "stream.synthetic.batch_size",
+    "stream.synthetic.spatial_dim", "stream.synthetic.true_J",
+    "stream.synthetic.num_eval_points", "outliers.epoch", "outliers.seed",
+    "outliers.agents[0]", "eval.epochs[0]", "eval.snapshots[0]",
+]
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "3"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+def test_integer_keys_reject_non_integers(key, bad):
+    # int() would truncate 2.7 to 2 and read True as 1; both must fail loudly.
+    cfg = minimal(outliers={"epoch": 1, "fraction": 0.1, "agents": [0]},
+                  eval={"epochs": [1], "snapshots": [1]})
+    *parents, leaf = key.replace("[0]", ".0").split(".")
+    node = cfg
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[int(leaf) if leaf.isdigit() else leaf] = bad
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer")):
+        scenario_from_dict(cfg)
+
+
+def test_integral_float_is_an_integer():
+    sc = scenario_from_dict(minimal(seed=3.0, eval={"epochs": [2.0]}))
+    assert sc.seed == 3 and type(sc.seed) is int
+    assert sc.eval.epochs == (2,)
+
 
 class TestTemporalCoupling:
     def test_spatiotemporal_requires_temporal_lengthscale(self):
@@ -211,17 +249,30 @@ class TestTemporalCoupling:
         with pytest.raises(ConfigError, match="temporal_lengthscale"):
             scenario_from_dict(cfg)
 
-    def test_temporal_lengthscale_requires_spatiotemporal(self):
-        cfg = minimal()
-        cfg["ensemble"]["temporal_lengthscale"] = 4.0
-        with pytest.raises(ConfigError, match="spatiotemporal"):
-            scenario_from_dict(cfg)
+    def test_forgetting_combines_with_temporal_lengthscale(self):
+        for mode in ("b2p", "ui"):
+            cfg = minimal(dynamics={"mode": mode, "nu": 0.5})
+            cfg["ensemble"]["temporal_lengthscale"] = 4.0
+            sc = scenario_from_dict(cfg)
+            assert sc.dynamics.mode == mode and sc.dynamics.nu == 0.5
+            assert all(m.temporal_lengthscale == 4.0 for m in sc.ensemble.members)
 
     def test_coupled_config_sets_member_temporal(self):
-        cfg = minimal(dynamics={"mode": "spatiotemporal"})
+        cfg = minimal()
         cfg["ensemble"]["temporal_lengthscale"] = 4.0
         sc = scenario_from_dict(cfg)
         assert all(m.temporal_lengthscale == 4.0 for m in sc.ensemble.members)
+
+    def test_legacy_spelling_is_static(self):
+        cfg = minimal(dynamics={"mode": "spatiotemporal"})
+        cfg["ensemble"]["temporal_lengthscale"] = 4.0
+        sc = scenario_from_dict(cfg)
+        assert sc.dynamics.mode == "static" and sc.dynamics.nu == 1.0
+        assert sc.resolved["dynamics"] == {"mode": "static", "nu": 1.0}
+        assert sc.resolved == scenario_from_dict(
+            {**cfg, "dynamics": {"mode": "static"}}).resolved
+        with pytest.raises(ConfigError, match="nu must be 1"):
+            scenario_from_dict({**cfg, "dynamics": {"mode": "spatiotemporal", "nu": 0.5}})
 
 
 class TestGridGrammar:

@@ -46,6 +46,11 @@ class TestBuildTopology:
         with pytest.raises(ValueError):
             build_topology("custom", 3, custom_edges=[(0, 0), (0, 1), (1, 2)])
 
+    @pytest.mark.parametrize("edge", [(0, 1.5), (0, 1, 2), (True, 1), "01", 2])
+    def test_edge_that_is_not_an_integer_pair_rejected(self, edge):
+        with pytest.raises(ValueError, match="custom edge .* must be a pair of integer"):
+            build_topology("custom", 3, custom_edges=[edge, (1, 2)])
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             build_topology("torus", 4)

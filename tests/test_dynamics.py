@@ -17,7 +17,7 @@ from gossipgp import (
     robust_increment,
     sample_frequencies,
 )
-from gossipgp.dynamics import _MIN_UI_NU
+from gossipgp.dynamics import _MIN_UI_NU, MODES
 from gossipgp.info_filter import _packed_layout, _unpack
 
 
@@ -49,12 +49,21 @@ def forgotten(state, cfg):
 
 class TestDynamicsConfig:
     def test_valid_modes(self):
-        for mode in ("static", "b2p", "ui", "spatiotemporal"):
+        # The modes are forgetting only; time features are set by the kernel.
+        assert MODES == ("static", "b2p", "ui")
+        DynamicsConfig(mode="static", nu=1.0)
+        for mode in ("b2p", "ui"):
             DynamicsConfig(mode=mode, nu=0.9)
 
     def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            DynamicsConfig(mode="exponential")
+        for mode in ("exponential", "spatiotemporal"):
+            with pytest.raises(ValueError, match="unknown dynamics mode"):
+                DynamicsConfig(mode=mode)
+
+    def test_static_rejects_a_forgetting_coefficient(self):
+        for nu in (0.0, 0.5, 0.9):
+            with pytest.raises(ValueError, match="nu must be 1"):
+                DynamicsConfig(mode="static", nu=nu)
 
     def test_nu_range(self):
         DynamicsConfig(mode="b2p", nu=0.0)
@@ -68,10 +77,9 @@ class TestDynamicsConfig:
 class TestApplyForgetting:
     def test_static_modes_leave_state_unchanged(self):
         state, _ = fitted_state()
-        for mode in ("static", "spatiotemporal"):
-            out = forgotten(state, DynamicsConfig(mode=mode, nu=0.5))
-            assert np.array_equal(out.D, state.D)
-            assert np.array_equal(out.eta, state.eta)
+        out = forgotten(state, DynamicsConfig(mode="static"))
+        assert np.array_equal(out.D, state.D)
+        assert np.array_equal(out.eta, state.eta)
 
     def test_nu_one_is_identity_for_both_modes(self):
         state, _ = fitted_state()

@@ -240,7 +240,7 @@ class TestEvalModes:
             "topology": {"kind": "ring", "num_agents": 4},
             "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
                          "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
-            "dynamics": {"mode": "spatiotemporal"},
+            "dynamics": {"mode": "static"},
             "stream": {"kind": "grid_file", "path": str(path)},
             "eval": {"mode": "stitched", "metrics": ["rmse", "npll"], "snapshots": [0, 1, 2]},
         }
@@ -309,8 +309,9 @@ class TestEvalModes:
                 assert np.isfinite([r.rmse, r.npll]).all()
 
     def test_spatiotemporal_run_produces_finite_metrics(self):
+        # Time features combined with forgetting.
         cfg = make_config(
-            dynamics={"mode": "spatiotemporal"},
+            dynamics={"mode": "b2p", "nu": 0.7},
             ensemble={"shared_J": 8, "temporal_lengthscale": 2.0,
                       "members": [{"lengthscales": 0.4}]},
             stream={"kind": "synthetic",
