@@ -89,10 +89,12 @@ def build_topology(
 
     A ring needs K >= 3 for a proper cycle; K <= 2 degenerates to complete.
     The grid is a near-square 4-neighbor lattice. Custom graphs must be
-    connected.
+    connected; an edge list for any other kind is an error, not ignored.
     """
     if kind not in TOPOLOGY_KINDS:
         raise ValueError(f"unknown topology kind {kind!r}")
+    if custom_edges is not None and kind != "custom":
+        raise ValueError(f"custom_edges needs topology kind custom, not {kind!r}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     A = np.zeros((K, K), dtype=bool)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.special import logsumexp
 
 from .features import FeatureMap, KernelSpec, sample_frequencies
 from .info_filter import InfoState, PosteriorFactor, predict_batch, prior_state
@@ -161,7 +160,11 @@ def mixture_log_density(
     member_variances = np.asarray(member_variances, dtype=float)
     y = np.asarray(y, dtype=float)
     log_pdf = gaussian_log_density(y[np.newaxis, :], member_means, member_variances)
-    return logsumexp(log_pdf, axis=0, b=np.asarray(weights)[:, np.newaxis])
+    # Shift by the largest member term so that exp cannot overflow.
+    top = log_pdf.max(axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    scaled = np.asarray(weights, dtype=float)[:, np.newaxis] * np.exp(log_pdf - top)
+    return top + np.log(scaled.sum(axis=0))
 
 
 def mixture_predict_batch(

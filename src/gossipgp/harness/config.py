@@ -74,6 +74,13 @@ def _int(value, key: str) -> int:
     return int(value)
 
 
+def _float(value, key: str) -> float:
+    """value as a float; a bool or a non-number is a ConfigError naming key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GridFileSource:
     path: str
@@ -219,6 +226,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
                 "increment; use consensus.mode local to keep agents independent"
             )
         temporal = ens_cfg["temporal_lengthscale"]
+        if temporal is not None:
+            temporal = _float(temporal, "ensemble.temporal_lengthscale")
         # Legacy spelling of static forgetting with time features, still used by
         # the benchmark's weather_stream; delete once bench/ is respelled.
         legacy = dyn_cfg["mode"] == "spatiotemporal"
@@ -226,13 +235,13 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             raise ConfigError("dynamics.mode spatiotemporal needs ensemble.temporal_lengthscale")
         if legacy:
             dyn_cfg["mode"] = "static"
-        dynamics = DynamicsConfig(mode=dyn_cfg["mode"], nu=float(dyn_cfg["nu"]))
+        dynamics = DynamicsConfig(mode=dyn_cfg["mode"], nu=_float(dyn_cfg["nu"], "dynamics.nu"))
         bp = rob_cfg["breakpoints"]
         if not (isinstance(bp, (list, tuple)) and len(bp) == 3):
             raise ConfigError(f"robust.breakpoints must be [a, b, c], got {bp!r}")
+        a, b, c = (_float(v, f"robust.breakpoints[{i}]") for i, v in enumerate(bp))
         robust = RobustConfig(
-            kind=rob_cfg["kind"], delta=float(rob_cfg["delta"]),
-            a=float(bp[0]), b=float(bp[1]), c=float(bp[2]),
+            kind=rob_cfg["kind"], delta=_float(rob_cfg["delta"], "robust.delta"), a=a, b=b, c=c,
         )
         if ens_cfg["evidence"] not in ("consensus", "local"):
             raise ConfigError(
@@ -297,24 +306,26 @@ def _merge_section_ensemble(given) -> dict:
     return section
 
 
-def _member_spec(entry: dict, spatial_dim: int, temporal) -> KernelSpec:
+def _member_spec(entry: dict, spatial_dim: int, temporal, key: str) -> KernelSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"ensemble member must be a mapping, got {entry!r}")
     unknown = set(entry) - {"lengthscales", "prior_variance", "obs_variance"}
     if unknown:
         raise ConfigError(f"unknown member keys: {sorted(unknown)}")
     ls = entry.get("lengthscales")
-    if isinstance(ls, (int, float)):
-        ls = [float(ls)] * spatial_dim
+    if isinstance(ls, numbers.Real):
+        ls = [ls] * spatial_dim
     if not isinstance(ls, (list, tuple)) or len(ls) != spatial_dim:
         raise ConfigError(
             f"member lengthscales must be a scalar or a list of {spatial_dim}, got {ls!r}"
         )
     return KernelSpec(
-        spatial_lengthscales=tuple(float(v) for v in ls),
-        temporal_lengthscale=None if temporal is None else float(temporal),
-        prior_variance=float(entry.get("prior_variance", 1.0)),
-        obs_variance=float(entry.get("obs_variance", 0.05)),
+        spatial_lengthscales=tuple(
+            _float(v, f"{key}.lengthscales[{i}]") for i, v in enumerate(ls)
+        ),
+        temporal_lengthscale=temporal,
+        prior_variance=_float(entry.get("prior_variance", 1.0), f"{key}.prior_variance"),
+        obs_variance=_float(entry.get("obs_variance", 0.05), f"{key}.obs_variance"),
     )
 
 
@@ -323,7 +334,8 @@ def _build_ensemble(ens_cfg: dict, spatial_dim: int, temporal) -> EnsembleSpec:
     base_seed = _int(ens_cfg["base_seed"], "ensemble.base_seed")
     if ens_cfg["members"] is not None:
         members = tuple(
-            _member_spec(m, spatial_dim, temporal) for m in ens_cfg["members"]
+            _member_spec(m, spatial_dim, temporal, f"ensemble.members[{i}]")
+            for i, m in enumerate(ens_cfg["members"])
         )
     else:
         grid = ens_cfg["grid"]
@@ -331,17 +343,19 @@ def _build_ensemble(ens_cfg: dict, spatial_dim: int, temporal) -> EnsembleSpec:
         if unknown:
             raise ConfigError(f"unknown keys in ensemble.grid: {sorted(unknown)}")
         try:
-            lengthscales = [float(v) for v in grid["lengthscales"]]
-            prior_variances = [float(v) for v in grid["prior_variances"]]
+            lengthscales = [_float(v, f"ensemble.grid.lengthscales[{i}]")
+                            for i, v in enumerate(grid["lengthscales"])]
+            prior_variances = [_float(v, f"ensemble.grid.prior_variances[{i}]")
+                               for i, v in enumerate(grid["prior_variances"])]
         except KeyError as exc:
             raise ConfigError(f"ensemble.grid is missing {exc}") from None
-        obs = float(grid.get("obs_variance", 0.05))
+        obs = _float(grid.get("obs_variance", 0.05), "ensemble.grid.obs_variance")
         return EnsembleSpec.from_grid(
             lengthscales=lengthscales,
             prior_variances=prior_variances,
             obs_variance=obs,
             spatial_dim=spatial_dim,
-            temporal_lengthscale=None if temporal is None else float(temporal),
+            temporal_lengthscale=temporal,
             shared_J=shared_J,
             base_seed=base_seed,
         )
@@ -393,11 +407,11 @@ def _build_stream(stream_cfg, num_agents: int):
             epochs=_int(synth["epochs"], "stream.synthetic.epochs"),
             batch_size=_int(synth["batch_size"], "stream.synthetic.batch_size"),
             spatial_dim=_int(synth["spatial_dim"], "stream.synthetic.spatial_dim"),
-            lengthscale=float(synth["lengthscale"]),
-            prior_variance=float(synth["prior_variance"]),
-            obs_variance=float(synth["obs_variance"]),
+            lengthscale=_float(synth["lengthscale"], "stream.synthetic.lengthscale"),
+            prior_variance=_float(synth["prior_variance"], "stream.synthetic.prior_variance"),
+            obs_variance=_float(synth["obs_variance"], "stream.synthetic.obs_variance"),
             true_J=_int(synth["true_J"], "stream.synthetic.true_J"),
-            drift_scale=float(synth["drift_scale"]),
+            drift_scale=_float(synth["drift_scale"], "stream.synthetic.drift_scale"),
             num_eval_points=_int(synth["num_eval_points"], "stream.synthetic.num_eval_points"),
         )
         return SyntheticSource(params=params), {"kind": "synthetic", "synthetic": synth}
@@ -417,17 +431,20 @@ def _build_outliers(outlier_cfg) -> OutlierSpec | None:
         raise ConfigError("outliers requires epoch and fraction")
     region = outlier_cfg.get("region")
     if region is not None:
-        region = (tuple(float(v) for v in region[0]), tuple(float(v) for v in region[1]))
+        region = tuple(
+            tuple(_float(v, f"outliers.region[{c}][{i}]") for i, v in enumerate(region[c]))
+            for c in (0, 1)
+        )
     agents = outlier_cfg.get("agents")
     if agents is not None:
         agents = tuple(_int(a, f"outliers.agents[{i}]") for i, a in enumerate(agents))
     return OutlierSpec(
         epoch=_int(outlier_cfg["epoch"], "outliers.epoch"),
-        fraction=float(outlier_cfg["fraction"]),
-        magnitude_sd=float(outlier_cfg.get("magnitude_sd", 8.0)),
+        fraction=_float(outlier_cfg["fraction"], "outliers.fraction"),
+        magnitude_sd=_float(outlier_cfg.get("magnitude_sd", 8.0), "outliers.magnitude_sd"),
         region=region,
         agents=agents,
-        jitter=float(outlier_cfg.get("jitter", 0.25)),
+        jitter=_float(outlier_cfg.get("jitter", 0.25), "outliers.jitter"),
         seed=_int(outlier_cfg.get("seed", 0), "outliers.seed"),
     )
 

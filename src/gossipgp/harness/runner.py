@@ -148,15 +148,25 @@ def run_scenario(scenario: Scenario) -> RunResult:
     for t in stream.epochs:
         apply_forgetting(D, eta, prior_variances, scenario.dynamics)
 
+        # On a grid stream each member's features over the whole grid serve
+        # every batch and the evaluation; otherwise each batch is featurized.
+        grid_Phis = None
+        if stream.batch_rows is not None:
+            grid_Phis = _grid_features(stream.eval_inputs[t], t, timed, fmaps)
+
         # Per-agent local step: weigh residuals, build increments.
         batches = stream.batches[t]
         for k in range(K):
             batch = batches[k]
-            X_in = augment_time_matrix(batch.X, t) if timed else batch.X
+            if grid_Phis is None:
+                X_in = augment_time_matrix(batch.X, t) if timed else batch.X
             for m in range(M):
                 try:
                     obs_variance = spec.members[m].obs_variance
-                    Phi = feature_matrix(fmaps[m], X_in)
+                    if grid_Phis is None:
+                        Phi = feature_matrix(fmaps[m], X_in)
+                    else:
+                        Phi = grid_Phis[m][:, stream.batch_rows[t][k]]
                     factor = factorize(rows[k].models[m])
                     jittered.append(factor.jitter > 0.0)
                     means, variances = predict_batch(factor, Phi)
@@ -193,7 +203,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 raise RunError(f"epoch {t}, {labels[i]}: {exc}") from exc
 
         if t in eval_set:
-            records.extend(_evaluate_epoch(scenario, stream, t, timed, rows, fmaps, jittered))
+            records.extend(_evaluate_epoch(scenario, stream, t, timed, rows, fmaps, jittered,
+                                           grid_Phis))
         if t in snapshot_set:
             snapshots[t] = copy.deepcopy(rows)
 
@@ -230,26 +241,30 @@ def _check_stream(scenario: Scenario, stream: Stream) -> None:
         raise RunError("stitched evaluation requires a stream with block ownership")
 
 
-def _evaluate_epoch(scenario, stream, t, timed, rows, fmaps, jittered):
+def _grid_features(X, t, timed, fmaps):
+    """Each member's feature matrix over the epoch-t evaluation inputs X."""
+    try:
+        X = augment_time_matrix(X, t) if timed else X
+        return [feature_matrix(fm, X) for fm in fmaps]
+    except Exception as exc:
+        raise RunError(f"epoch {t}, features of the evaluation grid: {exc}") from exc
+
+
+def _evaluate_epoch(scenario, stream, t, timed, rows, fmaps, jittered, Phis):
     """One MetricsRecord per agent; each (agent, member) is factorized once.
 
     rows are the agents' states, then the oracle's when w2 is requested.
 
     Each member's features over the whole evaluation grid are built once and
-    shared by all agents; stitched evaluation selects an agent's own columns.
+    shared by all agents (Phis, when the local step already built them);
+    stitched evaluation selects an agent's own columns.
     """
     y_true = stream.eval_truth[t]
     want = scenario.eval.metrics
     predict = "rmse" in want or "npll" in want
     need_w2 = "w2" in want
-    if predict:
-        X_eval = stream.eval_inputs[t]
-        if timed:
-            X_eval = augment_time_matrix(X_eval, t)
-        try:
-            Phis = [feature_matrix(fm, X_eval) for fm in fmaps]
-        except Exception as exc:
-            raise RunError(f"epoch {t}, evaluation features: {exc}") from exc
+    if predict and Phis is None:
+        Phis = _grid_features(stream.eval_inputs[t], t, timed, fmaps)
     if need_w2:
         try:
             oracle = rows[scenario.num_agents]

@@ -1,10 +1,11 @@
 """Data ingestion, partitioning, synthetic streams, and outlier injection.
 
-Grid files are delimited text with a required ``lat,lon,t,value`` header.
-Spatial coordinates are min-max normalized to [0,1]^2, values standardized
-to zero mean and unit variance over the whole file, and the time column is
-kept as raw integer epochs. Space is split into K contiguous rectangular
-blocks, one per agent.
+Grid files are comma-separated text with a required ``lat,lon,t,value``
+header. Spatial coordinates are min-max normalized to [0,1]^2, values
+standardized to zero mean and unit variance over the whole file, and the
+time column is kept as raw integer epochs. Space is split into K contiguous
+rectangular blocks, one per agent; each batch records its rows of the
+epoch's evaluation grid.
 
 Synthetic streams draw a ground-truth function f(x) = phi(x)^T theta* from
 a known random-feature basis; the drifting variant evolves
@@ -64,10 +65,12 @@ class StreamBatch:
 class Stream:
     """Per-epoch per-agent batches plus the evaluation grid and its truth.
 
-    eval_owner[t] maps each evaluation point of epoch t to the agent whose
-    block contains it (grid streams only). output_sd is the output standard
-    deviation in stream units, used to scale injected outlier magnitudes. For
-    synthetic streams, `truth` records the generating basis and weights.
+    Grid streams only: eval_owner[t] maps each evaluation point of epoch t to
+    the agent whose block contains it, and batch_rows[t][k] holds the rows of
+    eval_inputs[t] that make up agent k's batch, so features of the grid
+    serve the batches too. output_sd is the output standard deviation in
+    stream units, used to scale injected outlier magnitudes. For synthetic
+    streams, `truth` records the generating basis and weights.
     """
 
     num_agents: int
@@ -76,8 +79,26 @@ class Stream:
     eval_inputs: dict[int, np.ndarray] = field(repr=False)
     eval_truth: dict[int, np.ndarray] = field(repr=False)
     eval_owner: dict[int, np.ndarray] | None = field(default=None, repr=False)
+    batch_rows: dict[int, list[np.ndarray]] | None = field(default=None, repr=False)
     output_sd: float = 1.0
     truth: dict | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.batch_rows is None:
+            return
+        for t in self.epochs:
+            batches, rows = self.batches[t], self.batch_rows[t]
+            for k, batch in enumerate(batches):
+                try:
+                    same = len(rows) == len(batches) and np.array_equal(
+                        self.eval_inputs[t][rows[k]], batch.X)
+                except IndexError:
+                    same = False
+                if not same:
+                    raise ValueError(
+                        f"epoch {t}, agent {k}: the recorded rows of the evaluation "
+                        f"grid do not reproduce the batch inputs"
+                    )
 
     @property
     def spatial_dim(self) -> int:
@@ -122,22 +143,20 @@ def load_grid_dataset(path, K: int) -> Stream:
     lon_block = lon_rank * cols // uniq_lon.size
     owner = lat_block * cols + lon_block
 
-    epochs = tuple(int(e) for e in np.unique(t_raw))
-    batches: dict[int, list[StreamBatch]] = {}
-    eval_inputs: dict[int, np.ndarray] = {}
-    eval_truth: dict[int, np.ndarray] = {}
-    eval_owner: dict[int, np.ndarray] = {}
-    for t in epochs:
-        in_t = t_raw == t
-        order = np.lexsort((X[in_t, 1], X[in_t, 0]))
-        Xt, yt, ot = X[in_t][order], y[in_t][order], owner[in_t][order]
-        eval_inputs[t] = Xt
-        eval_truth[t] = yt
-        eval_owner[t] = ot
-        batches[t] = [
-            StreamBatch(agent_id=k, t=t, X=Xt[ot == k], y=yt[ot == k])
-            for k in range(K)
-        ]
+    # One stable sort by (epoch, lat, lon), split at the epoch boundaries.
+    order = np.lexsort((X[:, 1], X[:, 0], t_raw))
+    t_raw, X, y, owner = t_raw[order], X[order], y[order], owner[order]
+    epochs, starts = np.unique(t_raw, return_index=True)
+    epochs = tuple(int(e) for e in epochs)
+    eval_inputs = dict(zip(epochs, np.split(X, starts[1:])))
+    eval_truth = dict(zip(epochs, np.split(y, starts[1:])))
+    eval_owner = dict(zip(epochs, np.split(owner, starts[1:])))
+    batch_rows = {t: [np.flatnonzero(eval_owner[t] == k) for k in range(K)] for t in epochs}
+    batches = {
+        t: [StreamBatch(agent_id=k, t=t, X=eval_inputs[t][rows], y=eval_truth[t][rows])
+            for k, rows in enumerate(batch_rows[t])]
+        for t in epochs
+    }
     return Stream(
         num_agents=K,
         epochs=epochs,
@@ -145,48 +164,58 @@ def load_grid_dataset(path, K: int) -> Stream:
         eval_inputs=eval_inputs,
         eval_truth=eval_truth,
         eval_owner=eval_owner,
+        batch_rows=batch_rows,
         output_sd=1.0,
     )
 
 
 def _read_grid_rows(path):
-    lat, lon, t_raw, val = [], [], [], []
+    """The lat, lon, t and value columns of a grid file (a path or a text stream)."""
     if isinstance(path, io.TextIOBase):
-        _parse_grid(path, lat, lon, t_raw, val)
+        text = path.read()
     else:
         with open(path, "r", newline="") as fp:
-            _parse_grid(fp, lat, lon, t_raw, val)
-    if not lat:
-        raise GridParseError("grid file contains no data rows")
-    return (
-        np.asarray(lat),
-        np.asarray(lon),
-        np.asarray(t_raw, dtype=int),
-        np.asarray(val),
-    )
-
-
-def _parse_grid(fp, lat, lon, t_raw, val):
-    reader = csv.reader(fp)
-    header = next(reader, None)
+            text = fp.read()
+    lines = text.splitlines()
+    header = next(csv.reader(lines[:1]), None)
     if header is None or tuple(h.strip() for h in header) != GRID_HEADER:
         raise GridParseError(
             f"expected header {','.join(GRID_HEADER)!r}, got {header!r}"
         )
-    for lineno, row in enumerate(reader, start=2):
+    if not any(map(str.strip, lines[1:])):
+        raise GridParseError("grid file contains no data rows")
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", quotechar='"', comments=None, ndmin=2)
+        if data.shape[1] != len(GRID_HEADER):
+            raise ValueError(f"rows have {data.shape[1]} fields")
+        lat, lon, t, val = data.T
+        if not np.all(np.isfinite(t) & (t == np.trunc(t))):
+            raise ValueError("time must be an integer epoch")
+    except ValueError as exc:
+        raise _parse_error(lines, exc) from None
+    return lat, lon, t.astype(int), val
+
+
+def _parse_error(lines, exc) -> GridParseError:
+    """The error naming the first data line that is not four numbers with an integer epoch.
+
+    This re-scan runs only after the parse of the whole body failed with exc;
+    that error is reported when no single line is at fault.
+    """
+    reader = csv.reader(lines[1:])
+    for row in reader:
         if not row:
             continue
         try:
-            la, lo, tt, vv = row
-            lat.append(float(la))
-            lon.append(float(lo))
-            ti = float(tt)
-            if ti != int(ti):
+            if len(row) != len(GRID_HEADER):
+                raise ValueError(f"expected {len(GRID_HEADER)} fields, got {len(row)}")
+            if not [float(value) for value in row][2].is_integer():
                 raise ValueError("time must be an integer epoch")
-            t_raw.append(int(ti))
-            val.append(float(vv))
-        except ValueError as exc:
-            raise GridParseError(f"line {lineno}: cannot parse row {row!r}: {exc}") from None
+        except ValueError as err:
+            return GridParseError(
+                f"line {reader.line_num + 1}: cannot parse row {row!r}: {err}"
+            )
+    return GridParseError(f"cannot parse the grid rows: {exc}")
 
 
 @dataclass(frozen=True)

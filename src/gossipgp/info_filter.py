@@ -16,7 +16,9 @@ packed lower triangle, LAPACK's 'L' column-major layout of n(n+1)/2 floats
 
 Predictions and covariance roots of a state come from one Cholesky factor
 D = L L^T (factorize): the predictive variance at phi is |L^-1 phi|^2 plus
-the noise variance, and the root of Sigma is B = L^-1.
+the noise variance, and the root of Sigma is B = L^-1. A prediction at N
+points forms Z = L^-1 Phi by a triangular solve when N < n, and as B Phi, a
+triangular product after one inversion (posterior_root), when N >= n.
 
 Snapshot serialization (see save_state/load_state): little-endian binary,
 magic b"GGPIF001", uint32 dim, float64 obs_variance, float64 prior_variance,
@@ -214,7 +216,9 @@ def predict_batch(
     """Predictive means and variances at the columns of the feature matrix Phi.
 
     mean_i = phi_i^T mu and var_i = |L^-1 phi_i|^2 + sigma_obs^2, since
-    phi^T Sigma phi = |L^-1 phi|^2 with D = L L^T: one triangular solve.
+    phi^T Sigma phi = |L^-1 phi|^2 with D = L L^T. Z = L^-1 Phi is one
+    triangular solve below N = n points, and B Phi with B = L^-1 from N = n
+    on, where the product is the faster of the two.
     """
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2 or Phi.shape[0] != factor.dim:
@@ -223,10 +227,14 @@ def predict_batch(
         )
     if Phi.shape[1] == 0:
         return np.zeros(0), np.zeros(0)
-    # Phi^T is a Fortran-ordered view, so BLAS reads it in place; the solve
-    # returns Z^T = Phi^T L^-T, whose transpose Z = L^-1 Phi is C-ordered.
+    # Phi^T is a Fortran-ordered view, so BLAS reads it in place; both paths
+    # return Z^T = Phi^T L^-T, whose transpose Z = L^-1 Phi is C-ordered.
     means = blas.dgemv(1.0, Phi.T, factor.mu)
-    Z = blas.dtrsm(1.0, factor.L, Phi.T, side=1, lower=1, trans_a=1).T
+    if Phi.shape[1] >= factor.dim:
+        B = posterior_root(factor)[1]
+        Z = blas.dtrmm(1.0, B, Phi.T, side=1, lower=1, trans_a=1).T
+    else:
+        Z = blas.dtrsm(1.0, factor.L, Phi.T, side=1, lower=1, trans_a=1).T
     variances = np.einsum("jn,jn->n", Z, Z) + factor.obs_variance
     if not np.all(np.isfinite(variances)):
         raise NumericalDegeneracyError("predictive variance overflows")

@@ -146,6 +146,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "custom edge [0, 1.5]" in err
 
+    def test_custom_edges_on_a_ring_is_config_error(self, tmp_path, capsys):
+        topology = {"kind": "ring", "num_agents": 4, "custom_edges": [[0, 2]]}
+        cfg = write_config(tmp_path, {**BASE, "topology": topology})
+        rc = main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "custom_edges" in err
+
     def test_bad_snapshot_tokens(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["run", cfg, "--out", str(tmp_path / "o"), "--snapshots", "a,b"])

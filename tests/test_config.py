@@ -1,4 +1,5 @@
 """Scenario schema: defaults, validation, member grammar, resolved echo."""
+import copy
 import re
 
 import pytest
@@ -206,6 +207,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             scenario_from_dict(minimal(topology={"kind": "torus"}))
 
+    @pytest.mark.parametrize("kind", ["ring", "complete", "grid"])
+    def test_custom_edges_need_the_custom_kind(self, kind):
+        topology = {"kind": kind, "num_agents": 4, "custom_edges": [[0, 2]]}
+        with pytest.raises(ConfigError, match=f"custom_edges needs topology kind custom, not '{kind}'"):
+            scenario_from_dict(minimal(topology=topology))
+
     def test_non_integer_custom_edge_wrapped(self):
         topology = {"kind": "custom", "num_agents": 3, "custom_edges": [[0, 1.5], [1, 2]]}
         with pytest.raises(ConfigError, match=re.escape("custom edge [0, 1.5]")):
@@ -235,6 +242,54 @@ def test_integer_keys_reject_non_integers(key, bad):
     node[int(leaf) if leaf.isdigit() else leaf] = bad
     with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer")):
         scenario_from_dict(cfg)
+
+
+# Every float-valued key, with the scenario it is set in; list keys name
+# their first entry.
+FLOAT_KEYS = [
+    ("dynamics.nu", {"dynamics": {"mode": "b2p"}}),
+    ("robust.delta", {}),
+    ("robust.breakpoints[0]", {"robust": {"breakpoints": [2.0, 4.0, 8.0]}}),
+    ("ensemble.temporal_lengthscale", {}),
+    ("ensemble.members[0].lengthscales[0]", {"ensemble": {"members": [
+        {"lengthscales": [0.3, 0.3]}]}}),
+    ("ensemble.members[0].prior_variance", {}),
+    ("ensemble.members[0].obs_variance", {}),
+    ("ensemble.grid.lengthscales[0]", {"ensemble": {"grid": {
+        "lengthscales": [0.3], "prior_variances": [1.0]}}}),
+    ("ensemble.grid.prior_variances[0]", {"ensemble": {"grid": {
+        "lengthscales": [0.3], "prior_variances": [1.0]}}}),
+    ("ensemble.grid.obs_variance", {"ensemble": {"grid": {
+        "lengthscales": [0.3], "prior_variances": [1.0]}}}),
+    ("stream.synthetic.lengthscale", {}),
+    ("stream.synthetic.prior_variance", {}),
+    ("stream.synthetic.obs_variance", {}),
+    ("stream.synthetic.drift_scale", {}),
+    ("outliers.fraction", {"outliers": {"epoch": 1, "fraction": 0.1}}),
+    ("outliers.magnitude_sd", {"outliers": {"epoch": 1, "fraction": 0.1}}),
+    ("outliers.jitter", {"outliers": {"epoch": 1, "fraction": 0.1}}),
+    ("outliers.region[0][0]", {"outliers": {"epoch": 1, "fraction": 0.1,
+                                            "region": [[0.0, 0.0], [1.0, 1.0]]}}),
+]
+
+
+@pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("key, overrides", FLOAT_KEYS, ids=[k for k, _ in FLOAT_KEYS])
+def test_float_keys_reject_bools_and_strings(key, overrides, bad):
+    # float() would read True as 1.0 and "0.5" as 0.5; both must fail loudly.
+    cfg = minimal(**copy.deepcopy(overrides))
+    node = cfg
+    *parents, leaf = [int(p) if p.isdigit() else p for p in re.findall(r"\w+", key)]
+    for name in parents:
+        node = node[name] if isinstance(node, list) else node.setdefault(name, {})
+    node[leaf] = bad
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be a number")):
+        scenario_from_dict(cfg)
+
+
+def test_scalar_lengthscale_rejects_a_bool():
+    with pytest.raises(ConfigError, match=re.escape("ensemble.members[0].lengthscales[0]")):
+        scenario_from_dict(minimal(ensemble={"members": [{"lengthscales": True}]}))
 
 
 def test_integral_float_is_an_integer():

@@ -1,8 +1,15 @@
 """Ensemble bookkeeping: shared bases, evidence weighting, mixture predictions."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import norm
 
+import gossipgp
 from gossipgp import (
     EnsembleSpec,
     KernelSpec,
@@ -216,6 +223,34 @@ class TestMixturePrediction:
             + w[1] * norm.pdf(y, mm[1], np.sqrt(mv[1]))
         )
         assert np.allclose(ours, direct, atol=1e-12)
+
+    def test_mixture_log_density_in_the_far_tail(self):
+        # Log-densities near -1e4 underflow exp(); the shifted sum keeps them.
+        w = np.array([0.2, 0.5, 0.3])
+        mm = np.array([[0.0, 3.0], [1.0, -2.0], [-1.0, -3.0]])
+        mv = np.array([[1e-4, 2e-4], [3e-4, 1e-4], [2e-4, 5e-4]])
+        y = np.array([2.0, 1.0])
+        ours = mixture_log_density(w, mm, mv, y)
+        log_pdf = -0.5 * (np.log(2.0 * np.pi * mv) + (y - mm) ** 2 / mv)
+        assert np.all(log_pdf < -1e3)
+        assert np.allclose(ours, logsumexp(log_pdf, axis=0, b=w[:, np.newaxis]),
+                           rtol=1e-14, atol=0)
+
+    def test_one_member_mixture_is_its_gaussian(self):
+        mm, mv, y = np.array([[0.3, -1.0]]), np.array([[0.5, 2.0]]), np.array([1.0, 0.0])
+        ours = mixture_log_density(np.ones(1), mm, mv, y)
+        assert np.array_equal(ours, -0.5 * (np.log(2.0 * np.pi * mv[0])
+                                            + (y - mm[0]) ** 2 / mv[0]))
+
+    def test_runner_import_leaves_scipy_special_out(self):
+        # scipy.special costs tens of milliseconds to import; nothing a run
+        # needs comes from it.
+        src = str(Path(gossipgp.__file__).resolve().parents[1])
+        code = "import sys, gossipgp.harness.runner; print('scipy.special' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_batch_prediction_log_density(self):
         spec = two_member_spec(J=3)

@@ -333,6 +333,32 @@ class TestPredict:
         with pytest.raises(NumericalDegeneracyError, match="variance overflows"):
             predict_batch(factor, feature_matrix(fm, np.array([[0.3]])))
 
+    @pytest.mark.parametrize("N", [7, 8, 9, 40])
+    def test_solve_and_product_paths_agree(self, N):
+        # At dim n = 8, a batch of N >= n points takes the product with
+        # B = L^-1 and a single point the triangular solve; every point must
+        # get the same prediction either way.
+        spec, fm = make_model(J=4, d=2)
+        rng = np.random.default_rng(11)
+        X = rng.uniform(size=(30, 2))
+        state = fitted(spec, 4, feature_matrix(fm, X), rng.standard_normal(30), 0.1)
+        factor = factorize(state)
+        Phi = feature_matrix(fm, rng.uniform(size=(N, 2)))
+        means, variances = predict_batch(factor, Phi)
+        single = [predict_batch(factor, Phi[:, i : i + 1]) for i in range(N)]
+        assert np.allclose(means, [m[0] for m, _ in single], rtol=1e-12, atol=0)
+        assert np.allclose(variances, [v[0] for _, v in single], rtol=1e-12, atol=0)
+        Sigma = np.linalg.inv(_unpack(state.D, 8))
+        direct = np.einsum("jn,jk,kn->n", Phi, Sigma, Phi) + 0.1
+        assert np.allclose(variances, direct, rtol=1e-10, atol=0)
+
+    def test_variance_overflow_raises_on_the_product_path(self):
+        spec, fm = make_model(J=2, d=1)
+        factor = PosteriorFactor(L=1e-200 * np.eye(4), mu=np.zeros(4), obs_variance=0.1)
+        Phi = feature_matrix(fm, np.linspace(0.0, 1.0, 4)[:, np.newaxis])
+        with pytest.raises(NumericalDegeneracyError, match="variance overflows"):
+            predict_batch(factor, Phi)
+
     def test_feature_dim_mismatch_rejected(self):
         spec, fm = make_model(J=3, d=2)
         factor = factorize(prior_state(spec, J=4))

@@ -308,6 +308,34 @@ class TestEvalModes:
             else:
                 assert np.isfinite([r.rmse, r.npll]).all()
 
+    @pytest.mark.parametrize("mode", ["global", "stitched"])
+    def test_grid_features_equal_per_batch_features(self, monkeypatch, tmp_path, mode):
+        # The same grid stream without its recorded rows is featurized batch
+        # by batch; the results agree to rounding.
+        import gossipgp.harness.runner as runner_mod
+
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=3, seed=4)
+        cfg = {
+            "topology": {"kind": "ring", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
+                         "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+            "robust": {"kind": "hampel"},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"mode": mode, "metrics": ["rmse", "npll", "w2"]},
+        }
+        shared = run_scenario(scenario_from_dict(cfg))
+        monkeypatch.setattr(
+            runner_mod, "materialize_stream",
+            lambda sc: dataclasses.replace(materialize_stream(sc), batch_rows=None),
+        )
+        per_batch = run_scenario(scenario_from_dict(cfg))
+        assert len(shared.records) == len(per_batch.records) == 4 * 3
+        for a, b in zip(shared.records, per_batch.records):
+            assert (a.t, a.agent_id) == (b.t, b.agent_id)
+            assert np.allclose([a.rmse, a.npll, a.w2_to_centralized],
+                               [b.rmse, b.npll, b.w2_to_centralized], rtol=1e-12, atol=0)
+
     def test_spatiotemporal_run_produces_finite_metrics(self):
         # Time features combined with forgetting.
         cfg = make_config(
@@ -619,6 +647,37 @@ class TestWorkCounts:
         assert len(factorizations) == epochs * K * M + evaluated * (K * M + M)
         assert len(columns) == epochs * K * M + evaluated * M
         assert sum(columns) == epochs * K * M * batch + evaluated * M * n_eval
+
+    @pytest.mark.parametrize("evaluated", [[1, 3], []], ids=["some_epochs", "no_epoch"])
+    def test_grid_stream_featurizes_the_grid_once_per_member_and_epoch(
+        self, monkeypatch, tmp_path, evaluated
+    ):
+        # On a grid stream the local steps and the evaluation share one
+        # feature matrix per member over the whole grid, whether or not the
+        # epoch is evaluated.
+        import gossipgp.harness.runner as runner_mod
+
+        columns = []
+        feature_matrix_ = runner_mod.feature_matrix
+
+        def counted_feature_matrix(fm, X):
+            columns.append(X.shape[0])
+            return feature_matrix_(fm, X)
+
+        monkeypatch.setattr(runner_mod, "feature_matrix", counted_feature_matrix)
+        path = tmp_path / "w.csv"
+        epochs, M = 4, 2
+        write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=epochs, seed=1)
+        cfg = {
+            "topology": {"kind": "ring", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
+                         "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"metrics": ["rmse", "npll", "w2"], "epochs": evaluated},
+        }
+        result = run_scenario(scenario_from_dict(cfg))
+        assert len(result.records) == 4 * len(evaluated)
+        assert columns == [48] * (epochs * M)
 
     def test_gossip_message_holds_the_packed_triangle(self, monkeypatch):
         # Each agent sends, per member, the packed P, s and the evidence:

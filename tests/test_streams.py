@@ -1,4 +1,8 @@
 """Grid ingestion, spatial partitioning, synthetic streams, outlier injection."""
+import csv
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,7 @@ from gossipgp.harness.streams import (
     synth_stream,
     synthetic_weather_table,
     write_synthetic_weather_csv,
+    _read_grid_rows,
 )
 
 
@@ -129,6 +134,109 @@ class TestGridLoader:
         for t in stream.epochs:
             assert stream.eval_inputs[t].shape == (16, 2)
             assert stream.eval_truth[t].shape == (16,)
+
+
+def stream_arrays(stream):
+    """Every array a grid stream holds, epoch by epoch, in a fixed order."""
+    out = []
+    for t in stream.epochs:
+        out += [stream.eval_inputs[t], stream.eval_truth[t], stream.eval_owner[t]]
+        out += [a for b in stream.batches[t] for a in (b.X, b.y)]
+        out += stream.batch_rows[t]
+    return out
+
+
+class TestGridReader:
+    """Spellings that a CSV reader accepts load to the same arrays; errors name file lines."""
+
+    @pytest.fixture
+    def plain(self, tmp_path):
+        return write_grid(tmp_path / "plain.csv", nlat=4, nlon=3, epochs=2,
+                          value_fn=lambda i, j, t: 0.25 * i - 1.5 * j + t / 3.0)
+
+    @pytest.mark.parametrize("respell", [
+        lambda lines: "\r\n".join(lines) + "\r\n",
+        lambda lines: "\r".join(lines) + "\r",
+        lambda lines: "\n\n".join(lines) + "\n\n",
+        lambda lines: "\n".join(" " + " , ".join(line.split(",")) + " " for line in lines),
+        lambda lines: "\n".join(",".join(f'"{v}"' for v in line.split(",")) for line in lines),
+    ], ids=["crlf", "cr", "blank_lines", "spaces_around_fields", "quoted_numbers"])
+    def test_accepted_spellings_load_to_the_same_arrays(self, plain, tmp_path, respell):
+        path = tmp_path / "respelled.csv"
+        path.write_bytes(respell(plain.read_text().splitlines()).encode())
+        want, got = load_grid_dataset(plain, K=2), load_grid_dataset(path, K=2)
+        assert got.epochs == want.epochs == (0, 1)
+        for a, b in zip(stream_arrays(got), stream_arrays(want), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_columns_equal_a_row_by_row_reader(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=7, nlon=5, epochs=3, seed=2)
+        with open(path, newline="") as fp:
+            rows = [row for row in list(csv.reader(fp))[1:] if row]
+        want = [np.array([float(row[i]) for row in rows]) for i in range(4)]
+        got = _read_grid_rows(path)
+        assert got[2].dtype.kind == "i"
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_text_stream_loads_like_its_file(self, plain):
+        got = load_grid_dataset(io.StringIO(plain.read_text()), K=2)
+        for a, b in zip(stream_arrays(got), stream_arrays(load_grid_dataset(plain, K=2)),
+                        strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad_row, line, reason", [
+        ("41,61,0", 5, "expected 4 fields, got 3"),
+        ("41,61,0,2.5,9", 5, "expected 4 fields, got 5"),
+        ("41,61,0.5,2.5", 5, "time must be an integer epoch"),
+        ("41,61,nan,2.5", 5, "time must be an integer epoch"),
+        ("41,61,inf,2.5", 5, "time must be an integer epoch"),
+        ("41,sixty,0,2.5", 5, "could not convert"),
+    ])
+    def test_bad_row_names_its_file_line(self, tmp_path, bad_row, line, reason):
+        # Blank lines come before the bad row, so its file line is not its
+        # data-row count.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"lat,lon,t,value\n\n40,60,0,1.5\n\n{bad_row}\n40,61,0,3.5\n")
+        with pytest.raises(GridParseError, match=f"^line {line}: .*{reason}"):
+            load_grid_dataset(path, K=1)
+
+    def test_blank_body_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("lat,lon,t,value\n\n  \n")
+        with pytest.raises(GridParseError, match="no data rows"):
+            load_grid_dataset(path, K=1)
+
+
+class TestBatchRows:
+    def test_grid_batches_are_their_rows_of_the_grid(self, tmp_path):
+        stream = load_grid_dataset(write_grid(tmp_path / "g.csv", nlat=6, nlon=4), K=4)
+        for t in stream.epochs:
+            rows = stream.batch_rows[t]
+            assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(24))
+            for k, batch in enumerate(stream.batches[t]):
+                assert np.array_equal(stream.eval_inputs[t][rows[k]], batch.X)
+                assert np.array_equal(stream.eval_owner[t][rows[k]], np.full(6, k))
+
+    def test_synthetic_streams_record_no_rows(self):
+        assert synth_stream(SynthConfig(num_agents=2, epochs=2), seed=0).batch_rows is None
+
+    def test_outliers_keep_the_rows(self, tmp_path):
+        stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=4)
+        hit = inject_outliers(stream, OutlierSpec(epoch=1, fraction=1.0))
+        assert hit.batch_rows is stream.batch_rows
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows: rows[::-1],
+        lambda rows: rows[:-1],
+        lambda rows: [r + 100 for r in rows],
+    ], ids=["swapped", "missing", "out_of_range"])
+    def test_rows_that_do_not_give_the_batch_are_rejected(self, tmp_path, corrupt):
+        stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=4)
+        batch_rows = {**stream.batch_rows, 1: corrupt(stream.batch_rows[1])}
+        with pytest.raises(ValueError, match="epoch 1, agent 0: the recorded rows"):
+            dataclasses.replace(stream, batch_rows=batch_rows)
 
 
 class TestSynthStream:
