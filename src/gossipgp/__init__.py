@@ -8,7 +8,7 @@ On top of that sit robust residual reweighing, forgetting schemes for
 drifting targets, and evidence-weighted hyperparameter ensembles.
 """
 
-from .features import KernelSpec, FeatureMap, sample_frequencies, feature_matrix
+from .features import KernelSpec, FeatureMap, sample_frequencies, feature_matrix, shift_time
 from .info_filter import (
     InfoState,
     PosteriorFactor,
@@ -56,6 +56,7 @@ __all__ = [
     "FeatureMap",
     "sample_frequencies",
     "feature_matrix",
+    "shift_time",
     "InfoState",
     "PosteriorFactor",
     "NumericalDegeneracyError",

@@ -9,6 +9,16 @@ For an ARD RBF kernel with lengthscales l_1..l_d the spectral density is
 N(0, diag(1/l_1^2, ..., 1/l_d^2)); a temporal lengthscale appends one more
 column with scale 1/l_t (product kernel k_s * k_t).
 
+Time enters the projection additively, x^T v_j + t v_{j,time} with the time
+column last, so shifting the time by t rotates each frequency's (sin, cos)
+row pair by the angle a_j = v_{j,time} t:
+
+    sin(p + a_j) = sin(p) cos(a_j) + cos(p) sin(a_j)
+    cos(p + a_j) = cos(p) cos(a_j) - sin(p) sin(a_j)
+
+So features of fixed sites, built once at t = 0, give their features at any
+t through shift_time: elementwise passes with no trigonometry per site.
+
 All agents of a network must evaluate the same basis, so frequency sampling
 is strictly deterministic in (spec, J, seed).
 """
@@ -24,6 +34,7 @@ __all__ = [
     "FeatureMap",
     "sample_frequencies",
     "feature_matrix",
+    "shift_time",
 ]
 
 
@@ -144,3 +155,37 @@ def feature_matrix(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
     Phi[1::2, :] = np.cos(proj)
     Phi /= np.sqrt(J)
     return Phi
+
+
+def shift_time(fm: FeatureMap, Phi0: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+    """Write into out the features at time t of the inputs Phi0 was built for at t = 0.
+
+    Phi0 is feature_matrix(fm, X) for inputs X whose last column, the time,
+    is 0; out (same shape, not overlapping Phi0) receives what
+    feature_matrix(fm, X) would give with that column set to t, up to the
+    rounding of the angles. At t = 0 out is a bitwise copy of Phi0.
+    """
+    Phi0 = np.asarray(Phi0)
+    J = fm.num_features
+    if Phi0.ndim != 2 or Phi0.shape[0] != 2 * J:
+        raise ValueError(f"Phi0 must be a {2 * J} x N feature matrix, got shape {Phi0.shape}")
+    if out.shape != Phi0.shape or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a float64 array of shape {Phi0.shape}, "
+            f"got {out.dtype} of shape {out.shape}"
+        )
+    if np.may_share_memory(out, Phi0):
+        raise ValueError("out must not overlap Phi0")
+    if t == 0:  # exactly Phi0, signed zeros included
+        np.copyto(out, Phi0)
+        return out
+    angle = fm.frequencies[:, -1] * float(t)
+    c, s = np.cos(angle)[:, np.newaxis], np.sin(angle)[:, np.newaxis]
+    S0, C0, S, C = Phi0[0::2], Phi0[1::2], out[0::2], out[1::2]
+    np.multiply(S0, c, out=S)
+    scratch = np.multiply(C0, s)
+    S += scratch
+    np.multiply(C0, c, out=C)
+    np.multiply(S0, s, out=scratch)
+    C -= scratch
+    return out

@@ -113,20 +113,28 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--param must look like key.path=v1,v2 (got {args.param!r})")
     dotted, _, raw_values = args.param.partition("=")
     dotted = dotted.strip()
-    values = [yaml.safe_load(tok) for tok in raw_values.split(",") if tok.strip() != ""]
-    if not dotted or not values:
+    tokens = [tok.strip() for tok in raw_values.split(",") if tok.strip() != ""]
+    if not dotted or not tokens:
         raise ConfigError(f"--param must name a key and at least one value: {args.param!r}")
     leaf = dotted.split(".")[-1]
 
     out_dir = Path(args.out)
+    runs = {}  # sub-directory -> (token, value), checked before any run starts
+    for tok in tokens:
+        value = yaml.safe_load(tok)
+        sub_dir = out_dir / f"{leaf}_{value}"
+        if sub_dir in runs:
+            raise ConfigError(
+                f"--param values {runs[sub_dir][0]!r} and {tok!r} would both write {sub_dir}"
+            )
+        runs[sub_dir] = (tok, value)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
-    for value in values:
+    for sub_dir, (_, value) in runs.items():
         sub_cfg = yaml.safe_load(yaml.safe_dump(cfg))  # deep copy via round-trip
         _apply_override(sub_cfg, dotted, value)
         scenario = scenario_from_dict(sub_cfg)
         result = run_scenario(scenario)
-        sub_dir = out_dir / f"{leaf}_{value}"
         _write_run(sub_dir, result)
         if result.records:
             last_t = max(r.t for r in result.records)

@@ -32,7 +32,7 @@ from ..ensemble import (
     update_evidence,
     mixture_predict_batch,
 )
-from ..features import feature_matrix
+from ..features import feature_matrix, shift_time
 from ..info_filter import (
     InfoState,
     _read_state,
@@ -145,14 +145,23 @@ def run_scenario(scenario: Scenario) -> RunResult:
     records: list[MetricsRecord] = []
     snapshots: dict[int, list[EnsembleState]] = {}
     jittered = []
+    # On a grid stream each member's features over the whole grid serve every
+    # batch and the evaluation; otherwise each batch is featurized. The grid
+    # is featurized at t = 0, again only when an epoch's sites differ from
+    # the ones it was built for, and a timed kernel rotates those features to
+    # each epoch's time in buffers allocated with them.
+    sites = grid_Phis0 = grid_Phis = None
     for t in stream.epochs:
         apply_forgetting(D, eta, prior_variances, scenario.dynamics)
 
-        # On a grid stream each member's features over the whole grid serve
-        # every batch and the evaluation; otherwise each batch is featurized.
-        grid_Phis = None
         if stream.batch_rows is not None:
-            grid_Phis = _grid_features(stream.eval_inputs[t], t, timed, fmaps)
+            if sites is None or not np.array_equal(stream.eval_inputs[t], sites):
+                sites = stream.eval_inputs[t]
+                grid_Phis0 = _grid_features(sites, t, 0.0 if timed else None, fmaps)
+                grid_Phis = [np.empty_like(Phi) for Phi in grid_Phis0] if timed else grid_Phis0
+            if timed:
+                for fm, Phi0, Phi in zip(fmaps, grid_Phis0, grid_Phis):
+                    shift_time(fm, Phi0, t, out=Phi)
 
         # Per-agent local step: weigh residuals, build increments.
         batches = stream.batches[t]
@@ -241,10 +250,13 @@ def _check_stream(scenario: Scenario, stream: Stream) -> None:
         raise RunError("stitched evaluation requires a stream with block ownership")
 
 
-def _grid_features(X, t, timed, fmaps):
-    """Each member's feature matrix over the epoch-t evaluation inputs X."""
+def _grid_features(X, t, time, fmaps):
+    """Each member's feature matrix over the epoch-t evaluation inputs X.
+
+    The inputs get a time column of value `time` unless it is None.
+    """
     try:
-        X = augment_time_matrix(X, t) if timed else X
+        X = X if time is None else augment_time_matrix(X, time)
         return [feature_matrix(fm, X) for fm in fmaps]
     except Exception as exc:
         raise RunError(f"epoch {t}, features of the evaluation grid: {exc}") from exc
@@ -264,7 +276,7 @@ def _evaluate_epoch(scenario, stream, t, timed, rows, fmaps, jittered, Phis):
     predict = "rmse" in want or "npll" in want
     need_w2 = "w2" in want
     if predict and Phis is None:
-        Phis = _grid_features(stream.eval_inputs[t], t, timed, fmaps)
+        Phis = _grid_features(stream.eval_inputs[t], t, t if timed else None, fmaps)
     if need_w2:
         try:
             oracle = rows[scenario.num_agents]

@@ -204,6 +204,19 @@ class TestSweep:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_sweep_values_sharing_a_directory_rejected(self, tmp_path, capsys):
+        # 4.0 and 4.00 both load as the float 4.0 and would share one
+        # sub-directory; the int 4 writes its own. Nothing may run.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["sweep", cfg, "--out", str(out),
+                   "--param", "ensemble.temporal_lengthscale=4,4.0,4.00"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"'4.0' and '4.00' would both write {out / 'temporal_lengthscale_4.0'}" in err
+        assert not out.exists()
+
 
 class TestModuleEntry:
     def test_python_dash_m_invocation(self, tmp_path):

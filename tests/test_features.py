@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgp import KernelSpec, feature_matrix, sample_frequencies
+from gossipgp import (
+    FeatureMap,
+    KernelSpec,
+    augment_time_matrix,
+    feature_matrix,
+    sample_frequencies,
+    shift_time,
+)
 
 
 def rbf(x, xp, lengthscales):
@@ -167,3 +174,84 @@ class TestFeatureMatrix:
         fm = sample_frequencies(spec, J=5, d=2, seed=0)
         with pytest.raises(ValueError):
             feature_matrix(fm, np.zeros((3, 3)))
+
+
+@st.composite
+def timed_grids(draw):
+    """A feature map with a time column, sites, and an integer time."""
+    J = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 3))
+    lengthscales = draw(st.lists(st.floats(0.05, 5.0), min_size=d, max_size=d))
+    temporal = draw(st.floats(0.1, 100.0))
+    spec = KernelSpec(spatial_lengthscales=tuple(lengthscales), temporal_lengthscale=temporal)
+    fm = sample_frequencies(spec, J=J, d=d, seed=draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(1, 12))
+    sites = draw(st.lists(st.floats(-10.0, 10.0), min_size=N * d, max_size=N * d))
+    return fm, np.reshape(sites, (N, d)), draw(st.integers(0, 10**4))
+
+
+class TestShiftTime:
+    @settings(max_examples=200, deadline=None)
+    @given(timed_grids())
+    def test_rotation_equals_featurizing_at_t(self, case):
+        fm, X, t = case
+        J = fm.num_features
+        Phi0 = feature_matrix(fm, augment_time_matrix(X, 0))
+        out = shift_time(fm, Phi0, t, out=np.empty_like(Phi0))
+        expected = feature_matrix(fm, augment_time_matrix(X, t))
+        # Both sides round the projections [x, t].v, each in its own order,
+        # so they part by a few eps times the largest |x||v| + t|v_time|; the
+        # rotation itself keeps 1e-12 below that.
+        angle = np.max(np.abs(augment_time_matrix(X, t)) @ np.abs(fm.frequencies).T)
+        atol = max(1e-12, 4 * np.finfo(float).eps * angle) / np.sqrt(J)
+        assert np.max(np.abs(out - expected)) <= atol
+
+    @settings(max_examples=50, deadline=None)
+    @given(timed_grids())
+    def test_zero_time_is_a_bitwise_copy(self, case):
+        fm, X, _ = case
+        Phi0 = feature_matrix(fm, augment_time_matrix(X, 0))
+        out = np.full_like(Phi0, np.nan)
+        assert shift_time(fm, Phi0, 0, out=out) is out
+        assert out.tobytes() == Phi0.tobytes()
+
+    def test_zero_time_keeps_signed_zeros(self):
+        # -0.0 cos(0) + C sin(0) would be +0.0; t = 0 copies instead.
+        fm = FeatureMap(frequencies=np.array([[0.5, 1.0]]), num_features=1, seed=0)
+        Phi0 = np.array([[-0.0], [1.0]])
+        out = shift_time(fm, Phi0, 0, out=np.empty_like(Phi0))
+        assert out.tobytes() == Phi0.tobytes()
+
+    def test_out_may_be_a_strided_view(self):
+        spec = KernelSpec(spatial_lengthscales=(0.5,), temporal_lengthscale=2.0)
+        fm = sample_frequencies(spec, J=4, d=1, seed=1)
+        X = np.linspace(-1.0, 1.0, 5)[:, np.newaxis]
+        Phi0 = feature_matrix(fm, augment_time_matrix(X, 0))
+        buffer = np.zeros((8, 10))
+        shift_time(fm, Phi0, 3, out=buffer[:, ::2])
+        expected = feature_matrix(fm, augment_time_matrix(X, 3))
+        assert np.allclose(buffer[:, ::2], expected, rtol=0, atol=1e-15)
+        assert not buffer[:, 1::2].any()
+
+    @pytest.mark.parametrize("make_out", [
+        lambda Phi0: np.empty((Phi0.shape[0], Phi0.shape[1] + 1)),
+        lambda Phi0: np.empty((Phi0.shape[0] - 2, Phi0.shape[1])),
+        lambda Phi0: np.empty(Phi0.shape, dtype=np.float32),
+        lambda Phi0: Phi0,
+        lambda Phi0: Phi0[:, ::-1],
+    ], ids=["wide", "short", "float32", "same", "reversed_view"])
+    def test_misshaped_or_aliased_out_rejected(self, make_out):
+        spec = KernelSpec(spatial_lengthscales=(0.5,), temporal_lengthscale=2.0)
+        fm = sample_frequencies(spec, J=4, d=1, seed=1)
+        Phi0 = feature_matrix(fm, augment_time_matrix(np.zeros((3, 1)), 0))
+        before = Phi0.copy()
+        with pytest.raises(ValueError, match="out"):
+            shift_time(fm, Phi0, 5, out=make_out(Phi0))
+        assert np.array_equal(Phi0, before)
+
+    def test_phi0_of_another_map_rejected(self):
+        spec = KernelSpec(spatial_lengthscales=(0.5,), temporal_lengthscale=2.0)
+        fm = sample_frequencies(spec, J=4, d=1, seed=1)
+        Phi0 = np.zeros((6, 3))
+        with pytest.raises(ValueError, match="8 x N"):
+            shift_time(fm, Phi0, 5, out=np.empty_like(Phi0))

@@ -48,6 +48,15 @@ def make_config(**overrides):
     return cfg
 
 
+def write_grid_missing_a_site(path, epoch, **kwargs):
+    """A synthetic weather file whose given epoch lacks one interior site."""
+    write_synthetic_weather_csv(path, **kwargs)
+    header, *rows = path.read_text().splitlines()
+    in_epoch = [i for i, row in enumerate(rows) if row.split(",")[2] == str(epoch)]
+    del rows[in_epoch[len(in_epoch) // 2]]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
 def rel_fro(A, B):
     return np.linalg.norm(A - B) / max(np.linalg.norm(B), 1e-300)
 
@@ -311,30 +320,36 @@ class TestEvalModes:
     @pytest.mark.parametrize("mode", ["global", "stitched"])
     def test_grid_features_equal_per_batch_features(self, monkeypatch, tmp_path, mode):
         # The same grid stream without its recorded rows is featurized batch
-        # by batch; the results agree to rounding.
+        # by batch at each epoch's time; the results agree to rounding. On
+        # the second file epoch 1 lacks a site, so the grid's features must
+        # be rebuilt for it and again for epoch 2.
         import gossipgp.harness.runner as runner_mod
 
-        path = tmp_path / "w.csv"
-        write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=3, seed=4)
-        cfg = {
-            "topology": {"kind": "ring", "num_agents": 4},
-            "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
-                         "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
-            "robust": {"kind": "hampel"},
-            "stream": {"kind": "grid_file", "path": str(path)},
-            "eval": {"mode": mode, "metrics": ["rmse", "npll", "w2"]},
-        }
-        shared = run_scenario(scenario_from_dict(cfg))
-        monkeypatch.setattr(
-            runner_mod, "materialize_stream",
-            lambda sc: dataclasses.replace(materialize_stream(sc), batch_rows=None),
-        )
-        per_batch = run_scenario(scenario_from_dict(cfg))
-        assert len(shared.records) == len(per_batch.records) == 4 * 3
-        for a, b in zip(shared.records, per_batch.records):
-            assert (a.t, a.agent_id) == (b.t, b.agent_id)
-            assert np.allclose([a.rmse, a.npll, a.w2_to_centralized],
-                               [b.rmse, b.npll, b.w2_to_centralized], rtol=1e-12, atol=0)
+        full, missing = tmp_path / "full.csv", tmp_path / "missing.csv"
+        write_synthetic_weather_csv(full, nlat=6, nlon=8, epochs=3, seed=4)
+        write_grid_missing_a_site(missing, 1, nlat=6, nlon=8, epochs=3, seed=4)
+        for path, sites in ((full, [48, 48, 48]), (missing, [48, 47, 48])):
+            cfg = {
+                "topology": {"kind": "ring", "num_agents": 4},
+                "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
+                             "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+                "robust": {"kind": "hampel"},
+                "stream": {"kind": "grid_file", "path": str(path)},
+                "eval": {"mode": mode, "metrics": ["rmse", "npll", "w2"]},
+            }
+            shared = run_scenario(scenario_from_dict(cfg))
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    runner_mod, "materialize_stream",
+                    lambda sc: dataclasses.replace(materialize_stream(sc), batch_rows=None),
+                )
+                per_batch = run_scenario(scenario_from_dict(cfg))
+            assert [len(x) for x in shared.stream.eval_inputs.values()] == sites
+            assert len(shared.records) == len(per_batch.records) == 4 * 3
+            for a, b in zip(shared.records, per_batch.records):
+                assert (a.t, a.agent_id) == (b.t, b.agent_id)
+                assert np.allclose([a.rmse, a.npll, a.w2_to_centralized],
+                                   [b.rmse, b.npll, b.w2_to_centralized], rtol=1e-12, atol=0)
 
     def test_spatiotemporal_run_produces_finite_metrics(self):
         # Time features combined with forgetting.
@@ -654,30 +669,36 @@ class TestWorkCounts:
     ):
         # On a grid stream the local steps and the evaluation share one
         # feature matrix per member over the whole grid, whether or not the
-        # epoch is evaluated.
+        # epoch is evaluated. It is built at t = 0 once per run, plus once
+        # for each epoch whose sites differ from the epoch before; the other
+        # epochs rotate it to their time.
         import gossipgp.harness.runner as runner_mod
 
         columns = []
         feature_matrix_ = runner_mod.feature_matrix
 
         def counted_feature_matrix(fm, X):
+            assert not X[:, -1].any()
             columns.append(X.shape[0])
             return feature_matrix_(fm, X)
 
         monkeypatch.setattr(runner_mod, "feature_matrix", counted_feature_matrix)
-        path = tmp_path / "w.csv"
+        full, missing = tmp_path / "full.csv", tmp_path / "missing.csv"
         epochs, M = 4, 2
-        write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=epochs, seed=1)
-        cfg = {
-            "topology": {"kind": "ring", "num_agents": 4},
-            "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
-                         "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
-            "stream": {"kind": "grid_file", "path": str(path)},
-            "eval": {"metrics": ["rmse", "npll", "w2"], "epochs": evaluated},
-        }
-        result = run_scenario(scenario_from_dict(cfg))
-        assert len(result.records) == 4 * len(evaluated)
-        assert columns == [48] * (epochs * M)
+        write_synthetic_weather_csv(full, nlat=6, nlon=8, epochs=epochs, seed=1)
+        write_grid_missing_a_site(missing, 1, nlat=6, nlon=8, epochs=epochs, seed=1)
+        for path, built in ((full, [48]), (missing, [48, 47, 48])):
+            columns.clear()
+            cfg = {
+                "topology": {"kind": "ring", "num_agents": 4},
+                "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
+                             "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+                "stream": {"kind": "grid_file", "path": str(path)},
+                "eval": {"metrics": ["rmse", "npll", "w2"], "epochs": evaluated},
+            }
+            result = run_scenario(scenario_from_dict(cfg))
+            assert len(result.records) == 4 * len(evaluated)
+            assert columns == [n for n in built for _ in range(M)]
 
     def test_gossip_message_holds_the_packed_triangle(self, monkeypatch):
         # Each agent sends, per member, the packed P, s and the evidence:
