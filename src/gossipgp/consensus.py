@@ -155,28 +155,42 @@ def metropolis_weights(topo: Topology) -> np.ndarray:
     return W
 
 
-def consensus_sum(values: np.ndarray, topo: Topology, cfg: ConsensusConfig) -> np.ndarray:
+def consensus_sum(
+    values: np.ndarray, topo: Topology, cfg: ConsensusConfig, add_to: np.ndarray | None = None
+) -> np.ndarray:
     """L synchronous mixing rounds, then scale by K to approximate the sum.
 
     Axis 0 of `values` is the agent: values[k] is agent k's message, of any
     shape. After L rounds of v_k <- sum_j W[k][j] v_j elementwise, each agent
     holds an approximation of the network average, so K times it
-    approximates the network sum. L=0 returns K times each local value.
-    The result has the shape of `values`.
+    approximates the network sum. L=0 gives K times each local value.
 
     The L rounds are applied as one product with W^L, built from the K x K
-    matrix, so each message is read once whatever L is.
+    matrix, so each message is read once whatever L is. The product adds the
+    sums into `add_to` (say the agents' states), so no mixed copy of the
+    messages is formed, and returns it; without `add_to`, into a new zero
+    array. `add_to` must be a writeable C-contiguous float64 array of the
+    shape of `values` that does not overlap them, else ValueError.
     """
     K = topo.num_agents
     V = np.asarray(values, dtype=float)
     if V.ndim == 0 or V.shape[0] != K:
         raise ValueError(f"expected {K} per-agent messages on axis 0, got shape {V.shape}")
+    if add_to is None:
+        add_to = np.zeros(V.shape)
+    elif not (isinstance(add_to, np.ndarray) and add_to.shape == V.shape
+              and add_to.dtype == np.float64 and add_to.flags.c_contiguous
+              and add_to.flags.writeable and not np.may_share_memory(add_to, V)):
+        raise ValueError(f"add_to must be a writeable C-contiguous float64 array of "
+                         f"shape {V.shape} that does not overlap the messages")
     flat = V.reshape(K, -1)
     W = metropolis_weights(topo)
     WL = np.eye(K)
     for _ in range(cfg.rounds):
         WL = blas.dgemm(1.0, W, WL)
-    # K (W^L flat) computed as (K flat^T (W^L)^T)^T: flat^T is a Fortran-ordered
-    # view, and the Fortran-ordered result transposes back to C order, so the
-    # message is never copied.
-    return blas.dgemm(float(K), flat.T, WL, trans_b=True).T.reshape(V.shape)
+    # add_to^T += K flat^T (W^L)^T: the transposes of the C-ordered flat and
+    # add_to are Fortran-ordered views, so BLAS reads the messages and
+    # updates the target in place.
+    blas.dgemm(float(K), flat.T, WL, beta=1.0, c=add_to.reshape(K, -1).T, trans_b=True,
+               overwrite_c=1)
+    return add_to

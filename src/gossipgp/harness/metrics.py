@@ -95,11 +95,11 @@ def wasserstein2_gaussians(mu1, B1, mu2, B2) -> float:
     A = blas.dgemm(1.0, B1.T, B2.T, trans_a=True)
     if not np.all(np.isfinite(A)):
         raise ValueError("the cross product B1 B2^T of the covariance roots overflows")
-    # Scaling A by 2^-e (largest entry in [0.5, 1)) keeps the Gram A A^T
-    # finite; a power of two scales exactly, so ||A||_* = 2^e ||2^-e A||_*.
-    _, e = np.frexp(np.max(np.abs(A)))
-    gram = blas.dsyrk(1.0, np.ldexp(A, -e))  # upper triangle
-    eig = scipy.linalg.eigvalsh(gram, lower=False, check_finite=False)
+    # Scaling A in place by 2^-e (largest entry in [0.5, 1)) keeps the Gram
+    # A A^T finite; a power of two scales exactly, so ||A||_* = 2^e ||2^-e A||_*.
+    _, e = np.frexp(max(A.max(), -A.min()))
+    gram = blas.dsyrk(1.0, np.ldexp(A, -e, out=A))  # upper triangle
+    eig = scipy.linalg.eigvalsh(gram, lower=False, overwrite_a=True, check_finite=False)
     nuclear = float(np.ldexp(np.sum(np.sqrt(np.clip(eig, 0.0, None))), e))
     trace1 = float(np.einsum("ij,ij->", B1, B1))
     trace2 = float(np.einsum("ij,ij->", B2, B2))

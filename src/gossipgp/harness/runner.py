@@ -1,15 +1,15 @@
 """Multi-agent simulation loop.
 
 Each epoch runs, in order: forgetting, residual weighing, local increment
-construction, gossip, increment application, evidence accumulation, then
-metric evaluation. All agents share the ensemble's feature maps, so
-network-wide sums of increments are exactly the increments a fusion center
-would form from the pooled batch.
+and evidence construction, gossip, which adds the mixed increments and
+evidence straight into the states, then metric evaluation. All agents share
+the ensemble's feature maps, so network-wide sums of increments are exactly
+the increments a fusion center would form from the pooled batch.
 
 A shadow centralized oracle is maintained whenever the w2 metric is
 requested: it is one more row beside the agents' posteriors, goes through
-the same forgetting and apply passes, and applies the exact network sum of
-the per-agent increments every epoch. With eval.w2_oracle == "identical" the
+the same forgetting pass, and adds the exact network sum of the per-agent
+increments every epoch. With eval.w2_oracle == "identical" the
 oracle uses the same robustness weights as the agents; with "unit" it uses
 unit weights, measuring what the robust network deviates from a
 non-robust fusion center.
@@ -29,14 +29,12 @@ from ..ensemble import (
     ensemble_weights,
     gaussian_log_density,
     init_ensemble,
-    update_evidence,
     mixture_predict_batch,
 )
 from ..features import feature_matrix, shift_time
 from ..info_filter import (
     InfoState,
     _read_state,
-    apply_increment,
     factorize,
     posterior_root,
     predict_batch,
@@ -119,101 +117,104 @@ def run_scenario(scenario: Scenario) -> RunResult:
         raise RunError(f"snapshot epochs {sorted(bad_snapshots)} are not in the stream")
 
     # One row per posterior: the K agents, then the oracle when w2 needs it.
-    # Their states live in buffers allocated once per run, every row starting
-    # from the one prior, and are updated in place; rows[i] holds views of
-    # row i, so whatever outlives an epoch is a deep copy.
+    # Every row's posterior lives in one buffer allocated once per run, with
+    # the gossip message's layout: for each member, the packed D, eta and the
+    # log-evidence. Every row starts from the one prior and is updated in
+    # place; rows[i] holds views of row i, so whatever outlives an epoch is a
+    # deep copy.
     prior, fmaps = init_ensemble(spec)
     R = K + 1 if need_w2 else K
-    D = np.tile(np.stack([x.D for x in prior.models]), (R, 1, 1))
-    eta = np.tile(np.stack([x.eta for x in prior.models]), (R, 1, 1))
-    log_evidence = np.tile(prior.log_evidence, (R, 1))
+    width = dim * (dim + 1) // 2 + dim + 1
+    state = np.empty((R, M, width))
+    D, eta, log_evidence = _split(state, dim)
+    D[...] = np.stack([x.D for x in prior.models])
+    eta[...] = np.stack([x.eta for x in prior.models])
+    log_evidence[...] = prior.log_evidence
     prior_variances = np.array([x.prior_variance for x in prior.models])
     rows = [EnsembleState(models=[replace(x, D=D[i, m], eta=eta[i, m])
                                   for m, x in enumerate(prior.models)],
                           log_evidence=log_evidence[i]) for i in range(R)]
-    labels = [f"agent {k}" for k in range(K)] + ["centralized oracle"]
-
-    # The gossip message, allocated once per run and overwritten every epoch:
-    # for each agent and member, P, s and the evidence. The local step writes
-    # the increments straight into it. The oracle sums the same increments,
-    # or the unit-weight ones.
-    message = np.empty((K, M, dim * (dim + 1) // 2 + dim + 1))
-    P, s, ev = _split(message, dim)
-    oracle_message = np.empty_like(message) if unit_oracle else message
-    oracle_P, oracle_s, oracle_ev = _split(oracle_message, dim)
 
     records: list[MetricsRecord] = []
     snapshots: dict[int, list[EnsembleState]] = {}
     jittered = []
-    # On a grid stream each member's features over the whole grid serve every
-    # batch and the evaluation; otherwise each batch is featurized. The grid
-    # is featurized at t = 0, again only when an epoch's sites differ from
-    # the ones it was built for, and a timed kernel rotates those features to
-    # each epoch's time in buffers allocated with them.
-    sites = grid_Phis0 = grid_Phis = None
+    # Each member's features over the evaluation inputs are built at t = 0,
+    # again only when an epoch's inputs differ from the ones they were built
+    # for, and a timed kernel rotates them to each epoch's time in buffers
+    # allocated with them. A grid stream needs them at every epoch, since
+    # its batches are columns of the grid; otherwise each batch is
+    # featurized, and the evaluation inputs only at epochs that predict.
+    predict = "rmse" in scenario.eval.metrics or "npll" in scenario.eval.metrics
+    sites = Phis0 = Phis = None
     for t in stream.epochs:
         apply_forgetting(D, eta, prior_variances, scenario.dynamics)
 
-        if stream.batch_rows is not None:
+        if stream.batch_rows is not None or (predict and t in eval_set):
             if sites is None or not np.array_equal(stream.eval_inputs[t], sites):
                 sites = stream.eval_inputs[t]
-                grid_Phis0 = _grid_features(sites, t, 0.0 if timed else None, fmaps)
-                grid_Phis = [np.empty_like(Phi) for Phi in grid_Phis0] if timed else grid_Phis0
+                Phis0 = _grid_features(sites, t, 0.0 if timed else None, fmaps)
+                Phis = [np.empty_like(Phi) for Phi in Phis0] if timed else Phis0
             if timed:
-                for fm, Phi0, Phi in zip(fmaps, grid_Phis0, grid_Phis):
+                for fm, Phi0, Phi in zip(fmaps, Phis0, Phis):
                     shift_time(fm, Phi0, t, out=Phi)
+
+        # The gossip message lives from the local step to gossip: for each
+        # agent and member, P, s and the evidence. The local step writes the
+        # increments straight into it. The oracle sums the same increments,
+        # or the unit-weight ones. It is freed before evaluation, which then
+        # reuses its memory.
+        message = np.empty((K, M, width))
+        oracle_message = np.empty_like(message) if unit_oracle else message
 
         # Per-agent local step: weigh residuals, build increments.
         batches = stream.batches[t]
         for k in range(K):
             batch = batches[k]
-            if grid_Phis is None:
+            if stream.batch_rows is None:
                 X_in = augment_time_matrix(batch.X, t) if timed else batch.X
             for m in range(M):
                 try:
                     obs_variance = spec.members[m].obs_variance
-                    if grid_Phis is None:
+                    if stream.batch_rows is None:
                         Phi = feature_matrix(fmaps[m], X_in)
                     else:
-                        Phi = grid_Phis[m][:, stream.batch_rows[t][k]]
+                        Phi = Phis[m][:, stream.batch_rows[t][k]]
                     factor = factorize(rows[k].models[m])
                     jittered.append(factor.jitter > 0.0)
                     means, variances = predict_batch(factor, Phi)
                     w = weights_for(standardized_residuals(batch.y, means, variances),
                                     scenario.robust)
-                    robust_increment(Phi, batch.y, w, obs_variance, out=(P[k, m], s[k, m]))
+                    robust_increment(Phi, batch.y, w, obs_variance,
+                                     out=_split(message[k, m], dim)[:2])
                     log_pdf = gaussian_log_density(batch.y, means, variances)
-                    ev[k, m] = float(np.sum(w * log_pdf))
+                    message[k, m, -1] = float(np.sum(w * log_pdf))
                     if unit_oracle:
-                        ones = np.ones_like(batch.y)
-                        robust_increment(Phi, batch.y, ones, obs_variance,
-                                         out=(oracle_P[k, m], oracle_s[k, m]))
-                        oracle_ev[k, m] = float(np.sum(log_pdf))
+                        robust_increment(Phi, batch.y, np.ones_like(batch.y), obs_variance,
+                                         out=_split(oracle_message[k, m], dim)[:2])
+                        oracle_message[k, m, -1] = float(np.sum(log_pdf))
+                    for term in (message[k, m, -1], oracle_message[k, m, -1]):
+                        if not np.isfinite(term):
+                            raise ValueError(f"evidence term {float(term)} is not finite")
                 except Exception as exc:
                     raise RunError(f"epoch {t}, agent {k}, member {m}: {exc}") from exc
 
-        # Gossip approximates the network sums; the oracle takes the exact
-        # sums, added in agent order. Then one apply-and-evidence pass over
-        # every row; with local evidence the agents read the unmixed column.
-        mixed = message
+        # Gossip adds the approximate network sums straight into the agents'
+        # states, with no mixed copy of the message; local mode adds each
+        # agent's own message. With local evidence the agents keep their own
+        # evidence terms. The oracle adds the exact sums, in agent order.
         if share_increments:
-            mixed = consensus_sum(message, scenario.topology, scenario.consensus)
-        increments = list(mixed)
+            local_evidence = None if share_evidence else log_evidence[:K] + message[..., -1]
+            consensus_sum(message, scenario.topology, scenario.consensus, add_to=state[:K])
+            if local_evidence is not None:
+                log_evidence[:K] = local_evidence
+        else:
+            state[:K] += message
         if need_w2:
-            increments.append(oracle_message.sum(axis=0))
-        for i, inc in enumerate(increments):
-            inc_P, inc_s, inc_ev = _split(inc, dim)
-            if i < K and not share_evidence:
-                inc_ev = ev[i]
-            try:
-                apply_increment(D[i], eta[i], inc_P, inc_s)
-                update_evidence(log_evidence[i], inc_ev)
-            except Exception as exc:
-                raise RunError(f"epoch {t}, {labels[i]}: {exc}") from exc
+            state[K] += oracle_message.sum(axis=0)
+        del message, oracle_message
 
         if t in eval_set:
-            records.extend(_evaluate_epoch(scenario, stream, t, timed, rows, fmaps, jittered,
-                                           grid_Phis))
+            records.extend(_evaluate_epoch(scenario, stream, t, rows, jittered, Phis))
         if t in snapshot_set:
             snapshots[t] = copy.deepcopy(rows)
 
@@ -231,7 +232,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
 
 def _split(message: np.ndarray, dim: int):
-    """Views of a (..., dim(dim+1)/2 + dim + 1) message as packed P, s and the evidence."""
+    """Views of a (..., dim(dim+1)/2+dim+1) message (or state): packed P (D), s (eta), evidence."""
     return message[..., : -dim - 1], message[..., -dim - 1 : -1], message[..., -1]
 
 
@@ -262,27 +263,25 @@ def _grid_features(X, t, time, fmaps):
         raise RunError(f"epoch {t}, features of the evaluation grid: {exc}") from exc
 
 
-def _evaluate_epoch(scenario, stream, t, timed, rows, fmaps, jittered, Phis):
+def _evaluate_epoch(scenario, stream, t, rows, jittered, Phis):
     """One MetricsRecord per agent; each (agent, member) is factorized once.
 
     rows are the agents' states, then the oracle's when w2 is requested.
-
-    Each member's features over the whole evaluation grid are built once and
-    shared by all agents (Phis, when the local step already built them);
-    stitched evaluation selects an agent's own columns.
+    Phis are each member's features over the whole evaluation grid, shared
+    by all agents; stitched evaluation selects an agent's own columns.
     """
     y_true = stream.eval_truth[t]
     want = scenario.eval.metrics
     predict = "rmse" in want or "npll" in want
     need_w2 = "w2" in want
-    if predict and Phis is None:
-        Phis = _grid_features(stream.eval_inputs[t], t, t if timed else None, fmaps)
     if need_w2:
+        # Only the oracle's roots are kept, not its factors.
+        oracle_roots = []
         try:
-            oracle = rows[scenario.num_agents]
-            oracle_factors = [factorize(m) for m in oracle.models]
-            jittered.extend(f.jitter > 0.0 for f in oracle_factors)
-            oracle_roots = [posterior_root(f) for f in oracle_factors]
+            for model in rows[scenario.num_agents].models:
+                factor = factorize(model)
+                jittered.append(factor.jitter > 0.0)
+                oracle_roots.append(posterior_root(factor))
         except Exception as exc:
             raise RunError(f"epoch {t}, centralized oracle: {exc}") from exc
 

@@ -189,15 +189,15 @@ def _read_grid_rows(path):
         if data.shape[1] != len(GRID_HEADER):
             raise ValueError(f"rows have {data.shape[1]} fields")
         lat, lon, t, val = data.T
-        if not np.all(np.isfinite(t) & (t == np.trunc(t))):
-            raise ValueError("time must be an integer epoch")
+        if not (np.all(np.isfinite(data)) and np.all(t == np.trunc(t))):
+            raise ValueError("fields must be finite and time an integer epoch")
     except ValueError as exc:
         raise _parse_error(lines, exc) from None
     return lat, lon, t.astype(int), val
 
 
 def _parse_error(lines, exc) -> GridParseError:
-    """The error naming the first data line that is not four numbers with an integer epoch.
+    """The error naming the first data line that is not four finite numbers with an integer epoch.
 
     This re-scan runs only after the parse of the whole body failed with exc;
     that error is reported when no single line is at fault.
@@ -209,8 +209,12 @@ def _parse_error(lines, exc) -> GridParseError:
         try:
             if len(row) != len(GRID_HEADER):
                 raise ValueError(f"expected {len(GRID_HEADER)} fields, got {len(row)}")
-            if not [float(value) for value in row][2].is_integer():
+            values = [float(value) for value in row]
+            if not values[2].is_integer():
                 raise ValueError("time must be an integer epoch")
+            for name, value in zip(GRID_HEADER, values):
+                if not np.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
         except ValueError as err:
             return GridParseError(
                 f"line {reader.line_num + 1}: cannot parse row {row!r}: {err}"

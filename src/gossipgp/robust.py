@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
-
-from .info_filter import _packed_layout
+from scipy.linalg import blas, lapack
 
 __all__ = [
     "RobustConfig",
@@ -117,7 +115,7 @@ def robust_increment(
     """Weighted increment (P, s): P = Phi W Phi^T / s2, s = Phi W y / s2, W = diag(weights).
 
     P comes from one symmetric rank-k update (dsyrk) of Phi W^1/2, whose
-    triangle is gathered into the packed P. With out=(P, s), slices of a
+    lower triangle LAPACK's dtrttp packs into P. With out=(P, s), slices of a
     gossip message say, the increment is written into them and they are
     returned; otherwise new arrays are.
     """
@@ -141,11 +139,11 @@ def robust_increment(
         P.fill(0.0)
         s.fill(0.0)
         return P, s
-    # The BLAS calls take Fortran-ordered views: dsyrk writes the lower triangle
-    # of `full` through full^T. take's indices are in range; mode="clip" skips its copy.
-    full = np.empty((dim, dim))
-    blas.dsyrk(1.0 / obs_variance, (Phi * np.sqrt(weights)).T, beta=0.0, c=full.T,
-               trans=1, overwrite_c=1)
-    np.take(full.ravel(), _packed_layout(dim)[0], out=P, mode="clip")
+    # dsyrk writes the lower triangle of a Fortran-ordered scratch, which
+    # dtrttp packs without a copy (a C-ordered one would be copied first).
+    full = np.empty((dim, dim), order="F")
+    blas.dsyrk(1.0 / obs_variance, (Phi * np.sqrt(weights)).T, beta=0.0, c=full,
+               trans=1, lower=1, overwrite_c=1)
+    P[...] = lapack.dtrttp(full, uplo="L")[0]
     s[...] = blas.dgemv(1.0 / obs_variance, Phi.T, weights * y, trans=1)
     return P, s

@@ -125,6 +125,17 @@ class TestExitCodes:
         assert rc == 1
         assert "run failed" in capsys.readouterr().err
 
+    def test_non_finite_grid_value_is_config_error_naming_its_line(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("lat,lon,t,value\n40,60,0,1.5\n40,61,0,nan\n41,60,0,2.5\n")
+        cfg = write_config(tmp_path, {**BASE, "topology": {"kind": "complete", "num_agents": 1},
+                                      "stream": {"kind": "grid_file", "path": str(grid)}})
+        rc = main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "line 3:" in err
+        assert "value must be finite" in err
+
     def test_zero_rounds_sum_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**BASE, "consensus": {"rounds": 0, "mode": "sum"}})
         rc = main(["run", cfg, "--out", str(tmp_path / "out")])

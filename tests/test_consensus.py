@@ -158,6 +158,50 @@ class TestConsensusSum:
         assert np.allclose(out, np.broadcast_to(values.sum(axis=0), values.shape),
                            rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("rounds", [0, 1, 5])
+    def test_sum_is_added_into_the_target_in_place(self, rounds):
+        topo = build_topology("ring", 5)
+        rng = np.random.default_rng(rounds)
+        values = rng.standard_normal((5, 2, 7))
+        target = rng.standard_normal(values.shape)
+        before = target.copy()
+        cfg = ConsensusConfig(rounds=rounds)
+        out = consensus_sum(values, topo, cfg, add_to=target)
+        assert out is target
+        np.testing.assert_allclose(target, before + consensus_sum(values, topo, cfg),
+                                   rtol=1e-14, atol=1e-14 * np.abs(before).max())
+
+    def test_stacked_target_rows_are_updated_in_place(self):
+        # The runner's case: the agents' rows of a buffer that also holds
+        # an oracle row, which must be left alone.
+        topo = build_topology("complete", 3)
+        values = np.random.default_rng(0).standard_normal((3, 2, 4))
+        state = np.ones((4, 2, 4))
+        consensus_sum(values, topo, ConsensusConfig(rounds=1), add_to=state[:3])
+        np.testing.assert_allclose(state[:3], np.broadcast_to(1.0 + values.sum(axis=0), (3, 2, 4)),
+                                   rtol=1e-14, atol=1e-14)
+        assert np.array_equal(state[3], np.ones((2, 4)))
+
+    @pytest.mark.parametrize("target", [
+        np.zeros((3, 2, 5)),
+        np.zeros((3, 10)),
+        np.zeros((3, 2, 4), dtype=np.float32),
+        np.zeros((3, 2, 8))[:, :, ::2],
+        np.zeros((2, 3, 4)).transpose(1, 0, 2),
+    ], ids=["misshaped", "flattened", "float32", "strided", "fortran"])
+    def test_target_that_cannot_be_updated_in_place_rejected(self, target):
+        topo = build_topology("complete", 3)
+        before = target.copy()
+        with pytest.raises(ValueError, match="add_to must be"):
+            consensus_sum(np.ones((3, 2, 4)), topo, ConsensusConfig(rounds=1), add_to=target)
+        assert np.array_equal(target, before)
+
+    def test_target_overlapping_the_messages_rejected(self):
+        topo = build_topology("complete", 3)
+        values = np.ones((3, 2, 4))
+        with pytest.raises(ValueError, match="add_to must be"):
+            consensus_sum(values, topo, ConsensusConfig(rounds=1), add_to=values)
+
     def test_shape_mismatch_rejected(self):
         topo = build_topology("ring", 3)
         values = [np.zeros(2), np.zeros(2), np.zeros(3)]

@@ -188,6 +188,14 @@ class TestWasserstein2:
         d = wasserstein2_gaussians(mu1, B1, mu2, B2)
         assert wasserstein2_gaussians(c * mu1, c * B1, c * mu2, c * B2) == c * d
 
+    def test_scale_comes_from_the_largest_entry_of_either_sign(self):
+        # Roots that differ only in sign give one Gaussian, so W2 = 0. The
+        # cross product's largest entry, -2^400, is negative; a scale taken
+        # from its positive entry alone (2^-400) would overflow the Gram.
+        B1 = np.diag([2.0**200, 2.0**-200])
+        B2 = np.diag([-(2.0**200), 2.0**-200])
+        assert wasserstein2_gaussians(np.zeros(2), B1, np.zeros(2), B2) == 0.0
+
     def test_non_finite_root_rejected(self):
         B = np.eye(3)
         B[2, 1] = np.inf

@@ -226,6 +226,22 @@ class TestRobustIncrement:
         assert np.trace(_unpack(half_P, 6)) == pytest.approx(
             0.5 * np.trace(_unpack(full_P, 6)), rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_packed_P_is_the_weighted_gram(self, n, N, seed):
+        # Against Phi W Phi^T / s2 summed in extended precision. Entries may
+        # cancel, so the absolute tolerance is relative to the largest
+        # diagonal entry, which bounds every term's magnitude sum.
+        rng = np.random.default_rng(seed)
+        Phi = rng.standard_normal((n, N))
+        w = rng.uniform(size=N)
+        P, _ = robust_increment(Phi, rng.standard_normal(N), w, 0.3)
+        Phi_ld = Phi.astype(np.longdouble)
+        want = (np.einsum("in,jn,n->ij", Phi_ld, Phi_ld, w.astype(np.longdouble))
+                / np.longdouble(0.3)).astype(float)
+        np.testing.assert_allclose(_unpack(P, n), want, rtol=1e-14,
+                                   atol=1e-14 * np.diag(want).max())
+
     def test_out_writes_into_message_slices(self):
         # Into slices of a (2, dim(dim+1)/2 + dim + 1) message, as the epoch
         # loop writes: the same bits as a fresh increment whatever the slices

@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,52 @@ class TestEvalModes:
                 assert np.allclose([a.rmse, a.npll, a.w2_to_centralized],
                                    [b.rmse, b.npll, b.w2_to_centralized], rtol=1e-12, atol=0)
 
+    def test_synthetic_eval_features_built_once_and_rotated(self, monkeypatch):
+        # A synthetic stream evaluates at the same points every epoch: each
+        # member's features over them are built once, at t = 0, and rotated
+        # to each evaluated epoch. Featurizing at each epoch's time instead
+        # agrees to rounding.
+        import gossipgp.harness.runner as runner_mod
+
+        M, n_eval = 2, 40
+        cfg = make_config(
+            ensemble={"shared_J": 8, "temporal_lengthscale": 2.0,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+            stream={"kind": "synthetic",
+                    "synthetic": {"kind": "drifting_gp", "drift_scale": 0.05, "epochs": 4,
+                                  "batch_size": 10, "num_eval_points": n_eval}},
+            eval={"metrics": ["rmse", "npll", "w2"], "epochs": [1, 3]},
+        )
+        scenario = scenario_from_dict(cfg)
+        X_eval = materialize_stream(scenario).eval_inputs[0]
+        feature_matrix_, shift_time_ = runner_mod.feature_matrix, runner_mod.shift_time
+        times, shifts = [], []
+
+        def counted_feature_matrix(fm, X):
+            if X.shape[0] == n_eval:
+                times.append(set(X[:, -1]))
+            return feature_matrix_(fm, X)
+
+        def counted_shift_time(fm, Phi0, t, out):
+            shifts.append(t)
+            return shift_time_(fm, Phi0, t, out=out)
+
+        def featurize_at_t(fm, Phi0, t, out):
+            out[...] = feature_matrix_(fm, augment_time_matrix(X_eval, t))
+
+        monkeypatch.setattr(runner_mod, "feature_matrix", counted_feature_matrix)
+        monkeypatch.setattr(runner_mod, "shift_time", counted_shift_time)
+        rotated = run_scenario(scenario)
+        assert times == [{0.0}] * M
+        assert shifts == [1] * M + [3] * M
+        monkeypatch.setattr(runner_mod, "shift_time", featurize_at_t)
+        direct = run_scenario(scenario)
+        assert len(rotated.records) == len(direct.records) == 2 * 2
+        for a, b in zip(rotated.records, direct.records):
+            assert (a.t, a.agent_id) == (b.t, b.agent_id)
+            assert np.allclose([a.rmse, a.npll, a.w2_to_centralized],
+                               [b.rmse, b.npll, b.w2_to_centralized], rtol=1e-12, atol=0)
+
     def test_spatiotemporal_run_produces_finite_metrics(self):
         # Time features combined with forgetting.
         cfg = make_config(
@@ -515,6 +562,31 @@ class TestRunErrors:
         with pytest.raises(RunError, match=r"epoch 0, agent 0, member 0"):
             run_scenario(scenario_from_dict(make_config()))
 
+    @pytest.mark.parametrize("w2_oracle", ["identical", "unit"])
+    def test_non_finite_evidence_names_its_agent_and_member(self, monkeypatch, w2_oracle):
+        # The second agent's second member scores its batch as impossible.
+        # The local step stops the run before the evidence is gossiped, with
+        # either oracle (the unit-weight one has a message of its own).
+        import gossipgp.harness.runner as runner_mod
+
+        calls = []
+        gaussian_log_density_ = runner_mod.gaussian_log_density
+
+        def impossible_third_batch(*args):
+            calls.append(None)
+            log_pdf = gaussian_log_density_(*args)
+            return np.full_like(log_pdf, -np.inf) if len(calls) == 4 else log_pdf
+
+        monkeypatch.setattr(runner_mod, "gaussian_log_density", impossible_third_batch)
+        cfg = make_config(
+            ensemble={"shared_J": 8,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
+            eval={"metrics": ["rmse", "w2"], "w2_oracle": w2_oracle},
+        )
+        with pytest.raises(RunError, match=r"^epoch 0, agent 1, member 1: evidence term "
+                                           r"-?(inf|nan) is not finite$"):
+            run_scenario(scenario_from_dict(cfg))
+
     def test_evaluation_failure_is_annotated(self, monkeypatch):
         import gossipgp.harness.runner as runner_mod
 
@@ -620,12 +692,44 @@ class TestDegeneratePaths:
                 run_scenario(scenario_from_dict(cfg))
 
 
+class TestMemory:
+    @pytest.mark.parametrize("evidence", ["consensus", "local"])
+    def test_gossip_adds_into_the_state_without_a_mixed_copy(self, evidence):
+        # The run holds every row's posterior and, from the local step to
+        # gossip, the outgoing message, each K M (n(n+1)/2 + n + 1) floats
+        # here, and mixes the message straight into the state. Everything
+        # else it holds at once (features, factors, the final copy of the
+        # states, made after the last message is freed) stays below one
+        # message; a mixed copy of the message would not.
+        K, M, J = 16, 2, 60
+        n = 2 * J
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": K},
+            consensus={"rounds": 3, "mode": "sum"},
+            ensemble={"shared_J": J, "evidence": evidence,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+            stream={"kind": "synthetic",
+                    "synthetic": {"epochs": 4, "batch_size": 10, "num_eval_points": 40}},
+            eval={"metrics": ["rmse", "npll"]},
+        )
+        scenario = scenario_from_dict(cfg)
+        buffer = 8 * K * M * (n * (n + 1) // 2 + n + 1)
+        tracemalloc.start()
+        try:
+            run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * buffer < buffer
+
+
 class TestWorkCounts:
     def test_one_factorization_and_feature_matrix_per_member(self, monkeypatch):
         # Per epoch: one factorization and one feature matrix per (agent,
-        # member) batch. Per evaluated epoch, additionally: one feature
-        # matrix per member over the evaluation grid, one factorization per
-        # (agent, member), and one per member for the oracle.
+        # member) batch. Per evaluated epoch, additionally: one factorization
+        # per (agent, member), and one per member for the oracle. The fixed
+        # evaluation points are featurized once per run, one matrix per
+        # member.
         import scipy.linalg
 
         import gossipgp.harness.runner as runner_mod
@@ -660,8 +764,8 @@ class TestWorkCounts:
         evaluated = 2
         assert result.jitter_retries == 0
         assert len(factorizations) == epochs * K * M + evaluated * (K * M + M)
-        assert len(columns) == epochs * K * M + evaluated * M
-        assert sum(columns) == epochs * K * M * batch + evaluated * M * n_eval
+        assert len(columns) == epochs * K * M + M
+        assert sum(columns) == epochs * K * M * batch + M * n_eval
 
     @pytest.mark.parametrize("evaluated", [[1, 3], []], ids=["some_epochs", "no_epoch"])
     def test_grid_stream_featurizes_the_grid_once_per_member_and_epoch(
@@ -703,16 +807,17 @@ class TestWorkCounts:
     def test_gossip_message_holds_the_packed_triangle(self, monkeypatch):
         # Each agent sends, per member, the packed P, s and the evidence:
         # M (n(n+1)/2 + n + 1) floats a round. The unit-weight oracle's
-        # buffer has the same layout.
+        # buffer has the same layout. Each epoch writes its increments into
+        # one message and one oracle buffer of its own.
         import gossipgp.harness.runner as runner_mod
 
         messages, buffers = [], []
         consensus_sum_ = runner_mod.consensus_sum
         robust_increment_ = runner_mod.robust_increment
 
-        def recorded_consensus_sum(values, topo, cfg):
+        def recorded_consensus_sum(values, topo, cfg, add_to=None):
             messages.append(values.shape)
-            return consensus_sum_(values, topo, cfg)
+            return consensus_sum_(values, topo, cfg, add_to=add_to)
 
         def recorded_robust_increment(*args, out):
             buffers.append(out[0].base)
@@ -736,7 +841,9 @@ class TestWorkCounts:
         assert messages == [(K, M, n * (n + 1) // 2 + n + 1)] * epochs
         assert np.prod(messages[0][1:]) == per_agent == 2 * 153
         distinct = {id(b): b for b in buffers}.values()
-        assert len(buffers) == 2 * epochs * K * M and len(distinct) == 2
+        assert len(buffers) == 2 * epochs * K * M and len(distinct) == 2 * epochs
+        for e in range(epochs):
+            assert len({id(b) for b in buffers[2 * K * M * e: 2 * K * M * (e + 1)]}) == 2
         for buffer in distinct:
             assert buffer.shape == (K, M, n * (n + 1) // 2 + n + 1)
             assert buffer[0].size == per_agent

@@ -202,6 +202,24 @@ class TestGridReader:
         with pytest.raises(GridParseError, match=f"^line {line}: .*{reason}"):
             load_grid_dataset(path, K=1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field, reason", [
+        (0, "lat must be finite"),
+        (1, "lon must be finite"),
+        (2, "time must be an integer epoch"),
+        (3, "value must be finite"),
+    ], ids=["lat", "lon", "t", "value"])
+    def test_non_finite_field_names_its_line(self, tmp_path, token, field, reason):
+        # Non-finite numbers parse as floats, so they are caught after the
+        # parse and reported before any scaling could warn about them.
+        row = ["41", "61", "0", "2.5"]
+        row[field] = token
+        path = tmp_path / "bad.csv"
+        path.write_text(f"lat,lon,t,value\n40,60,0,1.5\n{','.join(row)}\n40,61,0,3.5\n")
+        with pytest.raises(GridParseError, match=f"^line 3: .*{reason}"):
+            load_grid_dataset(path, K=1)
+
     def test_blank_body_has_no_data_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("lat,lon,t,value\n\n  \n")
