@@ -13,6 +13,12 @@ increments every epoch. With eval.w2_oracle == "identical" the
 oracle uses the same robustness weights as the agents; with "unit" it uses
 unit weights, measuring what the robust network deviates from a
 non-robust fusion center.
+
+An agent whose posterior is bitwise the previous agent's takes that agent's
+factors instead of factorizing again, and its evaluation reuses the previous
+agent's work. That is every agent at epoch 0, where all hold the prior, and
+on a complete graph whose mixing weights 1/K are exact (K = 4, say) every
+agent at every epoch.
 """
 from __future__ import annotations
 
@@ -73,7 +79,9 @@ class RunResult:
     # snapshots[t]: each agent's EnsembleState, then the oracle's when w2
     # is requested, at every epoch of eval.snapshots.
     snapshots: dict[int, list[EnsembleState]] = field(repr=False)
-    jitter_retries: int = 0  # factorizations that needed jitter
+    # Factorizations that needed jitter, each counted once however many
+    # agents share it.
+    jitter_retries: int = 0
 
 
 def materialize_stream(scenario: Scenario) -> Stream:
@@ -166,12 +174,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
         message = np.empty((K, M, width))
         oracle_message = np.empty_like(message) if unit_oracle else message
 
-        # Per-agent local step: weigh residuals, build increments.
+        # Per-agent local step: weigh residuals, build increments. A
+        # member's factor is kept in factors[m] only while the next agent's
+        # posterior is bitwise this one's; that agent then uses it.
         batches = stream.batches[t]
+        factors = [None] * M
         for k in range(K):
             batch = batches[k]
             if stream.batch_rows is None:
                 X_in = augment_time_matrix(batch.X, t) if timed else batch.X
+            next_shares = k + 1 < K and _same_posterior(state[k + 1], state[k])
             for m in range(M):
                 try:
                     obs_variance = spec.members[m].obs_variance
@@ -179,8 +191,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
                         Phi = feature_matrix(fmaps[m], X_in)
                     else:
                         Phi = Phis[m][:, stream.batch_rows[t][k]]
-                    factor = factorize(rows[k].models[m])
-                    jittered.append(factor.jitter > 0.0)
+                    factor = factors[m]
+                    if factor is None:
+                        factor = factorize(rows[k].models[m])
+                        jittered.append(factor.jitter > 0.0)
+                    factors[m] = factor if next_shares else None
                     means, variances = predict_batch(factor, Phi)
                     w = weights_for(standardized_residuals(batch.y, means, variances),
                                     scenario.robust)
@@ -214,7 +229,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         del message, oracle_message
 
         if t in eval_set:
-            records.extend(_evaluate_epoch(scenario, stream, t, rows, jittered, Phis))
+            records.extend(_evaluate_epoch(scenario, stream, t, state, rows, jittered, Phis))
         if t in snapshot_set:
             snapshots[t] = copy.deepcopy(rows)
 
@@ -229,6 +244,19 @@ def run_scenario(scenario: Scenario) -> RunResult:
         snapshots=snapshots,
         jitter_retries=sum(jittered),
     )
+
+
+def _same_posterior(row: np.ndarray, other: np.ndarray) -> bool:
+    """Whether two rows of the state hold the same bytes.
+
+    A row is every member's packed D, eta and log-evidence. Equal values
+    with different bits (0.0 and -0.0) do not count, so whatever is computed
+    from one row is exactly what the other would give.
+    """
+    row, other = row.view(np.int64), other.view(np.int64)
+    # Rows that differ almost always differ in their M evidence terms; testing
+    # those first spares the full comparison (0.3 ms at n = 400, M = 3).
+    return np.array_equal(row[:, -1], other[:, -1]) and np.array_equal(row, other)
 
 
 def _split(message: np.ndarray, dim: int):
@@ -263,12 +291,16 @@ def _grid_features(X, t, time, fmaps):
         raise RunError(f"epoch {t}, features of the evaluation grid: {exc}") from exc
 
 
-def _evaluate_epoch(scenario, stream, t, rows, jittered, Phis):
+def _evaluate_epoch(scenario, stream, t, state, rows, jittered, Phis):
     """One MetricsRecord per agent; each (agent, member) is factorized once.
 
-    rows are the agents' states, then the oracle's when w2 is requested.
-    Phis are each member's features over the whole evaluation grid, shared
-    by all agents; stitched evaluation selects an agent's own columns.
+    state and rows are the posteriors of the agents, then the oracle's when
+    w2 is requested. Phis are each member's features over the whole
+    evaluation grid, shared by all agents; stitched evaluation selects an
+    agent's own columns. An agent whose posterior is bitwise the previous
+    agent's copies that agent's record under global evaluation, and under
+    stitched evaluation reuses its factors and W2 terms to score its own
+    sites.
     """
     y_true = stream.eval_truth[t]
     want = scenario.eval.metrics
@@ -288,14 +320,19 @@ def _evaluate_epoch(scenario, stream, t, rows, jittered, Phis):
     out = []
     for k, agent in enumerate(rows[: scenario.num_agents]):
         try:
+            shared = k > 0 and _same_posterior(state[k], state[k - 1])
             if scenario.eval.mode == "stitched":
                 sel = stream.eval_owner[t] == k
                 y_k = y_true[sel]
+            elif shared:
+                out.append(replace(out[-1], agent_id=k))
+                continue
             else:
                 sel, y_k = None, y_true
             predict_k = predict and y_k.size > 0
-            factors, w2_terms = [], []
-            if predict_k or need_w2:
+            if not shared:
+                factors, w2_terms = [], []
+            if (predict_k or need_w2) and not factors:
                 for m, model in enumerate(agent.models):
                     try:
                         factor = factorize(model)

@@ -52,6 +52,18 @@ class RobustConfig:
             )
 
 
+def _residuals(e) -> np.ndarray:
+    """e as a float array, where a NaN residual is a ValueError.
+
+    A NaN has no weight; a residual of +-inf is legal and gets the weight of
+    the far tail.
+    """
+    e = np.asarray(e, dtype=float)
+    if np.isnan(e).any():
+        raise ValueError("residuals must not be NaN")
+    return e
+
+
 def huber_weight(e, delta: float):
     """Huber weight: 1 for |e| <= delta, else delta/|e|.
 
@@ -59,8 +71,7 @@ def huber_weight(e, delta: float):
     """
     if delta <= 0:
         raise ValueError("delta must be strictly positive")
-    e = np.asarray(e, dtype=float)
-    ae = np.abs(e)
+    ae = np.abs(_residuals(e))
     w = np.where(ae <= delta, 1.0, delta / np.maximum(ae, delta))
     return float(w) if w.ndim == 0 else w
 
@@ -73,25 +84,28 @@ def hampel_weight(e, a: float, b: float, c: float):
     """
     if not (0 < a < b < c):
         raise ValueError(f"breakpoints must satisfy 0 < a < b < c, got ({a}, {b}, {c})")
-    e = np.asarray(e, dtype=float)
-    ae = np.abs(e)
-    safe = np.maximum(ae, a)  # avoids division by zero off-branch
+    ae = np.abs(_residuals(e))
+    # Every branch is evaluated; clipping to [a, c] keeps the ones not taken
+    # finite (no division by zero, no inf / inf past c).
+    safe = np.clip(ae, a, c)
     w = np.select(
         [ae <= a, ae <= b, ae <= c],
-        [1.0, a / safe, a * (c - ae) / (safe * (c - b))],
+        [1.0, a / safe, a * (c - safe) / (safe * (c - b))],
         default=0.0,
     )
     return float(w) if w.ndim == 0 else w
 
 
 def weights_for(e, cfg: RobustConfig):
-    """Weights of the configured kind; all-ones for kind 'none'."""
-    e = np.asarray(e, dtype=float)
+    """Weights of the configured kind; all-ones for kind 'none'.
+
+    A NaN residual is a ValueError for every kind.
+    """
     if cfg.kind == "huber":
         return huber_weight(e, cfg.delta)
     if cfg.kind == "hampel":
         return hampel_weight(e, cfg.a, cfg.b, cfg.c)
-    return np.ones_like(e)
+    return np.ones_like(_residuals(e))
 
 
 def standardized_residuals(y, means, variances) -> np.ndarray:
@@ -126,7 +140,8 @@ def robust_increment(
         raise ValueError(
             f"shape mismatch: Phi {Phi.shape}, y {y.shape}, weights {weights.shape}"
         )
-    if weights.size and (weights.min() < 0.0 or weights.max() > 1.0):
+    # Written so that a NaN weight fails the test too.
+    if weights.size and not (weights.min() >= 0.0 and weights.max() <= 1.0):
         raise ValueError("weights must lie in [0, 1]")
     if obs_variance <= 0:
         raise ValueError("obs_variance must be strictly positive")

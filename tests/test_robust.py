@@ -58,6 +58,16 @@ class TestHuberWeight:
         with pytest.raises(ValueError):
             huber_weight(1.0, delta=0.0)
 
+    def test_nan_residual_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            huber_weight(np.nan, 1.345)
+        with pytest.raises(ValueError, match="NaN"):
+            huber_weight(np.array([0.5, np.nan]), 1.345)
+
+    def test_infinite_residual_gets_zero_weight(self):
+        assert huber_weight(np.inf, 1.345) == 0.0
+        assert np.array_equal(huber_weight(np.array([-np.inf, 0.5]), 1.345), [0.0, 1.0])
+
 
 class TestHampelWeight:
     def test_inlier_band(self):
@@ -107,6 +117,19 @@ class TestHampelWeight:
         with pytest.raises(ValueError):
             RobustConfig(kind="hampel", a=4.0, b=2.0, c=8.0)
 
+    def test_nan_residual_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            hampel_weight(np.nan, 2.0, 4.0, 8.0)
+        with pytest.raises(ValueError, match="NaN"):
+            hampel_weight(np.array([0.5, np.nan]), 2.0, 4.0, 8.0)
+
+    def test_infinite_residual_gets_zero_weight(self):
+        # No branch that is not taken may warn either: the tests turn a
+        # RuntimeWarning into an error.
+        assert hampel_weight(np.inf, 2.0, 4.0, 8.0) == 0.0
+        w = hampel_weight(np.array([-np.inf, 0.5, 6.0, np.inf]), 2.0, 4.0, 8.0)
+        assert np.array_equal(w, [0.0, 1.0, 2.0 * 2.0 / (6.0 * 4.0), 0.0])
+
 
 class TestWeightsFor:
     def test_none_gives_unit_weights(self):
@@ -121,6 +144,16 @@ class TestWeightsFor:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             RobustConfig(kind="tukey")
+
+    @pytest.mark.parametrize("kind", ["none", "huber", "hampel"])
+    def test_nan_residual_rejected_for_every_kind(self, kind):
+        with pytest.raises(ValueError, match="NaN"):
+            weights_for(np.array([0.0, np.nan]), RobustConfig(kind=kind))
+
+    @pytest.mark.parametrize("kind,weight", [("none", 1.0), ("huber", 0.0), ("hampel", 0.0)])
+    def test_infinite_residual_keeps_its_weight(self, kind, weight):
+        w = weights_for(np.array([np.inf, -np.inf]), RobustConfig(kind=kind))
+        assert np.array_equal(w, [weight, weight])
 
 
 class TestStandardizedResiduals:
@@ -276,6 +309,11 @@ class TestRobustIncrement:
             robust_increment(Phi, np.zeros(1), np.array([1.5]), 0.1)
         with pytest.raises(ValueError):
             robust_increment(Phi, np.zeros(1), np.array([-0.1]), 0.1)
+
+    def test_rejects_nan_weights(self):
+        Phi = np.ones((2, 3))
+        with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
+            robust_increment(Phi, np.zeros(3), np.array([1.0, np.nan, 1.0]), 0.05)
 
     def test_weighted_posterior_against_brute_force(self):
         # Weighted updates equal a dense recomputation with W folded in.

@@ -726,10 +726,11 @@ class TestMemory:
 class TestWorkCounts:
     def test_one_factorization_and_feature_matrix_per_member(self, monkeypatch):
         # Per epoch: one factorization and one feature matrix per (agent,
-        # member) batch. Per evaluated epoch, additionally: one factorization
-        # per (agent, member), and one per member for the oracle. The fixed
-        # evaluation points are featurized once per run, one matrix per
-        # member.
+        # member) batch, except that at epoch 0 every agent holds the prior
+        # and shares the first agent's factors. Per evaluated epoch,
+        # additionally: one factorization per (agent, member), and one per
+        # member for the oracle. The fixed evaluation points are featurized
+        # once per run, one matrix per member.
         import scipy.linalg
 
         import gossipgp.harness.runner as runner_mod
@@ -763,7 +764,9 @@ class TestWorkCounts:
         result = run_scenario(scenario_from_dict(cfg))
         evaluated = 2
         assert result.jitter_retries == 0
-        assert len(factorizations) == epochs * K * M + evaluated * (K * M + M)
+        assert len(factorizations) == (
+            epochs * K * M - (K - 1) * M + evaluated * (K * M + M)
+        )
         assert len(columns) == epochs * K * M + M
         assert sum(columns) == epochs * K * M * batch + M * n_eval
 
@@ -849,8 +852,9 @@ class TestWorkCounts:
             assert buffer[0].size == per_agent
 
     def test_jitter_retries_total_every_factorization(self, monkeypatch):
-        # Local-step, evaluation and oracle factors all count: every third
-        # factorization is reported as jittered here.
+        # Local-step, evaluation and oracle factors all count, each once:
+        # every third factorization is reported as jittered here. On a ring
+        # the four agents share one factor at epoch 0 only.
         import gossipgp.harness.runner as runner_mod
 
         factorize_ = runner_mod.factorize
@@ -862,7 +866,136 @@ class TestWorkCounts:
             return dataclasses.replace(factor, jitter=1e-10) if len(calls) % 3 == 0 else factor
 
         monkeypatch.setattr(runner_mod, "factorize", every_third_jittered)
-        cfg = make_config(eval={"metrics": ["rmse", "w2"], "epochs": [1, 3]})
+        cfg = make_config(topology={"kind": "ring", "num_agents": 4},
+                          eval={"metrics": ["rmse", "w2"], "epochs": [1, 3]})
         result = run_scenario(scenario_from_dict(cfg))
-        assert len(calls) == 4 * 2 + 2 * (2 + 1)
+        assert len(calls) == 4 * 4 - 3 + 2 * (4 + 1)
         assert result.jitter_retries == len(calls) // 3
+
+
+def run_counted(cfg, share=True, materialize=None):
+    """Run cfg counting factorizations and recording every row comparison.
+
+    With share=False every comparison reports different posteriors, which
+    is the run without any sharing.
+    """
+    import gossipgp.harness.runner as runner_mod
+
+    calls, shares = [], []
+    factorize_ = runner_mod.factorize
+    same_posterior_ = runner_mod._same_posterior
+
+    def counted_factorize(state):
+        calls.append(None)
+        return factorize_(state)
+
+    def recorded_same_posterior(row, other):
+        shares.append(share and same_posterior_(row, other))
+        return shares[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner_mod, "factorize", counted_factorize)
+        mp.setattr(runner_mod, "_same_posterior", recorded_same_posterior)
+        if materialize is not None:
+            mp.setattr(runner_mod, "materialize_stream", materialize)
+        result = run_scenario(scenario_from_dict(cfg))
+    return result, len(calls), shares
+
+
+def assert_same_bits(a, b):
+    """Two runs gave the same records and final states, bit for bit."""
+    assert repr(a.records) == repr(b.records)
+    states_a = a.agent_states + [a.oracle_state] * (a.oracle_state is not None)
+    states_b = b.agent_states + [b.oracle_state] * (b.oracle_state is not None)
+    assert len(states_a) == len(states_b)
+    for x, y in zip(states_a, states_b):
+        assert x.log_evidence.tobytes() == y.log_evidence.tobytes()
+        for mx, my in zip(x.models, y.models):
+            assert mx.D.tobytes() == my.D.tobytes()
+            assert mx.eta.tobytes() == my.eta.tobytes()
+
+
+class TestSharedPosteriors:
+    # An agent whose posterior is bitwise the previous agent's takes that
+    # agent's factors and evaluation; the records and states are those of
+    # the run that shares nothing.
+    K, M, epochs, evaluated = 4, 2, 4, [1, 3]
+    members = [{"lengthscales": 0.4}, {"lengthscales": 0.1}]
+
+    def test_complete_graph_factorizes_once_per_member(self):
+        K, M, epochs, E = self.K, self.M, self.epochs, len(self.evaluated)
+        cfg = make_config(
+            topology={"kind": "complete", "num_agents": K},
+            ensemble={"shared_J": 8, "members": self.members},
+            eval={"metrics": ["rmse", "npll", "w2"], "epochs": self.evaluated},
+        )
+        shared, calls, shares = run_counted(cfg)
+        alone, alone_calls, _ = run_counted(cfg, share=False)
+        assert_same_bits(shared, alone)
+        assert shares == [True] * ((K - 1) * (epochs + E))
+        assert calls == epochs * M + E * (M + M)
+        assert alone_calls == epochs * K * M + E * (K * M + M)
+        assert shared.jitter_retries == alone.jitter_retries == 0
+
+    def test_ring_shares_only_the_prior(self):
+        K, epochs, E = self.K, self.epochs, len(self.evaluated)
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": K},
+            ensemble={"shared_J": 8, "members": self.members},
+            eval={"metrics": ["rmse", "npll", "w2"], "epochs": self.evaluated},
+        )
+        shared, _, shares = run_counted(cfg)
+        alone, _, _ = run_counted(cfg, share=False)
+        assert_same_bits(shared, alone)
+        assert shares == [True] * (K - 1) + [False] * ((K - 1) * (epochs - 1 + E))
+
+    @pytest.mark.parametrize("metrics", [["rmse", "npll"], ["rmse", "npll", "w2"]],
+                             ids=["no_w2", "w2"])
+    def test_stitched_agents_score_their_own_sites(self, tmp_path, metrics):
+        # Agent 0 owns no site: without w2 it builds no factors, so agent 1,
+        # which shares its posterior, factorizes for both.
+        def without_agent_0_block(scenario):
+            stream = materialize_stream(scenario)
+            owner = {t: np.where(o == 0, 1, o) for t, o in stream.eval_owner.items()}
+            return dataclasses.replace(stream, eval_owner=owner)
+
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=6, nlon=6, epochs=3, seed=1)
+        cfg = {
+            "topology": {"kind": "complete", "num_agents": self.K},
+            "ensemble": {"shared_J": 8, "members": self.members},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"mode": "stitched", "metrics": metrics},
+        }
+        shared, calls, shares = run_counted(cfg, materialize=without_agent_0_block)
+        alone, _, _ = run_counted(cfg, share=False, materialize=without_agent_0_block)
+        assert_same_bits(shared, alone)
+        assert all(shares)
+        oracle = self.M if "w2" in metrics else 0
+        assert calls == 3 * self.M + 3 * (self.M + oracle)
+        for t in range(3):
+            records = [r for r in shared.records if r.t == t]
+            assert records[0].rmse is None and records[0].npll is None
+            scores = [(r.rmse, r.npll) for r in records[1:]]
+            assert np.isfinite(scores).all() and len(set(scores)) == self.K - 1
+
+    def test_local_evidence_keeps_each_agents_weights(self):
+        # On a complete graph the agents' D and eta agree, but with local
+        # evidence their log-evidence does not: the rows differ after epoch
+        # 0 and every agent is scored with its own mixture weights.
+        K, epochs, E = self.K, self.epochs, len(self.evaluated)
+        cfg = make_config(
+            topology={"kind": "complete", "num_agents": K},
+            ensemble={"shared_J": 8, "evidence": "local", "members": self.members},
+            eval={"metrics": ["rmse", "npll", "w2"], "epochs": self.evaluated,
+                  "snapshots": self.evaluated},
+        )
+        shared, _, shares = run_counted(cfg)
+        alone, _, _ = run_counted(cfg, share=False)
+        assert_same_bits(shared, alone)
+        assert shares == [True] * (K - 1) + [False] * ((K - 1) * (epochs - 1 + E))
+        for t in self.evaluated:
+            weights = [ensemble_weights(agent) for agent in shared.snapshots[t][:K]]
+            assert len({w.tobytes() for w in weights}) == K
+        # By epoch 3 every agent's weights are within 1e-16 of (1, 0).
+        assert len({r.npll for r in shared.records if r.t == 1}) == K
