@@ -11,6 +11,19 @@ since tr(Sigma_i) = ||B_i||_F^2 and the singular values of A are the square
 roots of the eigenvalues of Sigma1 Sigma2, whose square roots sum to the
 cross term tr((Sigma2^1/2 Sigma1 Sigma2^1/2)^1/2) (Dowson & Landau 1982).
 
+An ensemble's distance is the evidence-weighted sum S = sum_m w_m W2_m,
+accumulated in member order. Since ||A||_* >= 0, each distance is bounded by
+
+    u_m = sqrt(|mu1 - mu2|^2 + ||B1||_F^2 + ||B2||_F^2),
+
+and u_m is computed with the very operations that begin W2^2, so the
+computed W2_m never exceeds the computed u_m. A term with
+w_m u_m < spacing(S)/4 is below half an ulp of the running sum S >= 0, so
+adding it would round back to S: its W2 is not computed and the sum is
+bitwise the one that computes every term. The first term (S = 0) and any
+term whose bound is not finite are always computed, so a non-finite root
+still raises.
+
 Floats are written with repr(), which round-trips float64 exactly, so two
 runs that produce bitwise-equal numbers produce byte-identical files.
 """
@@ -109,6 +122,49 @@ def wasserstein2_gaussians(mu1, B1, mu2, B2) -> float:
     if d2 < -1e-10 * max(trace1 + trace2, 1.0):
         raise ValueError(f"negative squared distance {d2:.3e} beyond tolerance")
     return float(np.sqrt(max(d2, 0.0)))
+
+
+class _MemberError(ValueError):
+    """A member's W2 term failed; `member` is its index and the cause is chained."""
+
+    def __init__(self, member: int, exc: Exception):
+        super().__init__(str(exc))
+        self.member = member
+
+
+def _weighted_w2(weights, roots, others) -> float:
+    """sum(w_m * wasserstein2_gaussians(*roots[m], *others[m])) in member order.
+
+    roots and others yield each member's (mu, B), and are consumed in member
+    order, so a lazy roots makes each root only as its term is reached.
+    Terms that cannot change the sum are skipped (see the module docstring),
+    so the result is bitwise the full sum. A member whose root or term fails
+    raises _MemberError naming it.
+    """
+    total = 0.0
+    roots, others = iter(roots), iter(others)
+    for m, w_m in enumerate(weights):
+        try:
+            (mu1, B1), (mu2, B2) = next(roots), next(others)
+            if total > 0.0 and _w2_bound(w_m, mu1, B1, mu2, B2) < np.spacing(total) / 4:
+                continue
+            total += w_m * wasserstein2_gaussians(mu1, B1, mu2, B2)
+        except Exception as exc:
+            raise _MemberError(m, exc) from exc
+    return float(total)
+
+
+def _w2_bound(w, mu1, B1, mu2, B2) -> float:
+    """w * sqrt(|mu1 - mu2|^2 + ||B1||_F^2 + ||B2||_F^2), computed as W2 computes its parts.
+
+    A non-finite root or weight gives inf or nan, silently: the term is then
+    computed, and W2 reports it.
+    """
+    mu1, mu2, B1, B2 = (np.asarray(x, dtype=float) for x in (mu1, mu2, B1, B2))
+    with np.errstate(all="ignore"):
+        trace1 = float(np.einsum("ij,ij->", B1, B1))
+        trace2 = float(np.einsum("ij,ij->", B2, B2))
+        return float(w * np.sqrt(float(np.sum((mu1 - mu2) ** 2)) + trace1 + trace2))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ An agent whose posterior is bitwise the previous agent's takes that agent's
 factors instead of factorizing again, and its evaluation reuses the previous
 agent's work. That is every agent at epoch 0, where all hold the prior, and
 on a complete graph whose mixing weights 1/K are exact (K = 4, say) every
-agent at every epoch.
+agent at every epoch. The factors depend on D and eta alone, so the local
+step shares them even where local evidence keeps the agents' log-evidence
+apart; evaluation, whose mixture weights follow the evidence, compares it
+too.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ from ..info_filter import (
 )
 from ..robust import robust_increment, standardized_residuals, weights_for
 from .config import GridFileSource, Scenario, SyntheticSource
-from .metrics import MetricsRecord, npll, rmse, wasserstein2_gaussians
+from .metrics import MetricsRecord, _MemberError, _weighted_w2, npll, rmse
 from .streams import Stream, inject_outliers, load_grid_dataset, synth_stream
 
 __all__ = [
@@ -183,7 +186,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             batch = batches[k]
             if stream.batch_rows is None:
                 X_in = augment_time_matrix(batch.X, t) if timed else batch.X
-            next_shares = k + 1 < K and _same_posterior(state[k + 1], state[k])
+            next_shares = k + 1 < K and _same_posterior((eta, D), k + 1, k)
             for m in range(M):
                 try:
                     obs_variance = spec.members[m].obs_variance
@@ -229,7 +232,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
         del message, oracle_message
 
         if t in eval_set:
-            records.extend(_evaluate_epoch(scenario, stream, t, state, rows, jittered, Phis))
+            records.extend(_evaluate_epoch(scenario, stream, t, (log_evidence, eta, D), rows,
+                                           jittered, Phis))
         if t in snapshot_set:
             snapshots[t] = copy.deepcopy(rows)
 
@@ -246,17 +250,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
     )
 
 
-def _same_posterior(row: np.ndarray, other: np.ndarray) -> bool:
-    """Whether two rows of the state hold the same bytes.
+def _same_posterior(stacks, i: int, j: int) -> bool:
+    """Whether rows i and j hold the same bytes in each of the stacks.
 
-    A row is every member's packed D, eta and log-evidence. Equal values
-    with different bits (0.0 and -0.0) do not count, so whatever is computed
-    from one row is exactly what the other would give.
+    The stacks are views of the state (see _split), compared in the order
+    given, so a small first one spares the full comparison of rows that
+    differ (0.3 ms at n = 400, M = 3). Equal values with different bits (0.0
+    and -0.0) do not count, so whatever is computed from one row is exactly
+    what the other would give.
     """
-    row, other = row.view(np.int64), other.view(np.int64)
-    # Rows that differ almost always differ in their M evidence terms; testing
-    # those first spares the full comparison (0.3 ms at n = 400, M = 3).
-    return np.array_equal(row[:, -1], other[:, -1]) and np.array_equal(row, other)
+    return all(np.array_equal(x[i].view(np.int64), x[j].view(np.int64)) for x in stacks)
 
 
 def _split(message: np.ndarray, dim: int):
@@ -291,16 +294,16 @@ def _grid_features(X, t, time, fmaps):
         raise RunError(f"epoch {t}, features of the evaluation grid: {exc}") from exc
 
 
-def _evaluate_epoch(scenario, stream, t, state, rows, jittered, Phis):
+def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis):
     """One MetricsRecord per agent; each (agent, member) is factorized once.
 
-    state and rows are the posteriors of the agents, then the oracle's when
-    w2 is requested. Phis are each member's features over the whole
-    evaluation grid, shared by all agents; stitched evaluation selects an
-    agent's own columns. An agent whose posterior is bitwise the previous
-    agent's copies that agent's record under global evaluation, and under
-    stitched evaluation reuses its factors and W2 terms to score its own
-    sites.
+    rows are the posteriors of the agents, then the oracle's when w2 is
+    requested, and stacks their log-evidence, eta and packed D. Phis are
+    each member's features over the whole evaluation grid, shared by all
+    agents; stitched evaluation selects an agent's own columns. An agent
+    whose posterior (evidence included) is bitwise the previous agent's
+    copies that agent's record under global evaluation, and under stitched
+    evaluation reuses its factors and w2 to score its own sites.
     """
     y_true = stream.eval_truth[t]
     want = scenario.eval.metrics
@@ -320,7 +323,7 @@ def _evaluate_epoch(scenario, stream, t, state, rows, jittered, Phis):
     out = []
     for k, agent in enumerate(rows[: scenario.num_agents]):
         try:
-            shared = k > 0 and _same_posterior(state[k], state[k - 1])
+            shared = k > 0 and _same_posterior(stacks, k, k - 1)
             if scenario.eval.mode == "stitched":
                 sel = stream.eval_owner[t] == k
                 y_k = y_true[sel]
@@ -330,23 +333,29 @@ def _evaluate_epoch(scenario, stream, t, state, rows, jittered, Phis):
             else:
                 sel, y_k = None, y_true
             predict_k = predict and y_k.size > 0
+            w = ensemble_weights(agent)
             if not shared:
-                factors, w2_terms = [], []
+                factors, w2_val = [], None
             if (predict_k or need_w2) and not factors:
                 for m, model in enumerate(agent.models):
                     try:
-                        factor = factorize(model)
-                        jittered.append(factor.jitter > 0.0)
-                        if need_w2:
-                            mu, B = posterior_root(factor)
-                            w2_terms.append(wasserstein2_gaussians(mu, B, *oracle_roots[m]))
+                        factors.append(factorize(model))
                     except Exception as exc:
                         raise RunError(
                             f"epoch {t}, agent {k}, member {m}, evaluation: {exc}"
                         ) from exc
-                    factors.append(factor)
-            w = ensemble_weights(agent)
-            rmse_val = npll_val = w2_val = None
+                    jittered.append(factors[m].jitter > 0.0)
+            if need_w2 and w2_val is None:
+                # Evidence-weighted member-wise distance to the centralized
+                # posterior. Each root is made as its term is reached, so one
+                # lives at a time.
+                try:
+                    w2_val = _weighted_w2(w, map(posterior_root, factors), oracle_roots)
+                except _MemberError as exc:
+                    raise RunError(
+                        f"epoch {t}, agent {k}, member {exc.member}, evaluation: {exc}"
+                    ) from exc
+            rmse_val = npll_val = None
             if predict_k:
                 Phis_k = Phis if sel is None else [Phi[:, sel] for Phi in Phis]
                 mean, _, mm, mv = mixture_predict_batch(w, factors, Phis_k)
@@ -354,9 +363,6 @@ def _evaluate_epoch(scenario, stream, t, state, rows, jittered, Phis):
                     rmse_val = rmse(mean, y_k)
                 if "npll" in want:
                     npll_val = npll(mm, mv, y_k, weights=w)
-            if need_w2:
-                # Evidence-weighted member-wise distance to the centralized posterior.
-                w2_val = float(sum(w_m * d for w_m, d in zip(w, w2_terms)))
             out.append(
                 MetricsRecord(
                     t=t, agent_id=k, rmse=rmse_val, npll=npll_val,

@@ -2,10 +2,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
+import gossipgp.harness.metrics as metrics_mod
 from gossipgp.harness.metrics import (
     MetricsRecord,
+    _MemberError,
+    _weighted_w2,
     npll,
     read_metrics_csv,
     rmse,
@@ -212,6 +217,76 @@ class TestWasserstein2:
         B = 1e160 * np.ones((3, 3))
         with pytest.raises(ValueError, match="cross product .* overflows"):
             wasserstein2_gaussians(np.zeros(3), B, np.zeros(3), B)
+
+
+def full_w2_sum(weights, roots, others):
+    """The evidence-weighted W2 with every term computed, in member order."""
+    return float(sum(w_m * wasserstein2_gaussians(*r, *o)
+                     for w_m, r, o in zip(weights, roots, others)))
+
+
+def random_roots(rng, count, n=3):
+    """count (mu, B) pairs: B lower triangular, each at its own scale."""
+    return [(rng.standard_normal(n),
+             10.0 ** rng.uniform(-2, 2) * np.tril(rng.standard_normal((n, n))))
+            for _ in range(count)]
+
+
+# Weights of every magnitude the softmax of log-evidence can give.
+WEIGHT = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 1e-310, 2.0**-1022]),
+    st.floats(-300.0, 0.0).map(lambda e: 10.0**e),
+)
+NEGLIGIBLE = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310]),
+                       st.floats(-300.0, -30.0).map(lambda e: 10.0**e))
+
+
+class TestWeightedW2:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(WEIGHT, min_size=2, max_size=4), NEGLIGIBLE,
+           st.sampled_from(["first", "middle", "last"]))
+    def test_bitwise_equals_the_full_sum(self, seed, weights, negligible, where):
+        at = {"first": 0, "middle": len(weights) // 2, "last": len(weights)}[where]
+        weights = np.array(weights[:at] + [negligible] + weights[at:])
+        rng = np.random.default_rng(seed)
+        roots, others = random_roots(rng, len(weights)), random_roots(rng, len(weights))
+        ours = _weighted_w2(weights, roots, others)
+        assert ours.hex() == full_w2_sum(weights, roots, others).hex()
+
+    @pytest.mark.parametrize("weights, computed", [
+        ((0.7, 0.3, 1e-60), [0, 1]),
+        ((0.7, 1e-60, 0.3), [0, 2]),
+        ((1e-60, 0.7, 0.3), [0, 1, 2]),  # the first term is always computed
+        ((0.7, 0.0, 1e-10), [0, 2]),
+    ])
+    def test_computes_only_terms_that_can_move_the_sum(self, monkeypatch, weights, computed):
+        rng = np.random.default_rng(4)
+        roots, others = random_roots(rng, 3), random_roots(rng, 3)
+        calls = []
+        exact = metrics_mod.wasserstein2_gaussians
+
+        def counted(mu1, B1, mu2, B2):
+            calls.append(next(m for m, r in enumerate(roots) if r[1] is B1))
+            return exact(mu1, B1, mu2, B2)
+
+        monkeypatch.setattr(metrics_mod, "wasserstein2_gaussians", counted)
+        total = _weighted_w2(np.array(weights), roots, others)
+        assert calls == computed
+        # Each skipped term, added to the sum, would have left it unchanged.
+        for m in set(range(3)) - set(computed):
+            assert total + weights[m] * exact(*roots[m], *others[m]) == total
+        assert total.hex() == full_w2_sum(weights, roots, others).hex()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("weight", [0.0, 1e-300])
+    def test_non_finite_root_of_a_negligible_member_raises(self, bad, weight):
+        rng = np.random.default_rng(5)
+        roots, others = random_roots(rng, 3), random_roots(rng, 3)
+        roots[1][1][2, 0] = bad
+        with pytest.raises(_MemberError, match="covariance root B1 holds non-finite") as info:
+            _weighted_w2(np.array([1.0, weight, 0.5]), roots, others)
+        assert info.value.member == 1
 
 
 class TestMetricsCsv:

@@ -598,7 +598,7 @@ class TestRunErrors:
             run_scenario(scenario_from_dict(make_config()))
 
     def test_evaluation_member_failure_names_the_member(self, monkeypatch):
-        import gossipgp.harness.runner as runner_mod
+        import gossipgp.harness.metrics as metrics_mod
 
         calls = []
 
@@ -608,7 +608,7 @@ class TestRunErrors:
                 raise ValueError("synthetic failure")
             return 0.0
 
-        monkeypatch.setattr(runner_mod, "wasserstein2_gaussians", fail_second)
+        monkeypatch.setattr(metrics_mod, "wasserstein2_gaussians", fail_second)
         cfg = make_config(
             ensemble={"shared_J": 8,
                       "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
@@ -889,8 +889,8 @@ def run_counted(cfg, share=True, materialize=None):
         calls.append(None)
         return factorize_(state)
 
-    def recorded_same_posterior(row, other):
-        shares.append(share and same_posterior_(row, other))
+    def recorded_same_posterior(stacks, i, j):
+        shares.append(share and same_posterior_(stacks, i, j))
         return shares[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -913,6 +913,56 @@ def assert_same_bits(a, b):
         for mx, my in zip(x.models, y.models):
             assert mx.D.tobytes() == my.D.tobytes()
             assert mx.eta.tobytes() == my.eta.tobytes()
+
+
+class TestNegligibleW2Terms:
+    # The evidence picks member 1 (lengthscale 0.15). Member 0 (0.4) comes
+    # first, where the sum is 0, and is always computed; member 2 (0.05)
+    # holds weights below 1e-60, so its term cannot reach the sum and is
+    # skipped.
+    K, M, evaluated = 4, 3, [1, 3]
+
+    def run_counting_w2(self, full):
+        import gossipgp.harness.metrics as metrics_mod
+        import gossipgp.harness.runner as runner_mod
+
+        calls = []
+        exact = metrics_mod.wasserstein2_gaussians
+
+        def counted(*args):
+            calls.append(None)
+            return exact(*args)
+
+        def every_term(weights, roots, others):
+            return float(sum(w_m * metrics_mod.wasserstein2_gaussians(*r, *o)
+                             for w_m, r, o in zip(weights, roots, others)))
+
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": self.K},
+            ensemble={"shared_J": 8,
+                      "members": [{"lengthscales": ls} for ls in (0.4, 0.15, 0.05)]},
+            stream={"kind": "synthetic",
+                    "synthetic": {"epochs": 4, "batch_size": 20, "num_eval_points": 40}},
+            eval={"metrics": ["rmse", "npll", "w2"], "epochs": self.evaluated,
+                  "snapshots": self.evaluated},
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics_mod, "wasserstein2_gaussians", counted)
+            if full:
+                mp.setattr(runner_mod, "_weighted_w2", every_term)
+            result = run_scenario(scenario_from_dict(cfg))
+        return result, len(calls)
+
+    def test_skipped_terms_leave_every_bit_in_place(self):
+        skipping, calls = self.run_counting_w2(full=False)
+        full, full_calls = self.run_counting_w2(full=True)
+        assert_same_bits(skipping, full)
+        E, K, M = len(self.evaluated), self.K, self.M
+        assert full_calls == E * K * M
+        assert calls == E * K * (M - 1)
+        for t in self.evaluated:
+            for agent in skipping.snapshots[t][:K]:
+                assert ensemble_weights(agent)[2] < 1e-60
 
 
 class TestSharedPosteriors:
@@ -981,19 +1031,25 @@ class TestSharedPosteriors:
 
     def test_local_evidence_keeps_each_agents_weights(self):
         # On a complete graph the agents' D and eta agree, but with local
-        # evidence their log-evidence does not: the rows differ after epoch
-        # 0 and every agent is scored with its own mixture weights.
-        K, epochs, E = self.K, self.epochs, len(self.evaluated)
+        # evidence their log-evidence does not. The local step, whose factors
+        # depend on D and eta alone, shares them at every epoch; evaluation
+        # compares the evidence too, so after epoch 0 every agent is scored
+        # with its own mixture weights.
+        K, M, epochs, E = self.K, self.M, self.epochs, len(self.evaluated)
         cfg = make_config(
             topology={"kind": "complete", "num_agents": K},
             ensemble={"shared_J": 8, "evidence": "local", "members": self.members},
             eval={"metrics": ["rmse", "npll", "w2"], "epochs": self.evaluated,
                   "snapshots": self.evaluated},
         )
-        shared, _, shares = run_counted(cfg)
-        alone, _, _ = run_counted(cfg, share=False)
+        shared, calls, shares = run_counted(cfg)
+        alone, alone_calls, _ = run_counted(cfg, share=False)
         assert_same_bits(shared, alone)
-        assert shares == [True] * (K - 1) + [False] * ((K - 1) * (epochs - 1 + E))
+        # Epochs 0 and 1, evaluation at 1, epochs 2 and 3, evaluation at 3.
+        local, evaluation = [True] * (K - 1), [False] * (K - 1)
+        assert shares == local * 2 + evaluation + local * 2 + evaluation
+        assert calls == epochs * M + E * (K * M + M)
+        assert alone_calls == epochs * K * M + E * (K * M + M)
         for t in self.evaluated:
             weights = [ensemble_weights(agent) for agent in shared.snapshots[t][:K]]
             assert len({w.tobytes() for w in weights}) == K
