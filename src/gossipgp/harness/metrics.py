@@ -114,8 +114,7 @@ def wasserstein2_gaussians(mu1, B1, mu2, B2) -> float:
     gram = blas.dsyrk(1.0, np.ldexp(A, -e, out=A))  # upper triangle
     eig = scipy.linalg.eigvalsh(gram, lower=False, overwrite_a=True, check_finite=False)
     nuclear = float(np.ldexp(np.sum(np.sqrt(np.clip(eig, 0.0, None))), e))
-    trace1 = float(np.einsum("ij,ij->", B1, B1))
-    trace2 = float(np.einsum("ij,ij->", B2, B2))
+    trace1, trace2 = _sq_frobenius(B1), _sq_frobenius(B2)
     d2 = float(np.sum((mu1 - mu2) ** 2)) + trace1 + trace2 - 2.0 * nuclear
     if not np.isfinite(d2):
         raise ValueError(f"squared distance {d2} is not finite")
@@ -132,11 +131,13 @@ class _MemberError(ValueError):
         self.member = member
 
 
-def _weighted_w2(weights, roots, others) -> float:
+def _weighted_w2(weights, roots, others, other_traces) -> float:
     """sum(w_m * wasserstein2_gaussians(*roots[m], *others[m])) in member order.
 
     roots and others yield each member's (mu, B), and are consumed in member
     order, so a lazy roots makes each root only as its term is reached.
+    other_traces[m] is _sq_frobenius(others[m][1]), so a caller that scores
+    many roots against the same others computes it once.
     Terms that cannot change the sum are skipped (see the module docstring),
     so the result is bitwise the full sum. A member whose root or term fails
     raises _MemberError naming it.
@@ -146,7 +147,8 @@ def _weighted_w2(weights, roots, others) -> float:
     for m, w_m in enumerate(weights):
         try:
             (mu1, B1), (mu2, B2) = next(roots), next(others)
-            if total > 0.0 and _w2_bound(w_m, mu1, B1, mu2, B2) < np.spacing(total) / 4:
+            if total > 0.0 and (_w2_bound(w_m, mu1, B1, mu2, other_traces[m])
+                                < np.spacing(total) / 4):
                 continue
             total += w_m * wasserstein2_gaussians(mu1, B1, mu2, B2)
         except Exception as exc:
@@ -154,16 +156,21 @@ def _weighted_w2(weights, roots, others) -> float:
     return float(total)
 
 
-def _w2_bound(w, mu1, B1, mu2, B2) -> float:
-    """w * sqrt(|mu1 - mu2|^2 + ||B1||_F^2 + ||B2||_F^2), computed as W2 computes its parts.
-
-    A non-finite root or weight gives inf or nan, silently: the term is then
-    computed, and W2 reports it.
-    """
-    mu1, mu2, B1, B2 = (np.asarray(x, dtype=float) for x in (mu1, mu2, B1, B2))
+def _sq_frobenius(B) -> float:
+    """||B||_F^2, computed as W2 computes it; inf or nan, silently, for a non-finite B."""
     with np.errstate(all="ignore"):
-        trace1 = float(np.einsum("ij,ij->", B1, B1))
-        trace2 = float(np.einsum("ij,ij->", B2, B2))
+        return float(np.einsum("ij,ij->", B, B))
+
+
+def _w2_bound(w, mu1, B1, mu2, trace2) -> float:
+    """w * sqrt(|mu1 - mu2|^2 + ||B1||_F^2 + trace2), computed as W2 computes its parts.
+
+    trace2 is _sq_frobenius(B2). A non-finite root or weight gives inf or
+    nan, silently: the term is then computed, and W2 reports it.
+    """
+    mu1, mu2, B1 = (np.asarray(x, dtype=float) for x in (mu1, mu2, B1))
+    with np.errstate(all="ignore"):
+        trace1 = _sq_frobenius(B1)
         return float(w * np.sqrt(float(np.sum((mu1 - mu2) ** 2)) + trace1 + trace2))
 
 

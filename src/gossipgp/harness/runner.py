@@ -51,7 +51,7 @@ from ..info_filter import (
 )
 from ..robust import robust_increment, standardized_residuals, weights_for
 from .config import GridFileSource, Scenario, SyntheticSource
-from .metrics import MetricsRecord, _MemberError, _weighted_w2, npll, rmse
+from .metrics import MetricsRecord, _MemberError, _sq_frobenius, _weighted_w2, npll, rmse
 from .streams import Stream, inject_outliers, load_grid_dataset, synth_stream
 
 __all__ = [
@@ -153,8 +153,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     # again only when an epoch's inputs differ from the ones they were built
     # for, and a timed kernel rotates them to each epoch's time in buffers
     # allocated with them. A grid stream needs them at every epoch, since
-    # its batches are columns of the grid; otherwise each batch is
-    # featurized, and the evaluation inputs only at epochs that predict.
+    # each batch is a block of the grid's columns, read as a view; otherwise
+    # each batch is featurized, and the evaluation inputs only at epochs
+    # that predict.
     predict = "rmse" in scenario.eval.metrics or "npll" in scenario.eval.metrics
     sites = Phis0 = Phis = None
     for t in stream.epochs:
@@ -300,7 +301,8 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis):
     rows are the posteriors of the agents, then the oracle's when w2 is
     requested, and stacks their log-evidence, eta and packed D. Phis are
     each member's features over the whole evaluation grid, shared by all
-    agents; stitched evaluation selects an agent's own columns. An agent
+    agents; stitched evaluation reads an agent's own columns, one block
+    since the owners are nondecreasing, as a view. An agent
     whose posterior (evidence included) is bitwise the previous agent's
     copies that agent's record under global evaluation, and under stitched
     evaluation reuses its factors and w2 to score its own sites.
@@ -319,13 +321,18 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis):
                 oracle_roots.append(posterior_root(factor))
         except Exception as exc:
             raise RunError(f"epoch {t}, centralized oracle: {exc}") from exc
+        oracle_traces = [_sq_frobenius(B) for _, B in oracle_roots]
 
+    stitched = scenario.eval.mode == "stitched"
+    if stitched:
+        owner = stream.eval_owner[t]
+        bounds = np.searchsorted(owner, np.arange(scenario.num_agents + 1)).tolist()
     out = []
     for k, agent in enumerate(rows[: scenario.num_agents]):
         try:
             shared = k > 0 and _same_posterior(stacks, k, k - 1)
-            if scenario.eval.mode == "stitched":
-                sel = stream.eval_owner[t] == k
+            if stitched:
+                sel = slice(bounds[k], bounds[k + 1])
                 y_k = y_true[sel]
             elif shared:
                 out.append(replace(out[-1], agent_id=k))
@@ -350,7 +357,8 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis):
                 # posterior. Each root is made as its term is reached, so one
                 # lives at a time.
                 try:
-                    w2_val = _weighted_w2(w, map(posterior_root, factors), oracle_roots)
+                    w2_val = _weighted_w2(w, map(posterior_root, factors), oracle_roots,
+                                          oracle_traces)
                 except _MemberError as exc:
                     raise RunError(
                         f"epoch {t}, agent {k}, member {exc.member}, evaluation: {exc}"

@@ -4,8 +4,10 @@ Grid files are comma-separated text with a required ``lat,lon,t,value``
 header. Spatial coordinates are min-max normalized to [0,1]^2, values
 standardized to zero mean and unit variance over the whole file, and the
 time column is kept as raw integer epochs. Space is split into K contiguous
-rectangular blocks, one per agent; each batch records its rows of the
-epoch's evaluation grid.
+rectangular blocks, one per agent. Rows are sorted by (epoch, owner, lat,
+lon), so each agent's sites form one contiguous block of its epoch's
+evaluation grid: the batch is that slice, and its arrays are views of the
+epoch's.
 
 Synthetic streams draw a ground-truth function f(x) = phi(x)^T theta* from
 a known random-feature basis; the drifting variant evolves
@@ -66,11 +68,14 @@ class Stream:
     """Per-epoch per-agent batches plus the evaluation grid and its truth.
 
     Grid streams only: eval_owner[t] maps each evaluation point of epoch t to
-    the agent whose block contains it, and batch_rows[t][k] holds the rows of
-    eval_inputs[t] that make up agent k's batch, so features of the grid
-    serve the batches too. output_sd is the output standard deviation in
-    stream units, used to scale injected outlier magnitudes. For synthetic
-    streams, `truth` records the generating basis and weights.
+    the agent whose block contains it, and is nondecreasing, so each agent's
+    points are one slice of the epoch. batch_rows[t][k] is the slice of
+    eval_inputs[t] that makes up agent k's batch; the slices tile the epoch
+    in agent order, so slices of the grid's features serve the batches too.
+    A stream that breaks either rule is rejected. output_sd is the output
+    standard deviation in stream units, used to scale injected outlier
+    magnitudes. For synthetic streams, `truth` records the generating basis
+    and weights.
     """
 
     num_agents: int
@@ -79,26 +84,40 @@ class Stream:
     eval_inputs: dict[int, np.ndarray] = field(repr=False)
     eval_truth: dict[int, np.ndarray] = field(repr=False)
     eval_owner: dict[int, np.ndarray] | None = field(default=None, repr=False)
-    batch_rows: dict[int, list[np.ndarray]] | None = field(default=None, repr=False)
+    batch_rows: dict[int, list[slice]] | None = field(default=None, repr=False)
     output_sd: float = 1.0
     truth: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        for t in self.epochs if self.eval_owner is not None else ():
+            owner = self.eval_owner[t]
+            drops = np.flatnonzero(owner[1:] < owner[:-1])
+            if drops.size:
+                i = int(drops[0]) + 1
+                raise ValueError(
+                    f"epoch {t}, agent {owner[i]}: its evaluation point {i} follows one "
+                    f"of agent {owner[i - 1]}; the owners must be nondecreasing"
+                )
         if self.batch_rows is None:
             return
         for t in self.epochs:
-            batches, rows = self.batches[t], self.batch_rows[t]
-            for k, batch in enumerate(batches):
-                try:
-                    same = len(rows) == len(batches) and np.array_equal(
-                        self.eval_inputs[t][rows[k]], batch.X)
-                except IndexError:
-                    same = False
-                if not same:
+            rows, sites = self.batch_rows[t], self.eval_inputs[t]
+            start = 0
+            for k, batch in enumerate(self.batches[t]):
+                block = rows[k] if k < len(rows) else None
+                if not (isinstance(block, slice) and block.start == start
+                        and block.step in (None, 1) and np.array_equal(sites[block], batch.X)):
                     raise ValueError(
-                        f"epoch {t}, agent {k}: the recorded rows of the evaluation "
-                        f"grid do not reproduce the batch inputs"
+                        f"epoch {t}, agent {k}: the recorded rows {block} are not the "
+                        f"block of the evaluation grid from row {start} that holds "
+                        f"the batch inputs"
                     )
+                start = block.stop
+            if len(rows) != len(self.batches[t]) or start != len(sites):
+                raise ValueError(
+                    f"epoch {t}: the {len(rows)} recorded blocks end at row {start} "
+                    f"and do not tile the {len(sites)} points of the evaluation grid"
+                )
 
     @property
     def spatial_dim(self) -> int:
@@ -114,11 +133,17 @@ def load_grid_dataset(path, K: int) -> Stream:
     """Load a lat,lon,t,value file and split space into K agent blocks.
 
     Block (lat_block, lon_block) goes to agent lat_block * cols + lon_block,
-    the grid topology's node at the same position.
+    the grid topology's node at the same position. A site listed twice in
+    one epoch is a GridParseError naming both file lines.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    lat, lon, t_raw, val = _read_grid_rows(path)
+    lines = _grid_lines(path)
+    lat, lon, t_raw, val = _read_grid_rows(lines)
+    # The parse skips empty lines only, so where they are places each row on
+    # its file line for the error below; the lines themselves are let go.
+    empty = [i for i, line in enumerate(lines) if not line] if "" in lines else []
+    del lines
 
     rows, cols = _grid_shape(K)
     uniq_lat = np.unique(lat)
@@ -143,15 +168,28 @@ def load_grid_dataset(path, K: int) -> Stream:
     lon_block = lon_rank * cols // uniq_lon.size
     owner = lat_block * cols + lon_block
 
-    # One stable sort by (epoch, lat, lon), split at the epoch boundaries.
-    order = np.lexsort((X[:, 1], X[:, 0], t_raw))
+    # One stable sort by (epoch, owner, lat, lon), split at the epoch
+    # boundaries: each agent's sites are then one slice of its epoch, and a
+    # site listed twice sits next to its copy.
+    order = np.lexsort((lon, lat, owner, t_raw))
     t_raw, X, y, owner = t_raw[order], X[order], y[order], owner[order]
+    twice = np.flatnonzero((t_raw[1:] == t_raw[:-1]) & np.all(X[1:] == X[:-1], axis=1))
+    if twice.size:
+        first, second = order[twice[0]], order[twice[0] + 1]
+        raise GridParseError(
+            f"lines {_file_line(first, empty)} and {_file_line(second, empty)}: site "
+            f"({float(lat[first])!r}, {float(lon[first])!r}) is listed twice in epoch "
+            f"{int(t_raw[twice[0]])}"
+        )
     epochs, starts = np.unique(t_raw, return_index=True)
     epochs = tuple(int(e) for e in epochs)
     eval_inputs = dict(zip(epochs, np.split(X, starts[1:])))
     eval_truth = dict(zip(epochs, np.split(y, starts[1:])))
     eval_owner = dict(zip(epochs, np.split(owner, starts[1:])))
-    batch_rows = {t: [np.flatnonzero(eval_owner[t] == k) for k in range(K)] for t in epochs}
+    batch_rows = {}
+    for t in epochs:
+        bounds = np.searchsorted(eval_owner[t], np.arange(K + 1)).tolist()
+        batch_rows[t] = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     batches = {
         t: [StreamBatch(agent_id=k, t=t, X=eval_inputs[t][rows], y=eval_truth[t][rows])
             for k, rows in enumerate(batch_rows[t])]
@@ -169,14 +207,26 @@ def load_grid_dataset(path, K: int) -> Stream:
     )
 
 
-def _read_grid_rows(path):
-    """The lat, lon, t and value columns of a grid file (a path or a text stream)."""
+def _grid_lines(path) -> list[str]:
+    """The lines of a grid file (a path or a text stream)."""
     if isinstance(path, io.TextIOBase):
-        text = path.read()
-    else:
-        with open(path, "r", newline="") as fp:
-            text = fp.read()
-    lines = text.splitlines()
+        return path.read().splitlines()
+    with open(path, "r", newline="") as fp:
+        return fp.read().splitlines()
+
+
+def _file_line(row: int, empty: list[int]) -> int:
+    """The file line of data row `row`, given the 0-based indexes of the empty lines."""
+    line = row + 2  # the header is line 1
+    for i in empty:
+        if i >= line:
+            break
+        line += 1
+    return line
+
+
+def _read_grid_rows(lines):
+    """The lat, lon, t and value columns of a grid file's lines."""
     header = next(csv.reader(lines[:1]), None)
     if header is None or tuple(h.strip() for h in header) != GRID_HEADER:
         raise GridParseError(

@@ -10,6 +10,7 @@ import gossipgp.harness.metrics as metrics_mod
 from gossipgp.harness.metrics import (
     MetricsRecord,
     _MemberError,
+    _sq_frobenius,
     _weighted_w2,
     npll,
     read_metrics_csv,
@@ -232,6 +233,12 @@ def random_roots(rng, count, n=3):
             for _ in range(count)]
 
 
+
+def traces_of(others):
+    """Each other root's ||B||_F^2, as _weighted_w2 takes them."""
+    return [_sq_frobenius(B) for _, B in others]
+
+
 # Weights of every magnitude the softmax of log-evidence can give.
 WEIGHT = st.one_of(
     st.just(0.0),
@@ -251,7 +258,7 @@ class TestWeightedW2:
         weights = np.array(weights[:at] + [negligible] + weights[at:])
         rng = np.random.default_rng(seed)
         roots, others = random_roots(rng, len(weights)), random_roots(rng, len(weights))
-        ours = _weighted_w2(weights, roots, others)
+        ours = _weighted_w2(weights, roots, others, traces_of(others))
         assert ours.hex() == full_w2_sum(weights, roots, others).hex()
 
     @pytest.mark.parametrize("weights, computed", [
@@ -271,7 +278,7 @@ class TestWeightedW2:
             return exact(mu1, B1, mu2, B2)
 
         monkeypatch.setattr(metrics_mod, "wasserstein2_gaussians", counted)
-        total = _weighted_w2(np.array(weights), roots, others)
+        total = _weighted_w2(np.array(weights), roots, others, traces_of(others))
         assert calls == computed
         # Each skipped term, added to the sum, would have left it unchanged.
         for m in set(range(3)) - set(computed):
@@ -285,7 +292,7 @@ class TestWeightedW2:
         roots, others = random_roots(rng, 3), random_roots(rng, 3)
         roots[1][1][2, 0] = bad
         with pytest.raises(_MemberError, match="covariance root B1 holds non-finite") as info:
-            _weighted_w2(np.array([1.0, weight, 0.5]), roots, others)
+            _weighted_w2(np.array([1.0, weight, 0.5]), roots, others, traces_of(others))
         assert info.value.member == 1
 
 

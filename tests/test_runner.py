@@ -413,6 +413,91 @@ class TestEvalModes:
         assert all(np.isfinite(r.rmse) and np.isfinite(r.npll) for r in res.records)
 
 
+def write_grid_without_agent_0(path, epoch, **kwargs):
+    """A 6x6 synthetic weather file whose given epoch lacks agent 0's nine sites (K = 4)."""
+    write_synthetic_weather_csv(path, nlat=6, nlon=6, **kwargs)
+    header, *rows = path.read_text().splitlines()
+    rows = [row for row in rows if not (row.split(",")[2] == str(epoch)
+                                        and float(row.split(",")[0]) < 45.0
+                                        and float(row.split(",")[1]) < 65.0)]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+class TestBlockLayout:
+    """Each agent's sites are one block of its epoch, read as views."""
+
+    def test_local_step_and_stitched_evaluation_read_views(self, monkeypatch, tmp_path):
+        # The local step's Phi and stitched evaluation's Phi and truths are
+        # views of each epoch's grid features and truths, not copies.
+        import gossipgp.harness.runner as runner_mod
+
+        grid, local, evaluated, truths = [], [], [], []
+        shift_time_, predict_batch_ = runner_mod.shift_time, runner_mod.predict_batch
+        mixture_, rmse_ = runner_mod.mixture_predict_batch, runner_mod.rmse
+
+        def shift_time(fm, Phi0, t, out):
+            grid.append(out)
+            return shift_time_(fm, Phi0, t, out=out)
+
+        def predict(factor, Phi):
+            local.append(Phi)
+            return predict_batch_(factor, Phi)
+
+        def mixture(w, factors, Phis):
+            evaluated.extend(Phis)
+            return mixture_(w, factors, Phis)
+
+        def rmse_k(mean, y):
+            truths.append(y)
+            return rmse_(mean, y)
+
+        for name, f in (("shift_time", shift_time), ("predict_batch", predict),
+                        ("mixture_predict_batch", mixture), ("rmse", rmse_k)):
+            monkeypatch.setattr(runner_mod, name, f)
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=3, seed=4)
+        cfg = {
+            "topology": {"kind": "ring", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
+                         "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"mode": "stitched", "metrics": ["rmse", "npll"]},
+        }
+        res = run_scenario(scenario_from_dict(cfg))
+        assert len(local) == 3 * 4 * 2 and len(evaluated) == 3 * 4 * 2 and len(truths) == 3 * 4
+        for Phi in local + evaluated:
+            assert Phi.shape == (16, 12)
+            assert any(np.shares_memory(Phi, G) for G in grid)
+        for y in truths:
+            assert y.shape == (12,)
+            assert any(np.shares_memory(y, res.stream.eval_truth[t]) for t in range(3))
+
+    @pytest.mark.parametrize("mode", ["global", "stitched"])
+    def test_agent_without_sites_in_an_epoch(self, tmp_path, mode):
+        # At epoch 1 agent 0 owns no site: its batch is an empty block, it
+        # learns nothing new, and under stitched evaluation its rmse and npll
+        # cells are empty while its w2 is still scored.
+        path = tmp_path / "w.csv"
+        write_grid_without_agent_0(path, 1, epochs=3, seed=2)
+        cfg = {
+            "topology": {"kind": "ring", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "members": [{"lengthscales": 0.4}]},
+            "robust": {"kind": "hampel"},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"mode": mode, "metrics": ["rmse", "npll", "w2"]},
+        }
+        res = run_scenario(scenario_from_dict(cfg))
+        assert [b.size for b in res.stream.batches[1]] == [0, 9, 9, 9]
+        assert res.stream.batch_rows[1][0] == slice(0, 0)
+        assert len(res.records) == 4 * 3
+        for r in res.records:
+            assert np.isfinite(r.w2_to_centralized)
+            if mode == "stitched" and (r.t, r.agent_id) == (1, 0):
+                assert r.rmse is None and r.npll is None
+            else:
+                assert np.isfinite([r.rmse, r.npll]).all()
+
+
 class TestDeterminism:
     def test_identical_runs_identical_records(self):
         cfg = make_config(eval={"metrics": ["rmse", "npll", "w2"]})
@@ -933,11 +1018,19 @@ class TestNegligibleW2Terms:
             calls.append(None)
             return exact(*args)
 
-        def every_term(weights, roots, others):
+        def every_term(weights, roots, others, other_traces):
             return float(sum(w_m * metrics_mod.wasserstein2_gaussians(*r, *o)
                              for w_m, r, o in zip(weights, roots, others)))
 
-        cfg = make_config(
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics_mod, "wasserstein2_gaussians", counted)
+            if full:
+                mp.setattr(runner_mod, "_weighted_w2", every_term)
+            result = run_scenario(scenario_from_dict(self.config()))
+        return result, len(calls)
+
+    def config(self):
+        return make_config(
             topology={"kind": "ring", "num_agents": self.K},
             ensemble={"shared_J": 8,
                       "members": [{"lengthscales": ls} for ls in (0.4, 0.15, 0.05)]},
@@ -946,12 +1039,32 @@ class TestNegligibleW2Terms:
             eval={"metrics": ["rmse", "npll", "w2"], "epochs": self.evaluated,
                   "snapshots": self.evaluated},
         )
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics_mod, "wasserstein2_gaussians", counted)
-            if full:
-                mp.setattr(runner_mod, "_weighted_w2", every_term)
-            result = run_scenario(scenario_from_dict(cfg))
-        return result, len(calls)
+
+    def test_oracle_traces_are_computed_once_per_evaluated_epoch(self, monkeypatch):
+        # Every agent's bound reads the oracle members' ||B'||_F^2, computed
+        # once per evaluated epoch rather than once per agent.
+        import gossipgp.harness.runner as runner_mod
+
+        traces, weighed = [], []
+        sq_frobenius_, weighted_w2_ = runner_mod._sq_frobenius, runner_mod._weighted_w2
+
+        def counted(B):
+            traces.append(sq_frobenius_(B))
+            return traces[-1]
+
+        def weighted_w2(weights, roots, others, other_traces):
+            weighed.append(other_traces)
+            return weighted_w2_(weights, roots, others, other_traces)
+
+        monkeypatch.setattr(runner_mod, "_sq_frobenius", counted)
+        monkeypatch.setattr(runner_mod, "_weighted_w2", weighted_w2)
+        run_scenario(scenario_from_dict(self.config()))
+        E, K, M = len(self.evaluated), self.K, self.M
+        assert len(traces) == E * M
+        assert len(weighed) == E * K
+        for e in range(E):
+            for other_traces in weighed[K * e: K * (e + 1)]:
+                assert other_traces == traces[M * e: M * (e + 1)]
 
     def test_skipped_terms_leave_every_bit_in_place(self):
         skipping, calls = self.run_counting_w2(full=False)

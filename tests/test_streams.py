@@ -19,12 +19,14 @@ from gossipgp import (
 from gossipgp.harness.streams import (
     GridParseError,
     OutlierSpec,
+    StreamBatch,
     SynthConfig,
     inject_outliers,
     load_grid_dataset,
     synth_stream,
     synthetic_weather_table,
     write_synthetic_weather_csv,
+    _grid_lines,
     _read_grid_rows,
 )
 
@@ -119,8 +121,15 @@ class TestGridLoader:
         # Agents i and j are grid-topology neighbours exactly when their
         # spatial blocks share an edge, i.e. when some site of one block has
         # a 4-neighbour site in the other.
+        # Rows are sorted by owner, so the owners are laid out on the 20x20
+        # raster by each site's lat and lon rank.
         path = write_grid(tmp_path / "g.csv", nlat=20, nlon=20, epochs=1)
-        owner = load_grid_dataset(path, K).eval_owner[0].reshape(20, 20)
+        stream = load_grid_dataset(path, K)
+        X = stream.eval_inputs[0]
+        owner = np.full((20, 20), -1)
+        owner[np.unique(X[:, 0], return_inverse=True)[1],
+              np.unique(X[:, 1], return_inverse=True)[1]] = stream.eval_owner[0]
+        assert owner.min() >= 0
         touching = set()
         for a, b in ((owner[:, :-1], owner[:, 1:]), (owner[:-1, :], owner[1:, :])):
             touching |= {(int(i), int(j)) for i, j in zip(a.ravel(), b.ravel()) if i != j}
@@ -142,7 +151,7 @@ def stream_arrays(stream):
     for t in stream.epochs:
         out += [stream.eval_inputs[t], stream.eval_truth[t], stream.eval_owner[t]]
         out += [a for b in stream.batches[t] for a in (b.X, b.y)]
-        out += stream.batch_rows[t]
+        out.append(np.array([(rows.start, rows.stop) for rows in stream.batch_rows[t]]))
     return out
 
 
@@ -175,7 +184,7 @@ class TestGridReader:
         with open(path, newline="") as fp:
             rows = [row for row in list(csv.reader(fp))[1:] if row]
         want = [np.array([float(row[i]) for row in rows]) for i in range(4)]
-        got = _read_grid_rows(path)
+        got = _read_grid_rows(_grid_lines(path))
         assert got[2].dtype.kind == "i"
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
@@ -220,6 +229,27 @@ class TestGridReader:
         with pytest.raises(GridParseError, match=f"^line 3: .*{reason}"):
             load_grid_dataset(path, K=1)
 
+    @pytest.mark.parametrize("blank", [False, True], ids=["plain", "blank_lines"])
+    def test_site_listed_twice_in_an_epoch_names_both_lines(self, tmp_path, blank):
+        # Line 8 holds the 7th row of epoch 0 (site 41.0,60.0); the site
+        # comes back with a new value at the end of the file, after epoch 1.
+        path = write_grid(tmp_path / "g.csv", nlat=6, nlon=6, epochs=2)
+        header, *rows = path.read_text().splitlines()
+        assert rows[6].startswith("41.0,60.0,0,")
+        rows.append("41.0,60.0,0,99.5")
+        if blank:  # empty lines do not count as rows, but they are lines
+            rows = [line for row in rows for line in (row, "")]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        first, second = (14, 146) if blank else (8, 74)
+        with pytest.raises(GridParseError, match=rf"^lines {first} and {second}: "
+                                                 rf"site \(41\.0, 60\.0\) is listed twice "
+                                                 rf"in epoch 0$"):
+            load_grid_dataset(path, K=4)
+
+    def test_same_site_in_two_epochs_is_not_a_repeat(self, tmp_path):
+        stream = load_grid_dataset(write_grid(tmp_path / "g.csv", nlat=6, nlon=6), K=4)
+        assert [len(stream.eval_inputs[t]) for t in stream.epochs] == [36, 36]
+
     def test_blank_body_has_no_data_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("lat,lon,t,value\n\n  \n")
@@ -232,10 +262,40 @@ class TestBatchRows:
         stream = load_grid_dataset(write_grid(tmp_path / "g.csv", nlat=6, nlon=4), K=4)
         for t in stream.epochs:
             rows = stream.batch_rows[t]
-            assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(24))
+            assert [(r.start, r.stop) for r in rows] == [(0, 6), (6, 12), (12, 18), (18, 24)]
             for k, batch in enumerate(stream.batches[t]):
                 assert np.array_equal(stream.eval_inputs[t][rows[k]], batch.X)
                 assert np.array_equal(stream.eval_owner[t][rows[k]], np.full(6, k))
+
+    def test_blocks_keep_lat_lon_order(self, tmp_path):
+        # Within its block each batch lists its sites by (lat, lon), as the
+        # whole grid was listed before it was sorted by owner.
+        stream = load_grid_dataset(write_grid(tmp_path / "g.csv", nlat=6, nlon=4), K=4)
+        for t in stream.epochs:
+            for batch in stream.batches[t]:
+                assert np.array_equal(np.lexsort((batch.X[:, 1], batch.X[:, 0])),
+                                      np.arange(batch.size))
+
+    def test_batches_are_views_of_the_epoch(self, tmp_path):
+        stream = load_grid_dataset(write_grid(tmp_path / "g.csv", nlat=6, nlon=4), K=4)
+        for t in stream.epochs:
+            for batch in stream.batches[t]:
+                assert np.shares_memory(batch.X, stream.eval_inputs[t])
+                assert np.shares_memory(batch.y, stream.eval_truth[t])
+
+    def test_agent_without_sites_gets_an_empty_block(self, tmp_path):
+        # Epoch 1 lacks agent 0's nine sites of the 6x6 grid.
+        path = write_grid(tmp_path / "g.csv", nlat=6, nlon=6, epochs=2)
+        header, *rows = path.read_text().splitlines()
+        rows = [row for row in rows if not (row.split(",")[2] == "1"
+                                            and float(row.split(",")[0]) < 43.0
+                                            and float(row.split(",")[1]) < 63.0)]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        stream = load_grid_dataset(path, K=4)
+        assert [b.size for b in stream.batches[0]] == [9, 9, 9, 9]
+        assert [b.size for b in stream.batches[1]] == [0, 9, 9, 9]
+        assert stream.batch_rows[1][0] == slice(0, 0)
+        assert stream.batch_rows[1][1] == slice(0, 9)
 
     def test_synthetic_streams_record_no_rows(self):
         assert synth_stream(SynthConfig(num_agents=2, epochs=2), seed=0).batch_rows is None
@@ -245,16 +305,48 @@ class TestBatchRows:
         hit = inject_outliers(stream, OutlierSpec(epoch=1, fraction=1.0))
         assert hit.batch_rows is stream.batch_rows
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda rows: rows[::-1],
-        lambda rows: rows[:-1],
-        lambda rows: [r + 100 for r in rows],
-    ], ids=["swapped", "missing", "out_of_range"])
-    def test_rows_that_do_not_give_the_batch_are_rejected(self, tmp_path, corrupt):
+    @pytest.mark.parametrize("corrupt, agent", [
+        (lambda rows: rows[::-1], "agent 0"),
+        (lambda rows: rows[:-1], "agent 3"),
+        (lambda rows: [slice(r.start + 100, r.stop + 100) for r in rows], "agent 0"),
+        (lambda rows: [np.arange(r.start, r.stop) for r in rows], "agent 0"),
+    ], ids=["swapped", "missing", "out_of_range", "index_arrays"])
+    def test_rows_that_do_not_give_the_batch_are_rejected(self, tmp_path, corrupt, agent):
         stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=4)
         batch_rows = {**stream.batch_rows, 1: corrupt(stream.batch_rows[1])}
-        with pytest.raises(ValueError, match="epoch 1, agent 0: the recorded rows"):
+        with pytest.raises(ValueError, match=f"epoch 1, {agent}: the recorded rows"):
             dataclasses.replace(stream, batch_rows=batch_rows)
+
+    def test_overlapping_blocks_are_rejected(self, tmp_path):
+        # Each batch is its block of the grid, but agent 1's block starts
+        # inside agent 0's.
+        stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=2)
+        X, y = stream.eval_inputs[1], stream.eval_truth[1]
+        rows = [slice(0, 8), slice(6, 16)]
+        batches = {**stream.batches, 1: [StreamBatch(agent_id=k, t=1, X=X[r], y=y[r])
+                                         for k, r in enumerate(rows)]}
+        with pytest.raises(ValueError, match=r"epoch 1, agent 1: the recorded rows slice\(6, 16"):
+            dataclasses.replace(stream, batches=batches,
+                                batch_rows={**stream.batch_rows, 1: rows})
+
+    def test_blocks_that_leave_sites_out_are_rejected(self, tmp_path):
+        stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=2)
+        X, y = stream.eval_inputs[1], stream.eval_truth[1]
+        rows = [slice(0, 8), slice(8, 15)]
+        batches = {**stream.batches, 1: [StreamBatch(agent_id=k, t=1, X=X[r], y=y[r])
+                                         for k, r in enumerate(rows)]}
+        with pytest.raises(ValueError, match="epoch 1: the 2 recorded blocks end at row 15"):
+            dataclasses.replace(stream, batches=batches,
+                                batch_rows={**stream.batch_rows, 1: rows})
+
+    def test_decreasing_owners_are_rejected(self, tmp_path):
+        stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=4)
+        owner = stream.eval_owner[1].copy()
+        assert owner[4] == 1
+        owner[5] = 0
+        with pytest.raises(ValueError, match="epoch 1, agent 0: its evaluation point 5 "
+                                             "follows one of agent 1"):
+            dataclasses.replace(stream, eval_owner={**stream.eval_owner, 1: owner})
 
 
 class TestSynthStream:
