@@ -59,13 +59,20 @@ class Topology:
 
 @dataclass(frozen=True)
 class ConsensusConfig:
-    """Number of synchronous Metropolis mixing rounds L."""
+    """Number of synchronous Metropolis mixing rounds L, and what agents share.
+
+    mode sum gossips every increment to the network sum; local keeps each
+    agent's increments its own (no gossip).
+    """
 
     rounds: int = 1
+    mode: str = "sum"
 
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
+        if self.mode not in ("sum", "local"):
+            raise ValueError(f"mode must be sum or local, got {self.mode!r}")
 
 
 def _is_connected(A: np.ndarray) -> bool:

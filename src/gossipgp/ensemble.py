@@ -12,7 +12,6 @@ information increments across the network meaningful.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +41,16 @@ def member_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """M kernel hypotheses sharing a feature count and a base seed."""
+    """M kernel hypotheses sharing a feature count and a base seed.
+
+    evidence consensus weights members by the network's summed evidence;
+    local weights them by each agent's own.
+    """
 
     members: tuple[KernelSpec, ...]
     shared_J: int
     base_seed: int = 0
+    evidence: str = "consensus"
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -55,6 +59,8 @@ class EnsembleSpec:
             raise ValueError("ensemble needs at least one member")
         if self.shared_J < 1:
             raise ValueError(f"shared_J must be >= 1, got {self.shared_J}")
+        if self.evidence not in ("consensus", "local"):
+            raise ValueError(f"evidence must be consensus or local, got {self.evidence!r}")
         d = members[0].spatial_dim
         temporal = members[0].temporal_lengthscale is not None
         for m in members:
@@ -66,32 +72,6 @@ class EnsembleSpec:
     @property
     def num_members(self) -> int:
         return len(self.members)
-
-    @classmethod
-    def from_grid(
-        cls,
-        lengthscales,
-        prior_variances,
-        obs_variance: float,
-        spatial_dim: int,
-        shared_J: int,
-        base_seed: int = 0,
-        temporal_lengthscale: float | None = None,
-    ) -> "EnsembleSpec":
-        """Cartesian product of isotropic lengthscales and prior variances.
-
-        Member order is (lengthscale-major, prior-variance-minor).
-        """
-        members = [
-            KernelSpec(
-                spatial_lengthscales=(float(ls),) * spatial_dim,
-                temporal_lengthscale=temporal_lengthscale,
-                prior_variance=float(pv),
-                obs_variance=obs_variance,
-            )
-            for ls, pv in itertools.product(lengthscales, prior_variances)
-        ]
-        return cls(members=tuple(members), shared_J=shared_J, base_seed=base_seed)
 
 
 @dataclass

@@ -1,41 +1,51 @@
-"""Scenario configuration: YAML schema, defaults, and cross-validation.
+"""Scenario configuration: one table of typed keys and one reader.
 
-A scenario file is a mapping with the sections below; every omitted key
-takes the default shown. scenario_from_dict() normalizes the input into a
-fully-resolved dict (echoed to config_resolved.txt) and builds the typed
-component configs.
+A scenario file is a YAML mapping. The tables below give each key its reader
+and its default, and _read() checks a section against its table: it rejects
+unknown keys, reads every value with its dotted key in any error and fills in
+the defaults. What it returns is what the run uses, and resolved_yaml()
+echoes it to config_resolved.txt. Each component's own checks run in its
+__post_init__; their errors name the section. Every omitted key takes the
+default shown, and a key shown as `required` has none:
 
-seed: 0
+seed: 0                                    # seeds are non-negative integers
 topology: {kind: complete, num_agents: 4, custom_edges: null}
 consensus: {rounds: 1, mode: sum}          # mode: sum | local; sum needs rounds >= 1 if K > 1
-ensemble:
+ensemble:                                  # required, with exactly one of members and grid
   shared_J: 200
   base_seed: 0
   evidence: consensus                      # consensus | local
   temporal_lengthscale: null               # set: inputs get a time column, any dynamics
-  members: [{lengthscales: [0.2, 0.2], prior_variance: 1.0, obs_variance: 0.05}]
-  # or instead of members:
-  # grid: {lengthscales: [0.01, 0.05], prior_variances: [1.0, 25.0], obs_variance: 0.05}
+  members: null                            # a list of ensemble.members[i] below
+  grid: null                               # or ensemble.grid below: one member per pair
 dynamics: {mode: static, nu: 1.0}          # static (nu 1) | b2p | ui (nu >= 1e-6)
 robust: {kind: none, delta: 1.345, breakpoints: [2.0, 4.0, 8.0]}
-stream:
-  kind: grid_file                          # grid_file | synthetic
-  path: data.csv
-  # synthetic: {kind: static_gp, epochs: 10, batch_size: 20, spatial_dim: 2,
-  #             lengthscale: 0.3, prior_variance: 1.0, obs_variance: 0.01,
-  #             true_J: 64, drift_scale: 0.0, num_eval_points: 200}
-outliers: null                             # or {epoch, fraction, magnitude_sd, region,
-                                           #     agents, jitter, seed}
+stream: required                           # kind grid_file or synthetic, below
+outliers: null                             # or the mapping below
 eval:
   epochs: all                              # all | list of ints
-  mode: global                             # global | stitched
+  mode: global                             # global | stitched (needs a grid_file stream)
   metrics: [rmse, npll]                    # subset of rmse, npll, w2
   w2_oracle: identical                     # identical | unit
   snapshots: []                            # epochs to snapshot
+
+The mappings that those keys hold:
+
+ensemble.members[i]: {lengthscales: required, prior_variance: 1.0, obs_variance: 0.05}
+ensemble.grid: {lengthscales: required, prior_variances: required, obs_variance: 0.05}
+stream (kind grid_file): {path: required}
+stream (kind synthetic):
+  synthetic: {kind: static_gp, epochs: 10, batch_size: 20, spatial_dim: 2,
+              lengthscale: 0.3, prior_variance: 1.0, obs_variance: 0.01,
+              true_J: 64, drift_scale: 0.0, num_eval_points: 200}
+outliers: {epoch: required, fraction: required, magnitude_sd: 8.0, region: null,
+           agents: null, jitter: 0.25, seed: 0}
+
+A member's lengthscales are one number or one per spatial dimension; a grid
+lists isotropic ones. An outlier region is two corners, [[lo...], [hi...]].
 """
 from __future__ import annotations
 
-import copy
 import numbers
 from dataclasses import dataclass
 
@@ -64,6 +74,9 @@ class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
 
 
+# Readers: each takes (value, dotted key) and returns the value the run uses,
+# or raises a ConfigError that names the key.
+
 def _int(value, key: str) -> int:
     """value as an int; a bool or a non-integral value is a ConfigError naming key."""
     integral = isinstance(value, numbers.Integral) or (
@@ -74,11 +87,163 @@ def _int(value, key: str) -> int:
     return int(value)
 
 
+def _seed(value, key: str) -> int:
+    """value as a non-negative int, as numpy's seeding takes it."""
+    seed = _int(value, key)
+    if seed < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _float(value, key: str) -> float:
     """value as a float; a bool or a non-number is a ConfigError naming key."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _str(value, key: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _list(item=None, length: int | None = None):
+    """Reader of a list (of `length` entries, if given), each read by item."""
+    def read(value, key: str) -> list:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            what = "a list" if length is None else f"a list of {length}"
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        if item is None:
+            return list(value)
+        return [_apply(item, v, f"{key}[{i}]") for i, v in enumerate(value)]
+    return read
+
+
+def _all_or_ints(value, key: str):
+    if value == "all":
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be 'all' or a list of epochs, got {value!r}")
+    return _list(_int)(value, key)
+
+
+def _lengthscales(value, key: str):
+    """One number, or a list of them; _build_ensemble fits it to the inputs."""
+    return _list(_float)(value, key) if isinstance(value, (list, tuple)) else _float(value, key)
+
+
+def _stream(given, key: str) -> dict:
+    """The stream section, whose kind picks the table for its other keys."""
+    kind = given.get("kind") if isinstance(given, dict) else None
+    if kind not in ("grid_file", "synthetic"):
+        raise ConfigError(f"{key}.kind must be grid_file or synthetic, got {kind!r}")
+    rest = {k: v for k, v in given.items() if k != "kind"}
+    return {"kind": kind, **_read(_STREAMS[kind], rest, key)}
+
+
+# Tables: key -> (reader, default). A reader that is itself a table reads a
+# nested mapping. A default of None lets the key be null; REQUIRED marks a key
+# that has no default.
+REQUIRED = object()
+
+_MEMBER = {
+    "lengthscales": (_lengthscales, REQUIRED),
+    "prior_variance": (_float, 1.0),
+    "obs_variance": (_float, 0.05),
+}
+_GRID = {
+    "lengthscales": (_list(_float), REQUIRED),
+    "prior_variances": (_list(_float), REQUIRED),
+    "obs_variance": (_float, 0.05),
+}
+_SYNTHETIC = {
+    "kind": (_str, "static_gp"),
+    "epochs": (_int, 10),
+    "batch_size": (_int, 20),
+    "spatial_dim": (_int, 2),
+    "lengthscale": (_float, 0.3),
+    "prior_variance": (_float, 1.0),
+    "obs_variance": (_float, 0.01),
+    "true_J": (_int, 64),
+    "drift_scale": (_float, 0.0),
+    "num_eval_points": (_int, 200),
+}
+_STREAMS = {
+    "grid_file": {"path": (_str, REQUIRED)},
+    "synthetic": {"synthetic": (_SYNTHETIC, {})},
+}
+_OUTLIERS = {
+    "epoch": (_int, REQUIRED),
+    "fraction": (_float, REQUIRED),
+    "magnitude_sd": (_float, 8.0),
+    "region": (_list(_list(_float), 2), None),
+    "agents": (_list(_int), None),
+    "jitter": (_float, 0.25),
+    "seed": (_seed, 0),
+}
+_SCHEMA = {
+    "seed": (_seed, 0),
+    "topology": ({
+        "kind": (_str, "complete"),
+        "num_agents": (_int, 4),
+        "custom_edges": (_list(), None),
+    }, {}),
+    "consensus": ({"rounds": (_int, 1), "mode": (_str, "sum")}, {}),
+    "ensemble": ({
+        "shared_J": (_int, 200),
+        "base_seed": (_seed, 0),
+        "evidence": (_str, "consensus"),
+        "temporal_lengthscale": (_float, None),
+        "members": (_list(_MEMBER), None),
+        "grid": (_GRID, None),
+    }, REQUIRED),
+    "dynamics": ({"mode": (_str, "static"), "nu": (_float, 1.0)}, {}),
+    "robust": ({
+        "kind": (_str, "none"),
+        "delta": (_float, 1.345),
+        "breakpoints": (_list(_float, 3), [2.0, 4.0, 8.0]),
+    }, {}),
+    "stream": (_stream, REQUIRED),
+    "outliers": (_OUTLIERS, None),
+    "eval": ({
+        "epochs": (_all_or_ints, "all"),
+        "mode": (_str, "global"),
+        "metrics": (_list(_str), ["rmse", "npll"]),
+        "w2_oracle": (_str, "identical"),
+        "snapshots": (_list(_int), []),
+    }, {}),
+}
+
+
+def _read(fields: dict, given, key: str) -> dict:
+    """given (a mapping, or None for all defaults) read against the table fields."""
+    given = {} if given is None else given
+    if not isinstance(given, dict):
+        raise ConfigError(f"{key or 'a scenario'} must be a mapping, got {type(given).__name__}")
+    unknown = set(given) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {key or 'top-level'} keys: {sorted(unknown, key=str)}")
+    out = {}
+    for name, (read, default) in fields.items():
+        dotted = f"{key}.{name}" if key else name
+        value = given.get(name, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{dotted} is required")
+        out[name] = None if value is None and default is None else _apply(read, value, dotted)
+    return out
+
+
+def _apply(read, value, key: str):
+    return _read(read, value, key) if isinstance(read, dict) else read(value, key)
+
+
+def _build(key: str, make, *args, **kwargs):
+    """make(*args, **kwargs), where a ValueError from its checks names the section key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -101,14 +266,12 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.mode not in ("global", "stitched"):
-            raise ConfigError(f"eval.mode must be global or stitched, got {self.mode!r}")
+            raise ConfigError(f"mode must be global or stitched, got {self.mode!r}")
         bad = set(self.metrics) - {"rmse", "npll", "w2"}
         if bad:
             raise ConfigError(f"unknown metrics {sorted(bad)}")
         if self.w2_oracle not in ("identical", "unit"):
-            raise ConfigError(
-                f"eval.w2_oracle must be identical or unit, got {self.w2_oracle!r}"
-            )
+            raise ConfigError(f"w2_oracle must be identical or unit, got {self.w2_oracle!r}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +279,7 @@ class Scenario:
     seed: int
     topology: Topology
     consensus: ConsensusConfig
-    consensus_mode: str
     ensemble: EnsembleSpec
-    evidence_mode: str
     dynamics: DynamicsConfig
     robust: RobustConfig
     stream_source: GridFileSource | SyntheticSource
@@ -129,54 +290,6 @@ class Scenario:
     @property
     def num_agents(self) -> int:
         return self.topology.num_agents
-
-
-_DEFAULTS = {
-    "seed": 0,
-    "topology": {"kind": "complete", "num_agents": 4, "custom_edges": None},
-    "consensus": {"rounds": 1, "mode": "sum"},
-    "ensemble": {
-        "shared_J": 200,
-        "base_seed": 0,
-        "evidence": "consensus",
-        "temporal_lengthscale": None,
-    },
-    "dynamics": {"mode": "static", "nu": 1.0},
-    "robust": {"kind": "none", "delta": 1.345, "breakpoints": [2.0, 4.0, 8.0]},
-    "eval": {
-        "epochs": "all",
-        "mode": "global",
-        "metrics": ["rmse", "npll"],
-        "w2_oracle": "identical",
-        "snapshots": [],
-    },
-}
-
-_SYNTH_DEFAULTS = {
-    "kind": "static_gp",
-    "epochs": 10,
-    "batch_size": 20,
-    "spatial_dim": 2,
-    "lengthscale": 0.3,
-    "prior_variance": 1.0,
-    "obs_variance": 0.01,
-    "true_J": 64,
-    "drift_scale": 0.0,
-    "num_eval_points": 200,
-}
-
-
-def _merge_section(name: str, given: dict) -> dict:
-    section = copy.deepcopy(_DEFAULTS[name])
-    if given is None:
-        return section
-    if not isinstance(given, dict):
-        raise ConfigError(f"section {name!r} must be a mapping, got {type(given).__name__}")
-    unknown = set(given) - set(section)
-    if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    section.update(given)
-    return section
 
 
 def load_config(path) -> dict:
@@ -192,299 +305,85 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
-    """Normalize, validate, and build a Scenario from a plain mapping."""
-    cfg = copy.deepcopy(cfg)
-    known_top = {"seed", "topology", "consensus", "ensemble", "dynamics", "robust",
-                 "stream", "outliers", "eval"}
-    unknown = set(cfg) - known_top
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-
-    try:
-        seed = _int(cfg.get("seed", _DEFAULTS["seed"]), "seed")
-        topo_cfg = _merge_section("topology", cfg.get("topology"))
-        cons_cfg = _merge_section("consensus", cfg.get("consensus"))
-        ens_cfg = _merge_section_ensemble(cfg.get("ensemble"))
-        dyn_cfg = _merge_section("dynamics", cfg.get("dynamics"))
-        rob_cfg = _merge_section("robust", cfg.get("robust"))
-        eval_cfg = _merge_section("eval", cfg.get("eval"))
-        stream_cfg = cfg.get("stream")
-        outlier_cfg = cfg.get("outliers")
-
-        topology = build_topology(
-            topo_cfg["kind"], _int(topo_cfg["num_agents"], "topology.num_agents"),
-            custom_edges=topo_cfg["custom_edges"],
+    """Read, validate and build a Scenario from a plain mapping."""
+    resolved = _read(_SCHEMA, cfg, "")
+    topo, cons, ens, dyn, rob, stream, out, ev = (resolved[k] for k in (
+        "topology", "consensus", "ensemble", "dynamics", "robust", "stream", "outliers", "eval"))
+    topology = _build("topology", build_topology, topo["kind"], topo["num_agents"],
+                      custom_edges=topo["custom_edges"])
+    consensus = _build("consensus", ConsensusConfig, **cons)
+    if consensus.mode == "sum" and consensus.rounds == 0 and topology.num_agents > 1:
+        raise ConfigError(
+            "consensus.rounds 0 with mode sum gives every agent K times its own "
+            "increment; use consensus.mode local to keep agents independent"
         )
-        if cons_cfg["mode"] not in ("sum", "local"):
-            raise ConfigError(
-                f"consensus.mode must be sum or local, got {cons_cfg['mode']!r}"
-            )
-        consensus = ConsensusConfig(rounds=_int(cons_cfg["rounds"], "consensus.rounds"))
-        if cons_cfg["mode"] == "sum" and consensus.rounds == 0 and topology.num_agents > 1:
-            raise ConfigError(
-                "consensus.rounds 0 with mode sum gives every agent K times its own "
-                "increment; use consensus.mode local to keep agents independent"
-            )
-        temporal = ens_cfg["temporal_lengthscale"]
-        if temporal is not None:
-            temporal = _float(temporal, "ensemble.temporal_lengthscale")
-        # Legacy spelling of static forgetting with time features, still used by
-        # the benchmark's weather_stream; delete once bench/ is respelled.
-        legacy = dyn_cfg["mode"] == "spatiotemporal"
-        if legacy and temporal is None:
+    # Legacy spelling of static forgetting with time features, still used by
+    # the benchmark's weather_stream; delete once bench/ is respelled.
+    if dyn["mode"] == "spatiotemporal":
+        if ens["temporal_lengthscale"] is None:
             raise ConfigError("dynamics.mode spatiotemporal needs ensemble.temporal_lengthscale")
-        if legacy:
-            dyn_cfg["mode"] = "static"
-        dynamics = DynamicsConfig(mode=dyn_cfg["mode"], nu=_float(dyn_cfg["nu"], "dynamics.nu"))
-        bp = rob_cfg["breakpoints"]
-        if not (isinstance(bp, (list, tuple)) and len(bp) == 3):
-            raise ConfigError(f"robust.breakpoints must be [a, b, c], got {bp!r}")
-        a, b, c = (_float(v, f"robust.breakpoints[{i}]") for i, v in enumerate(bp))
-        robust = RobustConfig(
-            kind=rob_cfg["kind"], delta=_float(rob_cfg["delta"], "robust.delta"), a=a, b=b, c=c,
-        )
-        if ens_cfg["evidence"] not in ("consensus", "local"):
-            raise ConfigError(
-                f"ensemble.evidence must be consensus or local, got {ens_cfg['evidence']!r}"
-            )
-        stream_source, stream_resolved = _build_stream(stream_cfg, topology.num_agents)
-        spatial_dim = (
-            2 if isinstance(stream_source, GridFileSource)
-            else stream_source.params.spatial_dim
-        )
-        ensemble = _build_ensemble(ens_cfg, spatial_dim, temporal)
-        outliers = _build_outliers(outlier_cfg)
-        ev = _build_eval(eval_cfg)
-        if ev.mode == "stitched" and not isinstance(stream_source, GridFileSource):
-            raise ConfigError("eval.mode stitched requires a grid_file stream")
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-    resolved = {
-        "seed": seed,
-        "topology": topo_cfg,
-        "consensus": cons_cfg,
-        "ensemble": _resolved_ensemble(ensemble, ens_cfg),
-        "dynamics": dyn_cfg,
-        "robust": rob_cfg,
-        "stream": stream_resolved,
-        "outliers": _resolved_outliers(outliers),
-        "eval": dict(eval_cfg),
-    }
+        dyn["mode"] = "static"
+    dynamics = _build("dynamics", DynamicsConfig, **dyn)
+    a, b, c = rob["breakpoints"]
+    robust = _build("robust", RobustConfig, kind=rob["kind"], delta=rob["delta"], a=a, b=b, c=c)
+    if stream["kind"] == "grid_file":
+        source, spatial_dim = GridFileSource(path=stream["path"]), 2
+    else:
+        params = _build("stream.synthetic", SynthConfig, num_agents=topology.num_agents,
+                        **stream["synthetic"])
+        source, spatial_dim = SyntheticSource(params=params), params.spatial_dim
+    ensemble = _build_ensemble(ens, spatial_dim)
+    outliers = out and _build("outliers", OutlierSpec, **{
+        **out,
+        "region": None if out["region"] is None else tuple(map(tuple, out["region"])),
+        "agents": None if out["agents"] is None else tuple(out["agents"]),
+    })
+    evaluation = _build(
+        "eval", EvalConfig, epochs=None if ev["epochs"] == "all" else tuple(ev["epochs"]),
+        mode=ev["mode"], metrics=tuple(ev["metrics"]), w2_oracle=ev["w2_oracle"],
+        snapshot_epochs=tuple(ev["snapshots"]),
+    )
+    if evaluation.mode == "stitched" and not isinstance(source, GridFileSource):
+        raise ConfigError("eval.mode stitched requires a grid_file stream")
     return Scenario(
-        seed=seed,
+        seed=resolved["seed"],
         topology=topology,
         consensus=consensus,
-        consensus_mode=cons_cfg["mode"],
         ensemble=ensemble,
-        evidence_mode=ens_cfg["evidence"],
         dynamics=dynamics,
         robust=robust,
-        stream_source=stream_source,
+        stream_source=source,
         outliers=outliers,
-        eval=ev,
+        eval=evaluation,
         resolved=resolved,
     )
 
 
-def _merge_section_ensemble(given) -> dict:
-    section = copy.deepcopy(_DEFAULTS["ensemble"])
-    section["members"] = None
-    section["grid"] = None
-    if given is None:
-        raise ConfigError("an ensemble section with members or grid is required")
-    if not isinstance(given, dict):
-        raise ConfigError("section 'ensemble' must be a mapping")
-    unknown = set(given) - set(section)
-    if unknown:
-        raise ConfigError(f"unknown keys in 'ensemble': {sorted(unknown)}")
-    section.update(given)
-    if (section["members"] is None) == (section["grid"] is None):
+def _build_ensemble(ens: dict, spatial_dim: int) -> EnsembleSpec:
+    """The ensemble section's spec; ens is left holding the members it runs."""
+    grid = ens.pop("grid")
+    if (ens["members"] is None) == (grid is None):
         raise ConfigError("ensemble needs exactly one of 'members' or 'grid'")
-    return section
-
-
-def _member_spec(entry: dict, spatial_dim: int, temporal, key: str) -> KernelSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"ensemble member must be a mapping, got {entry!r}")
-    unknown = set(entry) - {"lengthscales", "prior_variance", "obs_variance"}
-    if unknown:
-        raise ConfigError(f"unknown member keys: {sorted(unknown)}")
-    ls = entry.get("lengthscales")
-    if isinstance(ls, numbers.Real):
-        ls = [ls] * spatial_dim
-    if not isinstance(ls, (list, tuple)) or len(ls) != spatial_dim:
-        raise ConfigError(
-            f"member lengthscales must be a scalar or a list of {spatial_dim}, got {ls!r}"
-        )
-    return KernelSpec(
-        spatial_lengthscales=tuple(
-            _float(v, f"{key}.lengthscales[{i}]") for i, v in enumerate(ls)
-        ),
-        temporal_lengthscale=temporal,
-        prior_variance=_float(entry.get("prior_variance", 1.0), f"{key}.prior_variance"),
-        obs_variance=_float(entry.get("obs_variance", 0.05), f"{key}.obs_variance"),
-    )
-
-
-def _build_ensemble(ens_cfg: dict, spatial_dim: int, temporal) -> EnsembleSpec:
-    shared_J = _int(ens_cfg["shared_J"], "ensemble.shared_J")
-    base_seed = _int(ens_cfg["base_seed"], "ensemble.base_seed")
-    if ens_cfg["members"] is not None:
-        members = tuple(
-            _member_spec(m, spatial_dim, temporal, f"ensemble.members[{i}]")
-            for i, m in enumerate(ens_cfg["members"])
-        )
-    else:
-        grid = ens_cfg["grid"]
-        unknown = set(grid) - {"lengthscales", "prior_variances", "obs_variance"}
-        if unknown:
-            raise ConfigError(f"unknown keys in ensemble.grid: {sorted(unknown)}")
-        try:
-            lengthscales = [_float(v, f"ensemble.grid.lengthscales[{i}]")
-                            for i, v in enumerate(grid["lengthscales"])]
-            prior_variances = [_float(v, f"ensemble.grid.prior_variances[{i}]")
-                               for i, v in enumerate(grid["prior_variances"])]
-        except KeyError as exc:
-            raise ConfigError(f"ensemble.grid is missing {exc}") from None
-        obs = _float(grid.get("obs_variance", 0.05), "ensemble.grid.obs_variance")
-        return EnsembleSpec.from_grid(
-            lengthscales=lengthscales,
-            prior_variances=prior_variances,
-            obs_variance=obs,
-            spatial_dim=spatial_dim,
-            temporal_lengthscale=temporal,
-            shared_J=shared_J,
-            base_seed=base_seed,
-        )
-    return EnsembleSpec(members=members, shared_J=shared_J, base_seed=base_seed)
-
-
-def _resolved_ensemble(ensemble: EnsembleSpec, ens_cfg: dict) -> dict:
-    return {
-        "shared_J": ensemble.shared_J,
-        "base_seed": ensemble.base_seed,
-        "evidence": ens_cfg["evidence"],
-        "temporal_lengthscale": ens_cfg["temporal_lengthscale"],
-        "members": [
-            {
-                "lengthscales": list(m.spatial_lengthscales),
-                "prior_variance": m.prior_variance,
-                "obs_variance": m.obs_variance,
-            }
-            for m in ensemble.members
-        ],
-    }
-
-
-def _build_stream(stream_cfg, num_agents: int):
-    if not isinstance(stream_cfg, dict):
-        raise ConfigError("a stream section is required")
-    kind = stream_cfg.get("kind")
-    if kind == "grid_file":
-        unknown = set(stream_cfg) - {"kind", "path"}
-        if unknown:
-            raise ConfigError(f"unknown keys in stream: {sorted(unknown)}")
-        path = stream_cfg.get("path")
-        if not isinstance(path, str) or not path:
-            raise ConfigError("stream.path must name a grid file")
-        return GridFileSource(path=path), {"kind": "grid_file", "path": path}
-    if kind == "synthetic":
-        unknown = set(stream_cfg) - {"kind", "synthetic"}
-        if unknown:
-            raise ConfigError(f"unknown keys in stream: {sorted(unknown)}")
-        synth = dict(_SYNTH_DEFAULTS)
-        given = stream_cfg.get("synthetic") or {}
-        bad = set(given) - set(synth)
-        if bad:
-            raise ConfigError(f"unknown keys in stream.synthetic: {sorted(bad)}")
-        synth.update(given)
-        params = SynthConfig(
-            kind=synth["kind"],
-            num_agents=num_agents,
-            epochs=_int(synth["epochs"], "stream.synthetic.epochs"),
-            batch_size=_int(synth["batch_size"], "stream.synthetic.batch_size"),
-            spatial_dim=_int(synth["spatial_dim"], "stream.synthetic.spatial_dim"),
-            lengthscale=_float(synth["lengthscale"], "stream.synthetic.lengthscale"),
-            prior_variance=_float(synth["prior_variance"], "stream.synthetic.prior_variance"),
-            obs_variance=_float(synth["obs_variance"], "stream.synthetic.obs_variance"),
-            true_J=_int(synth["true_J"], "stream.synthetic.true_J"),
-            drift_scale=_float(synth["drift_scale"], "stream.synthetic.drift_scale"),
-            num_eval_points=_int(synth["num_eval_points"], "stream.synthetic.num_eval_points"),
-        )
-        return SyntheticSource(params=params), {"kind": "synthetic", "synthetic": synth}
-    raise ConfigError(f"stream.kind must be grid_file or synthetic, got {kind!r}")
-
-
-def _build_outliers(outlier_cfg) -> OutlierSpec | None:
-    if outlier_cfg is None:
-        return None
-    if not isinstance(outlier_cfg, dict):
-        raise ConfigError("outliers must be a mapping or null")
-    known = {"epoch", "fraction", "magnitude_sd", "region", "agents", "jitter", "seed"}
-    unknown = set(outlier_cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in outliers: {sorted(unknown)}")
-    if "epoch" not in outlier_cfg or "fraction" not in outlier_cfg:
-        raise ConfigError("outliers requires epoch and fraction")
-    region = outlier_cfg.get("region")
-    if region is not None:
-        region = tuple(
-            tuple(_float(v, f"outliers.region[{c}][{i}]") for i, v in enumerate(region[c]))
-            for c in (0, 1)
-        )
-    agents = outlier_cfg.get("agents")
-    if agents is not None:
-        agents = tuple(_int(a, f"outliers.agents[{i}]") for i, a in enumerate(agents))
-    return OutlierSpec(
-        epoch=_int(outlier_cfg["epoch"], "outliers.epoch"),
-        fraction=_float(outlier_cfg["fraction"], "outliers.fraction"),
-        magnitude_sd=_float(outlier_cfg.get("magnitude_sd", 8.0), "outliers.magnitude_sd"),
-        region=region,
-        agents=agents,
-        jitter=_float(outlier_cfg.get("jitter", 0.25), "outliers.jitter"),
-        seed=_int(outlier_cfg.get("seed", 0), "outliers.seed"),
-    )
-
-
-def _resolved_outliers(outliers: OutlierSpec | None):
-    if outliers is None:
-        return None
-    return {
-        "epoch": outliers.epoch,
-        "fraction": outliers.fraction,
-        "magnitude_sd": outliers.magnitude_sd,
-        "region": None if outliers.region is None else [list(outliers.region[0]),
-                                                        list(outliers.region[1])],
-        "agents": None if outliers.agents is None else list(outliers.agents),
-        "jitter": outliers.jitter,
-        "seed": outliers.seed,
-    }
-
-
-def _build_eval(eval_cfg: dict) -> EvalConfig:
-    epochs = eval_cfg["epochs"]
-    if epochs == "all":
-        epochs = None
-    elif isinstance(epochs, (list, tuple)):
-        epochs = tuple(_int(t, f"eval.epochs[{i}]") for i, t in enumerate(epochs))
-    else:
-        raise ConfigError(f"eval.epochs must be 'all' or a list, got {epochs!r}")
-    metrics = eval_cfg["metrics"]
-    if not isinstance(metrics, (list, tuple)):
-        raise ConfigError("eval.metrics must be a list")
-    snapshots = eval_cfg["snapshots"]
-    if not isinstance(snapshots, (list, tuple)):
-        raise ConfigError("eval.snapshots must be a list of epochs")
-    return EvalConfig(
-        epochs=epochs,
-        mode=eval_cfg["mode"],
-        metrics=tuple(metrics),
-        w2_oracle=eval_cfg["w2_oracle"],
-        snapshot_epochs=tuple(_int(t, f"eval.snapshots[{i}]") for i, t in enumerate(snapshots)),
-    )
+    if grid is not None:  # lengthscale-major, prior-variance-minor
+        ens["members"] = [
+            {"lengthscales": ls, "prior_variance": pv, "obs_variance": grid["obs_variance"]}
+            for ls in grid["lengthscales"] for pv in grid["prior_variances"]
+        ]
+    members = []
+    for i, m in enumerate(ens["members"]):
+        key = "ensemble.grid" if grid is not None else f"ensemble.members[{i}]"
+        if isinstance(m["lengthscales"], float):
+            m["lengthscales"] = [m["lengthscales"]] * spatial_dim
+        if len(m["lengthscales"]) != spatial_dim:
+            raise ConfigError(f"{key}.lengthscales must be a number or a list of "
+                              f"{spatial_dim}, got {m['lengthscales']!r}")
+        members.append(_build(
+            key, KernelSpec, spatial_lengthscales=tuple(m["lengthscales"]),
+            temporal_lengthscale=ens["temporal_lengthscale"],
+            prior_variance=m["prior_variance"], obs_variance=m["obs_variance"],
+        ))
+    return _build("ensemble", EnsembleSpec, members=tuple(members), shared_J=ens["shared_J"],
+                  base_seed=ens["base_seed"], evidence=ens["evidence"])
 
 
 def resolved_yaml(scenario: Scenario) -> str:

@@ -111,8 +111,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     need_w2 = "w2" in scenario.eval.metrics
     unit_oracle = need_w2 and scenario.eval.w2_oracle == "unit"
-    share_increments = scenario.consensus_mode == "sum"
-    share_evidence = share_increments and scenario.evidence_mode == "consensus"
+    share_increments = scenario.consensus.mode == "sum"
+    share_evidence = share_increments and scenario.ensemble.evidence == "consensus"
 
     eval_epochs = scenario.eval.epochs
     if eval_epochs is None:

@@ -165,6 +165,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "custom_edges" in err
 
+    def test_one_corner_region_is_config_error(self, tmp_path, capsys):
+        outliers = {"epoch": 1, "fraction": 0.1, "region": [[0.1, 0.1]]}
+        cfg = write_config(tmp_path, {**BASE, "outliers": outliers})
+        rc = main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "outliers.region" in err
+
+    def test_negative_seed_option_is_config_error(self, tmp_path, capsys):
+        rc = main(["run", write_config(tmp_path), "--out", str(tmp_path / "out"),
+                   "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "seed must be a non-negative integer" in err
+
     def test_bad_snapshot_tokens(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["run", cfg, "--out", str(tmp_path / "o"), "--snapshots", "a,b"])

@@ -5,6 +5,7 @@ import re
 import pytest
 import yaml
 
+from gossipgp.harness import config
 from gossipgp.harness.config import (
     ConfigError,
     GridFileSource,
@@ -33,8 +34,8 @@ class TestDefaults:
         # default topology is the complete graph on four agents
         assert sc.topology.adjacency.sum() == 12
         assert sc.consensus.rounds == 1
-        assert sc.consensus_mode == "sum"
-        assert sc.evidence_mode == "consensus"
+        assert sc.consensus.mode == "sum"
+        assert sc.ensemble.evidence == "consensus"
         assert sc.dynamics.mode == "static" and sc.dynamics.nu == 1.0
         assert sc.robust.kind == "none"
         assert sc.robust.delta == 1.345
@@ -288,7 +289,8 @@ def test_float_keys_reject_bools_and_strings(key, overrides, bad):
 
 
 def test_scalar_lengthscale_rejects_a_bool():
-    with pytest.raises(ConfigError, match=re.escape("ensemble.members[0].lengthscales[0]")):
+    with pytest.raises(ConfigError,
+                       match=re.escape("ensemble.members[0].lengthscales must be a number")):
         scenario_from_dict(minimal(ensemble={"members": [{"lengthscales": True}]}))
 
 
@@ -296,6 +298,65 @@ def test_integral_float_is_an_integer():
     sc = scenario_from_dict(minimal(seed=3.0, eval={"epochs": [2.0]}))
     assert sc.seed == 3 and type(sc.seed) is int
     assert sc.eval.epochs == (2,)
+
+
+# Malformed values whose error once came from Python itself, without the key.
+MALFORMED = [
+    ("ensemble.grid", {"ensemble": {"grid": 5}}),
+    ("stream.synthetic", {"stream": {"kind": "synthetic", "synthetic": 3}}),
+    ("outliers.region", {"outliers": {"epoch": 1, "fraction": 0.1, "region": [1, 2]}}),
+    ("eval.metrics", {"eval": {"metrics": [["rmse"]]}}),
+    ("topology.custom_edges", {"topology": {"kind": "custom", "num_agents": 3,
+                                            "custom_edges": 5}}),
+]
+
+
+@pytest.mark.parametrize("key, overrides", MALFORMED, ids=[k for k, _ in MALFORMED])
+def test_malformed_values_name_their_key(key, overrides):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        scenario_from_dict(minimal(**overrides))
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("seed", {"seed": -1}),
+    ("ensemble.base_seed", {"ensemble": {"members": [{"lengthscales": 0.3}], "base_seed": -1}}),
+    ("outliers.seed", {"outliers": {"epoch": 1, "fraction": 0.1, "seed": -3}}),
+])
+def test_seeds_are_non_negative(key, overrides):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be a non-negative integer")):
+        scenario_from_dict(minimal(**overrides))
+
+
+def _docstring_blocks():
+    """The YAML blocks of the config module's docstring: the defaults, then the mappings."""
+    return [yaml.safe_load(b) for b in config.__doc__.split("\n\n")
+            if b.startswith(("seed:", "ensemble.members[i]:"))]
+
+
+def _check_shown(shown, fields, key):
+    """Every key of the table fields is shown, in order, at its default."""
+    assert list(shown) == list(fields), key
+    for name, (read, default) in fields.items():
+        if isinstance(read, dict) and isinstance(shown[name], dict):
+            _check_shown(shown[name], read, f"{key}.{name}")
+        else:
+            want = "required" if default is config.REQUIRED else default
+            assert shown[name] == want, f"{key}.{name}"
+
+
+def test_docstring_shows_the_table():
+    defaults, mappings = _docstring_blocks()
+    _check_shown(defaults, config._SCHEMA, "")
+    tables = {
+        "ensemble.members[i]": config._MEMBER,
+        "ensemble.grid": config._GRID,
+        "stream (kind grid_file)": config._STREAMS["grid_file"],
+        "stream (kind synthetic)": config._STREAMS["synthetic"],
+        "outliers": config._OUTLIERS,
+    }
+    assert list(mappings) == list(tables)
+    for key, fields in tables.items():
+        _check_shown(mappings[key], fields, key)
 
 
 class TestTemporalCoupling:
@@ -392,8 +453,10 @@ class TestOutliers:
         assert o.region is None and o.agents is None
 
     def test_outliers_require_epoch_and_fraction(self):
-        with pytest.raises(ConfigError, match="epoch and fraction"):
+        with pytest.raises(ConfigError, match="outliers.epoch is required"):
             scenario_from_dict(minimal(outliers={"fraction": 0.1}))
+        with pytest.raises(ConfigError, match="outliers.fraction is required"):
+            scenario_from_dict(minimal(outliers={"epoch": 1}))
 
     def test_unknown_outlier_key(self):
         with pytest.raises(ConfigError, match="scale"):
@@ -401,8 +464,15 @@ class TestOutliers:
                                                  "scale": 2}))
 
     def test_bad_fraction_wrapped(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape("outliers: fraction must lie in [0, 1]")):
             scenario_from_dict(minimal(outliers={"epoch": 1, "fraction": 1.5}))
+
+    @pytest.mark.parametrize("region", [[[0.1, 0.1]], [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]],
+                             ids=["one-corner", "three-corners"])
+    def test_region_is_exactly_two_corners(self, region):
+        cfg = minimal(outliers={"epoch": 1, "fraction": 0.1, "region": region})
+        with pytest.raises(ConfigError, match=re.escape("outliers.region must be a list of 2")):
+            scenario_from_dict(cfg)
 
 
 class TestResolved:
@@ -440,6 +510,18 @@ class TestResolved:
         cfg2["eval"] = {k: v for k, v in cfg2["eval"].items() if k != "epochs"}
         sc2 = scenario_from_dict(cfg2)
         assert sc2.resolved == sc.resolved
+
+    def test_echo_is_what_the_run_uses(self):
+        # Numbers written in another type echo as the run reads them.
+        given = minimal(consensus={"rounds": 2.0}, topology={"num_agents": 4.0},
+                        dynamics={"nu": 1}, robust={"delta": 1})
+        canonical = minimal(consensus={"rounds": 2}, topology={"num_agents": 4},
+                            dynamics={"nu": 1.0}, robust={"delta": 1.0})
+        assert resolved_yaml(scenario_from_dict(given)) == resolved_yaml(
+            scenario_from_dict(canonical))
+        echo = scenario_from_dict(given).resolved
+        assert type(echo["consensus"]["rounds"]) is int
+        assert type(echo["dynamics"]["nu"]) is float
 
 
 class TestLoadScenario:

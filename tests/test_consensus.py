@@ -217,6 +217,10 @@ class TestConsensusSum:
         with pytest.raises(ValueError):
             ConsensusConfig(rounds=-1)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="sum or local"):
+            ConsensusConfig(mode="average")
+
 
 @st.composite
 def connected_topologies(draw):

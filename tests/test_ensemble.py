@@ -44,21 +44,6 @@ def two_member_spec(J=4, base_seed=3):
 
 
 class TestEnsembleSpec:
-    def test_grid_expansion_order_and_count(self):
-        spec = EnsembleSpec.from_grid(
-            lengthscales=[0.01, 0.05, 0.1],
-            prior_variances=[1.0, 25.0],
-            obs_variance=0.05,
-            spatial_dim=2,
-            shared_J=8,
-        )
-        assert spec.num_members == 6
-        # lengthscale-major, prior-variance-minor ordering
-        assert spec.members[0].spatial_lengthscales == (0.01, 0.01)
-        assert spec.members[0].prior_variance == 1.0
-        assert spec.members[1].prior_variance == 25.0
-        assert spec.members[5].spatial_lengthscales == (0.1, 0.1)
-
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
             EnsembleSpec(
@@ -82,6 +67,11 @@ class TestEnsembleSpec:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EnsembleSpec(members=(), shared_J=4)
+
+    def test_unknown_evidence_mode_rejected(self):
+        with pytest.raises(ValueError, match="consensus or local"):
+            EnsembleSpec(members=(KernelSpec(spatial_lengthscales=(0.5,)),), shared_J=4,
+                         evidence="broadcast")
 
 
 class TestSharedBases:

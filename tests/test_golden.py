@@ -4,14 +4,15 @@ The golden files under tests/golden/ were written by an earlier version of
 the program. Later versions may reorder floating-point work, and OpenBLAS
 may pick different kernels from run to run, so the comparison is at rtol
 1e-9, not byte for byte (TestDeterminism in test_runner.py keeps the
-same-build byte identity).
+same-build byte identity). The <name>.resolved.txt files are the
+config_resolved.txt echo of each scenario, and must match byte for byte.
 """
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gossipgp.harness.config import load_config, scenario_from_dict
+from gossipgp.harness.config import load_config, load_scenario, resolved_yaml, scenario_from_dict
 from gossipgp.harness.metrics import read_metrics_csv, write_metrics_csv
 from gossipgp.harness.runner import run_scenario
 
@@ -43,3 +44,10 @@ def test_fresh_run_matches_golden(name, tmp_path):
     assert keys == want_keys
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.allclose(got, want, rtol=1e-9, atol=0.0, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_resolved_echo_matches_golden(name):
+    # config_resolved.txt is compared byte for byte: it depends on no float work.
+    want = (GOLDEN / f"{name}.resolved.txt").read_text()
+    assert resolved_yaml(load_scenario(CASES[name])) == want
