@@ -8,7 +8,7 @@ On top of that sit robust residual reweighing, forgetting schemes for
 drifting targets, and evidence-weighted hyperparameter ensembles.
 """
 
-from .features import KernelSpec, FeatureMap, sample_frequencies, feature_matrix, shift_time
+from .features import KernelSpec, FeatureMap, sample_frequencies, feature_matrix
 from .info_filter import (
     InfoState,
     PosteriorFactor,
@@ -29,7 +29,7 @@ from .robust import (
     standardized_residuals,
     robust_increment,
 )
-from .dynamics import DynamicsConfig, apply_forgetting, augment_time_matrix
+from .dynamics import DynamicsConfig, apply_forgetting, rotate
 from .consensus import (
     Topology,
     ConsensusConfig,
@@ -42,7 +42,6 @@ from .ensemble import (
     EnsembleState,
     member_seed,
     init_ensemble,
-    update_evidence,
     ensemble_weights,
     gaussian_log_density,
     mixture_log_density,
@@ -56,7 +55,6 @@ __all__ = [
     "FeatureMap",
     "sample_frequencies",
     "feature_matrix",
-    "shift_time",
     "InfoState",
     "PosteriorFactor",
     "NumericalDegeneracyError",
@@ -75,7 +73,7 @@ __all__ = [
     "robust_increment",
     "DynamicsConfig",
     "apply_forgetting",
-    "augment_time_matrix",
+    "rotate",
     "Topology",
     "ConsensusConfig",
     "build_topology",
@@ -85,7 +83,6 @@ __all__ = [
     "EnsembleState",
     "member_seed",
     "init_ensemble",
-    "update_evidence",
     "ensemble_weights",
     "gaussian_log_density",
     "mixture_log_density",

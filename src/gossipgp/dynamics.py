@@ -8,18 +8,24 @@ nu in [0, 1], applied once per time step before the new batch:
 
 b2p re-injects prior precision so information never falls below the prior;
 ui inflates the covariance by 1/nu while leaving the posterior mean exactly
-unchanged; static leaves states untouched. Any mode combines with the time
-column that augment_time_matrix appends for a kernel with a temporal scale.
+unchanged; static leaves states untouched.
+
+A temporal scale adds linear dynamics: phi(x, t) = R(t) phi(x, 0) (see
+features), so a state kept in the frame of the t = 0 features moves from
+epoch t' to t by rotate with the angles v_time (t - t'), G = R(t - t')^T.
+This is exact: the prior is isotropic, forgetting commutes with G, and all
+states of a network share the frame.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .info_filter import _packed_layout
 
-__all__ = ["DynamicsConfig", "apply_forgetting", "augment_time_matrix"]
+__all__ = ["DynamicsConfig", "apply_forgetting", "rotate"]
 
 MODES = ("static", "b2p", "ui")
 
@@ -65,13 +71,43 @@ def apply_forgetting(D: np.ndarray, eta: np.ndarray, prior_variance, cfg: Dynami
         D[..., diagonal] += ((1.0 - nu) / np.asarray(prior_variance, dtype=float))[..., np.newaxis]
 
 
-def augment_time_matrix(X: np.ndarray, t: float) -> np.ndarray:
-    """Append a constant time column to an N x d input matrix.
+def rotate(D: np.ndarray, eta: np.ndarray, angles) -> None:
+    """D <- G D G^T, eta <- G eta in place, G block diagonal of [[cos a, -sin a], [sin a, cos a]].
 
-    Time is deliberately not normalized.
+    Angle angles[j] turns frequency j's (sin, cos) pair. D and eta are packed
+    as for apply_forgetting, and angles (..., n/2) broadcasts like its
+    prior_variance. Elementwise, so equal states stay bitwise equal; zero
+    angles change nothing.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    col = np.full((X.shape[0], 1), float(t))
-    return np.hstack([X, col])
+    angles = np.asarray(angles, dtype=float)
+    n = eta.shape[-1]
+    if (D.shape != eta.shape[:-1] + (n * (n + 1) // 2,) or D.dtype != np.float64
+            or angles.shape[-1:] != (n // 2,)):
+        raise ValueError(
+            f"rows D {D.dtype} {D.shape} and eta {eta.shape} are not packed float64 states "
+            f"of the {2 * angles.shape[-1]} features the angles {angles.shape} turn"
+        )
+    if not angles.any():
+        return
+    c, s = np.cos(angles), np.sin(angles)
+    blocks = D[..., _symmetric_index(n)].reshape(D.shape[:-1] + (n // 2, 2, n // 2, 2))
+    blocks = _turn(blocks, c[..., :, None, None], s[..., :, None, None], axis=-3)
+    blocks = _turn(blocks, c[..., None, None, :], s[..., None, None, :], axis=-1)
+    D[...] = blocks.reshape(D.shape[:-1] + (n * n,))[..., _packed_layout(n)[0]]
+    eta[...] = _turn(eta.reshape(eta.shape[:-1] + (n // 2, 2)), c, s, axis=-1).reshape(eta.shape)
+
+
+def _turn(x: np.ndarray, c, s, axis: int) -> np.ndarray:
+    """x with each pair (x0, x1) along axis turned to (c x0 - s x1, s x0 + c x1)."""
+    x0, x1 = np.take(x, 0, axis), np.take(x, 1, axis)
+    return np.stack([c * x0 - s * x1, s * x0 + c * x1], axis=axis)
+
+
+@functools.lru_cache(maxsize=8)
+def _symmetric_index(dim: int) -> np.ndarray:
+    """Read-only packed offset of every entry of a symmetric dim x dim matrix."""
+    row, col = np.indices((dim, dim))
+    r, c = np.maximum(row, col), np.minimum(row, col)
+    index = c * dim - c * (c - 1) // 2 + r - c
+    index.flags.writeable = False
+    return index

@@ -25,7 +25,6 @@ __all__ = [
     "EnsembleState",
     "member_seed",
     "init_ensemble",
-    "update_evidence",
     "ensemble_weights",
     "mixture_predict_batch",
     "gaussian_log_density",
@@ -102,18 +101,6 @@ def init_ensemble(spec: EnsembleSpec) -> tuple[EnsembleState, list[FeatureMap]]:
     return state, maps
 
 
-def update_evidence(log_evidence: np.ndarray, log_densities: np.ndarray) -> None:
-    """Add one batch's per-member predictive log-densities to log_evidence in place."""
-    inc = np.asarray(log_densities, dtype=float)
-    if inc.shape != log_evidence.shape:
-        raise ValueError(
-            f"expected log-densities of shape {log_evidence.shape}, got shape {inc.shape}"
-        )
-    if not np.all(np.isfinite(inc)):
-        raise ValueError("log-densities must be finite")
-    log_evidence += inc
-
-
 def ensemble_weights(state: EnsembleState) -> np.ndarray:
     """Softmax of log-evidence, invariant to a common additive shift."""
     z = state.log_evidence - state.log_evidence.max()
@@ -164,12 +151,11 @@ def mixture_predict_batch(
             f"{len(Phis)} and weights of shape {np.shape(weights)}"
         )
     n = Phis[0].shape[1]
-    member_means = np.empty((M, n))
-    member_variances = np.empty((M, n))
+    member_means = np.empty((M, n), order="F")
+    member_variances = np.empty((M, n), order="F")
     for m, (factor, Phi) in enumerate(zip(factors, Phis)):
         member_means[m], member_variances[m] = predict_batch(factor, Phi)
-    row = np.asarray(weights, dtype=float)[np.newaxis, :]
-    mean = blas.dgemm(1.0, row, member_means.T, trans_b=True)[0]
-    second = blas.dgemm(1.0, row, (member_variances + member_means**2).T, trans_b=True)[0]
-    variance = second - mean**2
+    w = np.asarray(weights, dtype=float)
+    mean = blas.dgemv(1.0, member_means, w, trans=1)
+    variance = blas.dgemv(1.0, member_variances + member_means**2, w, trans=1) - mean**2
     return mean, variance, member_means, member_variances

@@ -9,15 +9,11 @@ For an ARD RBF kernel with lengthscales l_1..l_d the spectral density is
 N(0, diag(1/l_1^2, ..., 1/l_d^2)); a temporal lengthscale appends one more
 column with scale 1/l_t (product kernel k_s * k_t).
 
-Time enters the projection additively, x^T v_j + t v_{j,time} with the time
-column last, so shifting the time by t rotates each frequency's (sin, cos)
-row pair by the angle a_j = v_{j,time} t:
-
-    sin(p + a_j) = sin(p) cos(a_j) + cos(p) sin(a_j)
-    cos(p + a_j) = cos(p) cos(a_j) - sin(p) sin(a_j)
-
-So features of fixed sites, built once at t = 0, give their features at any
-t through shift_time: elementwise passes with no trigonometry per site.
+Time enters the projection as x^T v_j + t v_{j,time}, so shifting it by t
+turns each (sin, cos) pair by v_{j,time} t: phi(x, t) = R(t) phi(x, 0) with
+R(t) block diagonal and orthogonal, and phi(x, t)^T w = phi(x, 0)^T v for
+v = R(t)^T w. States are kept in v's frame (dynamics.rotate), so
+feature_matrix takes spatial inputs and gives phi(x, 0).
 
 All agents of a network must evaluate the same basis, so frequency sampling
 is strictly deterministic in (spec, J, seed).
@@ -34,7 +30,6 @@ __all__ = [
     "FeatureMap",
     "sample_frequencies",
     "feature_matrix",
-    "shift_time",
 ]
 
 
@@ -74,11 +69,11 @@ class KernelSpec:
 
     @property
     def input_dim(self) -> int:
-        """Input dimension after any time augmentation."""
+        """Frequency columns: the spatial dimension, plus one for a temporal scale."""
         return self.spatial_dim + (0 if self.temporal_lengthscale is None else 1)
 
     def scales(self) -> np.ndarray:
-        """Per-column lengthscale vector of the (possibly augmented) input."""
+        """Per-column lengthscales of the frequencies, the temporal one last."""
         ls = list(self.spatial_lengthscales)
         if self.temporal_lengthscale is not None:
             ls.append(self.temporal_lengthscale)
@@ -92,11 +87,13 @@ class FeatureMap:
     frequencies: J x p matrix, row j is the frequency v_j.
     num_features: J.
     seed: the seed the frequencies were drawn with (reproducibility tag).
+    timed: whether the last column of frequencies is the time's, v_time.
     """
 
     frequencies: np.ndarray = field(repr=False)
     num_features: int
     seed: int
+    timed: bool = False
 
     def __post_init__(self):
         V = np.asarray(self.frequencies, dtype=float)
@@ -110,8 +107,8 @@ class FeatureMap:
         object.__setattr__(self, "frequencies", V)
 
     @property
-    def input_dim(self) -> int:
-        return self.frequencies.shape[1]
+    def spatial_dim(self) -> int:
+        return self.frequencies.shape[1] - self.timed
 
 
 def sample_frequencies(spec: KernelSpec, J: int, d: int, seed: int) -> FeatureMap:
@@ -134,58 +131,23 @@ def sample_frequencies(spec: KernelSpec, J: int, d: int, seed: int) -> FeatureMa
     # Draw standard normals first, then scale columns: the map with a time
     # column is the spatial-only map on per-dimension-scaled inputs.
     V = rng.standard_normal((J, scales.size)) / scales[np.newaxis, :]
-    return FeatureMap(frequencies=V, num_features=J, seed=seed)
+    return FeatureMap(frequencies=V, num_features=J, seed=seed,
+                      timed=spec.temporal_lengthscale is not None)
 
 
 def feature_matrix(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
-    """Feature matrix Phi (2J x N) whose column i is phi of row i of X."""
+    """Phi (2J x N, Fortran-ordered) whose column i is phi at t = 0 of spatial input row i of X."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise ValueError(f"X must be an N x p matrix, got shape {X.shape}")
-    if X.shape[1] != fm.input_dim:
-        raise ValueError(
-            f"input dimension {X.shape[1]} does not match frequency columns {fm.input_dim}"
-        )
-    # J x N projections V X^T; the transposed views are Fortran-ordered, so
-    # BLAS reads both operands in place.
-    proj = blas.dgemm(1.0, fm.frequencies.T, X.T, trans_a=True)
+        raise ValueError(f"X must be an N x d matrix, got shape {X.shape}")
+    d = fm.spatial_dim
+    if X.shape[1] != d:
+        raise ValueError(f"input dimension {X.shape[1]} does not match spatial columns {d}")
+    # J x N projections V X^T, BLAS reading X^T in place.
+    proj = blas.dgemm(1.0, fm.frequencies[:, :d].T, X.T, trans_a=True)
     J = fm.num_features
-    Phi = np.empty((2 * J, X.shape[0]), dtype=float)
-    Phi[0::2, :] = np.sin(proj)
-    Phi[1::2, :] = np.cos(proj)
+    Phi = np.empty((2 * J, X.shape[0]), order="F")
+    np.sin(proj, out=Phi[0::2])
+    np.cos(proj, out=Phi[1::2])
     Phi /= np.sqrt(J)
     return Phi
-
-
-def shift_time(fm: FeatureMap, Phi0: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-    """Write into out the features at time t of the inputs Phi0 was built for at t = 0.
-
-    Phi0 is feature_matrix(fm, X) for inputs X whose last column, the time,
-    is 0; out (same shape, not overlapping Phi0) receives what
-    feature_matrix(fm, X) would give with that column set to t, up to the
-    rounding of the angles. At t = 0 out is a bitwise copy of Phi0.
-    """
-    Phi0 = np.asarray(Phi0)
-    J = fm.num_features
-    if Phi0.ndim != 2 or Phi0.shape[0] != 2 * J:
-        raise ValueError(f"Phi0 must be a {2 * J} x N feature matrix, got shape {Phi0.shape}")
-    if out.shape != Phi0.shape or out.dtype != np.float64:
-        raise ValueError(
-            f"out must be a float64 array of shape {Phi0.shape}, "
-            f"got {out.dtype} of shape {out.shape}"
-        )
-    if np.may_share_memory(out, Phi0):
-        raise ValueError("out must not overlap Phi0")
-    if t == 0:  # exactly Phi0, signed zeros included
-        np.copyto(out, Phi0)
-        return out
-    angle = fm.frequencies[:, -1] * float(t)
-    c, s = np.cos(angle)[:, np.newaxis], np.sin(angle)[:, np.newaxis]
-    S0, C0, S, C = Phi0[0::2], Phi0[1::2], out[0::2], out[1::2]
-    np.multiply(S0, c, out=S)
-    scratch = np.multiply(C0, s)
-    S += scratch
-    np.multiply(C0, c, out=C)
-    np.multiply(S0, s, out=scratch)
-    C -= scratch
-    return out

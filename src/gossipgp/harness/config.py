@@ -15,7 +15,7 @@ ensemble:                                  # required, with exactly one of membe
   shared_J: 200
   base_seed: 0
   evidence: consensus                      # consensus | local
-  temporal_lengthscale: null               # set: inputs get a time column, any dynamics
+  temporal_lengthscale: null               # set: states turn with time, any dynamics
   members: null                            # a list of ensemble.members[i] below
   grid: null                               # or ensemble.grid below: one member per pair
 dynamics: {mode: static, nu: 1.0}          # static (nu 1) | b2p | ui (nu >= 1e-6)
@@ -267,9 +267,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.mode not in ("global", "stitched"):
             raise ConfigError(f"mode must be global or stitched, got {self.mode!r}")
-        bad = set(self.metrics) - {"rmse", "npll", "w2"}
-        if bad:
-            raise ConfigError(f"unknown metrics {sorted(bad)}")
+        if not self.metrics or set(self.metrics) - {"rmse", "npll", "w2"}:
+            raise ConfigError(f"metrics must be a non-empty subset of rmse, npll, w2, "
+                              f"got {list(self.metrics)}")
         if self.w2_oracle not in ("identical", "unit"):
             raise ConfigError(f"w2_oracle must be identical or unit, got {self.w2_oracle!r}")
 

@@ -14,6 +14,10 @@ oracle uses the same robustness weights as the agents; with "unit" it uses
 unit weights, measuring what the robust network deviates from a
 non-robust fusion center.
 
+A kernel with a temporal scale keeps the states in the frame of the t = 0
+features (see dynamics), turned each epoch after forgetting, so inputs are
+featurized at t = 0 only. Snapshots and final states are in w's frame.
+
 An agent whose posterior is bitwise the previous agent's takes that agent's
 factors instead of factorizing again, and its evaluation reuses the previous
 agent's work. That is every agent at epoch 0, where all hold the prior, and
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..consensus import consensus_sum
-from ..dynamics import apply_forgetting, augment_time_matrix
+from ..dynamics import apply_forgetting, rotate
 from ..ensemble import (
     EnsembleState,
     ensemble_weights,
@@ -40,7 +44,7 @@ from ..ensemble import (
     init_ensemble,
     mixture_predict_batch,
 )
-from ..features import feature_matrix, shift_time
+from ..features import feature_matrix
 from ..info_filter import (
     InfoState,
     _read_state,
@@ -106,8 +110,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     spec = scenario.ensemble
     M = spec.num_members
     dim = 2 * spec.shared_J
-    # Inputs get a time column exactly when the kernel has a temporal scale.
-    timed = spec.members[0].temporal_lengthscale is not None
 
     need_w2 = "w2" in scenario.eval.metrics
     unit_oracle = need_w2 and scenario.eval.w2_oracle == "unit"
@@ -145,30 +147,30 @@ def run_scenario(scenario: Scenario) -> RunResult:
     rows = [EnsembleState(models=[replace(x, D=D[i, m], eta=eta[i, m])
                                   for m, x in enumerate(prior.models)],
                           log_evidence=log_evidence[i]) for i in range(R)]
+    # Each member's v_time, and the epoch whose frame the states are in.
+    v_time = np.stack([fm.frequencies[:, -1] for fm in fmaps]) if fmaps[0].timed else None
+    frame = stream.epochs[0]
 
     records: list[MetricsRecord] = []
     snapshots: dict[int, list[EnsembleState]] = {}
     jittered = []
     # Each member's features over the evaluation inputs are built at t = 0,
     # again only when an epoch's inputs differ from the ones they were built
-    # for, and a timed kernel rotates them to each epoch's time in buffers
-    # allocated with them. A grid stream needs them at every epoch, since
-    # each batch is a block of the grid's columns, read as a view; otherwise
-    # each batch is featurized, and the evaluation inputs only at epochs
-    # that predict.
+    # for. A grid stream needs them at every epoch, since each batch is a
+    # block of the grid's columns, read as a view; otherwise each batch is
+    # featurized, and the evaluation inputs only at epochs that predict.
     predict = "rmse" in scenario.eval.metrics or "npll" in scenario.eval.metrics
-    sites = Phis0 = Phis = None
+    sites = Phis = None
     for t in stream.epochs:
         apply_forgetting(D, eta, prior_variances, scenario.dynamics)
+        if v_time is not None:
+            rotate(D, eta, v_time * (t - frame))
+            frame = t
 
         if stream.batch_rows is not None or (predict and t in eval_set):
             if sites is None or not np.array_equal(stream.eval_inputs[t], sites):
                 sites = stream.eval_inputs[t]
-                Phis0 = _grid_features(sites, t, 0.0 if timed else None, fmaps)
-                Phis = [np.empty_like(Phi) for Phi in Phis0] if timed else Phis0
-            if timed:
-                for fm, Phi0, Phi in zip(fmaps, Phis0, Phis):
-                    shift_time(fm, Phi0, t, out=Phi)
+                Phis = _grid_features(sites, t, fmaps)
 
         # The gossip message lives from the local step to gossip: for each
         # agent and member, P, s and the evidence. The local step writes the
@@ -185,14 +187,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
         factors = [None] * M
         for k in range(K):
             batch = batches[k]
-            if stream.batch_rows is None:
-                X_in = augment_time_matrix(batch.X, t) if timed else batch.X
             next_shares = k + 1 < K and _same_posterior((eta, D), k + 1, k)
             for m in range(M):
                 try:
                     obs_variance = spec.members[m].obs_variance
                     if stream.batch_rows is None:
-                        Phi = feature_matrix(fmaps[m], X_in)
+                        Phi = feature_matrix(fmaps[m], batch.X)
                     else:
                         Phi = Phis[m][:, stream.batch_rows[t][k]]
                     factor = factors[m]
@@ -236,9 +236,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
             records.extend(_evaluate_epoch(scenario, stream, t, (log_evidence, eta, D), rows,
                                            jittered, Phis))
         if t in snapshot_set:
-            snapshots[t] = copy.deepcopy(rows)
+            snapshots[t] = _in_weight_frame(rows, v_time, t)
 
-    final = copy.deepcopy(rows)
+    final = _in_weight_frame(rows, v_time, frame)
     return RunResult(
         scenario=scenario,
         stream=stream,
@@ -283,13 +283,18 @@ def _check_stream(scenario: Scenario, stream: Stream) -> None:
         raise RunError("stitched evaluation requires a stream with block ownership")
 
 
-def _grid_features(X, t, time, fmaps):
-    """Each member's feature matrix over the epoch-t evaluation inputs X.
+def _in_weight_frame(rows, v_time, t):
+    """Copies of rows, turned from the frame of epoch t back to w's."""
+    rows = copy.deepcopy(rows)
+    for row in rows if v_time is not None else ():
+        for model, v in zip(row.models, v_time):
+            rotate(model.D, model.eta, -t * v)
+    return rows
 
-    The inputs get a time column of value `time` unless it is None.
-    """
+
+def _grid_features(X, t, fmaps):
+    """Each member's feature matrix, at t = 0, over the epoch-t evaluation inputs X."""
     try:
-        X = X if time is None else augment_time_matrix(X, time)
         return [feature_matrix(fm, X) for fm in fmaps]
     except Exception as exc:
         raise RunError(f"epoch {t}, features of the evaluation grid: {exc}") from exc

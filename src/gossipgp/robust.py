@@ -156,9 +156,10 @@ def robust_increment(
         return P, s
     # dsyrk writes the lower triangle of a Fortran-ordered scratch, which
     # dtrttp packs without a copy (a C-ordered one would be copied first).
+    # A Fortran-ordered Phi, as feature_matrix makes it, is read in place.
     full = np.empty((dim, dim), order="F")
-    blas.dsyrk(1.0 / obs_variance, (Phi * np.sqrt(weights)).T, beta=0.0, c=full,
-               trans=1, lower=1, overwrite_c=1)
+    blas.dsyrk(1.0 / obs_variance, Phi * np.sqrt(weights), beta=0.0, c=full, lower=1,
+               overwrite_c=1)
     P[...] = lapack.dtrttp(full, uplo="L")[0]
-    s[...] = blas.dgemv(1.0 / obs_variance, Phi.T, weights * y, trans=1)
+    s[...] = blas.dgemv(1.0 / obs_variance, Phi, weights * y)
     return P, s

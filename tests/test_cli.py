@@ -180,6 +180,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "seed must be a non-negative integer" in err
 
+    def test_empty_metrics_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", write_config(tmp_path, {**BASE, "eval": {"metrics": []}}),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "eval: metrics must be a non-empty" in err
+        assert not (out / "metrics.csv").exists()
+
     def test_bad_snapshot_tokens(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["run", cfg, "--out", str(tmp_path / "o"), "--snapshots", "a,b"])

@@ -190,6 +190,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="mae"):
             scenario_from_dict(minimal(eval={"metrics": ["rmse", "mae"]}))
 
+    def test_no_metric_rejected(self):
+        # A run that reports nothing would write a metrics.csv of empty cells.
+        with pytest.raises(ConfigError, match=r"^eval: metrics must be a non-empty subset"):
+            scenario_from_dict(minimal(eval={"metrics": []}))
+
     def test_bad_w2_oracle(self):
         with pytest.raises(ConfigError, match="identical or unit"):
             scenario_from_dict(minimal(eval={"w2_oracle": "median"}))

@@ -1,4 +1,4 @@
-"""Forgetting operators and time augmentation."""
+"""Forgetting operators and the time rotation of states."""
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +9,12 @@ from gossipgp import (
     KernelSpec,
     apply_forgetting,
     apply_increment,
-    augment_time_matrix,
     factorize,
     feature_matrix,
     posterior_root,
     prior_state,
     robust_increment,
+    rotate,
     sample_frequencies,
 )
 from gossipgp.dynamics import _MIN_UI_NU, MODES
@@ -154,23 +154,67 @@ class TestApplyForgetting:
         assert np.array_equal(eta, 0.5 * eta0)
 
 
-class TestTimeAugmentation:
-    def test_basic(self):
-        out = augment_time_matrix(np.array([[0.2, 0.7]]), 46)
-        assert np.array_equal(out, np.array([[0.2, 0.7, 46.0]]))
+def turn_matrix(angles):
+    """The dense block rotation G that rotate applies."""
+    G = np.zeros((2 * len(angles),) * 2)
+    for j, a in enumerate(angles):
+        G[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[np.cos(a), -np.sin(a)],
+                                                   [np.sin(a), np.cos(a)]]
+    return G
 
-    def test_zero_dimensional_edge(self):
-        out = augment_time_matrix(np.zeros((1, 0)), 5)
-        assert np.array_equal(out, np.array([[5.0]]))
+
+class TestTimeAugmentation:
+    """A temporal scale enters as the rotation of the states (rotate)."""
+
+    def test_basic(self):
+        state, _ = fitted_state()
+        angles = np.array([0.3, -1.2, 2.5])
+        G = turn_matrix(angles)
+        D, eta = state.D.copy(), state.eta.copy()
+        assert rotate(D, eta, angles) is None
+        assert np.allclose(_unpack(D, 6), G @ _unpack(state.D, 6) @ G.T, rtol=0, atol=1e-13)
+        assert np.allclose(eta, G @ state.eta, rtol=0, atol=1e-14)
 
     def test_matrix_form(self):
-        X = np.array([[0.1, 0.2], [0.3, 0.4]])
-        out = augment_time_matrix(X, 7)
-        assert out.shape == (2, 3)
-        assert np.array_equal(out[:, 2], np.array([7.0, 7.0]))
-        assert np.array_equal(out[:, :2], X)
+        # A stack of rows with one row of angles per member turns each row
+        # bitwise as it turns on its own.
+        rows = [[fitted_state(seed=2 * k + m)[0] for m in range(2)] for k in range(3)]
+        D = np.stack([[x.D for x in row] for row in rows])
+        eta = np.stack([[x.eta for x in row] for row in rows])
+        angles = np.array([[0.3, -1.2, 2.5], [4.0, 0.1, -0.7]])
+        rotate(D, eta, angles)
+        for k, row in enumerate(rows):
+            for m, x in enumerate(row):
+                rotate(x.D, x.eta, angles[m])
+                assert np.array_equal(D[k, m], x.D) and np.array_equal(eta[k, m], x.eta)
 
     def test_time_column_not_normalized(self):
-        # Epoch indices pass through unchanged, whatever their magnitude.
-        out = augment_time_matrix(np.zeros((1, 2)), 47)
-        assert out[0, 2] == 47.0
+        # Epoch indices enter the angles v_time t unchanged, whatever their
+        # magnitude: 47 one-epoch turns equal one turn by 47.
+        state, _ = fitted_state()
+        v_time = np.array([0.25, -0.6, 1.1])
+        D, eta = state.D.copy(), state.eta.copy()
+        for _ in range(47):
+            rotate(D, eta, v_time)
+        rotate(state.D, state.eta, 47 * v_time)
+        assert np.allclose(D, state.D, rtol=1e-12, atol=1e-12)
+        assert np.allclose(eta, state.eta, rtol=1e-12, atol=1e-12)
+
+    def test_zero_dimensional_edge(self):
+        D, eta = np.empty((0, 21)), np.empty((0, 6))
+        rotate(D, eta, np.ones(3))
+        assert D.shape == (0, 21) and eta.shape == (0, 6)
+
+    @pytest.mark.parametrize("cfg", [DynamicsConfig(mode="b2p", nu=0.6),
+                                     DynamicsConfig(mode="ui", nu=0.6)], ids=["b2p", "ui"])
+    def test_forgetting_commutes_with_rotation(self, cfg):
+        # The prior precision is isotropic, so forgetting before or after the
+        # turn gives the same state.
+        state, _ = fitted_state()
+        angles = np.array([0.3, -1.2, 2.5])
+        first = forgotten(state, cfg)
+        rotate(first.D, first.eta, angles)
+        rotate(state.D, state.eta, angles)
+        second = forgotten(state, cfg)
+        assert np.allclose(first.D, second.D, rtol=1e-13, atol=1e-13)
+        assert np.allclose(first.eta, second.eta, rtol=1e-13, atol=1e-13)

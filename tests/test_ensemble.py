@@ -12,6 +12,7 @@ from scipy.stats import norm
 import gossipgp
 from gossipgp import (
     EnsembleSpec,
+    EnsembleState,
     KernelSpec,
     apply_increment,
     ensemble_weights,
@@ -23,7 +24,6 @@ from gossipgp import (
     mixture_predict_batch,
     predict_batch,
     robust_increment,
-    update_evidence,
 )
 
 
@@ -109,17 +109,17 @@ class TestEvidenceWeights:
         )
         state, _ = init_ensemble(spec)
         assert np.array_equal(ensemble_weights(state), np.array([1.0]))
-        update_evidence(state.log_evidence, np.array([-12.3]))
+        state.log_evidence[...] = [-12.3]
         assert np.array_equal(ensemble_weights(state), np.array([1.0]))
 
     def test_equal_evidence_stays_uniform(self):
         state, _ = init_ensemble(two_member_spec())
-        update_evidence(state.log_evidence, np.array([-3.0, -3.0]))
+        state.log_evidence[...] = [-3.0, -3.0]
         assert np.allclose(ensemble_weights(state), [0.5, 0.5], atol=1e-15)
 
     def test_fifty_nat_gap_saturates(self):
         state, _ = init_ensemble(two_member_spec())
-        update_evidence(state.log_evidence, np.array([50.0, 0.0]))
+        state.log_evidence[...] = [50.0, 0.0]
         w = ensemble_weights(state)
         # within 1e-20 of one: the losing member keeps less than 1e-20 mass
         assert 1.0 - w[0] <= 1e-20
@@ -127,28 +127,28 @@ class TestEvidenceWeights:
 
     def test_log3_gap_gives_three_to_one(self):
         state, _ = init_ensemble(two_member_spec())
-        update_evidence(state.log_evidence, np.array([0.0, np.log(3.0)]))
+        state.log_evidence[...] = [0.0, np.log(3.0)]
         assert np.allclose(ensemble_weights(state), [0.25, 0.75], atol=1e-12)
 
     def test_evidence_accumulates(self):
+        # Weights follow the accumulated evidence only up to a common shift:
+        # two batches' terms give the weights of their total.
         state, _ = init_ensemble(two_member_spec())
-        update_evidence(state.log_evidence, np.array([1.0, 2.0]))
-        update_evidence(state.log_evidence, np.array([0.5, -1.0]))
+        state.log_evidence += [1.0, 2.0]
+        state.log_evidence += [0.5, -1.0]
         assert np.allclose(state.log_evidence, [1.5, 1.0], atol=1e-15)
-
-    def test_nonfinite_rejected(self):
-        state, _ = init_ensemble(two_member_spec())
-        with pytest.raises(ValueError, match="finite"):
-            update_evidence(state.log_evidence, np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError, match="expected log-densities of shape"):
-            update_evidence(state.log_evidence, np.array([0.0]))
-        assert np.array_equal(state.log_evidence, np.zeros(2))
+        total = EnsembleState(models=state.models, log_evidence=np.array([0.5, 0.0]))
+        assert np.allclose(ensemble_weights(state), ensemble_weights(total), rtol=0, atol=1e-15)
 
     def test_stacked_rows_accumulate_in_place(self):
+        # A state over one row of a stacked evidence array (the run keeps one
+        # per agent) is a view: evidence added to the stack moves its weights.
+        state, _ = init_ensemble(two_member_spec())
         log_evidence = np.zeros((3, 2))
-        row = log_evidence[1]
-        assert update_evidence(row, np.array([0.5, -2.0])) is None
-        assert np.array_equal(log_evidence, [[0.0, 0.0], [0.5, -2.0], [0.0, 0.0]])
+        row = EnsembleState(models=state.models, log_evidence=log_evidence[1])
+        log_evidence[1:] += [0.0, np.log(3.0)]
+        assert np.shares_memory(row.log_evidence, log_evidence)
+        assert np.allclose(ensemble_weights(row), [0.25, 0.75], atol=1e-12)
 
 
 class TestMixturePrediction:
@@ -194,7 +194,7 @@ class TestMixturePrediction:
     def test_batch_moments_match_formula(self):
         spec = two_member_spec(J=3)
         state, maps = init_ensemble(spec)
-        update_evidence(state.log_evidence, np.array([0.2, -0.4]))
+        state.log_evidence[...] = [0.2, -0.4]
         rng = np.random.default_rng(1)
         X = rng.uniform(size=(5, 2))
         mean, variance, mm, mv, w = mixture_at(state, maps, X)
@@ -245,7 +245,7 @@ class TestMixturePrediction:
     def test_batch_prediction_log_density(self):
         spec = two_member_spec(J=3)
         state, maps = init_ensemble(spec)
-        update_evidence(state.log_evidence, np.array([0.3, -0.2]))
+        state.log_evidence[...] = [0.3, -0.2]
         _, _, mm, mv, w = mixture_at(state, maps, np.array([[0.1, 0.9]]))
         ours = mixture_log_density(w, mm, mv, np.array([0.7]))[0]
         direct = np.log(w @ norm.pdf(0.7, mm[:, 0], np.sqrt(mv[:, 0])))

@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipgp import (
-    FeatureMap,
     KernelSpec,
-    augment_time_matrix,
+    apply_increment,
+    factorize,
     feature_matrix,
+    predict_batch,
+    prior_state,
+    robust_increment,
+    rotate,
     sample_frequencies,
-    shift_time,
 )
 
 
@@ -129,9 +132,9 @@ class TestFeatureMapEvaluation:
             errs.append(abs(approx - rbf(x, xp, [1.0])))
         assert np.mean(errs) <= 3.0 / np.sqrt(J)
 
-    def test_product_kernel_approximation_with_time(self):
+    def test_product_kernel_approximation_with_time(self, features_at):
         # Frequencies with a temporal column approximate the product of a
-        # spatial RBF and a temporal RBF on augmented inputs [x, t].
+        # spatial RBF and a temporal RBF on inputs [x, t].
         J = 2000
         spec = KernelSpec(spatial_lengthscales=(1.0,), temporal_lengthscale=4.0)
         fm = sample_frequencies(spec, J=J, d=1, seed=13)
@@ -140,11 +143,21 @@ class TestFeatureMapEvaluation:
         for _ in range(100):
             x, xp = rng.uniform(-2, 2, size=2)
             t, tp = rng.uniform(0, 48, size=2)
-            Phi = feature_matrix(fm, np.array([[x, t], [xp, tp]]))
-            approx = Phi[:, 0] @ Phi[:, 1]
+            approx = features_at(fm, [[x]], t)[:, 0] @ features_at(fm, [[xp]], tp)[:, 0]
             exact = rbf([x], [xp], [1.0]) * rbf([t], [tp], [4.0])
             errs.append(abs(approx - exact))
         assert np.mean(errs) <= 3.0 / np.sqrt(J)
+
+    def test_timed_map_featurizes_at_t_zero(self, features_at):
+        # A timed map takes spatial inputs only and gives their features at
+        # t = 0, bitwise; the time column gives only the angles.
+        spec = KernelSpec(spatial_lengthscales=(0.4, 0.9), temporal_lengthscale=3.0)
+        fm = sample_frequencies(spec, J=6, d=2, seed=4)
+        X = np.random.default_rng(5).uniform(-2, 2, size=(9, 2))
+        assert fm.timed and fm.spatial_dim == 2
+        assert np.array_equal(feature_matrix(fm, X), features_at(fm, X, 0))
+        with pytest.raises(ValueError, match="spatial columns 2"):
+            feature_matrix(fm, np.zeros((3, 3)))
 
 
 class TestFeatureMatrix:
@@ -164,10 +177,12 @@ class TestFeatureMatrix:
         assert np.array_equal(Phi[:, 0], Phi[:, 1])
 
     def test_shape_contract(self):
+        # 2J x N and Fortran-ordered, so a block of columns is contiguous.
         spec = KernelSpec(spatial_lengthscales=(1.0, 1.0, 1.0))
         fm = sample_frequencies(spec, J=5, d=3, seed=0)
         Phi = feature_matrix(fm, np.zeros((7, 3)))
         assert Phi.shape == (10, 7)
+        assert Phi[:, 2:5].flags.f_contiguous
 
     def test_wrong_width_rejected(self):
         spec = KernelSpec(spatial_lengthscales=(1.0, 1.0))
@@ -190,68 +205,93 @@ def timed_grids(draw):
     return fm, np.reshape(sites, (N, d)), draw(st.integers(0, 10**4))
 
 
+def fitted(fm, X, features_at, obs_variance=0.1):
+    """A posterior in w's frame, after batches at X at times 0, 1 and 2."""
+    state = prior_state(KernelSpec(spatial_lengthscales=(1.0,) * fm.spatial_dim,
+                                   obs_variance=obs_variance), fm.num_features)
+    rng = np.random.default_rng(fm.seed % 2**32)
+    for t in range(3):
+        y = rng.standard_normal(len(X))
+        apply_increment(state.D, state.eta,
+                        *robust_increment(features_at(fm, X, t), y, np.ones(len(X)), obs_variance))
+    return state
+
+
 class TestShiftTime:
+    """Shifting time turns the state (dynamics.rotate); the features stay at t = 0."""
+
     @settings(max_examples=200, deadline=None)
-    @given(timed_grids())
-    def test_rotation_equals_featurizing_at_t(self, case):
+    @given(case=timed_grids())
+    def test_rotation_equals_featurizing_at_t(self, case, features_at):
+        # Turning (D, eta) by v_time t and predicting with the t = 0 features
+        # equals predicting from (D, eta) with the time-t features.
         fm, X, t = case
-        J = fm.num_features
-        Phi0 = feature_matrix(fm, augment_time_matrix(X, 0))
-        out = shift_time(fm, Phi0, t, out=np.empty_like(Phi0))
-        expected = feature_matrix(fm, augment_time_matrix(X, t))
-        # Both sides round the projections [x, t].v, each in its own order,
-        # so they part by a few eps times the largest |x||v| + t|v_time|; the
-        # rotation itself keeps 1e-12 below that.
-        angle = np.max(np.abs(augment_time_matrix(X, t)) @ np.abs(fm.frequencies).T)
-        atol = max(1e-12, 4 * np.finfo(float).eps * angle) / np.sqrt(J)
-        assert np.max(np.abs(out - expected)) <= atol
+        state = fitted(fm, X, features_at)
+        means, variances = predict_batch(factorize(state), features_at(fm, X, t))
+        rotate(state.D, state.eta, fm.frequencies[:, -1] * t)
+        got_means, got_variances = predict_batch(factorize(state), feature_matrix(fm, X))
+        assert np.allclose(got_variances, variances, rtol=1e-9, atol=0)
+        assert np.allclose(got_means, means, rtol=1e-9, atol=1e-9 * np.sqrt(variances))
 
     @settings(max_examples=50, deadline=None)
-    @given(timed_grids())
-    def test_zero_time_is_a_bitwise_copy(self, case):
+    @given(case=timed_grids())
+    def test_zero_time_is_a_bitwise_copy(self, case, features_at):
         fm, X, _ = case
-        Phi0 = feature_matrix(fm, augment_time_matrix(X, 0))
-        out = np.full_like(Phi0, np.nan)
-        assert shift_time(fm, Phi0, 0, out=out) is out
-        assert out.tobytes() == Phi0.tobytes()
+        state = fitted(fm, X, features_at)
+        D, eta = state.D.copy(), state.eta.copy()
+        rotate(D, eta, fm.frequencies[:, -1] * 0)
+        assert D.tobytes() == state.D.tobytes() and eta.tobytes() == state.eta.tobytes()
 
     def test_zero_time_keeps_signed_zeros(self):
-        # -0.0 cos(0) + C sin(0) would be +0.0; t = 0 copies instead.
-        fm = FeatureMap(frequencies=np.array([[0.5, 1.0]]), num_features=1, seed=0)
-        Phi0 = np.array([[-0.0], [1.0]])
-        out = shift_time(fm, Phi0, 0, out=np.empty_like(Phi0))
-        assert out.tobytes() == Phi0.tobytes()
+        # -0.0 cos(0) - x sin(0) could be +0.0; zero angles turn nothing.
+        D, eta = np.array([1.0, -0.0, 1.0]), np.array([-0.0, 0.0])
+        before = D.tobytes() + eta.tobytes()
+        rotate(D, eta, np.array([0.0]))
+        assert D.tobytes() + eta.tobytes() == before
 
-    def test_out_may_be_a_strided_view(self):
+    def test_out_may_be_a_strided_view(self, features_at):
+        # The run turns strided views of its stacked state buffer, one row of
+        # angles per member, and leaves the evidence column alone; each row
+        # comes out bitwise as if turned on its own.
         spec = KernelSpec(spatial_lengthscales=(0.5,), temporal_lengthscale=2.0)
-        fm = sample_frequencies(spec, J=4, d=1, seed=1)
+        fms = [sample_frequencies(spec, J=4, d=1, seed=seed) for seed in (1, 2)]
         X = np.linspace(-1.0, 1.0, 5)[:, np.newaxis]
-        Phi0 = feature_matrix(fm, augment_time_matrix(X, 0))
-        buffer = np.zeros((8, 10))
-        shift_time(fm, Phi0, 3, out=buffer[:, ::2])
-        expected = feature_matrix(fm, augment_time_matrix(X, 3))
-        assert np.allclose(buffer[:, ::2], expected, rtol=0, atol=1e-15)
-        assert not buffer[:, 1::2].any()
+        states = [fitted(fm, X, features_at) for fm in fms]
+        packed, n = states[0].D.size, states[0].dim
+        buffer = np.full((3, 2, packed + n + 1), 7.0)
+        for m, state in enumerate(states):
+            buffer[:, m, :packed], buffer[:, m, packed:-1] = state.D, state.eta
+        angles = np.stack([fm.frequencies[:, -1] * t for fm, t in zip(fms, (3, 5))])
+        rotate(buffer[..., :packed], buffer[..., packed:-1], angles)
+        for m, state in enumerate(states):
+            rotate(state.D, state.eta, angles[m])
+            for row in buffer[:, m]:
+                assert np.array_equal(row[:packed], state.D)
+                assert np.array_equal(row[packed:-1], state.eta)
+        assert (buffer[..., -1] == 7.0).all()
 
-    @pytest.mark.parametrize("make_out", [
-        lambda Phi0: np.empty((Phi0.shape[0], Phi0.shape[1] + 1)),
-        lambda Phi0: np.empty((Phi0.shape[0] - 2, Phi0.shape[1])),
-        lambda Phi0: np.empty(Phi0.shape, dtype=np.float32),
-        lambda Phi0: Phi0,
-        lambda Phi0: Phi0[:, ::-1],
+    @pytest.mark.parametrize("make_args", [
+        lambda D, eta, angles: (np.append(D, 0.0), eta, angles),
+        lambda D, eta, angles: (D, eta, angles[:-1]),
+        lambda D, eta, angles: (D.astype(np.float32), eta, angles),
+        lambda D, eta, angles: (D, D, angles),
+        lambda D, eta, angles: (D, D[::-1], angles),
     ], ids=["wide", "short", "float32", "same", "reversed_view"])
-    def test_misshaped_or_aliased_out_rejected(self, make_out):
-        spec = KernelSpec(spatial_lengthscales=(0.5,), temporal_lengthscale=2.0)
-        fm = sample_frequencies(spec, J=4, d=1, seed=1)
-        Phi0 = feature_matrix(fm, augment_time_matrix(np.zeros((3, 1)), 0))
-        before = Phi0.copy()
-        with pytest.raises(ValueError, match="out"):
-            shift_time(fm, Phi0, 5, out=make_out(Phi0))
-        assert np.array_equal(Phi0, before)
+    def test_misshaped_or_aliased_out_rejected(self, make_args):
+        # A D that does not pack eta, angles for another count of pairs, a
+        # float32 D (turned in place it would round), and an eta that is D
+        # itself or a reversed view of it are all rejected, with nothing
+        # written.
+        rng = np.random.default_rng(0)
+        D, eta, angles = rng.standard_normal(36), rng.standard_normal(8), rng.standard_normal(4)
+        args = make_args(D, eta, angles)
+        before = [a.copy() for a in args]
+        with pytest.raises(ValueError, match="are not packed float64 states"):
+            rotate(*args)
+        assert all(np.array_equal(a, b) for a, b in zip(args, before))
 
     def test_phi0_of_another_map_rejected(self):
-        spec = KernelSpec(spatial_lengthscales=(0.5,), temporal_lengthscale=2.0)
-        fm = sample_frequencies(spec, J=4, d=1, seed=1)
-        Phi0 = np.zeros((6, 3))
-        with pytest.raises(ValueError, match="8 x N"):
-            shift_time(fm, Phi0, 5, out=np.empty_like(Phi0))
+        # The angles of a map with 4 frequencies turn states of 8 features;
+        # a state of 6 is rejected.
+        with pytest.raises(ValueError, match="of the 8 features"):
+            rotate(np.zeros(21), np.zeros(6), np.ones(4))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gossipgp import (
     apply_increment,
-    augment_time_matrix,
     ensemble_weights,
     factorize,
     feature_matrix,
@@ -241,9 +240,10 @@ class TestEvalModes:
         stit = run_scenario(scenario_from_dict({**base, "eval": {"mode": "stitched"}}))
         assert glob.records == stit.records
 
-    def test_stitched_shared_features_equal_own_block_prediction(self, tmp_path):
-        # The runner featurizes the whole grid once and selects each agent's
-        # columns; predicting from the agent's own block alone must agree.
+    def test_stitched_shared_features_equal_own_block_prediction(self, tmp_path, features_at):
+        # The runner featurizes the whole grid once, at t = 0, and selects
+        # each agent's columns; predicting from the agent's snapshot, in w's
+        # frame, with its own block's time-t features must agree.
         path = tmp_path / "w.csv"
         write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=3, seed=4)
         cfg = {
@@ -259,13 +259,13 @@ class TestEvalModes:
         for r in res.records:
             agent = res.snapshots[r.t][r.agent_id]
             sel = stream.eval_owner[r.t] == r.agent_id
-            X_k = augment_time_matrix(stream.eval_inputs[r.t][sel], r.t)
+            X_k = stream.eval_inputs[r.t][sel]
             y_k = stream.eval_truth[r.t][sel]
             w = ensemble_weights(agent)
             mean, _, mm, mv = mixture_predict_batch(
                 w,
                 [factorize(model) for model in agent.models],
-                [feature_matrix(fm, X_k) for fm in res.feature_maps],
+                [features_at(fm, X_k, r.t) for fm in res.feature_maps],
             )
             assert r.rmse == pytest.approx(rmse(mean, y_k), rel=1e-12, abs=0)
             assert r.npll == pytest.approx(npll(mm, mv, y_k, weights=w), rel=1e-12, abs=0)
@@ -321,7 +321,7 @@ class TestEvalModes:
     @pytest.mark.parametrize("mode", ["global", "stitched"])
     def test_grid_features_equal_per_batch_features(self, monkeypatch, tmp_path, mode):
         # The same grid stream without its recorded rows is featurized batch
-        # by batch at each epoch's time; the results agree to rounding. On
+        # by batch, at t = 0 as the grid is; the results agree to rounding. On
         # the second file epoch 1 lacks a site, so the grid's features must
         # be rebuilt for it and again for epoch 2.
         import gossipgp.harness.runner as runner_mod
@@ -352,51 +352,65 @@ class TestEvalModes:
                 assert np.allclose([a.rmse, a.npll, a.w2_to_centralized],
                                    [b.rmse, b.npll, b.w2_to_centralized], rtol=1e-12, atol=0)
 
-    def test_synthetic_eval_features_built_once_and_rotated(self, monkeypatch):
+    def test_synthetic_eval_features_built_once_and_rotated(self, monkeypatch, features_at):
         # A synthetic stream evaluates at the same points every epoch: each
-        # member's features over them are built once, at t = 0, and rotated
-        # to each evaluated epoch. Featurizing at each epoch's time instead
-        # agrees to rounding.
+        # member's features over them are built once, at t = 0, from the
+        # sites alone. Time turns the states instead: one rotate of the whole
+        # stack per epoch, by the time since the epoch before, and one per
+        # row and member to turn each snapshot and the final states back to
+        # w's frame. Scoring the snapshots with each epoch's time-t features
+        # gives the recorded metrics.
         import gossipgp.harness.runner as runner_mod
 
-        M, n_eval = 2, 40
+        K, M, n_eval = 2, 2, 40
         cfg = make_config(
             ensemble={"shared_J": 8, "temporal_lengthscale": 2.0,
                       "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
             stream={"kind": "synthetic",
                     "synthetic": {"kind": "drifting_gp", "drift_scale": 0.05, "epochs": 4,
                                   "batch_size": 10, "num_eval_points": n_eval}},
-            eval={"metrics": ["rmse", "npll", "w2"], "epochs": [1, 3]},
+            eval={"metrics": ["rmse", "npll", "w2"], "epochs": [1, 3], "snapshots": [1, 3]},
         )
         scenario = scenario_from_dict(cfg)
-        X_eval = materialize_stream(scenario).eval_inputs[0]
-        feature_matrix_, shift_time_ = runner_mod.feature_matrix, runner_mod.shift_time
-        times, shifts = [], []
+        feature_matrix_, rotate_ = runner_mod.feature_matrix, runner_mod.rotate
+        built, turns = [], []
 
         def counted_feature_matrix(fm, X):
             if X.shape[0] == n_eval:
-                times.append(set(X[:, -1]))
+                built.append(X.shape[1])
             return feature_matrix_(fm, X)
 
-        def counted_shift_time(fm, Phi0, t, out):
-            shifts.append(t)
-            return shift_time_(fm, Phi0, t, out=out)
-
-        def featurize_at_t(fm, Phi0, t, out):
-            out[...] = feature_matrix_(fm, augment_time_matrix(X_eval, t))
+        def counted_rotate(D, eta, angles):
+            turns.append((D.shape[:-1], np.array(angles)))
+            return rotate_(D, eta, angles)
 
         monkeypatch.setattr(runner_mod, "feature_matrix", counted_feature_matrix)
-        monkeypatch.setattr(runner_mod, "shift_time", counted_shift_time)
-        rotated = run_scenario(scenario)
-        assert times == [{0.0}] * M
-        assert shifts == [1] * M + [3] * M
-        monkeypatch.setattr(runner_mod, "shift_time", featurize_at_t)
-        direct = run_scenario(scenario)
-        assert len(rotated.records) == len(direct.records) == 2 * 2
-        for a, b in zip(rotated.records, direct.records):
-            assert (a.t, a.agent_id) == (b.t, b.agent_id)
-            assert np.allclose([a.rmse, a.npll, a.w2_to_centralized],
-                               [b.rmse, b.npll, b.w2_to_centralized], rtol=1e-12, atol=0)
+        monkeypatch.setattr(runner_mod, "rotate", counted_rotate)
+        res = run_scenario(scenario)
+        assert built == [scenario.ensemble.members[0].spatial_dim] * M
+        v_time = np.stack([fm.frequencies[:, -1] for fm in res.feature_maps])
+        R = K + 1
+
+        def back(t):
+            return [((), -t * v_time[m]) for _ in range(R) for m in range(M)]
+
+        expected = ([((R, M), 0 * v_time), ((R, M), v_time)] + back(1)
+                    + [((R, M), v_time)] * 2 + back(3) + back(3))
+        assert len(turns) == len(expected)
+        for (shape, angles), (want_shape, want) in zip(turns, expected):
+            assert shape == want_shape and np.array_equal(angles, want)
+
+        assert len(res.records) == 2 * K
+        X_eval = res.stream.eval_inputs[1]
+        for r in res.records:
+            agent, y = res.snapshots[r.t][r.agent_id], res.stream.eval_truth[r.t]
+            w = ensemble_weights(agent)
+            mean, _, mm, mv = mixture_predict_batch(
+                w, [factorize(model) for model in agent.models],
+                [features_at(fm, X_eval, r.t) for fm in res.feature_maps],
+            )
+            assert r.rmse == pytest.approx(rmse(mean, y), rel=1e-12, abs=0)
+            assert r.npll == pytest.approx(npll(mm, mv, y, weights=w), rel=1e-12, abs=0)
 
     def test_spatiotemporal_run_produces_finite_metrics(self):
         # Time features combined with forgetting.
@@ -428,16 +442,17 @@ class TestBlockLayout:
 
     def test_local_step_and_stitched_evaluation_read_views(self, monkeypatch, tmp_path):
         # The local step's Phi and stitched evaluation's Phi and truths are
-        # views of each epoch's grid features and truths, not copies.
+        # views of the grid features, built once per member at t = 0, and of
+        # each epoch's truths, not copies.
         import gossipgp.harness.runner as runner_mod
 
         grid, local, evaluated, truths = [], [], [], []
-        shift_time_, predict_batch_ = runner_mod.shift_time, runner_mod.predict_batch
+        feature_matrix_, predict_batch_ = runner_mod.feature_matrix, runner_mod.predict_batch
         mixture_, rmse_ = runner_mod.mixture_predict_batch, runner_mod.rmse
 
-        def shift_time(fm, Phi0, t, out):
-            grid.append(out)
-            return shift_time_(fm, Phi0, t, out=out)
+        def feature_matrix(fm, X):
+            grid.append(feature_matrix_(fm, X))
+            return grid[-1]
 
         def predict(factor, Phi):
             local.append(Phi)
@@ -451,7 +466,7 @@ class TestBlockLayout:
             truths.append(y)
             return rmse_(mean, y)
 
-        for name, f in (("shift_time", shift_time), ("predict_batch", predict),
+        for name, f in (("feature_matrix", feature_matrix), ("predict_batch", predict),
                         ("mixture_predict_batch", mixture), ("rmse", rmse_k)):
             monkeypatch.setattr(runner_mod, name, f)
         path = tmp_path / "w.csv"
@@ -464,6 +479,7 @@ class TestBlockLayout:
             "eval": {"mode": "stitched", "metrics": ["rmse", "npll"]},
         }
         res = run_scenario(scenario_from_dict(cfg))
+        assert [G.shape for G in grid] == [(16, 48)] * 2
         assert len(local) == 3 * 4 * 2 and len(evaluated) == 3 * 4 * 2 and len(truths) == 3 * 4
         for Phi in local + evaluated:
             assert Phi.shape == (16, 12)
@@ -471,6 +487,57 @@ class TestBlockLayout:
         for y in truths:
             assert y.shape == (12,)
             assert any(np.shares_memory(y, res.stream.eval_truth[t]) for t in range(3))
+
+    def test_local_step_hands_blas_the_grid_features_in_place(self, monkeypatch, tmp_path):
+        # Each agent's block of the grid features is Fortran-contiguous, so
+        # BLAS reads it in place: dgemv takes the block itself, the
+        # triangular products its transpose, which they copy into their
+        # output, and dsyrk the weighted block Phi W^1/2, Fortran-ordered too.
+        import scipy.linalg
+
+        import gossipgp.harness.runner as runner_mod
+        import gossipgp.info_filter as info_filter_mod
+        import gossipgp.robust as robust_mod
+
+        grid, handed = [], []
+        feature_matrix_ = runner_mod.feature_matrix
+
+        def feature_matrix(fm, X):
+            grid.append(feature_matrix_(fm, X))
+            return grid[-1]
+
+        class Recorded:
+            """scipy's blas, recording the feature operand of each call."""
+
+            def __getattr__(self, name):
+                f = getattr(scipy.linalg.blas, name)
+
+                def call(*args, **kwargs):
+                    handed.append((name, args[2] if name in ("dtrmm", "dtrsm") else args[1]))
+                    return f(*args, **kwargs)
+                return call
+
+        monkeypatch.setattr(runner_mod, "feature_matrix", feature_matrix)
+        monkeypatch.setattr(info_filter_mod, "blas", Recorded())
+        monkeypatch.setattr(robust_mod, "blas", Recorded())
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=3, seed=4)
+        cfg = {
+            "topology": {"kind": "ring", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
+                         "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+            "robust": {"kind": "hampel"},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            # w2 alone predicts nothing, so every call is the local step's.
+            "eval": {"metrics": ["w2"]},
+        }
+        run_scenario(scenario_from_dict(cfg))
+        assert sorted({name for name, _ in handed}) == ["dgemv", "dsyrk", "dtrsm"]
+        assert len(handed) == 3 * 4 * 2 * 4
+        for name, a in handed:
+            Phi = a.T if name == "dtrsm" else a
+            assert Phi.shape == (16, 12) and Phi.flags.f_contiguous
+            assert any(np.shares_memory(Phi, G) for G in grid) == (name != "dsyrk")
 
     @pytest.mark.parametrize("mode", ["global", "stitched"])
     def test_agent_without_sites_in_an_epoch(self, tmp_path, mode):
@@ -808,6 +875,98 @@ class TestMemory:
         assert peak - 2 * buffer < buffer
 
 
+class TestTimedKernel:
+    """A temporal scale turns the states; what leaves the run is in w's frame."""
+
+    @pytest.mark.parametrize("stream", ["synthetic", "grid_file"])
+    @pytest.mark.parametrize("dynamics", [{"mode": "static"}, {"mode": "b2p", "nu": 0.7},
+                                          {"mode": "ui", "nu": 0.8}],
+                             ids=["static", "b2p", "ui"])
+    def test_online_equals_recursion_with_time_t_features(self, tmp_path, features_at,
+                                                          stream, dynamics):
+        # With unit weights on a complete graph, every agent holds the
+        # network's posterior. The final states and a snapshot equal the
+        # recursion D <- nu D (+ (1 - nu) I / sigma_theta^2 for b2p)
+        # + sum_k Phi_t Phi_t^T / sigma^2, eta <- nu eta + sum_k Phi_t y_t /
+        # sigma^2 over the time-t features Phi_t of each agent's batch; under
+        # static forgetting (nu = 1) that is the batch posterior
+        # I / sigma_theta^2 + sum_t Phi_t Phi_t^T / sigma^2, sum_t Phi_t y_t / sigma^2.
+        if stream == "grid_file":
+            path = tmp_path / "w.csv"
+            write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=4, seed=4)
+            source = {"kind": "grid_file", "path": str(path)}
+        else:
+            source = {"kind": "synthetic",
+                      "synthetic": {"kind": "drifting_gp", "drift_scale": 0.05, "epochs": 4,
+                                    "batch_size": 10, "num_eval_points": 20}}
+        K = 4
+        cfg = {
+            "seed": 5,
+            "topology": {"kind": "complete", "num_agents": K},
+            "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
+                         "members": [{"lengthscales": 0.4, "prior_variance": 2.0,
+                                      "obs_variance": 0.05},
+                                     {"lengthscales": 0.2}]},
+            "dynamics": dynamics,
+            "stream": source,
+            "eval": {"metrics": ["rmse"], "snapshots": [1]},
+        }
+        scenario = scenario_from_dict(cfg)
+        res = run_scenario(scenario)
+        nu = dynamics.get("nu", 1.0)
+        for m, (spec, fm) in enumerate(zip(scenario.ensemble.members, res.feature_maps)):
+            n = 2 * fm.num_features
+            D, eta = np.eye(n) / spec.prior_variance, np.zeros(n)
+            for t in res.stream.epochs:
+                D, eta = nu * D, nu * eta
+                if dynamics["mode"] == "b2p":
+                    D += (1.0 - nu) / spec.prior_variance * np.eye(n)
+                for batch in res.stream.batches[t]:
+                    Phi = features_at(fm, batch.X, t)
+                    D += Phi @ Phi.T / spec.obs_variance
+                    eta += Phi @ batch.y / spec.obs_variance
+                states = res.agent_states if t == res.stream.epochs[-1] else (
+                    res.snapshots[t] if t == 1 else [])
+                for state in states:
+                    got = state.models[m]
+                    assert np.allclose(_unpack(got.D, n), D, rtol=1e-9,
+                                       atol=1e-9 * np.abs(D).max())
+                    assert np.allclose(got.eta, eta, rtol=1e-9, atol=1e-9 * np.abs(eta).max())
+
+    def test_rows_that_agree_stay_bitwise_equal(self, monkeypatch, tmp_path):
+        # On a complete graph of four the mixing weights 1/4 are exact, so
+        # the agents' rows agree bitwise; the turn keeps them so, and the
+        # local step factorizes each member once per epoch.
+        import scipy.linalg
+
+        factorizations = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def counted_cho_factor(*args, **kwargs):
+            factorizations.append(None)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted_cho_factor)
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=4, seed=4)
+        cfg = {
+            "topology": {"kind": "complete", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
+                         "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+            "dynamics": {"mode": "b2p", "nu": 0.7},
+            "robust": {"kind": "hampel"},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"metrics": ["rmse", "npll"]},
+        }
+        res = run_scenario(scenario_from_dict(cfg))
+        # One per member and epoch in the local step, and in the evaluation.
+        assert len(factorizations) == 2 * 4 * 2
+        first = res.agent_states[0]
+        for agent in res.agent_states[1:]:
+            for a, b in zip(agent.models, first.models):
+                assert a.D.tobytes() == b.D.tobytes() and a.eta.tobytes() == b.eta.tobytes()
+
+
 class TestWorkCounts:
     def test_one_factorization_and_feature_matrix_per_member(self, monkeypatch):
         # Per epoch: one factorization and one feature matrix per (agent,
@@ -863,14 +1022,14 @@ class TestWorkCounts:
         # feature matrix per member over the whole grid, whether or not the
         # epoch is evaluated. It is built at t = 0 once per run, plus once
         # for each epoch whose sites differ from the epoch before; the other
-        # epochs rotate it to their time.
+        # epochs turn the states instead.
         import gossipgp.harness.runner as runner_mod
 
         columns = []
         feature_matrix_ = runner_mod.feature_matrix
 
         def counted_feature_matrix(fm, X):
-            assert not X[:, -1].any()
+            assert X.shape[1] == 2  # the sites alone, with no time column
             columns.append(X.shape[0])
             return feature_matrix_(fm, X)
 
