@@ -67,11 +67,6 @@ class KernelSpec:
     def spatial_dim(self) -> int:
         return len(self.spatial_lengthscales)
 
-    @property
-    def input_dim(self) -> int:
-        """Frequency columns: the spatial dimension, plus one for a temporal scale."""
-        return self.spatial_dim + (0 if self.temporal_lengthscale is None else 1)
-
     def scales(self) -> np.ndarray:
         """Per-column lengthscales of the frequencies, the temporal one last."""
         ls = list(self.spatial_lengthscales)

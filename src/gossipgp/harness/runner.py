@@ -18,6 +18,12 @@ A kernel with a temporal scale keeps the states in the frame of the t = 0
 features (see dynamics), turned each epoch after forgetting, so inputs are
 featurized at t = 0 only. Snapshots and final states are in w's frame.
 
+Where an epoch's batches are the agents' blocks of its evaluation grid, as
+a grid file's are, Stream.blocks gives their row offsets, read once per
+epoch: each member's features are built over the grid, and the local step
+and stitched evaluation read each agent's block of columns. Otherwise each
+batch is featurized on its own, and stitched evaluation is refused.
+
 An agent whose posterior is bitwise the previous agent's takes that agent's
 factors instead of factorizing again, and its evaluation reuses the previous
 agent's work. That is every agent at epoch 0, where all hold the prior, and
@@ -105,7 +111,10 @@ def materialize_stream(scenario: Scenario) -> Stream:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     stream = materialize_stream(scenario)
-    _check_stream(scenario, stream)
+    # Each epoch's row offsets of the agents' blocks in its evaluation grid,
+    # or None where the batches are not its blocks (see Stream.blocks).
+    blocks = {t: stream.blocks(t) for t in stream.epochs}
+    _check_stream(scenario, stream, blocks)
     K = scenario.num_agents
     spec = scenario.ensemble
     M = spec.num_members
@@ -156,9 +165,10 @@ def run_scenario(scenario: Scenario) -> RunResult:
     jittered = []
     # Each member's features over the evaluation inputs are built at t = 0,
     # again only when an epoch's inputs differ from the ones they were built
-    # for. A grid stream needs them at every epoch, since each batch is a
-    # block of the grid's columns, read as a view; otherwise each batch is
-    # featurized, and the evaluation inputs only at epochs that predict.
+    # for. An epoch whose batches are blocks of the grid needs them, since
+    # each batch's features are its block of the grid's columns, read as a
+    # view; otherwise each batch is featurized, and the evaluation inputs
+    # only at epochs that predict.
     predict = "rmse" in scenario.eval.metrics or "npll" in scenario.eval.metrics
     sites = Phis = None
     for t in stream.epochs:
@@ -167,7 +177,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
             rotate(D, eta, v_time * (t - frame))
             frame = t
 
-        if stream.batch_rows is not None or (predict and t in eval_set):
+        offsets = blocks[t]
+        if offsets is not None or (predict and t in eval_set):
             if sites is None or not np.array_equal(stream.eval_inputs[t], sites):
                 sites = stream.eval_inputs[t]
                 Phis = _grid_features(sites, t, fmaps)
@@ -191,10 +202,10 @@ def run_scenario(scenario: Scenario) -> RunResult:
             for m in range(M):
                 try:
                     obs_variance = spec.members[m].obs_variance
-                    if stream.batch_rows is None:
+                    if offsets is None:
                         Phi = feature_matrix(fmaps[m], batch.X)
                     else:
-                        Phi = Phis[m][:, stream.batch_rows[t][k]]
+                        Phi = Phis[m][:, offsets[k] : offsets[k + 1]]
                     factor = factors[m]
                     if factor is None:
                         factor = factorize(rows[k].models[m])
@@ -234,7 +245,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
         if t in eval_set:
             records.extend(_evaluate_epoch(scenario, stream, t, (log_evidence, eta, D), rows,
-                                           jittered, Phis))
+                                           jittered, Phis, offsets))
         if t in snapshot_set:
             snapshots[t] = _in_weight_frame(rows, v_time, t)
 
@@ -268,7 +279,7 @@ def _split(message: np.ndarray, dim: int):
     return message[..., : -dim - 1], message[..., -dim - 1 : -1], message[..., -1]
 
 
-def _check_stream(scenario: Scenario, stream: Stream) -> None:
+def _check_stream(scenario: Scenario, stream: Stream, blocks) -> None:
     if stream.num_agents != scenario.num_agents:
         raise RunError(
             f"stream has {stream.num_agents} agents, topology has {scenario.num_agents}"
@@ -279,8 +290,13 @@ def _check_stream(scenario: Scenario, stream: Stream) -> None:
             f"stream spatial dim {stream.spatial_dim} does not match "
             f"ensemble spatial dim {member_dim}"
         )
-    if scenario.eval.mode == "stitched" and stream.eval_owner is None:
-        raise RunError("stitched evaluation requires a stream with block ownership")
+    if scenario.eval.mode == "stitched":
+        for t in stream.epochs:
+            if blocks[t] is None:
+                raise RunError(
+                    f"stitched evaluation requires each agent's batch to be its block of "
+                    f"the evaluation grid, and epoch {t}'s batches are not"
+                )
 
 
 def _in_weight_frame(rows, v_time, t):
@@ -300,14 +316,14 @@ def _grid_features(X, t, fmaps):
         raise RunError(f"epoch {t}, features of the evaluation grid: {exc}") from exc
 
 
-def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis):
+def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets):
     """One MetricsRecord per agent; each (agent, member) is factorized once.
 
     rows are the posteriors of the agents, then the oracle's when w2 is
     requested, and stacks their log-evidence, eta and packed D. Phis are
     each member's features over the whole evaluation grid, shared by all
-    agents; stitched evaluation reads an agent's own columns, one block
-    since the owners are nondecreasing, as a view. An agent
+    agents; stitched evaluation reads agent k's own block of columns,
+    offsets[k]:offsets[k + 1], as a view. An agent
     whose posterior (evidence included) is bitwise the previous agent's
     copies that agent's record under global evaluation, and under stitched
     evaluation reuses its factors and w2 to score its own sites.
@@ -329,15 +345,12 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis):
         oracle_traces = [_sq_frobenius(B) for _, B in oracle_roots]
 
     stitched = scenario.eval.mode == "stitched"
-    if stitched:
-        owner = stream.eval_owner[t]
-        bounds = np.searchsorted(owner, np.arange(scenario.num_agents + 1)).tolist()
     out = []
     for k, agent in enumerate(rows[: scenario.num_agents]):
         try:
             shared = k > 0 and _same_posterior(stacks, k, k - 1)
             if stitched:
-                sel = slice(bounds[k], bounds[k + 1])
+                sel = slice(offsets[k], offsets[k + 1])
                 y_k = y_true[sel]
             elif shared:
                 out.append(replace(out[-1], agent_id=k))

@@ -7,7 +7,7 @@ time column is kept as raw integer epochs. Space is split into K contiguous
 rectangular blocks, one per agent. Rows are sorted by (epoch, owner, lat,
 lon), so each agent's sites form one contiguous block of its epoch's
 evaluation grid: the batch is that slice, and its arrays are views of the
-epoch's.
+epoch's. Stream.blocks(t) derives the blocks' row offsets from the batches.
 
 Synthetic streams draw a ground-truth function f(x) = phi(x)^T theta* from
 a known random-feature basis; the drifting variant evolves
@@ -16,7 +16,6 @@ theta*_t = theta*_{t-1} + u_t with a configurable step scale.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,10 +40,11 @@ GRID_HEADER = ("lat", "lon", "t", "value")
 
 @dataclass(frozen=True)
 class StreamBatch:
-    """One agent's observations at one epoch (possibly empty)."""
+    """One agent's observations at one epoch (possibly empty).
 
-    agent_id: int
-    t: int
+    batches[t][k] of a Stream is agent k's batch at epoch t.
+    """
+
     X: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
 
@@ -67,15 +67,9 @@ class StreamBatch:
 class Stream:
     """Per-epoch per-agent batches plus the evaluation grid and its truth.
 
-    Grid streams only: eval_owner[t] maps each evaluation point of epoch t to
-    the agent whose block contains it, and is nondecreasing, so each agent's
-    points are one slice of the epoch. batch_rows[t][k] is the slice of
-    eval_inputs[t] that makes up agent k's batch; the slices tile the epoch
-    in agent order, so slices of the grid's features serve the batches too.
-    A stream that breaks either rule is rejected. output_sd is the output
-    standard deviation in stream units, used to scale injected outlier
-    magnitudes. For synthetic streams, `truth` records the generating basis
-    and weights.
+    output_sd is the output standard deviation in stream units, used to
+    scale injected outlier magnitudes. For synthetic streams, `truth`
+    records the generating basis and weights.
     """
 
     num_agents: int
@@ -83,41 +77,27 @@ class Stream:
     batches: dict[int, list[StreamBatch]] = field(repr=False)
     eval_inputs: dict[int, np.ndarray] = field(repr=False)
     eval_truth: dict[int, np.ndarray] = field(repr=False)
-    eval_owner: dict[int, np.ndarray] | None = field(default=None, repr=False)
-    batch_rows: dict[int, list[slice]] | None = field(default=None, repr=False)
     output_sd: float = 1.0
     truth: dict | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        for t in self.epochs if self.eval_owner is not None else ():
-            owner = self.eval_owner[t]
-            drops = np.flatnonzero(owner[1:] < owner[:-1])
-            if drops.size:
-                i = int(drops[0]) + 1
-                raise ValueError(
-                    f"epoch {t}, agent {owner[i]}: its evaluation point {i} follows one "
-                    f"of agent {owner[i - 1]}; the owners must be nondecreasing"
-                )
-        if self.batch_rows is None:
-            return
-        for t in self.epochs:
-            rows, sites = self.batch_rows[t], self.eval_inputs[t]
-            start = 0
-            for k, batch in enumerate(self.batches[t]):
-                block = rows[k] if k < len(rows) else None
-                if not (isinstance(block, slice) and block.start == start
-                        and block.step in (None, 1) and np.array_equal(sites[block], batch.X)):
-                    raise ValueError(
-                        f"epoch {t}, agent {k}: the recorded rows {block} are not the "
-                        f"block of the evaluation grid from row {start} that holds "
-                        f"the batch inputs"
-                    )
-                start = block.stop
-            if len(rows) != len(self.batches[t]) or start != len(sites):
-                raise ValueError(
-                    f"epoch {t}: the {len(rows)} recorded blocks end at row {start} "
-                    f"and do not tile the {len(sites)} points of the evaluation grid"
-                )
+    def blocks(self, t: int) -> list[int] | None:
+        """The agents' row offsets in epoch t's evaluation grid, or None.
+
+        When the K batches of epoch t, in agent order, are consecutive blocks
+        of its evaluation grid (as a grid file's are), agent k's batch is
+        rows offsets[k]:offsets[k + 1] of it, an empty block included, and
+        the K + 1 offsets are returned. Otherwise (a synthetic stream, or
+        batches out of that order) the result is None.
+        """
+        if len(self.batches[t]) != self.num_agents:
+            return None
+        sites, offsets = self.eval_inputs[t], [0]
+        for batch in self.batches[t]:
+            start = offsets[-1]
+            if not np.array_equal(sites[start : start + batch.size], batch.X):
+                return None
+            offsets.append(start + batch.size)
+        return offsets if offsets[-1] == len(sites) else None
 
     @property
     def spatial_dim(self) -> int:
@@ -130,7 +110,7 @@ class GridParseError(ValueError):
 
 
 def load_grid_dataset(path, K: int) -> Stream:
-    """Load a lat,lon,t,value file and split space into K agent blocks.
+    """Load the lat,lon,t,value file at path and split space into K agent blocks.
 
     Block (lat_block, lon_block) goes to agent lat_block * cols + lon_block,
     the grid topology's node at the same position. A site listed twice in
@@ -185,32 +165,23 @@ def load_grid_dataset(path, K: int) -> Stream:
     epochs = tuple(int(e) for e in epochs)
     eval_inputs = dict(zip(epochs, np.split(X, starts[1:])))
     eval_truth = dict(zip(epochs, np.split(y, starts[1:])))
-    eval_owner = dict(zip(epochs, np.split(owner, starts[1:])))
-    batch_rows = {}
-    for t in epochs:
-        bounds = np.searchsorted(eval_owner[t], np.arange(K + 1)).tolist()
-        batch_rows[t] = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    batches = {
-        t: [StreamBatch(agent_id=k, t=t, X=eval_inputs[t][rows], y=eval_truth[t][rows])
-            for k, rows in enumerate(batch_rows[t])]
-        for t in epochs
-    }
+    batches = {}
+    for t, owner_t in zip(epochs, np.split(owner, starts[1:])):
+        bounds = np.searchsorted(owner_t, np.arange(K + 1)).tolist()
+        batches[t] = [StreamBatch(X=eval_inputs[t][a:b], y=eval_truth[t][a:b])
+                      for a, b in zip(bounds[:-1], bounds[1:])]
     return Stream(
         num_agents=K,
         epochs=epochs,
         batches=batches,
         eval_inputs=eval_inputs,
         eval_truth=eval_truth,
-        eval_owner=eval_owner,
-        batch_rows=batch_rows,
         output_sd=1.0,
     )
 
 
 def _grid_lines(path) -> list[str]:
-    """The lines of a grid file (a path or a text stream)."""
-    if isinstance(path, io.TextIOBase):
-        return path.read().splitlines()
+    """The lines of the grid file at path."""
     with open(path, "r", newline="") as fp:
         return fp.read().splitlines()
 
@@ -332,11 +303,11 @@ def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
     all_y = []
     for t in epochs:
         per_agent = []
-        for k in range(cfg.num_agents):
+        for _ in range(cfg.num_agents):
             X = x_rng.uniform(size=(cfg.batch_size, cfg.spatial_dim))
             f = feature_matrix(fm, X).T @ theta[t]
             y = f + sigma * noise_rng.standard_normal(cfg.batch_size)
-            per_agent.append(StreamBatch(agent_id=k, t=t, X=X, y=y))
+            per_agent.append(StreamBatch(X=X, y=y))
             all_y.append(y)
         batches[t] = per_agent
 
@@ -353,7 +324,6 @@ def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
         batches=batches,
         eval_inputs=eval_inputs,
         eval_truth=eval_truth,
-        eval_owner=None,
         output_sd=float(stacked.std()) if stacked.std() > 0 else 1.0,
         truth={
             "kernel": spec,
@@ -409,8 +379,8 @@ def inject_outliers(stream: Stream, spec: OutlierSpec) -> Stream:
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     new_epoch: list[StreamBatch] = []
-    for batch in stream.batches[spec.epoch]:
-        if batch.agent_id not in targets or batch.size == 0:
+    for k, batch in enumerate(stream.batches[spec.epoch]):
+        if k not in targets or batch.size == 0:
             new_epoch.append(batch)
             continue
         if spec.region is None:
@@ -436,7 +406,7 @@ def inject_outliers(stream: Stream, spec: OutlierSpec) -> Stream:
         y[chosen] = y[chosen] + spec.magnitude_sd * stream.output_sd * (
             1.0 + spec.jitter * u
         )
-        new_epoch.append(StreamBatch(agent_id=batch.agent_id, t=batch.t, X=batch.X, y=y))
+        new_epoch.append(StreamBatch(X=batch.X, y=y))
 
     batches = dict(stream.batches)
     batches[spec.epoch] = new_epoch

@@ -86,12 +86,6 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(spatial_lengthscales=(1.0,), obs_variance=-1.0)
 
-    def test_input_dim_counts_time(self):
-        spec = KernelSpec(spatial_lengthscales=(1.0, 1.0), temporal_lengthscale=4.0)
-        assert spec.spatial_dim == 2
-        assert spec.input_dim == 3
-        assert KernelSpec(spatial_lengthscales=(1.0,)).input_dim == 1
-
 
 class TestFeatureMapEvaluation:
     def test_origin_features_alternate_zero_and_inv_sqrt_j(self):
@@ -160,6 +154,20 @@ class TestFeatureMapEvaluation:
             feature_matrix(fm, np.zeros((3, 3)))
 
 
+@st.composite
+def blocks_of_sites(draw):
+    """A feature map, sites, and a block a:b of their rows (possibly empty)."""
+    J = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 3))
+    lengthscales = draw(st.lists(st.floats(0.05, 5.0), min_size=d, max_size=d))
+    spec = KernelSpec(spatial_lengthscales=tuple(lengthscales))
+    fm = sample_frequencies(spec, J=J, d=d, seed=draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(1, 40))
+    sites = draw(st.lists(st.floats(-10.0, 10.0), min_size=N * d, max_size=N * d))
+    a = draw(st.integers(0, N))
+    return fm, np.reshape(sites, (N, d)), a, draw(st.integers(a, N))
+
+
 class TestFeatureMatrix:
     def test_single_row_equals_column_of_batch(self):
         spec = KernelSpec(spatial_lengthscales=(0.4, 0.9))
@@ -189,6 +197,19 @@ class TestFeatureMatrix:
         fm = sample_frequencies(spec, J=5, d=2, seed=0)
         with pytest.raises(ValueError):
             feature_matrix(fm, np.zeros((3, 3)))
+
+    @settings(max_examples=90, deadline=None)
+    @given(case=blocks_of_sites())
+    def test_block_of_columns_equals_features_of_the_block(self, case):
+        # A grid stream's local step reads each agent's features as its
+        # block of the grid's columns: they equal featurizing the block. The
+        # entries are at most 1/sqrt(J), the scale of the absolute term,
+        # which covers sin and cos near their zeros.
+        fm, X, a, b = case
+        got, want = feature_matrix(fm, X)[:, a:b], feature_matrix(fm, X[a:b])
+        assert got.shape == want.shape == (fm.num_features * 2, b - a)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 / np.sqrt(fm.num_features))
+
 
 
 @st.composite

@@ -22,6 +22,7 @@ GOLDEN = ROOT / "tests" / "golden"
 CASES = {
     "weather_demo": ROOT / "configs" / "weather_demo.yaml",
     "ring_w2_hampel": GOLDEN / "ring_w2_hampel.yaml",
+    "ring_stitched_outliers": GOLDEN / "ring_stitched_outliers.yaml",
 }
 
 

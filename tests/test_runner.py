@@ -258,9 +258,9 @@ class TestEvalModes:
         stream = res.stream
         for r in res.records:
             agent = res.snapshots[r.t][r.agent_id]
-            sel = stream.eval_owner[r.t] == r.agent_id
-            X_k = stream.eval_inputs[r.t][sel]
-            y_k = stream.eval_truth[r.t][sel]
+            # No outliers, so the agent's batch is its block of the grid and its truth.
+            batch = stream.batches[r.t][r.agent_id]
+            X_k, y_k = batch.X, batch.y
             w = ensemble_weights(agent)
             mean, _, mm, mv = mixture_predict_batch(
                 w,
@@ -290,19 +290,11 @@ class TestEvalModes:
         for r in res.records:
             assert np.isfinite([r.rmse, r.npll, r.w2_to_centralized]).all()
 
-    def test_stitched_empty_block_gives_empty_cells(self, monkeypatch, tmp_path):
-        # Agent 1 keeps its training batches but owns no evaluation point:
-        # its rmse/npll cells are empty (never NaN) and its w2 is still scored.
-        import gossipgp.harness.runner as runner_mod
-
-        def without_agent_1_block(scenario):
-            stream = materialize_stream(scenario)
-            owner = {t: np.where(o == 1, 0, o) for t, o in stream.eval_owner.items()}
-            return dataclasses.replace(stream, eval_owner=owner)
-
-        monkeypatch.setattr(runner_mod, "materialize_stream", without_agent_1_block)
+    def test_stitched_empty_block_gives_empty_cells(self, tmp_path):
+        # Agent 1 owns no site in any epoch: its rmse/npll cells are empty
+        # (never NaN) and its w2 is still scored.
         path = tmp_path / "w.csv"
-        write_synthetic_weather_csv(path, nlat=6, nlon=6, epochs=3, seed=1)
+        write_grid_without_a_block(path, agent=1, epochs=3, seed=1)
         cfg = {
             "topology": {"kind": "ring", "num_agents": 4},
             "ensemble": {"shared_J": 8, "members": [{"lengthscales": 0.4}]},
@@ -310,6 +302,7 @@ class TestEvalModes:
             "eval": {"mode": "stitched", "metrics": ["rmse", "npll", "w2"]},
         }
         res = run_scenario(scenario_from_dict(cfg))
+        assert [res.stream.blocks(t) for t in range(3)] == [[0, 9, 9, 18, 27]] * 3
         assert len(res.records) == 4 * 3
         for r in res.records:
             assert np.isfinite(r.w2_to_centralized)
@@ -318,13 +311,13 @@ class TestEvalModes:
             else:
                 assert np.isfinite([r.rmse, r.npll]).all()
 
-    @pytest.mark.parametrize("mode", ["global", "stitched"])
-    def test_grid_features_equal_per_batch_features(self, monkeypatch, tmp_path, mode):
-        # The same grid stream without its recorded rows is featurized batch
+    def test_grid_features_equal_per_batch_features(self, monkeypatch, tmp_path):
+        # The same grid stream, read as having no blocks, is featurized batch
         # by batch, at t = 0 as the grid is; the results agree to rounding. On
         # the second file epoch 1 lacks a site, so the grid's features must
-        # be rebuilt for it and again for epoch 2.
-        import gossipgp.harness.runner as runner_mod
+        # be rebuilt for it and again for epoch 2. Stitched evaluation needs
+        # the blocks, so both runs score globally.
+        from gossipgp.harness.streams import Stream
 
         full, missing = tmp_path / "full.csv", tmp_path / "missing.csv"
         write_synthetic_weather_csv(full, nlat=6, nlon=8, epochs=3, seed=4)
@@ -336,14 +329,11 @@ class TestEvalModes:
                              "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
                 "robust": {"kind": "hampel"},
                 "stream": {"kind": "grid_file", "path": str(path)},
-                "eval": {"mode": mode, "metrics": ["rmse", "npll", "w2"]},
+                "eval": {"metrics": ["rmse", "npll", "w2"]},
             }
             shared = run_scenario(scenario_from_dict(cfg))
             with monkeypatch.context() as patch:
-                patch.setattr(
-                    runner_mod, "materialize_stream",
-                    lambda sc: dataclasses.replace(materialize_stream(sc), batch_rows=None),
-                )
+                patch.setattr(Stream, "blocks", lambda stream, t: None)
                 per_batch = run_scenario(scenario_from_dict(cfg))
             assert [len(x) for x in shared.stream.eval_inputs.values()] == sites
             assert len(shared.records) == len(per_batch.records) == 4 * 3
@@ -427,14 +417,21 @@ class TestEvalModes:
         assert all(np.isfinite(r.rmse) and np.isfinite(r.npll) for r in res.records)
 
 
-def write_grid_without_agent_0(path, epoch, **kwargs):
-    """A 6x6 synthetic weather file whose given epoch lacks agent 0's nine sites (K = 4)."""
+def write_grid_without_a_block(path, agent, epoch=None, **kwargs):
+    """A 6x6 synthetic weather file lacking the agent's nine sites (K = 4).
+
+    They are left out of the given epoch, or of every epoch when it is None.
+    """
     write_synthetic_weather_csv(path, nlat=6, nlon=6, **kwargs)
     header, *rows = path.read_text().splitlines()
-    rows = [row for row in rows if not (row.split(",")[2] == str(epoch)
-                                        and float(row.split(",")[0]) < 45.0
-                                        and float(row.split(",")[1]) < 65.0)]
-    path.write_text("\n".join([header, *rows]) + "\n")
+    lat_block, lon_block = divmod(agent, 2)
+
+    def in_block(row):
+        lat, lon, t, _ = row.split(",")
+        return (epoch in (None, int(t)) and (float(lat) > 45.0) == lat_block
+                and (float(lon) > 65.0) == lon_block)
+
+    path.write_text("\n".join([header, *(row for row in rows if not in_block(row))]) + "\n")
 
 
 class TestBlockLayout:
@@ -545,7 +542,7 @@ class TestBlockLayout:
         # learns nothing new, and under stitched evaluation its rmse and npll
         # cells are empty while its w2 is still scored.
         path = tmp_path / "w.csv"
-        write_grid_without_agent_0(path, 1, epochs=3, seed=2)
+        write_grid_without_a_block(path, agent=0, epoch=1, epochs=3, seed=2)
         cfg = {
             "topology": {"kind": "ring", "num_agents": 4},
             "ensemble": {"shared_J": 8, "members": [{"lengthscales": 0.4}]},
@@ -555,7 +552,7 @@ class TestBlockLayout:
         }
         res = run_scenario(scenario_from_dict(cfg))
         assert [b.size for b in res.stream.batches[1]] == [0, 9, 9, 9]
-        assert res.stream.batch_rows[1][0] == slice(0, 0)
+        assert res.stream.blocks(1) == [0, 0, 9, 18, 27]
         assert len(res.records) == 4 * 3
         for r in res.records:
             assert np.isfinite(r.w2_to_centralized)
@@ -694,6 +691,30 @@ def snapshot_bytes():
 
 
 class TestRunErrors:
+    def test_stitched_grid_with_swapped_batches_is_rejected(self, monkeypatch, tmp_path):
+        import gossipgp.harness.runner as runner_mod
+
+        def swapped_at_epoch_1(scenario):
+            stream = materialize_stream(scenario)
+            stream.batches[1] = stream.batches[1][::-1]
+            return stream
+
+        monkeypatch.setattr(runner_mod, "materialize_stream", swapped_at_epoch_1)
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=6, nlon=6, epochs=3, seed=1)
+        cfg = {
+            "topology": {"kind": "ring", "num_agents": 4},
+            "ensemble": {"shared_J": 8, "members": [{"lengthscales": 0.4}]},
+            "stream": {"kind": "grid_file", "path": str(path)},
+            "eval": {"mode": "stitched"},
+        }
+        with pytest.raises(RunError, match=r"^stitched evaluation requires each agent's "
+                                           r"batch .* epoch 1's batches are not$"):
+            run_scenario(scenario_from_dict(cfg))
+        # Global evaluation featurizes that epoch's batches one by one.
+        cfg["eval"]["mode"] = "global"
+        assert len(run_scenario(scenario_from_dict(cfg)).records) == 4 * 3
+
     def test_eval_epoch_outside_stream(self):
         cfg = make_config(eval={"epochs": [99]})
         with pytest.raises(RunError, match="not in the stream"):
@@ -784,10 +805,7 @@ class TestDegeneratePaths:
         def with_empty_batch(scenario):
             stream = materialize_stream(scenario)
             batch = stream.batches[2][1]
-            stream.batches[2][1] = StreamBatch(
-                agent_id=batch.agent_id, t=batch.t,
-                X=batch.X[:0], y=batch.y[:0],
-            )
+            stream.batches[2][1] = StreamBatch(X=batch.X[:0], y=batch.y[:0])
             return stream
 
         monkeypatch.setattr(runner_mod, "materialize_stream", with_empty_batch)
@@ -816,7 +834,7 @@ class TestDegeneratePaths:
             stream = materialize_stream(scenario)
             for t in stream.epochs[1:]:
                 stream.batches[t] = [
-                    StreamBatch(agent_id=b.agent_id, t=b.t, X=b.X[:0], y=b.y[:0])
+                    StreamBatch(X=b.X[:0], y=b.y[:0])
                     for b in stream.batches[t]
                 ]
             return stream
@@ -1117,7 +1135,7 @@ class TestWorkCounts:
         assert result.jitter_retries == len(calls) // 3
 
 
-def run_counted(cfg, share=True, materialize=None):
+def run_counted(cfg, share=True):
     """Run cfg counting factorizations and recording every row comparison.
 
     With share=False every comparison reports different posteriors, which
@@ -1140,8 +1158,6 @@ def run_counted(cfg, share=True, materialize=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner_mod, "factorize", counted_factorize)
         mp.setattr(runner_mod, "_same_posterior", recorded_same_posterior)
-        if materialize is not None:
-            mp.setattr(runner_mod, "materialize_stream", materialize)
         result = run_scenario(scenario_from_dict(cfg))
     return result, len(calls), shares
 
@@ -1274,23 +1290,20 @@ class TestSharedPosteriors:
     @pytest.mark.parametrize("metrics", [["rmse", "npll"], ["rmse", "npll", "w2"]],
                              ids=["no_w2", "w2"])
     def test_stitched_agents_score_their_own_sites(self, tmp_path, metrics):
-        # Agent 0 owns no site: without w2 it builds no factors, so agent 1,
-        # which shares its posterior, factorizes for both.
-        def without_agent_0_block(scenario):
-            stream = materialize_stream(scenario)
-            owner = {t: np.where(o == 0, 1, o) for t, o in stream.eval_owner.items()}
-            return dataclasses.replace(stream, eval_owner=owner)
-
+        # Agent 0 owns no site in any epoch, so it learns nothing locally;
+        # gossip on the complete graph still gives it the others' posterior.
+        # Without w2 it builds no factors, so agent 1, which shares its
+        # posterior, factorizes for both.
         path = tmp_path / "w.csv"
-        write_synthetic_weather_csv(path, nlat=6, nlon=6, epochs=3, seed=1)
+        write_grid_without_a_block(path, agent=0, epochs=3, seed=1)
         cfg = {
             "topology": {"kind": "complete", "num_agents": self.K},
             "ensemble": {"shared_J": 8, "members": self.members},
             "stream": {"kind": "grid_file", "path": str(path)},
             "eval": {"mode": "stitched", "metrics": metrics},
         }
-        shared, calls, shares = run_counted(cfg, materialize=without_agent_0_block)
-        alone, _, _ = run_counted(cfg, share=False, materialize=without_agent_0_block)
+        shared, calls, shares = run_counted(cfg)
+        alone, _, _ = run_counted(cfg, share=False)
         assert_same_bits(shared, alone)
         assert all(shares)
         oracle = self.M if "w2" in metrics else 0

@@ -1,7 +1,6 @@
 """Grid ingestion, spatial partitioning, synthetic streams, outlier injection."""
 import csv
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -63,26 +62,27 @@ class TestGridLoader:
         path = write_grid(tmp_path / "g.csv", nlat=6, nlon=4, epochs=2)
         stream = load_grid_dataset(path, K=4)
         for t in stream.epochs:
-            total = sum(b.size for b in stream.batches[t])
-            assert total == 24
-            assert stream.eval_owner[t].shape == (24,)
-            assert set(np.unique(stream.eval_owner[t])) == {0, 1, 2, 3}
+            assert [b.size for b in stream.batches[t]] == [6, 6, 6, 6]
+            assert stream.blocks(t) == [0, 6, 12, 18, 24]
 
     def test_owner_follows_each_epochs_sites(self, tmp_path):
         # Both epochs hold 15 of the 16 sites, but not the same 15: each
         # point's owner must be the block of its own site, not the point at
-        # the same position in another epoch.
+        # the same position in another epoch. Rows of the grid are sorted
+        # by owner, so each agent's batch is its block of the epoch's rows.
         path = write_grid(tmp_path / "g.csv", nlat=4, nlon=4, epochs=2)
         lines = path.read_text().splitlines()
         missing = {"40.0,60.0,0", "43.0,63.0,1"}
         path.write_text("\n".join(l for l in lines if l.rsplit(",", 1)[0] not in missing))
         stream = load_grid_dataset(path, K=4)
         for t in stream.epochs:
-            X, owner = stream.eval_inputs[t], stream.eval_owner[t]
-            assert owner.shape == (15,)
-            assert np.array_equal(owner, 2 * (X[:, 0] > 0.5) + (X[:, 1] > 0.5))
+            X = stream.eval_inputs[t]
+            owner = 2 * (X[:, 0] > 0.5) + (X[:, 1] > 0.5)
+            assert X.shape == (15, 2)
+            assert np.array_equal(owner, np.sort(owner))
             for k, batch in enumerate(stream.batches[t]):
                 assert np.array_equal(X[owner == k], batch.X)
+            assert stream.blocks(t) == np.searchsorted(owner, range(5)).tolist()
 
     def test_inputs_normalized_outputs_standardized(self, tmp_path):
         path = write_grid(tmp_path / "g.csv", nlat=5, nlon=5, epochs=2)
@@ -121,14 +121,15 @@ class TestGridLoader:
         # Agents i and j are grid-topology neighbours exactly when their
         # spatial blocks share an edge, i.e. when some site of one block has
         # a 4-neighbour site in the other.
-        # Rows are sorted by owner, so the owners are laid out on the 20x20
-        # raster by each site's lat and lon rank.
+        # Each agent's batch is its block of the grid's rows, so the owners
+        # are laid out on the 20x20 raster by each site's lat and lon rank.
         path = write_grid(tmp_path / "g.csv", nlat=20, nlon=20, epochs=1)
         stream = load_grid_dataset(path, K)
         X = stream.eval_inputs[0]
         owner = np.full((20, 20), -1)
         owner[np.unique(X[:, 0], return_inverse=True)[1],
-              np.unique(X[:, 1], return_inverse=True)[1]] = stream.eval_owner[0]
+              np.unique(X[:, 1], return_inverse=True)[1]] = np.repeat(
+                  np.arange(K), np.diff(stream.blocks(0)))
         assert owner.min() >= 0
         touching = set()
         for a, b in ((owner[:, :-1], owner[:, 1:]), (owner[:-1, :], owner[1:, :])):
@@ -149,9 +150,9 @@ def stream_arrays(stream):
     """Every array a grid stream holds, epoch by epoch, in a fixed order."""
     out = []
     for t in stream.epochs:
-        out += [stream.eval_inputs[t], stream.eval_truth[t], stream.eval_owner[t]]
+        out += [stream.eval_inputs[t], stream.eval_truth[t]]
         out += [a for b in stream.batches[t] for a in (b.X, b.y)]
-        out.append(np.array([(rows.start, rows.stop) for rows in stream.batch_rows[t]]))
+        out.append(np.array(stream.blocks(t)))
     return out
 
 
@@ -187,12 +188,6 @@ class TestGridReader:
         got = _read_grid_rows(_grid_lines(path))
         assert got[2].dtype.kind == "i"
         for a, b in zip(got, want, strict=True):
-            assert np.array_equal(a, b)
-
-    def test_text_stream_loads_like_its_file(self, plain):
-        got = load_grid_dataset(io.StringIO(plain.read_text()), K=2)
-        for a, b in zip(stream_arrays(got), stream_arrays(load_grid_dataset(plain, K=2)),
-                        strict=True):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("bad_row, line, reason", [
@@ -257,15 +252,23 @@ class TestGridReader:
             load_grid_dataset(path, K=1)
 
 
+def with_batches(stream, t, rows):
+    """stream with the batches of epoch t made of the given rows of its grid."""
+    X, y = stream.eval_inputs[t], stream.eval_truth[t]
+    batches = [StreamBatch(X=X[r], y=y[r]) for r in rows]
+    return dataclasses.replace(stream, batches={**stream.batches, t: batches})
+
+
 class TestBatchRows:
+    """Each agent's batch is its block of the epoch's grid rows; Stream.blocks finds them."""
+
     def test_grid_batches_are_their_rows_of_the_grid(self, tmp_path):
         stream = load_grid_dataset(write_grid(tmp_path / "g.csv", nlat=6, nlon=4), K=4)
         for t in stream.epochs:
-            rows = stream.batch_rows[t]
-            assert [(r.start, r.stop) for r in rows] == [(0, 6), (6, 12), (12, 18), (18, 24)]
+            offsets = stream.blocks(t)
+            assert offsets == [0, 6, 12, 18, 24]
             for k, batch in enumerate(stream.batches[t]):
-                assert np.array_equal(stream.eval_inputs[t][rows[k]], batch.X)
-                assert np.array_equal(stream.eval_owner[t][rows[k]], np.full(6, k))
+                assert np.array_equal(stream.eval_inputs[t][offsets[k]:offsets[k + 1]], batch.X)
 
     def test_blocks_keep_lat_lon_order(self, tmp_path):
         # Within its block each batch lists its sites by (lat, lon), as the
@@ -294,59 +297,50 @@ class TestBatchRows:
         stream = load_grid_dataset(path, K=4)
         assert [b.size for b in stream.batches[0]] == [9, 9, 9, 9]
         assert [b.size for b in stream.batches[1]] == [0, 9, 9, 9]
-        assert stream.batch_rows[1][0] == slice(0, 0)
-        assert stream.batch_rows[1][1] == slice(0, 9)
+        assert stream.blocks(0) == [0, 9, 18, 27, 36]
+        assert stream.blocks(1) == [0, 0, 9, 18, 27]
 
     def test_synthetic_streams_record_no_rows(self):
-        assert synth_stream(SynthConfig(num_agents=2, epochs=2), seed=0).batch_rows is None
+        # Synthetic batches are drawn apart from the evaluation points.
+        stream = synth_stream(SynthConfig(num_agents=2, epochs=2), seed=0)
+        assert [stream.blocks(t) for t in stream.epochs] == [None, None]
 
     def test_outliers_keep_the_rows(self, tmp_path):
         stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=4)
         hit = inject_outliers(stream, OutlierSpec(epoch=1, fraction=1.0))
-        assert hit.batch_rows is stream.batch_rows
+        assert not np.array_equal(hit.batches[1][0].y, stream.batches[1][0].y)
+        for t in stream.epochs:
+            assert hit.blocks(t) == stream.blocks(t) == [0, 4, 8, 12, 16]
 
-    @pytest.mark.parametrize("corrupt, agent", [
-        (lambda rows: rows[::-1], "agent 0"),
-        (lambda rows: rows[:-1], "agent 3"),
-        (lambda rows: [slice(r.start + 100, r.stop + 100) for r in rows], "agent 0"),
-        (lambda rows: [np.arange(r.start, r.stop) for r in rows], "agent 0"),
+    @pytest.mark.parametrize("rows", [
+        [slice(12, 16), slice(8, 12), slice(4, 8), slice(0, 4)],
+        [slice(0, 4), slice(4, 8), slice(8, 12)],
+        [slice(0, 4), slice(4, 8), slice(8, 12), slice(12, 16), slice(16, 16)],
+        [np.arange(3, -1, -1), slice(4, 8), slice(8, 12), slice(12, 16)],
     ], ids=["swapped", "missing", "out_of_range", "index_arrays"])
-    def test_rows_that_do_not_give_the_batch_are_rejected(self, tmp_path, corrupt, agent):
-        stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=4)
-        batch_rows = {**stream.batch_rows, 1: corrupt(stream.batch_rows[1])}
-        with pytest.raises(ValueError, match=f"epoch 1, {agent}: the recorded rows"):
-            dataclasses.replace(stream, batch_rows=batch_rows)
+    def test_rows_that_do_not_give_the_batch_are_rejected(self, tmp_path, rows):
+        # Batches in another agent order, one batch short, one batch too
+        # many, or a block listed in another row order are not the blocks;
+        # the other epoch's batches still are.
+        stream = with_batches(load_grid_dataset(write_grid(tmp_path / "g.csv"), K=4), 1, rows)
+        assert stream.blocks(0) == [0, 4, 8, 12, 16]
+        assert stream.blocks(1) is None
 
     def test_overlapping_blocks_are_rejected(self, tmp_path):
-        # Each batch is its block of the grid, but agent 1's block starts
+        # Each batch is a block of the grid, but agent 1's block starts
         # inside agent 0's.
         stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=2)
-        X, y = stream.eval_inputs[1], stream.eval_truth[1]
-        rows = [slice(0, 8), slice(6, 16)]
-        batches = {**stream.batches, 1: [StreamBatch(agent_id=k, t=1, X=X[r], y=y[r])
-                                         for k, r in enumerate(rows)]}
-        with pytest.raises(ValueError, match=r"epoch 1, agent 1: the recorded rows slice\(6, 16"):
-            dataclasses.replace(stream, batches=batches,
-                                batch_rows={**stream.batch_rows, 1: rows})
+        assert with_batches(stream, 1, [slice(0, 8), slice(6, 16)]).blocks(1) is None
 
     def test_blocks_that_leave_sites_out_are_rejected(self, tmp_path):
         stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=2)
-        X, y = stream.eval_inputs[1], stream.eval_truth[1]
-        rows = [slice(0, 8), slice(8, 15)]
-        batches = {**stream.batches, 1: [StreamBatch(agent_id=k, t=1, X=X[r], y=y[r])
-                                         for k, r in enumerate(rows)]}
-        with pytest.raises(ValueError, match="epoch 1: the 2 recorded blocks end at row 15"):
-            dataclasses.replace(stream, batches=batches,
-                                batch_rows={**stream.batch_rows, 1: rows})
+        assert with_batches(stream, 1, [slice(0, 8), slice(8, 15)]).blocks(1) is None
 
     def test_decreasing_owners_are_rejected(self, tmp_path):
+        # Agent 0's batch takes grid row 5, which follows agent 1's row 4.
         stream = load_grid_dataset(write_grid(tmp_path / "g.csv"), K=4)
-        owner = stream.eval_owner[1].copy()
-        assert owner[4] == 1
-        owner[5] = 0
-        with pytest.raises(ValueError, match="epoch 1, agent 0: its evaluation point 5 "
-                                             "follows one of agent 1"):
-            dataclasses.replace(stream, eval_owner={**stream.eval_owner, 1: owner})
+        rows = [[0, 1, 2, 3, 5], [4, 6, 7], slice(8, 12), slice(12, 16)]
+        assert with_batches(stream, 1, rows).blocks(1) is None
 
 
 class TestSynthStream:
