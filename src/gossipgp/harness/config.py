@@ -23,7 +23,7 @@ robust: {kind: none, delta: 1.345, breakpoints: [2.0, 4.0, 8.0]}
 stream: required                           # kind grid_file or synthetic, below
 outliers: null                             # or the mapping below
 eval:
-  epochs: all                              # all | list of ints
+  epochs: all                              # all | non-empty list of ints
   mode: global                             # global | stitched (needs a grid_file stream)
   metrics: [rmse, npll]                    # subset of rmse, npll, w2
   w2_oracle: identical                     # identical | unit
@@ -123,8 +123,8 @@ def _list(item=None, length: int | None = None):
 def _all_or_ints(value, key: str):
     if value == "all":
         return value
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be 'all' or a list of epochs, got {value!r}")
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{key} must be 'all' or a non-empty list of epochs, got {value!r}")
     return _list(_int)(value, key)
 
 

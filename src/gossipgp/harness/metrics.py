@@ -123,55 +123,31 @@ def wasserstein2_gaussians(mu1, B1, mu2, B2) -> float:
     return float(np.sqrt(max(d2, 0.0)))
 
 
-class _MemberError(ValueError):
-    """A member's W2 term failed; `member` is its index and the cause is chained."""
+def _add_w2(total, w, root, other, other_trace) -> float:
+    """total + w * wasserstein2_gaussians(*root, *other), one term of a weighted sum.
 
-    def __init__(self, member: int, exc: Exception):
-        super().__init__(str(exc))
-        self.member = member
-
-
-def _weighted_w2(weights, roots, others, other_traces) -> float:
-    """sum(w_m * wasserstein2_gaussians(*roots[m], *others[m])) in member order.
-
-    roots and others yield each member's (mu, B), and are consumed in member
-    order, so a lazy roots makes each root only as its term is reached.
-    other_traces[m] is _sq_frobenius(others[m][1]), so a caller that scores
-    many roots against the same others computes it once.
-    Terms that cannot change the sum are skipped (see the module docstring),
-    so the result is bitwise the full sum. A member whose root or term fails
-    raises _MemberError naming it.
+    root and other are (mu, B) pairs, and other_trace is _sq_frobenius of
+    other's B, so a caller that scores many roots against the same other
+    computes it once. Where the term cannot change total (see the module
+    docstring), its W2 is not computed and total is returned, so terms
+    added in member order from 0.0 give bitwise the full sum. The bound
+    w * u is computed as W2 computes its parts; a non-finite root or weight
+    makes it inf or nan, silently, so the term is computed and W2 reports it.
     """
-    total = 0.0
-    roots, others = iter(roots), iter(others)
-    for m, w_m in enumerate(weights):
-        try:
-            (mu1, B1), (mu2, B2) = next(roots), next(others)
-            if total > 0.0 and (_w2_bound(w_m, mu1, B1, mu2, other_traces[m])
-                                < np.spacing(total) / 4):
-                continue
-            total += w_m * wasserstein2_gaussians(mu1, B1, mu2, B2)
-        except Exception as exc:
-            raise _MemberError(m, exc) from exc
-    return float(total)
+    (mu1, B1), (mu2, B2) = root, other
+    if total > 0.0:
+        mu1, mu2, B1 = (np.asarray(x, dtype=float) for x in (mu1, mu2, B1))
+        with np.errstate(all="ignore"):
+            u = np.sqrt(float(np.sum((mu1 - mu2) ** 2)) + _sq_frobenius(B1) + other_trace)
+            if float(w * u) < np.spacing(total) / 4:
+                return total
+    return float(total + w * wasserstein2_gaussians(mu1, B1, mu2, B2))
 
 
 def _sq_frobenius(B) -> float:
     """||B||_F^2, computed as W2 computes it; inf or nan, silently, for a non-finite B."""
     with np.errstate(all="ignore"):
         return float(np.einsum("ij,ij->", B, B))
-
-
-def _w2_bound(w, mu1, B1, mu2, trace2) -> float:
-    """w * sqrt(|mu1 - mu2|^2 + ||B1||_F^2 + trace2), computed as W2 computes its parts.
-
-    trace2 is _sq_frobenius(B2). A non-finite root or weight gives inf or
-    nan, silently: the term is then computed, and W2 reports it.
-    """
-    mu1, mu2, B1 = (np.asarray(x, dtype=float) for x in (mu1, mu2, B1))
-    with np.errstate(all="ignore"):
-        trace1 = _sq_frobenius(B1)
-        return float(w * np.sqrt(float(np.sum((mu1 - mu2) ** 2)) + trace1 + trace2))
 
 
 @dataclass(frozen=True)

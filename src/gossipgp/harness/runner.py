@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import copy
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,7 +62,7 @@ from ..info_filter import (
 )
 from ..robust import robust_increment, standardized_residuals, weights_for
 from .config import GridFileSource, Scenario, SyntheticSource
-from .metrics import MetricsRecord, _MemberError, _sq_frobenius, _weighted_w2, npll, rmse
+from .metrics import MetricsRecord, _add_w2, _sq_frobenius, npll, rmse
 from .streams import Stream, inject_outliers, load_grid_dataset, synth_stream
 
 __all__ = [
@@ -79,6 +80,17 @@ SNAPSHOT_MAGIC = b"GGPSNAP1"
 
 class RunError(RuntimeError):
     """A module failure during a run, annotated with epoch/agent context."""
+
+
+@contextmanager
+def _context(where: str):
+    """Re-raise a failure inside as a RunError prefixed with where; a RunError passes."""
+    try:
+        yield
+    except RunError:
+        raise
+    except Exception as exc:
+        raise RunError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -181,7 +193,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
         if offsets is not None or (predict and t in eval_set):
             if sites is None or not np.array_equal(stream.eval_inputs[t], sites):
                 sites = stream.eval_inputs[t]
-                Phis = _grid_features(sites, t, fmaps)
+                with _context(f"epoch {t}, features of the evaluation grid"):
+                    Phis = [feature_matrix(fm, sites) for fm in fmaps]
 
         # The gossip message lives from the local step to gossip: for each
         # agent and member, P, s and the evidence. The local step writes the
@@ -200,7 +213,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             batch = batches[k]
             next_shares = k + 1 < K and _same_posterior((eta, D), k + 1, k)
             for m in range(M):
-                try:
+                with _context(f"epoch {t}, agent {k}, member {m}"):
                     obs_variance = spec.members[m].obs_variance
                     if offsets is None:
                         Phi = feature_matrix(fmaps[m], batch.X)
@@ -208,8 +221,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                         Phi = Phis[m][:, offsets[k] : offsets[k + 1]]
                     factor = factors[m]
                     if factor is None:
-                        factor = factorize(rows[k].models[m])
-                        jittered.append(factor.jitter > 0.0)
+                        factor = _factorize(rows[k].models[m], jittered)
                     factors[m] = factor if next_shares else None
                     means, variances = predict_batch(factor, Phi)
                     w = weights_for(standardized_residuals(batch.y, means, variances),
@@ -225,8 +237,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     for term in (message[k, m, -1], oracle_message[k, m, -1]):
                         if not np.isfinite(term):
                             raise ValueError(f"evidence term {float(term)} is not finite")
-                except Exception as exc:
-                    raise RunError(f"epoch {t}, agent {k}, member {m}: {exc}") from exc
 
         # Gossip adds the approximate network sums straight into the agents'
         # states, with no mixed copy of the message; local mode adds each
@@ -308,12 +318,11 @@ def _in_weight_frame(rows, v_time, t):
     return rows
 
 
-def _grid_features(X, t, fmaps):
-    """Each member's feature matrix, at t = 0, over the epoch-t evaluation inputs X."""
-    try:
-        return [feature_matrix(fm, X) for fm in fmaps]
-    except Exception as exc:
-        raise RunError(f"epoch {t}, features of the evaluation grid: {exc}") from exc
+def _factorize(model, jittered):
+    """factorize(model), noting in jittered whether it needed jitter."""
+    factor = factorize(model)
+    jittered.append(factor.jitter > 0.0)
+    return factor
 
 
 def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets):
@@ -334,20 +343,15 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets):
     need_w2 = "w2" in want
     if need_w2:
         # Only the oracle's roots are kept, not its factors.
-        oracle_roots = []
-        try:
-            for model in rows[scenario.num_agents].models:
-                factor = factorize(model)
-                jittered.append(factor.jitter > 0.0)
-                oracle_roots.append(posterior_root(factor))
-        except Exception as exc:
-            raise RunError(f"epoch {t}, centralized oracle: {exc}") from exc
+        with _context(f"epoch {t}, centralized oracle"):
+            oracle_roots = [posterior_root(_factorize(model, jittered))
+                            for model in rows[scenario.num_agents].models]
         oracle_traces = [_sq_frobenius(B) for _, B in oracle_roots]
 
     stitched = scenario.eval.mode == "stitched"
     out = []
     for k, agent in enumerate(rows[: scenario.num_agents]):
-        try:
+        with _context(f"epoch {t}, agent {k}, evaluation"):
             shared = k > 0 and _same_posterior(stacks, k, k - 1)
             if stitched:
                 sel = slice(offsets[k], offsets[k + 1])
@@ -363,24 +367,17 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets):
                 factors, w2_val = [], None
             if (predict_k or need_w2) and not factors:
                 for m, model in enumerate(agent.models):
-                    try:
-                        factors.append(factorize(model))
-                    except Exception as exc:
-                        raise RunError(
-                            f"epoch {t}, agent {k}, member {m}, evaluation: {exc}"
-                        ) from exc
-                    jittered.append(factors[m].jitter > 0.0)
+                    with _context(f"epoch {t}, agent {k}, member {m}, evaluation"):
+                        factors.append(_factorize(model, jittered))
             if need_w2 and w2_val is None:
                 # Evidence-weighted member-wise distance to the centralized
-                # posterior. Each root is made as its term is reached, so one
-                # lives at a time.
-                try:
-                    w2_val = _weighted_w2(w, map(posterior_root, factors), oracle_roots,
-                                          oracle_traces)
-                except _MemberError as exc:
-                    raise RunError(
-                        f"epoch {t}, agent {k}, member {exc.member}, evaluation: {exc}"
-                    ) from exc
+                # posterior, summed in member order. Each root is made as its
+                # term is reached, so one lives at a time.
+                w2_val = 0.0
+                for m, factor in enumerate(factors):
+                    with _context(f"epoch {t}, agent {k}, member {m}, evaluation"):
+                        w2_val = _add_w2(w2_val, w[m], posterior_root(factor),
+                                         oracle_roots[m], oracle_traces[m])
             rmse_val = npll_val = None
             if predict_k:
                 Phis_k = Phis if sel is None else [Phi[:, sel] for Phi in Phis]
@@ -389,16 +386,8 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets):
                     rmse_val = rmse(mean, y_k)
                 if "npll" in want:
                     npll_val = npll(mm, mv, y_k, weights=w)
-            out.append(
-                MetricsRecord(
-                    t=t, agent_id=k, rmse=rmse_val, npll=npll_val,
-                    w2_to_centralized=w2_val,
-                )
-            )
-        except RunError:
-            raise
-        except Exception as exc:
-            raise RunError(f"epoch {t}, agent {k}, evaluation: {exc}") from exc
+            out.append(MetricsRecord(t=t, agent_id=k, rmse=rmse_val, npll=npll_val,
+                                     w2_to_centralized=w2_val))
     return out
 
 

@@ -268,6 +268,9 @@ class SynthConfig:
             raise ValueError("batch_size must be >= 0 and num_eval_points >= 1")
         if self.drift_scale < 0:
             raise ValueError("drift_scale must be >= 0")
+        if self.kind == "static_gp" and self.drift_scale != 0:
+            raise ValueError(f"a static_gp stream does not drift; drift_scale must be 0, "
+                             f"got {self.drift_scale}")
 
 
 def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
@@ -287,11 +290,9 @@ def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
     theta_rng = np.random.default_rng(theta_ss)
     theta0 = np.sqrt(cfg.prior_variance) * theta_rng.standard_normal(dim)
     drift_rng = np.random.default_rng(drift_ss)
-    # Drift noise is always drawn so drift_scale=0 reproduces the static
-    # stream bit-for-bit under the same seed.
+    # Drift noise is always drawn, so drift_scale 0 (steps of +-0)
+    # reproduces the static stream bit-for-bit under the same seed.
     steps = cfg.drift_scale * drift_rng.standard_normal((cfg.epochs, dim))
-    if cfg.kind == "static_gp":
-        steps = 0.0 * steps
     theta = theta0[np.newaxis, :] + np.cumsum(steps, axis=0)
 
     x_rng = np.random.default_rng(x_ss)
@@ -317,14 +318,16 @@ def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
     eval_inputs = {t: X_eval for t in epochs}
     eval_truth = {t: Phi_eval.T @ theta[t] for t in epochs}
 
-    stacked = np.concatenate(all_y) if all_y else np.zeros(1)
+    # A unit output_sd where there is no observation (batch_size 0) or no spread.
+    stacked = np.concatenate(all_y)
+    output_sd = float(stacked.std()) if stacked.size else 0.0
     return Stream(
         num_agents=cfg.num_agents,
         epochs=epochs,
         batches=batches,
         eval_inputs=eval_inputs,
         eval_truth=eval_truth,
-        output_sd=float(stacked.std()) if stacked.std() > 0 else 1.0,
+        output_sd=output_sd if output_sd > 0 else 1.0,
         truth={
             "kernel": spec,
             "J": cfg.true_J,

@@ -189,6 +189,15 @@ class TestExitCodes:
         assert "configuration error" in err and "eval: metrics must be a non-empty" in err
         assert not (out / "metrics.csv").exists()
 
+    def test_empty_eval_epochs_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", write_config(tmp_path, {**BASE, "eval": {"epochs": []}}),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "eval.epochs must be 'all' or a non-empty" in err
+        assert not (out / "metrics.csv").exists()
+
     def test_bad_snapshot_tokens(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["run", cfg, "--out", str(tmp_path / "o"), "--snapshots", "a,b"])

@@ -203,6 +203,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="eval.epochs"):
             scenario_from_dict(minimal(eval={"epochs": "final"}))
 
+    def test_no_eval_epoch_rejected(self):
+        # A run that evaluates no epoch would write a header-only metrics.csv.
+        with pytest.raises(ConfigError, match=r"^eval.epochs must be 'all' or a non-empty "
+                                              r"list of epochs, got \[\]$"):
+            scenario_from_dict(minimal(eval={"epochs": []}))
+
+    def test_static_stream_with_drift_rejected(self):
+        # The static stream's truth would ignore the drift, silently.
+        cfg = minimal()
+        cfg["stream"]["synthetic"]["drift_scale"] = 5.0
+        with pytest.raises(ConfigError, match=r"^stream.synthetic: a static_gp stream does "
+                                              r"not drift; drift_scale must be 0, got 5.0$"):
+            scenario_from_dict(cfg)
+        cfg["stream"]["synthetic"]["kind"] = "drifting_gp"
+        assert scenario_from_dict(cfg).stream_source.params.drift_scale == 5.0
+
     def test_bad_synthetic_kind_wrapped(self):
         cfg = minimal()
         cfg["stream"]["synthetic"]["kind"] = "brownian"

@@ -9,9 +9,8 @@ from scipy.stats import norm
 import gossipgp.harness.metrics as metrics_mod
 from gossipgp.harness.metrics import (
     MetricsRecord,
-    _MemberError,
+    _add_w2,
     _sq_frobenius,
-    _weighted_w2,
     npll,
     read_metrics_csv,
     rmse,
@@ -235,8 +234,16 @@ def random_roots(rng, count, n=3):
 
 
 def traces_of(others):
-    """Each other root's ||B||_F^2, as _weighted_w2 takes them."""
+    """Each other root's ||B||_F^2, as _add_w2 takes them."""
     return [_sq_frobenius(B) for _, B in others]
+
+
+def added_w2(weights, roots, others):
+    """The evidence-weighted W2, each term added by _add_w2 in member order."""
+    total = 0.0
+    for w_m, root, other, trace in zip(weights, roots, others, traces_of(others)):
+        total = _add_w2(total, w_m, root, other, trace)
+    return total
 
 
 # Weights of every magnitude the softmax of log-evidence can give.
@@ -258,7 +265,7 @@ class TestWeightedW2:
         weights = np.array(weights[:at] + [negligible] + weights[at:])
         rng = np.random.default_rng(seed)
         roots, others = random_roots(rng, len(weights)), random_roots(rng, len(weights))
-        ours = _weighted_w2(weights, roots, others, traces_of(others))
+        ours = added_w2(weights, roots, others)
         assert ours.hex() == full_w2_sum(weights, roots, others).hex()
 
     @pytest.mark.parametrize("weights, computed", [
@@ -278,7 +285,7 @@ class TestWeightedW2:
             return exact(mu1, B1, mu2, B2)
 
         monkeypatch.setattr(metrics_mod, "wasserstein2_gaussians", counted)
-        total = _weighted_w2(np.array(weights), roots, others, traces_of(others))
+        total = added_w2(np.array(weights), roots, others)
         assert calls == computed
         # Each skipped term, added to the sum, would have left it unchanged.
         for m in set(range(3)) - set(computed):
@@ -291,9 +298,11 @@ class TestWeightedW2:
         rng = np.random.default_rng(5)
         roots, others = random_roots(rng, 3), random_roots(rng, 3)
         roots[1][1][2, 0] = bad
-        with pytest.raises(_MemberError, match="covariance root B1 holds non-finite") as info:
-            _weighted_w2(np.array([1.0, weight, 0.5]), roots, others, traces_of(others))
-        assert info.value.member == 1
+        traces = traces_of(others)
+        total = _add_w2(0.0, 1.0, roots[0], others[0], traces[0])
+        assert total > 0.0
+        with pytest.raises(ValueError, match="covariance root B1 holds non-finite"):
+            _add_w2(total, weight, roots[1], others[1], traces[1])
 
 
 class TestMetricsCsv:

@@ -770,15 +770,54 @@ class TestRunErrors:
         with pytest.raises(RunError, match=r"epoch 0, agent 0, evaluation"):
             run_scenario(scenario_from_dict(make_config()))
 
+    # Each site that names where a run failed: the function made to fail,
+    # the call of it that fails, and the prefix. On a ring of 4, rounds 1,
+    # the agents' posteriors differ from epoch 1 on, so none shares another's
+    # work there. The grid is featurized before the local step of the first
+    # evaluated epoch, and the oracle's roots come before the agents'.
+    @pytest.mark.parametrize("name, call, prefix", [
+        ("predict_batch", 22, "epoch 2, agent 2, member 1"),
+        ("feature_matrix", 9, "epoch 1, features of the evaluation grid"),
+        ("posterior_root", 1, "epoch 1, centralized oracle"),
+        ("factorize", 16, "epoch 1, agent 1, member 1, evaluation"),
+        ("mixture_predict_batch", 7, "epoch 3, agent 2, evaluation"),
+    ], ids=["local-step", "grid", "oracle", "evaluation-member", "evaluation"])
+    def test_failure_names_where_it_happened(self, monkeypatch, name, call, prefix):
+        import gossipgp.harness.runner as runner_mod
+
+        failure = ValueError("synthetic failure")
+        calls = []
+        real = getattr(runner_mod, name)
+
+        def fail_at_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise failure
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, name, fail_at_call)
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": 4},
+            consensus={"rounds": 1, "mode": "sum"},
+            ensemble={"shared_J": 8,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
+            eval={"metrics": ["rmse", "npll", "w2"], "epochs": [1, 3]},
+        )
+        with pytest.raises(RunError) as info:
+            run_scenario(scenario_from_dict(cfg))
+        assert str(info.value) == f"{prefix}: synthetic failure"
+        assert info.value.__cause__ is failure
+
     def test_evaluation_member_failure_names_the_member(self, monkeypatch):
         import gossipgp.harness.metrics as metrics_mod
 
+        failure = ValueError("synthetic failure")
         calls = []
 
         def fail_second(*args, **kwargs):
             calls.append(None)
             if len(calls) == 2:
-                raise ValueError("synthetic failure")
+                raise failure
             return 0.0
 
         monkeypatch.setattr(metrics_mod, "wasserstein2_gaussians", fail_second)
@@ -789,8 +828,10 @@ class TestRunErrors:
         )
         with pytest.raises(
             RunError, match=r"^epoch 0, agent 0, member 1, evaluation: synthetic failure$"
-        ):
+        ) as info:
             run_scenario(scenario_from_dict(cfg))
+        # The W2 term's own failure is the cause, with nothing between.
+        assert info.value.__cause__ is failure
 
 
 class TestDegeneratePaths:
@@ -1063,9 +1104,15 @@ class TestWorkCounts:
                 "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
                              "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
                 "stream": {"kind": "grid_file", "path": str(path)},
-                "eval": {"metrics": ["rmse", "npll", "w2"], "epochs": evaluated},
+                "eval": {"metrics": ["rmse", "npll", "w2"], "epochs": evaluated or [0]},
             }
-            result = run_scenario(scenario_from_dict(cfg))
+            scenario = scenario_from_dict(cfg)
+            if not evaluated:
+                # A scenario file cannot ask for no evaluated epoch (that is a
+                # ConfigError), so the runner is handed such a scenario directly.
+                scenario = dataclasses.replace(
+                    scenario, eval=dataclasses.replace(scenario.eval, epochs=()))
+            result = run_scenario(scenario)
             assert len(result.records) == 4 * len(evaluated)
             assert columns == [n for n in built for _ in range(M)]
 
@@ -1193,14 +1240,13 @@ class TestNegligibleW2Terms:
             calls.append(None)
             return exact(*args)
 
-        def every_term(weights, roots, others, other_traces):
-            return float(sum(w_m * metrics_mod.wasserstein2_gaussians(*r, *o)
-                             for w_m, r, o in zip(weights, roots, others)))
+        def every_term(total, w, root, other, other_trace):
+            return float(total + w * metrics_mod.wasserstein2_gaussians(*root, *other))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics_mod, "wasserstein2_gaussians", counted)
             if full:
-                mp.setattr(runner_mod, "_weighted_w2", every_term)
+                mp.setattr(runner_mod, "_add_w2", every_term)
             result = run_scenario(scenario_from_dict(self.config()))
         return result, len(calls)
 
@@ -1221,25 +1267,26 @@ class TestNegligibleW2Terms:
         import gossipgp.harness.runner as runner_mod
 
         traces, weighed = [], []
-        sq_frobenius_, weighted_w2_ = runner_mod._sq_frobenius, runner_mod._weighted_w2
+        sq_frobenius_, add_w2_ = runner_mod._sq_frobenius, runner_mod._add_w2
 
         def counted(B):
             traces.append(sq_frobenius_(B))
             return traces[-1]
 
-        def weighted_w2(weights, roots, others, other_traces):
-            weighed.append(other_traces)
-            return weighted_w2_(weights, roots, others, other_traces)
+        def add_w2(total, w, root, other, other_trace):
+            weighed.append(other_trace)
+            return add_w2_(total, w, root, other, other_trace)
 
         monkeypatch.setattr(runner_mod, "_sq_frobenius", counted)
-        monkeypatch.setattr(runner_mod, "_weighted_w2", weighted_w2)
+        monkeypatch.setattr(runner_mod, "_add_w2", add_w2)
         run_scenario(scenario_from_dict(self.config()))
         E, K, M = len(self.evaluated), self.K, self.M
         assert len(traces) == E * M
-        assert len(weighed) == E * K
+        assert len(weighed) == E * K * M
         for e in range(E):
-            for other_traces in weighed[K * e: K * (e + 1)]:
-                assert other_traces == traces[M * e: M * (e + 1)]
+            for k in range(K):
+                first = M * (K * e + k)
+                assert weighed[first: first + M] == traces[M * e: M * (e + 1)]
 
     def test_skipped_terms_leave_every_bit_in_place(self):
         skipping, calls = self.run_counting_w2(full=False)

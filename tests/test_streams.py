@@ -422,6 +422,15 @@ class TestSynthStream:
             SynthConfig(epochs=0)
         with pytest.raises(ValueError):
             SynthConfig(drift_scale=-0.1)
+        with pytest.raises(ValueError, match="static_gp stream does not drift"):
+            SynthConfig(kind="static_gp", drift_scale=5.0)
+
+    def test_empty_batches_take_a_unit_output_sd(self):
+        # No observation to take the spread of: no numpy warning (an error
+        # under this suite's filter), and the unit fallback.
+        stream = synth_stream(SynthConfig(num_agents=2, epochs=3, batch_size=0), seed=2)
+        assert all(b.size == 0 for t in stream.epochs for b in stream.batches[t])
+        assert stream.output_sd == 1.0
 
 
 class TestInjectOutliers:
