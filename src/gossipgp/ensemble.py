@@ -27,6 +27,7 @@ __all__ = [
     "init_ensemble",
     "ensemble_weights",
     "mixture_predict_batch",
+    "mixture_moments",
     "gaussian_log_density",
     "mixture_log_density",
 ]
@@ -140,22 +141,25 @@ def mixture_predict_batch(
     """Mixture mean/variance at n points plus per-member moments.
 
     factors[m] is member m's posterior factor and Phis[m] its (2J, n)
-    feature matrix at the points. Returns (mean, variance, member_means,
-    member_variances) with member arrays of shape (M, n). The variance is
-    moment-matched: sum_m w_m (var_m + mu_m^2) - mean^2.
+    feature matrix at the points. Returns mixture_moments' mean and
+    variance, then the member means and variances, each of shape (M, n).
     """
     M = len(factors)
-    if len(Phis) != M or np.shape(weights) != (M,):
-        raise ValueError(
-            f"{M} factors need {M} feature matrices and weights, got "
-            f"{len(Phis)} and weights of shape {np.shape(weights)}"
-        )
-    n = Phis[0].shape[1]
-    member_means = np.empty((M, n), order="F")
-    member_variances = np.empty((M, n), order="F")
+    if len(Phis) != M:
+        raise ValueError(f"{M} factors need {M} feature matrices, got {len(Phis)}")
+    means, variances = (np.empty((M, Phis[0].shape[1]), order="F") for _ in range(2))
     for m, (factor, Phi) in enumerate(zip(factors, Phis)):
-        member_means[m], member_variances[m] = predict_batch(factor, Phi)
-    w = np.asarray(weights, dtype=float)
-    mean = blas.dgemv(1.0, member_means, w, trans=1)
-    variance = blas.dgemv(1.0, member_variances + member_means**2, w, trans=1) - mean**2
-    return mean, variance, member_means, member_variances
+        means[m], variances[m] = predict_batch(factor, Phi)
+    return (*mixture_moments(weights, means, variances), means, variances)
+
+
+def mixture_moments(weights, member_means, member_variances) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture mean and variance at n points from the members' (M, n) moments.
+
+    The variance is moment-matched: sum_m w_m (var_m + mu_m^2) - mean^2.
+    """
+    w, mm, mv = (np.asarray(x, dtype=float) for x in (weights, member_means, member_variances))
+    if mm.ndim != 2 or mv.shape != mm.shape or w.shape != mm.shape[:1]:
+        raise ValueError(f"weights {w.shape} do not match member moments {mm.shape}, {mv.shape}")
+    mean = blas.dgemv(1.0, mm, w, trans=1)
+    return mean, blas.dgemv(1.0, mv + mm**2, w, trans=1) - mean**2

@@ -265,6 +265,8 @@ class EvalConfig:
     snapshot_epochs: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.epochs == ():
+            raise ConfigError("epochs must be None, for every stream epoch, or non-empty")
         if self.mode not in ("global", "stitched"):
             raise ConfigError(f"mode must be global or stitched, got {self.mode!r}")
         if not self.metrics or set(self.metrics) - {"rmse", "npll", "w2"}:

@@ -22,7 +22,8 @@ w_m u_m < spacing(S)/4 is below half an ulp of the running sum S >= 0, so
 adding it would round back to S: its W2 is not computed and the sum is
 bitwise the one that computes every term. The first term (S = 0) and any
 term whose bound is not finite are always computed, so a non-finite root
-still raises.
+still raises. An upper bound on ||B1||_F^2 in its place only raises u_m, so
+a term negligible even then needs no B1 (see _negligible).
 
 Floats are written with repr(), which round-trips float64 exactly, so two
 runs that produce bitwise-equal numbers produce byte-identical files.
@@ -135,13 +136,17 @@ def _add_w2(total, w, root, other, other_trace) -> float:
     makes it inf or nan, silently, so the term is computed and W2 reports it.
     """
     (mu1, B1), (mu2, B2) = root, other
-    if total > 0.0:
-        mu1, mu2, B1 = (np.asarray(x, dtype=float) for x in (mu1, mu2, B1))
-        with np.errstate(all="ignore"):
-            u = np.sqrt(float(np.sum((mu1 - mu2) ** 2)) + _sq_frobenius(B1) + other_trace)
-            if float(w * u) < np.spacing(total) / 4:
-                return total
+    if _negligible(total, w, mu1, mu2, _sq_frobenius(B1), other_trace):
+        return total
     return float(total + w * wasserstein2_gaussians(mu1, B1, mu2, B2))
+
+
+def _negligible(total, w, mu1, mu2, trace1, trace2) -> bool:
+    """Whether total > 0 and w * sqrt(|mu1 - mu2|^2 + trace1 + trace2) < spacing(total) / 4."""
+    with np.errstate(all="ignore"):
+        d = np.asarray(mu1, dtype=float) - np.asarray(mu2, dtype=float)
+        u = np.sqrt(float(np.sum(d**2)) + trace1 + trace2)
+        return total > 0.0 and float(w * u) < np.spacing(total) / 4
 
 
 def _sq_frobenius(B) -> float:

@@ -1,18 +1,18 @@
 """Multi-agent simulation loop.
 
-Each epoch runs, in order: forgetting, residual weighing, local increment
-and evidence construction, gossip, which adds the mixed increments and
-evidence straight into the states, then metric evaluation. All agents share
-the ensemble's feature maps, so network-wide sums of increments are exactly
-the increments a fusion center would form from the pooled batch.
+Each epoch runs forgetting, then member by member residual weighing, local
+increment and evidence construction and gossip, which adds the mixed
+increments and evidence straight into the states, then metric evaluation,
+member by member too. All agents share the ensemble's feature maps, so
+network-wide sums of increments are exactly the increments a fusion center
+would form from the pooled batch.
 
 A shadow centralized oracle is maintained whenever the w2 metric is
 requested: it is one more row beside the agents' posteriors, goes through
 the same forgetting pass, and adds the exact network sum of the per-agent
-increments every epoch. With eval.w2_oracle == "identical" the
-oracle uses the same robustness weights as the agents; with "unit" it uses
-unit weights, measuring what the robust network deviates from a
-non-robust fusion center.
+increments every epoch. With eval.w2_oracle == "identical" it uses the
+agents' robustness weights; with "unit" it uses unit weights, measuring
+what the robust network deviates from a non-robust fusion center.
 
 A kernel with a temporal scale keeps the states in the frame of the t = 0
 features (see dynamics), turned each epoch after forgetting, so inputs are
@@ -25,13 +25,10 @@ and stitched evaluation read each agent's block of columns. Otherwise each
 batch is featurized on its own, and stitched evaluation is refused.
 
 An agent whose posterior is bitwise the previous agent's takes that agent's
-factors instead of factorizing again, and its evaluation reuses the previous
-agent's work. That is every agent at epoch 0, where all hold the prior, and
-on a complete graph whose mixing weights 1/K are exact (K = 4, say) every
-agent at every epoch. The factors depend on D and eta alone, so the local
-step shares them even where local evidence keeps the agents' log-evidence
-apart; evaluation, whose mixture weights follow the evidence, compares it
-too.
+factors and evaluation instead of its own: every agent at epoch 0, and on a
+complete graph with exact mixing weights 1/K (K = 4, say) at every epoch.
+The local step compares D and eta, on which the factors depend; evaluation,
+whose mixture weights follow the evidence, compares the evidence too.
 """
 from __future__ import annotations
 
@@ -49,7 +46,7 @@ from ..ensemble import (
     ensemble_weights,
     gaussian_log_density,
     init_ensemble,
-    mixture_predict_batch,
+    mixture_moments,
 )
 from ..features import feature_matrix
 from ..info_filter import (
@@ -62,7 +59,7 @@ from ..info_filter import (
 )
 from ..robust import robust_increment, standardized_residuals, weights_for
 from .config import GridFileSource, Scenario, SyntheticSource
-from .metrics import MetricsRecord, _add_w2, _sq_frobenius, npll, rmse
+from .metrics import MetricsRecord, _add_w2, _negligible, _sq_frobenius, npll, rmse
 from .streams import Stream, inject_outliers, load_grid_dataset, synth_stream
 
 __all__ = [
@@ -137,40 +134,36 @@ def run_scenario(scenario: Scenario) -> RunResult:
     share_increments = scenario.consensus.mode == "sum"
     share_evidence = share_increments and scenario.ensemble.evidence == "consensus"
 
-    eval_epochs = scenario.eval.epochs
-    if eval_epochs is None:
-        eval_epochs = stream.epochs
-    else:
-        missing = set(eval_epochs) - set(stream.epochs)
-        if missing:
-            raise RunError(f"eval epochs {sorted(missing)} are not in the stream")
-    eval_set = set(eval_epochs)
+    eval_set = set(stream.epochs if scenario.eval.epochs is None else scenario.eval.epochs)
     snapshot_set = set(scenario.eval.snapshot_epochs)
-    bad_snapshots = snapshot_set - set(stream.epochs)
-    if bad_snapshots:
-        raise RunError(f"snapshot epochs {sorted(bad_snapshots)} are not in the stream")
+    for name, wanted in (("eval", eval_set), ("snapshot", snapshot_set)):
+        missing = sorted(wanted - set(stream.epochs))
+        if missing:
+            raise RunError(f"{name} epochs {missing} are not in the stream")
 
     # One row per posterior: the K agents, then the oracle when w2 needs it.
-    # Every row's posterior lives in one buffer allocated once per run, with
-    # the gossip message's layout: for each member, the packed D, eta and the
-    # log-evidence. Every row starts from the one prior and is updated in
-    # place; rows[i] holds views of row i, so whatever outlives an epoch is a
-    # deep copy.
+    # All live in one member-major buffer allocated once per run, in the
+    # gossip message's layout: per member and row, the packed D, eta and the
+    # log-evidence. Each row starts from the prior and is updated in place;
+    # rows[i] views row i, so a snapshot is a deep copy.
     prior, fmaps = init_ensemble(spec)
     R = K + 1 if need_w2 else K
     width = dim * (dim + 1) // 2 + dim + 1
-    state = np.empty((R, M, width))
+    state = np.empty((M, R, width))
     D, eta, log_evidence = _split(state, dim)
-    D[...] = np.stack([x.D for x in prior.models])
-    eta[...] = np.stack([x.eta for x in prior.models])
-    log_evidence[...] = prior.log_evidence
+    for m, x in enumerate(prior.models):
+        D[m], eta[m], log_evidence[m] = x.D, x.eta, 0.0
     prior_variances = np.array([x.prior_variance for x in prior.models])
-    rows = [EnsembleState(models=[replace(x, D=D[i, m], eta=eta[i, m])
+    rows = [EnsembleState(models=[replace(x, D=D[m, i], eta=eta[m, i])
                                   for m, x in enumerate(prior.models)],
-                          log_evidence=log_evidence[i]) for i in range(R)]
+                          log_evidence=log_evidence[:, i]) for i in range(R)]
+    del prior
     # Each member's v_time, and the epoch whose frame the states are in.
     v_time = np.stack([fm.frequencies[:, -1] for fm in fmaps]) if fmaps[0].timed else None
     frame = stream.epochs[0]
+    # Static and b2p forgetting keep D >= I / sigma_theta^2, so ||B||_F^2 =
+    # tr(D^-1) <= n sigma_theta^2; twice that leaves room for rounding.
+    trace_bounds = 2 * dim * prior_variances if scenario.dynamics.mode != "ui" else [np.inf] * M
 
     records: list[MetricsRecord] = []
     snapshots: dict[int, list[EnsembleState]] = {}
@@ -184,9 +177,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     predict = "rmse" in scenario.eval.metrics or "npll" in scenario.eval.metrics
     sites = Phis = None
     for t in stream.epochs:
-        apply_forgetting(D, eta, prior_variances, scenario.dynamics)
+        apply_forgetting(D, eta, prior_variances[:, None], scenario.dynamics)
         if v_time is not None:
-            rotate(D, eta, v_time * (t - frame))
+            rotate(D, eta, v_time[:, None] * (t - frame))
             frame = t
 
         offsets = blocks[t]
@@ -196,90 +189,86 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 with _context(f"epoch {t}, features of the evaluation grid"):
                     Phis = [feature_matrix(fm, sites) for fm in fmaps]
 
-        # The gossip message lives from the local step to gossip: for each
-        # agent and member, P, s and the evidence. The local step writes the
-        # increments straight into it. The oracle sums the same increments,
-        # or the unit-weight ones. It is freed before evaluation, which then
-        # reuses its memory.
-        message = np.empty((K, M, width))
-        oracle_message = np.empty_like(message) if unit_oracle else message
-
-        # Per-agent local step: weigh residuals, build increments. A
-        # member's factor is kept in factors[m] only while the next agent's
-        # posterior is bitwise this one's; that agent then uses it.
-        batches = stream.batches[t]
-        factors = [None] * M
-        for k in range(K):
-            batch = batches[k]
-            next_shares = k + 1 < K and _same_posterior((eta, D), k + 1, k)
-            for m in range(M):
+        for m in range(M):
+            obs_variance = spec.members[m].obs_variance
+            # Member m's message (each agent's P, s and evidence) lives from
+            # its local step to its gossip; the oracle's holds the same or the
+            # unit-weight increments. A factor is kept only while the next
+            # agent's member-m posterior is bitwise this one's.
+            message = np.empty((K, width))
+            oracle_message = np.empty_like(message) if unit_oracle else message
+            factor = None
+            for k, batch in enumerate(stream.batches[t]):
                 with _context(f"epoch {t}, agent {k}, member {m}"):
-                    obs_variance = spec.members[m].obs_variance
                     if offsets is None:
                         Phi = feature_matrix(fmaps[m], batch.X)
                     else:
                         Phi = Phis[m][:, offsets[k] : offsets[k + 1]]
-                    factor = factors[m]
                     if factor is None:
                         factor = _factorize(rows[k].models[m], jittered)
-                    factors[m] = factor if next_shares else None
                     means, variances = predict_batch(factor, Phi)
                     w = weights_for(standardized_residuals(batch.y, means, variances),
                                     scenario.robust)
                     robust_increment(Phi, batch.y, w, obs_variance,
-                                     out=_split(message[k, m], dim)[:2])
+                                     out=_split(message[k], dim)[:2])
                     log_pdf = gaussian_log_density(batch.y, means, variances)
-                    message[k, m, -1] = float(np.sum(w * log_pdf))
+                    message[k, -1] = float(np.sum(w * log_pdf))
                     if unit_oracle:
                         robust_increment(Phi, batch.y, np.ones_like(batch.y), obs_variance,
-                                         out=_split(oracle_message[k, m], dim)[:2])
-                        oracle_message[k, m, -1] = float(np.sum(log_pdf))
-                    for term in (message[k, m, -1], oracle_message[k, m, -1]):
+                                         out=_split(oracle_message[k], dim)[:2])
+                        oracle_message[k, -1] = float(np.sum(log_pdf))
+                    for term in (message[k, -1], oracle_message[k, -1]):
                         if not np.isfinite(term):
                             raise ValueError(f"evidence term {float(term)} is not finite")
+                if not (k + 1 < K and _same_posterior((eta[m], D[m]), k + 1, k)):
+                    factor = None
 
-        # Gossip adds the approximate network sums straight into the agents'
-        # states, with no mixed copy of the message; local mode adds each
-        # agent's own message. With local evidence the agents keep their own
-        # evidence terms. The oracle adds the exact sums, in agent order.
-        if share_increments:
-            local_evidence = None if share_evidence else log_evidence[:K] + message[..., -1]
-            consensus_sum(message, scenario.topology, scenario.consensus, add_to=state[:K])
-            if local_evidence is not None:
-                log_evidence[:K] = local_evidence
-        else:
-            state[:K] += message
-        if need_w2:
-            state[K] += oracle_message.sum(axis=0)
-        del message, oracle_message
+            # Gossip adds the approximate network sums straight into the
+            # agents' states; local mode adds each agent's own message. With
+            # local evidence the agents keep their own evidence terms. The
+            # oracle adds the exact sums, in agent order.
+            if share_increments:
+                local_evidence = None if share_evidence else log_evidence[m, :K] + message[:, -1]
+                consensus_sum(message, scenario.topology, scenario.consensus,
+                              add_to=state[m, :K])
+                if local_evidence is not None:
+                    log_evidence[m, :K] = local_evidence
+            else:
+                state[m, :K] += message
+            if need_w2:
+                state[m, K] += oracle_message.sum(axis=0)
+            del message, oracle_message
 
         if t in eval_set:
             records.extend(_evaluate_epoch(scenario, stream, t, (log_evidence, eta, D), rows,
-                                           jittered, Phis, offsets))
+                                           jittered, Phis, offsets, trace_bounds))
         if t in snapshot_set:
-            snapshots[t] = _in_weight_frame(rows, v_time, t)
+            snapshots[t] = copy.deepcopy(rows)
+            for row in snapshots[t] if v_time is not None else ():
+                for model, v in zip(row.models, v_time):
+                    rotate(model.D, model.eta, -t * v)
 
-    final = _in_weight_frame(rows, v_time, frame)
+    if v_time is not None:
+        rotate(D, eta, -frame * v_time[:, None])
     return RunResult(
         scenario=scenario,
         stream=stream,
         records=records,
         feature_maps=fmaps,
-        agent_states=final[:K],
-        oracle_state=final[K] if need_w2 else None,
+        agent_states=rows[:K],
+        oracle_state=rows[K] if need_w2 else None,
         snapshots=snapshots,
         jitter_retries=sum(jittered),
     )
 
 
 def _same_posterior(stacks, i: int, j: int) -> bool:
-    """Whether rows i and j hold the same bytes in each of the stacks.
+    """Whether rows i and j, along the first axis, hold the same bytes in each stack.
 
-    The stacks are views of the state (see _split), compared in the order
-    given, so a small first one spares the full comparison of rows that
-    differ (0.3 ms at n = 400, M = 3). Equal values with different bits (0.0
-    and -0.0) do not count, so whatever is computed from one row is exactly
-    what the other would give.
+    The stacks are compared in the order given, so a small first one spares
+    the full comparison of rows that differ. Equal values with different
+    bits (0.0 and -0.0) do not count, so whatever is computed from one row
+    is exactly what the other would give.
     """
     return all(np.array_equal(x[i].view(np.int64), x[j].view(np.int64)) for x in stacks)
 
@@ -309,15 +298,6 @@ def _check_stream(scenario: Scenario, stream: Stream, blocks) -> None:
                 )
 
 
-def _in_weight_frame(rows, v_time, t):
-    """Copies of rows, turned from the frame of epoch t back to w's."""
-    rows = copy.deepcopy(rows)
-    for row in rows if v_time is not None else ():
-        for model, v in zip(row.models, v_time):
-            rotate(model.D, model.eta, -t * v)
-    return rows
-
-
 def _factorize(model, jittered):
     """factorize(model), noting in jittered whether it needed jitter."""
     factor = factorize(model)
@@ -325,69 +305,78 @@ def _factorize(model, jittered):
     return factor
 
 
-def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets):
+def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets, trace_bounds):
     """One MetricsRecord per agent; each (agent, member) is factorized once.
 
     rows are the posteriors of the agents, then the oracle's when w2 is
-    requested, and stacks their log-evidence, eta and packed D. Phis are
-    each member's features over the whole evaluation grid, shared by all
-    agents; stitched evaluation reads agent k's own block of columns,
-    offsets[k]:offsets[k + 1], as a view. An agent
-    whose posterior (evidence included) is bitwise the previous agent's
-    copies that agent's record under global evaluation, and under stitched
-    evaluation reuses its factors and w2 to score its own sites.
+    requested, and stacks their member-major log-evidence, eta and packed D.
+    Phis are each member's features over the whole evaluation grid; stitched
+    evaluation reads agent k's columns offsets[k]:offsets[k + 1] as a view.
+    The work runs member by member, with one oracle root and one agent
+    factor alive: each agent's W2 terms are summed in member order, with
+    trace_bounds[m] bounding ||B||_F^2 of member m's roots (see _negligible),
+    and its member moments are held until its last member, then scored and
+    freed. An agent whose posterior (evidence included) is bitwise the
+    previous agent's copies its record, or under stitched evaluation its
+    factors and w2.
     """
+    K, M = scenario.num_agents, len(rows[0].models)
     y_true = stream.eval_truth[t]
     want = scenario.eval.metrics
-    predict = "rmse" in want or "npll" in want
     need_w2 = "w2" in want
-    if need_w2:
-        # Only the oracle's roots are kept, not its factors.
-        with _context(f"epoch {t}, centralized oracle"):
-            oracle_roots = [posterior_root(_factorize(model, jittered))
-                            for model in rows[scenario.num_agents].models]
-        oracle_traces = [_sq_frobenius(B) for _, B in oracle_roots]
-
     stitched = scenario.eval.mode == "stitched"
-    out = []
-    for k, agent in enumerate(rows[: scenario.num_agents]):
-        with _context(f"epoch {t}, agent {k}, evaluation"):
-            shared = k > 0 and _same_posterior(stacks, k, k - 1)
-            if stitched:
-                sel = slice(offsets[k], offsets[k + 1])
-                y_k = y_true[sel]
-            elif shared:
+    shared = [k > 0 and _same_posterior([x.swapaxes(0, 1) for x in stacks], k, k - 1)
+              for k in range(K)]
+    scored = [stitched or not shared[k] for k in range(K)]
+    weights = [ensemble_weights(agent) for agent in rows[:K]]
+    sel = [slice(offsets[k], offsets[k + 1]) if stitched else slice(None) for k in range(K)]
+    predicts = [scored[k] and ("rmse" in want or "npll" in want) and y_true[sel[k]].size > 0
+                for k in range(K)]
+    moments, w2, out = [None] * K, [0.0 if need_w2 else None] * K, []
+    for m in range(M):
+        factor = root = oracle_root = None
+        if need_w2:
+            # Only the oracle's root is kept, not its factor.
+            with _context(f"epoch {t}, centralized oracle"):
+                oracle_root = posterior_root(_factorize(rows[K].models[m], jittered))
+            oracle_trace = _sq_frobenius(oracle_root[1])
+        for k in range(K):
+            if scored[k]:
+                with _context(f"epoch {t}, agent {k}, member {m}, evaluation"):
+                    if factor is None and (need_w2 or predicts[k]):
+                        factor = _factorize(rows[k].models[m], jittered)
+                    if predicts[k]:
+                        if m == 0:
+                            moments[k] = np.empty((2, M, y_true[sel[k]].size))
+                        moments[k][:, m] = predict_batch(factor, Phis[m][:, sel[k]])
+                    if need_w2 and not shared[k] and not _negligible(
+                            w2[k], weights[k][m], factor.mu, oracle_root[0],
+                            np.inf if factor.jitter else trace_bounds[m], oracle_trace):
+                        root = posterior_root(factor)
+                    # Freed before W2 makes its n x n arrays, the factor leaves
+                    # less at the heap's top for glibc to return and fault in.
+                    if not (stitched and k + 1 < K and shared[k + 1]):
+                        factor = None
+                    if root is not None:
+                        w2[k], root = _add_w2(w2[k], weights[k][m], root, oracle_root,
+                                              oracle_trace), None
+            if m < M - 1:
+                continue
+            if not scored[k]:
                 out.append(replace(out[-1], agent_id=k))
                 continue
-            else:
-                sel, y_k = None, y_true
-            predict_k = predict and y_k.size > 0
-            w = ensemble_weights(agent)
-            if not shared:
-                factors, w2_val = [], None
-            if (predict_k or need_w2) and not factors:
-                for m, model in enumerate(agent.models):
-                    with _context(f"epoch {t}, agent {k}, member {m}, evaluation"):
-                        factors.append(_factorize(model, jittered))
-            if need_w2 and w2_val is None:
-                # Evidence-weighted member-wise distance to the centralized
-                # posterior, summed in member order. Each root is made as its
-                # term is reached, so one lives at a time.
-                w2_val = 0.0
-                for m, factor in enumerate(factors):
-                    with _context(f"epoch {t}, agent {k}, member {m}, evaluation"):
-                        w2_val = _add_w2(w2_val, w[m], posterior_root(factor),
-                                         oracle_roots[m], oracle_traces[m])
+            w2[k] = w2[k - 1] if shared[k] else w2[k]
             rmse_val = npll_val = None
-            if predict_k:
-                Phis_k = Phis if sel is None else [Phi[:, sel] for Phi in Phis]
-                mean, _, mm, mv = mixture_predict_batch(w, factors, Phis_k)
-                if "rmse" in want:
-                    rmse_val = rmse(mean, y_k)
-                if "npll" in want:
-                    npll_val = npll(mm, mv, y_k, weights=w)
+            if predicts[k]:
+                with _context(f"epoch {t}, agent {k}, evaluation"):
+                    mean, _ = mixture_moments(weights[k], *moments[k])
+                    if "rmse" in want:
+                        rmse_val = rmse(mean, y_true[sel[k]])
+                    if "npll" in want:
+                        npll_val = npll(*moments[k], y_true[sel[k]], weights=weights[k])
+                moments[k] = None
             out.append(MetricsRecord(t=t, agent_id=k, rmse=rmse_val, npll=npll_val,
-                                     w2_to_centralized=w2_val))
+                                     w2_to_centralized=w2[k]))
     return out
 
 

@@ -209,6 +209,13 @@ class TestValidation:
                                               r"list of epochs, got \[\]$"):
             scenario_from_dict(minimal(eval={"epochs": []}))
 
+    def test_no_eval_epoch_rejected_by_the_dataclass(self):
+        # A scenario built in code, not read from a file, is held to it too.
+        assert config.EvalConfig(epochs=None).epochs is None
+        with pytest.raises(ConfigError, match=r"^epochs must be None, for every stream "
+                                              r"epoch, or non-empty$"):
+            config.EvalConfig(epochs=())
+
     def test_static_stream_with_drift_rejected(self):
         # The static stream's truth would ignore the drift, silently.
         cfg = minimal()

@@ -346,10 +346,11 @@ class TestEvalModes:
         # A synthetic stream evaluates at the same points every epoch: each
         # member's features over them are built once, at t = 0, from the
         # sites alone. Time turns the states instead: one rotate of the whole
-        # stack per epoch, by the time since the epoch before, and one per
-        # row and member to turn each snapshot and the final states back to
-        # w's frame. Scoring the snapshots with each epoch's time-t features
-        # gives the recorded metrics.
+        # member-major stack per epoch, by the time since the epoch before,
+        # one per row and member to turn each snapshot's copy back to w's
+        # frame, and one of the whole stack to turn the final states back.
+        # Scoring the snapshots with each epoch's time-t features gives the
+        # recorded metrics.
         import gossipgp.harness.runner as runner_mod
 
         K, M, n_eval = 2, 2, 40
@@ -384,8 +385,9 @@ class TestEvalModes:
         def back(t):
             return [((), -t * v_time[m]) for _ in range(R) for m in range(M)]
 
-        expected = ([((R, M), 0 * v_time), ((R, M), v_time)] + back(1)
-                    + [((R, M), v_time)] * 2 + back(3) + back(3))
+        step = [((M, R), v_time[:, None])]
+        expected = ([((M, R), 0 * v_time[:, None])] + step + back(1) + step * 2 + back(3)
+                    + [((M, R), -3 * v_time[:, None])])
         assert len(turns) == len(expected)
         for (shape, angles), (want_shape, want) in zip(turns, expected):
             assert shape == want_shape and np.array_equal(angles, want)
@@ -443,28 +445,24 @@ class TestBlockLayout:
         # each epoch's truths, not copies.
         import gossipgp.harness.runner as runner_mod
 
-        grid, local, evaluated, truths = [], [], [], []
+        grid, predicted, truths = [], [], []
         feature_matrix_, predict_batch_ = runner_mod.feature_matrix, runner_mod.predict_batch
-        mixture_, rmse_ = runner_mod.mixture_predict_batch, runner_mod.rmse
+        rmse_ = runner_mod.rmse
 
         def feature_matrix(fm, X):
             grid.append(feature_matrix_(fm, X))
             return grid[-1]
 
         def predict(factor, Phi):
-            local.append(Phi)
+            predicted.append(Phi)
             return predict_batch_(factor, Phi)
-
-        def mixture(w, factors, Phis):
-            evaluated.extend(Phis)
-            return mixture_(w, factors, Phis)
 
         def rmse_k(mean, y):
             truths.append(y)
             return rmse_(mean, y)
 
         for name, f in (("feature_matrix", feature_matrix), ("predict_batch", predict),
-                        ("mixture_predict_batch", mixture), ("rmse", rmse_k)):
+                        ("rmse", rmse_k)):
             monkeypatch.setattr(runner_mod, name, f)
         path = tmp_path / "w.csv"
         write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=3, seed=4)
@@ -477,8 +475,10 @@ class TestBlockLayout:
         }
         res = run_scenario(scenario_from_dict(cfg))
         assert [G.shape for G in grid] == [(16, 48)] * 2
-        assert len(local) == 3 * 4 * 2 and len(evaluated) == 3 * 4 * 2 and len(truths) == 3 * 4
-        for Phi in local + evaluated:
+        # Each (epoch, agent, member) predicts once in the local step and
+        # once in the evaluation.
+        assert len(predicted) == 2 * 3 * 4 * 2 and len(truths) == 3 * 4
+        for Phi in predicted:
             assert Phi.shape == (16, 12)
             assert any(np.shares_memory(Phi, G) for G in grid)
         for y in truths:
@@ -607,8 +607,10 @@ class TestSnapshots:
 
     def test_recorded_states_are_copies_of_the_live_buffers(self, tmp_path):
         # The loop updates its stacked state in place. An epoch-0 snapshot
-        # must keep the epoch-0 posterior, and every recorded array must own
-        # its memory rather than view the loop's buffers.
+        # must keep the epoch-0 posterior, and every snapshot array must own
+        # its memory rather than view the loop's buffer. The final states
+        # are the loop's own rows: views of its one buffer. No two recorded
+        # arrays overlap.
         cfg = make_config(
             topology={"kind": "ring", "num_agents": 4},
             ensemble={"shared_J": 6,
@@ -631,11 +633,18 @@ class TestSnapshots:
             save_snapshot(path, e.models)
             for em, back in zip(e.models, load_snapshot(path)):
                 assert np.array_equal(em.D, back.D) and np.array_equal(em.eta, back.eta)
-        arrays = [a for states in (early, last, final) for x in states
-                  for a in [x.log_evidence] + [b for m in x.models for b in (m.D, m.eta)]]
-        for j, a in enumerate(arrays):
-            assert a.base is None  # owns its memory: no view of a run buffer
-            for b in arrays[j + 1:]:
+
+        def arrays(states):
+            return [a for x in states
+                    for a in [x.log_evidence] + [b for m in x.models for b in (m.D, m.eta)]]
+
+        assert all(a.base is None for a in arrays(early) + arrays(last))
+        buffer = final[0].log_evidence.base
+        assert buffer.shape == (2, 5, 78 + 12 + 1) and buffer.base is None
+        assert all(a.base is buffer for a in arrays(final))
+        recorded = arrays(early) + arrays(last) + arrays(final)
+        for j, a in enumerate(recorded):
+            for b in recorded[j + 1:]:
                 assert not np.shares_memory(a, b)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -766,7 +775,7 @@ class TestRunErrors:
         def boom(*args, **kwargs):
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(runner_mod, "mixture_predict_batch", boom)
+        monkeypatch.setattr(runner_mod, "mixture_moments", boom)
         with pytest.raises(RunError, match=r"epoch 0, agent 0, evaluation"):
             run_scenario(scenario_from_dict(make_config()))
 
@@ -774,13 +783,16 @@ class TestRunErrors:
     # the call of it that fails, and the prefix. On a ring of 4, rounds 1,
     # the agents' posteriors differ from epoch 1 on, so none shares another's
     # work there. The grid is featurized before the local step of the first
-    # evaluated epoch, and the oracle's roots come before the agents'.
+    # evaluated epoch. Both the local step and the evaluation run member by
+    # member, the oracle's root before the agents' work on each member, and
+    # the evaluation predicts with predict_batch too: 8 calls per epoch and
+    # per evaluated epoch, from the prior's 2 factorizations on.
     @pytest.mark.parametrize("name, call, prefix", [
-        ("predict_batch", 22, "epoch 2, agent 2, member 1"),
+        ("predict_batch", 31, "epoch 2, agent 2, member 1"),
         ("feature_matrix", 9, "epoch 1, features of the evaluation grid"),
         ("posterior_root", 1, "epoch 1, centralized oracle"),
-        ("factorize", 16, "epoch 1, agent 1, member 1, evaluation"),
-        ("mixture_predict_batch", 7, "epoch 3, agent 2, evaluation"),
+        ("factorize", 18, "epoch 1, agent 1, member 1, evaluation"),
+        ("mixture_moments", 7, "epoch 3, agent 2, evaluation"),
     ], ids=["local-step", "grid", "oracle", "evaluation-member", "evaluation"])
     def test_failure_names_where_it_happened(self, monkeypatch, name, call, prefix):
         import gossipgp.harness.runner as runner_mod
@@ -933,6 +945,34 @@ class TestMemory:
             tracemalloc.stop()
         assert peak - 2 * buffer < buffer
 
+    def test_one_members_message_and_roots_at_a_time(self):
+        # The run holds every row's posterior, M (K + 1) (n(n+1)/2 + n + 1)
+        # floats, and beside it at most one member's gossip message and a
+        # few n x n arrays: the evaluation keeps one oracle root and one
+        # agent factor alive, and W2 adds a root, a cross product and a
+        # Gram. A message of every member, all M oracle roots or a second
+        # copy of the final states would each pass the budget.
+        K, M, J = 6, 3, 100
+        n = 2 * J
+        width = n * (n + 1) // 2 + n + 1
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": K},
+            ensemble={"shared_J": J,
+                      "members": [{"lengthscales": ls} for ls in (0.15, 0.3, 0.6)]},
+            stream={"kind": "synthetic",
+                    "synthetic": {"epochs": 4, "batch_size": 20, "num_eval_points": 40}},
+            eval={"metrics": ["rmse", "npll", "w2"], "epochs": [1, 3]},
+        )
+        scenario = scenario_from_dict(cfg)
+        tracemalloc.start()
+        try:
+            run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state, message = 8 * M * (K + 1) * width, 8 * K * width
+        assert peak - state < message + 6 * n * n * 8 + 512 * 1024
+
 
 class TestTimedKernel:
     """A temporal scale turns the states; what leaves the run is in w's frame."""
@@ -1073,15 +1113,17 @@ class TestWorkCounts:
         assert len(columns) == epochs * K * M + M
         assert sum(columns) == epochs * K * M * batch + M * n_eval
 
-    @pytest.mark.parametrize("evaluated", [[1, 3], []], ids=["some_epochs", "no_epoch"])
+    @pytest.mark.parametrize("metrics", [["rmse", "npll", "w2"], ["w2"]],
+                             ids=["some_epochs", "no_epoch"])
     def test_grid_stream_featurizes_the_grid_once_per_member_and_epoch(
-        self, monkeypatch, tmp_path, evaluated
+        self, monkeypatch, tmp_path, metrics
     ):
         # On a grid stream the local steps and the evaluation share one
         # feature matrix per member over the whole grid, whether or not the
-        # epoch is evaluated. It is built at t = 0 once per run, plus once
-        # for each epoch whose sites differ from the epoch before; the other
-        # epochs turn the states instead.
+        # epoch predicts: some epochs do under some_epochs, and under
+        # no_epoch, with w2 alone, none does. It is built at t = 0 once per
+        # run, plus once for each epoch whose sites differ from the epoch
+        # before; the other epochs turn the states instead.
         import gossipgp.harness.runner as runner_mod
 
         columns = []
@@ -1104,23 +1146,18 @@ class TestWorkCounts:
                 "ensemble": {"shared_J": 8, "temporal_lengthscale": 3.0,
                              "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
                 "stream": {"kind": "grid_file", "path": str(path)},
-                "eval": {"metrics": ["rmse", "npll", "w2"], "epochs": evaluated or [0]},
+                "eval": {"metrics": metrics, "epochs": [1, 3]},
             }
-            scenario = scenario_from_dict(cfg)
-            if not evaluated:
-                # A scenario file cannot ask for no evaluated epoch (that is a
-                # ConfigError), so the runner is handed such a scenario directly.
-                scenario = dataclasses.replace(
-                    scenario, eval=dataclasses.replace(scenario.eval, epochs=()))
-            result = run_scenario(scenario)
-            assert len(result.records) == 4 * len(evaluated)
+            result = run_scenario(scenario_from_dict(cfg))
+            assert len(result.records) == 4 * 2
             assert columns == [n for n in built for _ in range(M)]
 
     def test_gossip_message_holds_the_packed_triangle(self, monkeypatch):
         # Each agent sends, per member, the packed P, s and the evidence:
-        # M (n(n+1)/2 + n + 1) floats a round. The unit-weight oracle's
-        # buffer has the same layout. Each epoch writes its increments into
-        # one message and one oracle buffer of its own.
+        # M (n(n+1)/2 + n + 1) floats a round, one member's message at a
+        # time. The unit-weight oracle's buffer has the same layout. Each
+        # epoch and member writes its increments into one message and one
+        # oracle buffer of its own.
         import gossipgp.harness.runner as runner_mod
 
         messages, buffers = [], []
@@ -1149,16 +1186,15 @@ class TestWorkCounts:
             eval={"metrics": ["rmse", "w2"], "w2_oracle": "unit"},
         )
         run_scenario(scenario_from_dict(cfg))
-        per_agent = M * (n * (n + 1) // 2 + n + 1)
-        assert messages == [(K, M, n * (n + 1) // 2 + n + 1)] * epochs
-        assert np.prod(messages[0][1:]) == per_agent == 2 * 153
+        width = n * (n + 1) // 2 + n + 1
+        assert messages == [(K, width)] * (epochs * M)
+        assert M * messages[0][1] == M * (n * (n + 1) // 2 + n + 1) == 2 * 153
         distinct = {id(b): b for b in buffers}.values()
-        assert len(buffers) == 2 * epochs * K * M and len(distinct) == 2 * epochs
-        for e in range(epochs):
-            assert len({id(b) for b in buffers[2 * K * M * e: 2 * K * M * (e + 1)]}) == 2
+        assert len(buffers) == 2 * epochs * M * K and len(distinct) == 2 * epochs * M
+        for e in range(epochs * M):
+            assert len({id(b) for b in buffers[2 * K * e: 2 * K * (e + 1)]}) == 2
         for buffer in distinct:
-            assert buffer.shape == (K, M, n * (n + 1) // 2 + n + 1)
-            assert buffer[0].size == per_agent
+            assert buffer.shape == (K, width)
 
     def test_jitter_retries_total_every_factorization(self, monkeypatch):
         # Local-step, evaluation and oracle factors all count, each once:
@@ -1226,78 +1262,129 @@ class TestNegligibleW2Terms:
     # The evidence picks member 1 (lengthscale 0.15). Member 0 (0.4) comes
     # first, where the sum is 0, and is always computed; member 2 (0.05)
     # holds weights below 1e-60, so its term cannot reach the sum and is
-    # skipped.
+    # skipped. Under static and b2p forgetting ||B||_F^2 <= n sigma_theta^2
+    # bounds it before its covariance root is built, so no root is built
+    # for it either.
     K, M, evaluated = 4, 3, [1, 3]
 
-    def run_counting_w2(self, full):
+    def run_counting_w2(self, full, dynamics=None, jitter=False):
+        """The run, its W2 calls and the covariance roots the runner builds."""
         import gossipgp.harness.metrics as metrics_mod
         import gossipgp.harness.runner as runner_mod
 
-        calls = []
-        exact = metrics_mod.wasserstein2_gaussians
+        calls, roots = [], []
+        exact, posterior_root_ = metrics_mod.wasserstein2_gaussians, runner_mod.posterior_root
+        factorize_ = runner_mod.factorize
 
         def counted(*args):
             calls.append(None)
             return exact(*args)
+
+        def counted_root(factor):
+            roots.append(None)
+            return posterior_root_(factor)
 
         def every_term(total, w, root, other, other_trace):
             return float(total + w * metrics_mod.wasserstein2_gaussians(*root, *other))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics_mod, "wasserstein2_gaussians", counted)
+            mp.setattr(runner_mod, "posterior_root", counted_root)
             if full:
+                mp.setattr(runner_mod, "_negligible", lambda *args: False)
                 mp.setattr(runner_mod, "_add_w2", every_term)
-            result = run_scenario(scenario_from_dict(self.config()))
-        return result, len(calls)
+            if jitter:
+                mp.setattr(runner_mod, "factorize",
+                           lambda state: dataclasses.replace(factorize_(state), jitter=1e-300))
+            result = run_scenario(scenario_from_dict(self.config(dynamics)))
+        return result, len(calls), len(roots)
 
-    def config(self):
+    def config(self, dynamics=None):
         return make_config(
             topology={"kind": "ring", "num_agents": self.K},
             ensemble={"shared_J": 8,
                       "members": [{"lengthscales": ls} for ls in (0.4, 0.15, 0.05)]},
             stream={"kind": "synthetic",
                     "synthetic": {"epochs": 4, "batch_size": 20, "num_eval_points": 40}},
+            dynamics=dynamics or {"mode": "static"},
             eval={"metrics": ["rmse", "npll", "w2"], "epochs": self.evaluated,
                   "snapshots": self.evaluated},
         )
 
     def test_oracle_traces_are_computed_once_per_evaluated_epoch(self, monkeypatch):
-        # Every agent's bound reads the oracle members' ||B'||_F^2, computed
-        # once per evaluated epoch rather than once per agent.
+        # Every agent's bound reads the oracle member's ||B'||_F^2, computed
+        # once per evaluated epoch and member rather than once per agent.
         import gossipgp.harness.runner as runner_mod
 
         traces, weighed = [], []
-        sq_frobenius_, add_w2_ = runner_mod._sq_frobenius, runner_mod._add_w2
+        sq_frobenius_, negligible_ = runner_mod._sq_frobenius, runner_mod._negligible
 
         def counted(B):
             traces.append(sq_frobenius_(B))
             return traces[-1]
 
-        def add_w2(total, w, root, other, other_trace):
-            weighed.append(other_trace)
-            return add_w2_(total, w, root, other, other_trace)
+        def negligible(total, w, mu1, mu2, trace1, trace2):
+            weighed.append(trace2)
+            return negligible_(total, w, mu1, mu2, trace1, trace2)
 
         monkeypatch.setattr(runner_mod, "_sq_frobenius", counted)
-        monkeypatch.setattr(runner_mod, "_add_w2", add_w2)
+        monkeypatch.setattr(runner_mod, "_negligible", negligible)
         run_scenario(scenario_from_dict(self.config()))
         E, K, M = len(self.evaluated), self.K, self.M
         assert len(traces) == E * M
-        assert len(weighed) == E * K * M
-        for e in range(E):
-            for k in range(K):
-                first = M * (K * e + k)
-                assert weighed[first: first + M] == traces[M * e: M * (e + 1)]
+        assert len(weighed) == E * M * K
+        for e in range(E * M):
+            assert weighed[K * e: K * (e + 1)] == [traces[e]] * K
 
     def test_skipped_terms_leave_every_bit_in_place(self):
-        skipping, calls = self.run_counting_w2(full=False)
-        full, full_calls = self.run_counting_w2(full=True)
+        skipping, calls, roots = self.run_counting_w2(full=False)
+        full, full_calls, full_roots = self.run_counting_w2(full=True)
         assert_same_bits(skipping, full)
         E, K, M = len(self.evaluated), self.K, self.M
         assert full_calls == E * K * M
         assert calls == E * K * (M - 1)
+        # One root per oracle member, and one per W2 computed.
+        assert full_roots == E * M + E * K * M
+        assert roots == E * M + E * K * (M - 1)
         for t in self.evaluated:
             for agent in skipping.snapshots[t][:K]:
                 assert ensemble_weights(agent)[2] < 1e-60
+
+    @pytest.mark.parametrize("dynamics, jitter, skipped", [
+        ({"mode": "b2p", "nu": 0.9}, False, True),
+        ({"mode": "ui", "nu": 0.9}, False, False),
+        ({"mode": "static"}, True, False),
+    ], ids=["b2p", "ui", "jittered"])
+    def test_roots_are_built_where_the_trace_is_not_bounded(self, dynamics, jitter, skipped):
+        # ui forgetting lets D fall below I / sigma_theta^2, and a jittered
+        # factor is not D's, so neither bounds ||B||_F^2: each such member's
+        # root is built, and the exact rule still skips its W2.
+        result, calls, roots = self.run_counting_w2(False, dynamics, jitter)
+        full, _, _ = self.run_counting_w2(True, dynamics, jitter)
+        assert_same_bits(result, full)
+        E, K, M = len(self.evaluated), self.K, self.M
+        assert calls == E * K * (M - 1)
+        assert roots == E * M + E * K * (M - 1 if skipped else M)
+
+    @pytest.mark.parametrize("stack, entry", [(1, 3), (2, 5)], ids=["eta", "D"])
+    def test_non_finite_state_of_a_negligible_member_raises(self, monkeypatch, stack, entry):
+        # Agent 1's member 2, whose weight is below 1e-60, holds a NaN when
+        # it is evaluated: its bound is NaN, so its root is built and W2
+        # reports the value. w2 alone predicts nothing that could raise first.
+        import gossipgp.harness.runner as runner_mod
+
+        evaluate_epoch = runner_mod._evaluate_epoch
+
+        def poisoned(scenario, stream, t, stacks, *args):
+            stacks[stack][2, 1, entry] = np.nan
+            return evaluate_epoch(scenario, stream, t, stacks, *args)
+
+        monkeypatch.setattr(runner_mod, "_evaluate_epoch", poisoned)
+        cfg = self.config()
+        cfg["eval"]["metrics"] = ["w2"]
+        with pytest.raises(RunError, match=r"^epoch 1, agent 1, member 2, evaluation: "
+                                           r"(squared distance nan|covariance root B1 holds non)"):
+            run_scenario(scenario_from_dict(cfg))
 
 
 class TestSharedPosteriors:
@@ -1317,13 +1404,14 @@ class TestSharedPosteriors:
         shared, calls, shares = run_counted(cfg)
         alone, alone_calls, _ = run_counted(cfg, share=False)
         assert_same_bits(shared, alone)
-        assert shares == [True] * ((K - 1) * (epochs + E))
+        # The local step compares each member's rows, evaluation whole rows.
+        assert shares == [True] * ((K - 1) * (epochs * M + E))
         assert calls == epochs * M + E * (M + M)
         assert alone_calls == epochs * K * M + E * (K * M + M)
         assert shared.jitter_retries == alone.jitter_retries == 0
 
     def test_ring_shares_only_the_prior(self):
-        K, epochs, E = self.K, self.epochs, len(self.evaluated)
+        K, M, epochs, E = self.K, self.M, self.epochs, len(self.evaluated)
         cfg = make_config(
             topology={"kind": "ring", "num_agents": K},
             ensemble={"shared_J": 8, "members": self.members},
@@ -1332,7 +1420,7 @@ class TestSharedPosteriors:
         shared, _, shares = run_counted(cfg)
         alone, _, _ = run_counted(cfg, share=False)
         assert_same_bits(shared, alone)
-        assert shares == [True] * (K - 1) + [False] * ((K - 1) * (epochs - 1 + E))
+        assert shares == [True] * ((K - 1) * M) + [False] * ((K - 1) * (M * (epochs - 1) + E))
 
     @pytest.mark.parametrize("metrics", [["rmse", "npll"], ["rmse", "npll", "w2"]],
                              ids=["no_w2", "w2"])
@@ -1377,8 +1465,9 @@ class TestSharedPosteriors:
         shared, calls, shares = run_counted(cfg)
         alone, alone_calls, _ = run_counted(cfg, share=False)
         assert_same_bits(shared, alone)
-        # Epochs 0 and 1, evaluation at 1, epochs 2 and 3, evaluation at 3.
-        local, evaluation = [True] * (K - 1), [False] * (K - 1)
+        # Epochs 0 and 1, evaluation at 1, epochs 2 and 3, evaluation at 3;
+        # the local step compares each member's rows, evaluation whole rows.
+        local, evaluation = [True] * ((K - 1) * M), [False] * (K - 1)
         assert shares == local * 2 + evaluation + local * 2 + evaluation
         assert calls == epochs * M + E * (K * M + M)
         assert alone_calls == epochs * K * M + E * (K * M + M)
