@@ -7,12 +7,19 @@ member by member too. All agents share the ensemble's feature maps, so
 network-wide sums of increments are exactly the increments a fusion center
 would form from the pooled batch.
 
+The local step predicts at each batch only where something reads the
+prediction: robust weights, or the evidence of an ensemble of two or more
+members. A one-member run without robust weights skips the prediction, gives
+each observation weight 1 and adds an evidence term of 0, so its states'
+log-evidence stays 0; no metric or snapshot reads it there.
+
 A shadow centralized oracle is maintained whenever the w2 metric is
 requested: it is one more row beside the agents' posteriors, goes through
 the same forgetting pass, and adds the exact network sum of the per-agent
 increments every epoch. With eval.w2_oracle == "identical" it uses the
 agents' robustness weights; with "unit" it uses unit weights, measuring
-what the robust network deviates from a non-robust fusion center.
+what the robust network deviates from a non-robust fusion center. Without
+robust weights the two are the same, and the oracle adds the agents' sums.
 
 A kernel with a temporal scale keeps the states in the frame of the t = 0
 features (see dynamics), turned each epoch after forgetting, so inputs are
@@ -92,6 +99,17 @@ def _context(where: str):
 
 @dataclass
 class RunResult:
+    """A run's records, final states and snapshots.
+
+    A state's log_evidence sums each member's evidence terms, the weighted
+    log densities of its batches under the pre-update prediction. A
+    one-member run without robust weights does not predict in the local
+    step, and its log_evidence stays 0. Where evidence is computed, a
+    non-finite term stops the run, naming the agent and member. Non-finite
+    observations are refused before that, when the stream is loaded
+    (StreamBatch.__post_init__).
+    """
+
     scenario: Scenario
     stream: Stream = field(repr=False)
     records: list[MetricsRecord] = field(repr=False)
@@ -130,7 +148,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     dim = 2 * spec.shared_J
 
     need_w2 = "w2" in scenario.eval.metrics
-    unit_oracle = need_w2 and scenario.eval.w2_oracle == "unit"
+    weighs = scenario.robust.kind != "none"
+    local_predicts = weighs or M > 1
+    unit_oracle = need_w2 and scenario.eval.w2_oracle == "unit" and weighs
     share_increments = scenario.consensus.mode == "sum"
     share_evidence = share_increments and scenario.ensemble.evidence == "consensus"
 
@@ -204,14 +224,17 @@ def run_scenario(scenario: Scenario) -> RunResult:
                         Phi = feature_matrix(fmaps[m], batch.X)
                     else:
                         Phi = Phis[m][:, offsets[k] : offsets[k + 1]]
-                    if factor is None:
-                        factor = _factorize(rows[k].models[m], jittered)
-                    means, variances = predict_batch(factor, Phi)
-                    w = weights_for(standardized_residuals(batch.y, means, variances),
-                                    scenario.robust)
+                    if local_predicts:
+                        if factor is None:
+                            factor = _factorize(rows[k].models[m], jittered)
+                        means, variances = predict_batch(factor, Phi)
+                        w = weights_for(standardized_residuals(batch.y, means, variances),
+                                        scenario.robust)
+                        log_pdf = gaussian_log_density(batch.y, means, variances)
+                    else:
+                        w, log_pdf = np.ones_like(batch.y), np.zeros_like(batch.y)
                     robust_increment(Phi, batch.y, w, obs_variance,
                                      out=_split(message[k], dim)[:2])
-                    log_pdf = gaussian_log_density(batch.y, means, variances)
                     message[k, -1] = float(np.sum(w * log_pdf))
                     if unit_oracle:
                         robust_increment(Phi, batch.y, np.ones_like(batch.y), obs_variance,
@@ -220,7 +243,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     for term in (message[k, -1], oracle_message[k, -1]):
                         if not np.isfinite(term):
                             raise ValueError(f"evidence term {float(term)} is not finite")
-                if not (k + 1 < K and _same_posterior((eta[m], D[m]), k + 1, k)):
+                if factor is not None and not (
+                        k + 1 < K and _same_posterior((eta[m], D[m]), k + 1, k)):
                     factor = None
 
             # Gossip adds the approximate network sums straight into the

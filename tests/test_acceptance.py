@@ -344,7 +344,10 @@ def test_weight_functions_match_piecewise_definitions(tmp_path):
                 cont_ok = False
 
     # A Huber threshold far beyond any residual is the identity weighting:
-    # the run must be bitwise identical to the non-robust run.
+    # the run must be bitwise identical to the non-robust run. With one
+    # member the non-robust run skips the local step's prediction and the
+    # Huber run predicts, so this also covers that the skip gives the
+    # predicting path's increments bit for bit.
     base = {
         "seed": 5,
         "topology": {"kind": "complete", "num_agents": 2},

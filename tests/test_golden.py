@@ -23,6 +23,7 @@ CASES = {
     "weather_demo": ROOT / "configs" / "weather_demo.yaml",
     "ring_w2_hampel": GOLDEN / "ring_w2_hampel.yaml",
     "ring_stitched_outliers": GOLDEN / "ring_stitched_outliers.yaml",
+    "grid_b2p_plain": GOLDEN / "grid_b2p_plain.yaml",
 }
 
 

@@ -19,6 +19,8 @@ from gossipgp import (
     mixture_predict_batch,
     predict_batch,
     robust_increment,
+    standardized_residuals,
+    weights_for,
 )
 from gossipgp.dynamics import _MIN_UI_NU
 from gossipgp.harness.config import scenario_from_dict
@@ -61,32 +63,55 @@ def rel_fro(A, B):
     return np.linalg.norm(A - B) / max(np.linalg.norm(B), 1e-300)
 
 
+def manual_k1_pipeline(sc):
+    """One agent's member 0, conditioned batch by batch: its state and log-evidence."""
+    stream = materialize_stream(sc)
+    state, fmaps = init_ensemble(sc.ensemble)
+    model = state.models[0]
+    log_ev = 0.0
+    obs_var = sc.ensemble.members[0].obs_variance
+    for t in stream.epochs:
+        batch = stream.batches[t][0]
+        Phi = feature_matrix(fmaps[0], batch.X)
+        means, variances = predict_batch(factorize(model), Phi)
+        w = weights_for(standardized_residuals(batch.y, means, variances), sc.robust)
+        log_pdf = -0.5 * (np.log(2.0 * np.pi * variances)
+                          + (batch.y - means) ** 2 / variances)
+        log_ev += float(np.sum(w * log_pdf))
+        inc = robust_increment(Phi, batch.y, w, obs_var)
+        apply_increment(model.D, model.eta, *inc)
+    return model, log_ev
+
+
 class TestSingleAgentComposition:
     def test_k1_run_matches_manual_pipeline_bitwise(self):
         # With one agent, a complete "graph", and one member, the loop is just
-        # sequential conditioning; the runner must reproduce it exactly.
-        cfg = make_config(topology={"kind": "complete", "num_agents": 1})
-        sc = scenario_from_dict(cfg)
+        # sequential conditioning; the runner must reproduce it exactly. With
+        # no robust weights the local step does not predict, and the
+        # evidence, which nothing reads with one member, stays 0.
+        sc = scenario_from_dict(make_config(topology={"kind": "complete", "num_agents": 1}))
         res = run_scenario(sc)
-
-        stream = materialize_stream(sc)
-        state, fmaps = init_ensemble(sc.ensemble)
-        model = state.models[0]
-        log_ev = 0.0
-        obs_var = sc.ensemble.members[0].obs_variance
-        for t in stream.epochs:
-            batch = stream.batches[t][0]
-            Phi = feature_matrix(fmaps[0], batch.X)
-            means, variances = predict_batch(factorize(model), Phi)
-            log_pdf = -0.5 * (np.log(2.0 * np.pi * variances)
-                              + (batch.y - means) ** 2 / variances)
-            log_ev += float(np.sum(log_pdf))
-            inc = robust_increment(Phi, batch.y, np.ones(batch.size), obs_var)
-            apply_increment(model.D, model.eta, *inc)
-
+        model, _ = manual_k1_pipeline(sc)
         got = res.agent_states[0].models[0]
         assert np.array_equal(got.D, model.D)
         assert np.array_equal(got.eta, model.eta)
+        assert res.agent_states[0].log_evidence[0] == 0.0
+
+    def test_k1_hampel_run_matches_manual_pipeline_bitwise(self):
+        # Robust weights read the prediction, so the local step predicts and
+        # the evidence is the weighted sum of the batches' log densities. The
+        # outlier burst makes some weights less than 1.
+        sc = scenario_from_dict(make_config(
+            topology={"kind": "complete", "num_agents": 1},
+            robust={"kind": "hampel"},
+            outliers={"epoch": 2, "fraction": 0.5, "magnitude_sd": 30.0},
+        ))
+        res = run_scenario(sc)
+        model, log_ev = manual_k1_pipeline(sc)
+        got = res.agent_states[0].models[0]
+        assert np.array_equal(got.D, model.D)
+        assert np.array_equal(got.eta, model.eta)
+        assert log_ev != 0.0
         assert res.agent_states[0].log_evidence[0] == log_ev
 
     def test_stream_batches_match_materialize(self):
@@ -171,13 +196,15 @@ class TestConsensusModes:
         assert not np.array_equal(a.log_evidence, b.log_evidence)
 
     def test_consensus_evidence_matches_network_total(self):
+        # Two members, since one member's evidence is not computed.
         cfg = make_config(
             topology={"kind": "complete", "num_agents": 3},
             ensemble={"shared_J": 8, "evidence": "consensus",
-                      "members": [{"lengthscales": 0.4}]},
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
             eval={"metrics": ["rmse", "w2"]},
         )
         res = run_scenario(scenario_from_dict(cfg))
+        assert np.all(res.oracle_state.log_evidence != 0.0)
         for k in range(3):
             assert np.allclose(res.agent_states[k].log_evidence,
                                res.oracle_state.log_evidence, rtol=1e-10)
@@ -199,6 +226,36 @@ class TestOracleSemantics:
         res = run_scenario(scenario_from_dict(self._contaminated("unit")))
         late = [r.w2_to_centralized for r in res.records if r.t >= 2]
         assert max(late) > 1e-2
+
+    def test_unit_oracle_without_robust_weights_is_the_identical_one(self, monkeypatch):
+        # Without robust weights every weight is 1, so the unit-weight oracle
+        # adds the agents' own increments and evidence, and builds no
+        # increment of its own: K·M robust increments per epoch, not 2·K·M.
+        import gossipgp.harness.runner as runner_mod
+
+        increments = []
+        robust_increment_ = runner_mod.robust_increment
+
+        def counted_robust_increment(*args, **kwargs):
+            increments.append(None)
+            return robust_increment_(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "robust_increment", counted_robust_increment)
+        K, M, epochs = 4, 2, 4
+        runs = {}
+        for w2_oracle in ("identical", "unit"):
+            increments.clear()
+            runs[w2_oracle] = run_scenario(scenario_from_dict(make_config(
+                topology={"kind": "ring", "num_agents": K},
+                ensemble={"shared_J": 8,
+                          "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
+                dynamics={"mode": "b2p", "nu": 0.9},
+                outliers={"epoch": 2, "fraction": 0.3, "magnitude_sd": 8.0},
+                eval={"metrics": ["rmse", "npll", "w2"], "w2_oracle": w2_oracle},
+            )))
+            assert len(increments) == epochs * K * M
+        assert_same_bits(runs["identical"], runs["unit"])
+        assert np.all(runs["unit"].oracle_state.log_evidence != 0.0)
 
 
 class TestEvalModes:
@@ -740,9 +797,11 @@ class TestRunErrors:
         def boom(*args, **kwargs):
             raise ValueError("synthetic failure")
 
+        # Robust weights make the local step predict, so its first call fails
+        # before the evaluation's.
         monkeypatch.setattr(runner_mod, "predict_batch", boom)
-        with pytest.raises(RunError, match=r"epoch 0, agent 0, member 0"):
-            run_scenario(scenario_from_dict(make_config()))
+        with pytest.raises(RunError, match=r"^epoch 0, agent 0, member 0: synthetic failure$"):
+            run_scenario(scenario_from_dict(make_config(robust={"kind": "hampel"})))
 
     @pytest.mark.parametrize("w2_oracle", ["identical", "unit"])
     def test_non_finite_evidence_names_its_agent_and_member(self, monkeypatch, w2_oracle):
@@ -1157,7 +1216,8 @@ class TestWorkCounts:
         # M (n(n+1)/2 + n + 1) floats a round, one member's message at a
         # time. The unit-weight oracle's buffer has the same layout. Each
         # epoch and member writes its increments into one message and one
-        # oracle buffer of its own.
+        # oracle buffer of its own. Hampel weights keep the oracle's unit
+        # weights apart from the agents'.
         import gossipgp.harness.runner as runner_mod
 
         messages, buffers = [], []
@@ -1183,6 +1243,7 @@ class TestWorkCounts:
             stream={"kind": "synthetic",
                     "synthetic": {"epochs": epochs, "batch_size": 10,
                                   "num_eval_points": 20}},
+            robust={"kind": "hampel"},
             eval={"metrics": ["rmse", "w2"], "w2_oracle": "unit"},
         )
         run_scenario(scenario_from_dict(cfg))
@@ -1199,7 +1260,8 @@ class TestWorkCounts:
     def test_jitter_retries_total_every_factorization(self, monkeypatch):
         # Local-step, evaluation and oracle factors all count, each once:
         # every third factorization is reported as jittered here. On a ring
-        # the four agents share one factor at epoch 0 only.
+        # the four agents share one factor at epoch 0 only. Huber weights
+        # make the local step predict.
         import gossipgp.harness.runner as runner_mod
 
         factorize_ = runner_mod.factorize
@@ -1212,10 +1274,60 @@ class TestWorkCounts:
 
         monkeypatch.setattr(runner_mod, "factorize", every_third_jittered)
         cfg = make_config(topology={"kind": "ring", "num_agents": 4},
+                          robust={"kind": "huber"},
                           eval={"metrics": ["rmse", "w2"], "epochs": [1, 3]})
         result = run_scenario(scenario_from_dict(cfg))
         assert len(calls) == 4 * 4 - 3 + 2 * (4 + 1)
         assert result.jitter_retries == len(calls) // 3
+
+    @pytest.mark.parametrize("robust, M, local_predicts", [
+        ("none", 1, False), ("hampel", 1, True), ("none", 2, True),
+    ], ids=["plain", "hampel", "two_members"])
+    def test_local_step_predicts_only_where_the_prediction_is_read(
+        self, monkeypatch, robust, M, local_predicts
+    ):
+        # The local step's prediction feeds the robust weights and the member
+        # evidence, which weighs nothing with one member. With neither, the
+        # only factorizations and predictions are the evaluation's: one per
+        # (agent, member) and one per member for the oracle, and one
+        # prediction per (agent, member), at each evaluated epoch. Otherwise
+        # the local step factorizes each (agent, member) and predicts at its
+        # batch, except that at epoch 0 every agent holds the prior and shares
+        # the first agent's factors. On a ring of 4 no two agents share a
+        # posterior after epoch 0.
+        import scipy.linalg
+
+        import gossipgp.harness.runner as runner_mod
+
+        factorizations, predictions = [], []
+        cho_factor = scipy.linalg.cho_factor
+        predict_batch_ = runner_mod.predict_batch
+
+        def counted_cho_factor(*args, **kwargs):
+            factorizations.append(None)
+            return cho_factor(*args, **kwargs)
+
+        def counted_predict_batch(*args):
+            predictions.append(None)
+            return predict_batch_(*args)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted_cho_factor)
+        monkeypatch.setattr(runner_mod, "predict_batch", counted_predict_batch)
+        K, epochs, evaluated = 4, 4, 2
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": K},
+            ensemble={"shared_J": 8,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}][:M]},
+            robust={"kind": robust},
+            stream={"kind": "synthetic",
+                    "synthetic": {"epochs": epochs, "batch_size": 10,
+                                  "num_eval_points": 40}},
+            eval={"metrics": ["rmse", "w2"], "epochs": [1, 3]},
+        )
+        run_scenario(scenario_from_dict(cfg))
+        local = local_predicts * (epochs * K - (K - 1)) * M
+        assert len(factorizations) == local + evaluated * (K + 1) * M
+        assert len(predictions) == local_predicts * epochs * K * M + evaluated * K * M
 
 
 def run_counted(cfg, share=True):
