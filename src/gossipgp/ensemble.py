@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .features import FeatureMap, KernelSpec, sample_frequencies
-from .info_filter import InfoState, PosteriorFactor, predict_batch, prior_state
+from .info_filter import InfoState, prior_state
 
 __all__ = [
     "EnsembleSpec",
@@ -26,7 +26,6 @@ __all__ = [
     "member_seed",
     "init_ensemble",
     "ensemble_weights",
-    "mixture_predict_batch",
     "mixture_moments",
     "gaussian_log_density",
     "mixture_log_density",
@@ -127,30 +126,16 @@ def mixture_log_density(
     member_means = np.asarray(member_means, dtype=float)
     member_variances = np.asarray(member_variances, dtype=float)
     y = np.asarray(y, dtype=float)
-    log_pdf = gaussian_log_density(y[np.newaxis, :], member_means, member_variances)
-    # Shift by the largest member term so that exp cannot overflow.
-    top = log_pdf.max(axis=0)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.asarray(weights, dtype=float))
+    terms = log_w[:, np.newaxis] + gaussian_log_density(y[np.newaxis, :], member_means,
+                                                        member_variances)
+    # Shift by the largest weighted term: exp cannot overflow, and that term
+    # is exp(0) = 1, so the sum cannot underflow to 0 where a member whose
+    # weight is 0 has the largest density.
+    top = terms.max(axis=0)
     top = np.where(np.isfinite(top), top, 0.0)
-    scaled = np.asarray(weights, dtype=float)[:, np.newaxis] * np.exp(log_pdf - top)
-    return top + np.log(scaled.sum(axis=0))
-
-
-def mixture_predict_batch(
-    weights: np.ndarray, factors: list[PosteriorFactor], Phis: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mixture mean/variance at n points plus per-member moments.
-
-    factors[m] is member m's posterior factor and Phis[m] its (2J, n)
-    feature matrix at the points. Returns mixture_moments' mean and
-    variance, then the member means and variances, each of shape (M, n).
-    """
-    M = len(factors)
-    if len(Phis) != M:
-        raise ValueError(f"{M} factors need {M} feature matrices, got {len(Phis)}")
-    means, variances = (np.empty((M, Phis[0].shape[1]), order="F") for _ in range(2))
-    for m, (factor, Phi) in enumerate(zip(factors, Phis)):
-        means[m], variances[m] = predict_batch(factor, Phi)
-    return (*mixture_moments(weights, means, variances), means, variances)
+    return top + np.log(np.exp(terms - top).sum(axis=0))
 
 
 def mixture_moments(weights, member_means, member_variances) -> tuple[np.ndarray, np.ndarray]:

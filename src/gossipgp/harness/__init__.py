@@ -1,71 +1,12 @@
-"""Simulation harness: streams, scenario configs, the epoch loop, metrics, CLI."""
+"""Simulation harness: streams, scenario configs, the epoch loop, metrics, CLI.
 
-from .streams import (
-    StreamBatch,
-    Stream,
-    SynthConfig,
-    OutlierSpec,
-    load_grid_dataset,
-    synth_stream,
-    inject_outliers,
-    write_synthetic_weather_csv,
-)
-from .metrics import (
-    MetricsRecord,
-    rmse,
-    npll,
-    wasserstein2_gaussians,
-    write_metrics_csv,
-    read_metrics_csv,
-)
-from .config import (
-    ConfigError,
-    EvalConfig,
-    GridFileSource,
-    SyntheticSource,
-    Scenario,
-    load_config,
-    load_scenario,
-    scenario_from_dict,
-    resolved_yaml,
-)
-from .runner import (
-    RunError,
-    RunResult,
-    materialize_stream,
-    run_scenario,
-    save_snapshot,
-    load_snapshot,
-)
+The package exports each module's __all__; the modules list their names.
+"""
 
-__all__ = [
-    "StreamBatch",
-    "Stream",
-    "SynthConfig",
-    "OutlierSpec",
-    "load_grid_dataset",
-    "synth_stream",
-    "inject_outliers",
-    "write_synthetic_weather_csv",
-    "MetricsRecord",
-    "rmse",
-    "npll",
-    "wasserstein2_gaussians",
-    "write_metrics_csv",
-    "read_metrics_csv",
-    "ConfigError",
-    "EvalConfig",
-    "GridFileSource",
-    "SyntheticSource",
-    "Scenario",
-    "load_config",
-    "load_scenario",
-    "scenario_from_dict",
-    "resolved_yaml",
-    "RunError",
-    "RunResult",
-    "materialize_stream",
-    "run_scenario",
-    "save_snapshot",
-    "load_snapshot",
-]
+from . import streams, metrics, config, runner
+from .streams import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .runner import *  # noqa: F401,F403
+
+__all__ = [*streams.__all__, *metrics.__all__, *config.__all__, *runner.__all__]

@@ -67,6 +67,7 @@ __all__ = [
     "load_config",
     "scenario_from_dict",
     "load_scenario",
+    "resolved_yaml",
 ]
 
 

@@ -20,6 +20,9 @@ increments every epoch. With eval.w2_oracle == "identical" it uses the
 agents' robustness weights; with "unit" it uses unit weights, measuring
 what the robust network deviates from a non-robust fusion center. Without
 robust weights the two are the same, and the oracle adds the agents' sums.
+Its evidence is the network sum of the agents' evidence terms, each from
+that agent's own prediction, weighted or not as its increments are; it is
+0 where the local step does not predict.
 
 A kernel with a temporal scale keeps the states in the frame of the t = 0
 features (see dynamics), turned each epoch after forgetting, so inputs are
@@ -101,13 +104,15 @@ def _context(where: str):
 class RunResult:
     """A run's records, final states and snapshots.
 
-    A state's log_evidence sums each member's evidence terms, the weighted
-    log densities of its batches under the pre-update prediction. A
-    one-member run without robust weights does not predict in the local
-    step, and its log_evidence stays 0. Where evidence is computed, a
-    non-finite term stops the run, naming the agent and member. Non-finite
-    observations are refused before that, when the stream is loaded
-    (StreamBatch.__post_init__).
+    An agent state's log_evidence sums each member's evidence terms, the
+    weighted log densities of its batches under the pre-update prediction.
+    The oracle's sums every agent's evidence terms, each from that agent's
+    own prediction: weighted under w2_oracle identical, unweighted under
+    unit. A one-member run without robust weights does not predict in the
+    local step, and every log_evidence stays 0. Where evidence is computed,
+    a non-finite term stops the run, naming the agent and member.
+    Non-finite observations are refused before that, when the stream is
+    loaded (StreamBatch.__post_init__).
     """
 
     scenario: Scenario

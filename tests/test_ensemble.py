@@ -18,21 +18,26 @@ from gossipgp import (
     ensemble_weights,
     factorize,
     feature_matrix,
+    gaussian_log_density,
     init_ensemble,
     member_seed,
     mixture_log_density,
-    mixture_predict_batch,
+    mixture_moments,
     predict_batch,
     robust_increment,
 )
 
 
 def mixture_at(state, maps, X):
-    """Mixture moments of an ensemble state at the rows of X, and its weights."""
+    """Mixture mean and variance of an ensemble state at the rows of X, then
+    its members' (M, n) means and variances and its weights.
+
+    As the runner forms them: predict_batch per member, then mixture_moments.
+    """
     w = ensemble_weights(state)
-    factors = [factorize(model) for model in state.models]
-    Phis = [feature_matrix(fm, X) for fm in maps]
-    return (*mixture_predict_batch(w, factors, Phis), w)
+    mm, mv = np.array([predict_batch(factorize(model), feature_matrix(fm, X))
+                       for model, fm in zip(state.models, maps)]).swapaxes(0, 1)
+    return (*mixture_moments(w, mm, mv), mm, mv, w)
 
 
 def two_member_spec(J=4, base_seed=3):
@@ -177,8 +182,7 @@ class TestMixturePrediction:
         w = np.array([0.5, 0.5])
         mm = np.array([[0.0], [0.0]])
         mv = np.array([[1.0], [3.0]])
-        mean = w @ mm
-        var = w @ (mv + mm**2) - mean**2
+        _, var = mixture_moments(w, mm, mv)
         assert var[0] == 2.0
 
     def test_moment_matched_variance_spread_means(self):
@@ -186,8 +190,7 @@ class TestMixturePrediction:
         w = np.array([0.5, 0.5])
         mm = np.array([[-1.0], [1.0]])
         mv = np.array([[1.0], [1.0]])
-        mean = w @ mm
-        var = w @ (mv + mm**2) - mean**2
+        mean, var = mixture_moments(w, mm, mv)
         assert mean[0] == 0.0
         assert var[0] == 2.0
 
@@ -232,6 +235,15 @@ class TestMixturePrediction:
         assert np.array_equal(ours, -0.5 * (np.log(2.0 * np.pi * mv[0])
                                             + (y - mm[0]) ** 2 / mv[0]))
 
+    def test_mixture_log_density_when_a_zero_weight_member_dominates(self):
+        # Member 0 has weight 0 and a log density about 764 above member 1's;
+        # shifting by it alone would underflow the sum to 0 and give -inf.
+        y = np.array([39.1])
+        mm, mv = np.array([[39.1], [0.0]]), np.array([[1.0], [1.0]])
+        ours = mixture_log_density(np.array([0.0, 1.0]), mm, mv, y)
+        assert np.array_equal(ours, gaussian_log_density(y, mm[1], mv[1]))
+        assert ours[0] == pytest.approx(-765.32, abs=0.01)
+
     def test_runner_import_leaves_scipy_special_out(self):
         # scipy.special costs tens of milliseconds to import; nothing a run
         # needs comes from it.
@@ -251,11 +263,11 @@ class TestMixturePrediction:
         direct = np.log(w @ norm.pdf(0.7, mm[:, 0], np.sqrt(mv[:, 0])))
         assert ours == pytest.approx(direct, abs=1e-12)
 
-    def test_member_count_mismatch_rejected(self):
-        state, maps = init_ensemble(two_member_spec(J=3))
-        factors = [factorize(model) for model in state.models]
-        Phi = feature_matrix(maps[0], np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="2 factors need 2 feature matrices"):
-            mixture_predict_batch(ensemble_weights(state), factors, [Phi])
+    def test_mixture_moments_reject_mismatched_weights(self):
+        mm = mv = np.ones((2, 4))
         with pytest.raises(ValueError, match="weights"):
-            mixture_predict_batch(np.ones(3) / 3, factors, [Phi, Phi])
+            mixture_moments(np.ones(3) / 3, mm, mv)
+        with pytest.raises(ValueError, match="weights"):
+            mixture_moments(np.ones(2) / 2, mm, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="weights"):
+            mixture_moments(np.ones(1), np.ones(4), np.ones(4))

@@ -16,7 +16,7 @@ from gossipgp import (
     factorize,
     feature_matrix,
     init_ensemble,
-    mixture_predict_batch,
+    mixture_moments,
     predict_batch,
     robust_increment,
     standardized_residuals,
@@ -34,6 +34,16 @@ from gossipgp.harness.runner import (
 )
 from gossipgp.harness.streams import StreamBatch, write_synthetic_weather_csv
 from gossipgp.info_filter import _unpack
+
+
+def member_moments(agent, Phis):
+    """The (M, n) member means and variances of an ensemble state at Phis.
+
+    As the runner's evaluation forms them: predict_batch member by member,
+    before mixture_moments combines them.
+    """
+    return np.array([predict_batch(factorize(model), Phi)
+                     for model, Phi in zip(agent.models, Phis)]).swapaxes(0, 1)
 
 
 def make_config(**overrides):
@@ -319,11 +329,8 @@ class TestEvalModes:
             batch = stream.batches[r.t][r.agent_id]
             X_k, y_k = batch.X, batch.y
             w = ensemble_weights(agent)
-            mean, _, mm, mv = mixture_predict_batch(
-                w,
-                [factorize(model) for model in agent.models],
-                [features_at(fm, X_k, r.t) for fm in res.feature_maps],
-            )
+            mm, mv = member_moments(agent, [features_at(fm, X_k, r.t) for fm in res.feature_maps])
+            mean, _ = mixture_moments(w, mm, mv)
             assert r.rmse == pytest.approx(rmse(mean, y_k), rel=1e-12, abs=0)
             assert r.npll == pytest.approx(npll(mm, mv, y_k, weights=w), rel=1e-12, abs=0)
 
@@ -454,10 +461,9 @@ class TestEvalModes:
         for r in res.records:
             agent, y = res.snapshots[r.t][r.agent_id], res.stream.eval_truth[r.t]
             w = ensemble_weights(agent)
-            mean, _, mm, mv = mixture_predict_batch(
-                w, [factorize(model) for model in agent.models],
-                [features_at(fm, X_eval, r.t) for fm in res.feature_maps],
-            )
+            mm, mv = member_moments(agent, [features_at(fm, X_eval, r.t)
+                                            for fm in res.feature_maps])
+            mean, _ = mixture_moments(w, mm, mv)
             assert r.rmse == pytest.approx(rmse(mean, y), rel=1e-12, abs=0)
             assert r.npll == pytest.approx(npll(mm, mv, y, weights=w), rel=1e-12, abs=0)
 
