@@ -43,6 +43,7 @@ whose mixture weights follow the evidence, compares the evidence too.
 from __future__ import annotations
 
 import copy
+import io
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -59,14 +60,7 @@ from ..ensemble import (
     mixture_moments,
 )
 from ..features import feature_matrix
-from ..info_filter import (
-    InfoState,
-    _read_state,
-    factorize,
-    posterior_root,
-    predict_batch,
-    save_state,
-)
+from ..info_filter import InfoState, factorize, posterior_root, predict_batch
 from ..robust import robust_increment, standardized_residuals, weights_for
 from .config import GridFileSource, Scenario, SyntheticSource
 from .metrics import MetricsRecord, _add_w2, _negligible, _sq_frobenius, npll, rmse
@@ -83,6 +77,8 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"GGPSNAP1"
+_BLOCK_MAGIC = b"GGPIF002"
+_BLOCK_HEADER = struct.Struct("<Idd")  # dim, obs_variance, prior_variance
 
 
 class RunError(RuntimeError):
@@ -410,12 +406,19 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets, 
 
 
 def save_snapshot(path, states: list[InfoState]) -> None:
-    """Write one agent's per-member states as a single binary snapshot."""
+    """Write one agent's per-member states as a single binary snapshot.
+
+    Little-endian: SNAPSHOT_MAGIC and a uint32 member count, then per state
+    a block of _BLOCK_MAGIC, uint32 dim, float64 obs_variance and
+    prior_variance, D packed as the state holds it (dim(dim+1)/2 float64)
+    and eta (dim float64).
+    """
     with open(path, "wb") as fp:
-        fp.write(SNAPSHOT_MAGIC)
-        fp.write(struct.pack("<I", len(states)))
+        fp.write(SNAPSHOT_MAGIC + struct.pack("<I", len(states)))
         for state in states:
-            save_state(state, fp)
+            fp.write(_BLOCK_MAGIC)
+            fp.write(_BLOCK_HEADER.pack(state.dim, state.obs_variance, state.prior_variance))
+            fp.write(np.concatenate([state.D, state.eta], dtype="<f8").tobytes())
 
 
 def load_snapshot(path) -> list[InfoState]:
@@ -424,11 +427,38 @@ def load_snapshot(path) -> list[InfoState]:
         magic = fp.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        raw = fp.read(4)
-        if len(raw) != 4:
-            raise ValueError("truncated snapshot: the member count is missing")
-        (count,) = struct.unpack("<I", raw)
-        states = [_read_state(fp) for _ in range(count)]
+        (count,) = struct.unpack("<I", _read_exact(fp, 4, "the member count"))
+        states = [_read_block(fp) for _ in range(count)]
         if fp.read(1):
             raise ValueError(f"trailing data after the {count} snapshot states")
     return states
+
+
+def _read_block(fp) -> InfoState:
+    """Read and validate one state block, leaving fp just past it."""
+    magic = fp.read(len(_BLOCK_MAGIC))
+    if magic != _BLOCK_MAGIC:
+        raise ValueError(f"bad snapshot magic {magic!r}, expected {_BLOCK_MAGIC!r}")
+    dim, obs_variance, prior_variance = _BLOCK_HEADER.unpack(
+        _read_exact(fp, _BLOCK_HEADER.size, "state header")
+    )
+    packed = dim * (dim + 1) // 2
+    body = np.frombuffer(_read_exact(fp, 8 * (packed + dim), f"state of dim {dim}"), dtype="<f8")
+    if not (np.all(np.isfinite(body)) and np.isfinite(obs_variance)
+            and np.isfinite(prior_variance)):
+        raise ValueError(f"snapshot state of dim {dim} holds non-finite values")
+    return InfoState(D=body[:packed].astype(float), eta=body[packed:].astype(float),
+                     obs_variance=obs_variance, prior_variance=prior_variance)
+
+
+def _read_exact(fp, n: int, what: str) -> bytes:
+    """Read exactly n bytes, checking first that the stream holds them.
+
+    A corrupt length field is thus reported before any buffer is requested.
+    """
+    here = fp.tell()
+    left = fp.seek(0, io.SEEK_END) - here
+    fp.seek(here)
+    if left < n:
+        raise ValueError(f"truncated snapshot: {what} needs {n} bytes, only {left} remain")
+    return fp.read(n)

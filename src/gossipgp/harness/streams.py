@@ -118,12 +118,7 @@ def load_grid_dataset(path, K: int) -> Stream:
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    lines = _grid_lines(path)
-    lat, lon, t_raw, val = _read_grid_rows(lines)
-    # The parse skips empty lines only, so where they are places each row on
-    # its file line for the error below; the lines themselves are let go.
-    empty = [i for i, line in enumerate(lines) if not line] if "" in lines else []
-    del lines
+    lat, lon, t_raw, val = _read_grid_rows(path)
 
     rows, cols = _grid_shape(K)
     uniq_lat = np.unique(lat)
@@ -156,10 +151,10 @@ def load_grid_dataset(path, K: int) -> Stream:
     twice = np.flatnonzero((t_raw[1:] == t_raw[:-1]) & np.all(X[1:] == X[:-1], axis=1))
     if twice.size:
         first, second = order[twice[0]], order[twice[0] + 1]
+        lines = [line for i, (line, _) in enumerate(_grid_rows(path)) if i in (first, second)]
         raise GridParseError(
-            f"lines {_file_line(first, empty)} and {_file_line(second, empty)}: site "
-            f"({float(lat[first])!r}, {float(lon[first])!r}) is listed twice in epoch "
-            f"{int(t_raw[twice[0]])}"
+            f"lines {lines[0]} and {lines[1]}: site ({float(lat[first])!r}, "
+            f"{float(lon[first])!r}) is listed twice in epoch {int(t_raw[twice[0]])}"
         )
     epochs, starts = np.unique(t_raw, return_index=True)
     epochs = tuple(int(e) for e in epochs)
@@ -180,53 +175,49 @@ def load_grid_dataset(path, K: int) -> Stream:
     )
 
 
-def _grid_lines(path) -> list[str]:
-    """The lines of the grid file at path."""
-    with open(path, "r", newline="") as fp:
-        return fp.read().splitlines()
+def _grid_rows(path):
+    """(file line, fields) of each non-empty line after the header of the grid file at path.
+
+    These are the rows the parse reads; re-reading the file this way runs
+    only after a failure, to name its file lines.
+    """
+    with open(path) as fp:
+        reader = csv.reader(fp)
+        next(reader, None)
+        yield from ((reader.line_num, row) for row in reader if row)
 
 
-def _file_line(row: int, empty: list[int]) -> int:
-    """The file line of data row `row`, given the 0-based indexes of the empty lines."""
-    line = row + 2  # the header is line 1
-    for i in empty:
-        if i >= line:
-            break
-        line += 1
-    return line
-
-
-def _read_grid_rows(lines):
-    """The lat, lon, t and value columns of a grid file's lines."""
-    header = next(csv.reader(lines[:1]), None)
-    if header is None or tuple(h.strip() for h in header) != GRID_HEADER:
-        raise GridParseError(
-            f"expected header {','.join(GRID_HEADER)!r}, got {header!r}"
-        )
-    if not any(map(str.strip, lines[1:])):
-        raise GridParseError("grid file contains no data rows")
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", quotechar='"', comments=None, ndmin=2)
-        if data.shape[1] != len(GRID_HEADER):
-            raise ValueError(f"rows have {data.shape[1]} fields")
-        lat, lon, t, val = data.T
-        if not (np.all(np.isfinite(data)) and np.all(t == np.trunc(t))):
-            raise ValueError("fields must be finite and time an integer epoch")
-    except ValueError as exc:
-        raise _parse_error(lines, exc) from None
+def _read_grid_rows(path):
+    """The lat, lon, t and value columns of the grid file at path."""
+    with open(path) as fp:
+        header = next(csv.reader([fp.readline()]))
+        if tuple(h.strip() for h in header) != GRID_HEADER:
+            raise GridParseError(
+                f"expected header {','.join(GRID_HEADER)!r}, got {header!r}"
+            )
+        start = fp.tell()
+        if not any(line.strip() for line in iter(fp.readline, "")):
+            raise GridParseError("grid file contains no data rows")
+        fp.seek(start)
+        try:
+            data = np.loadtxt(fp, delimiter=",", quotechar='"', comments=None, ndmin=2)
+            if data.shape[1] != len(GRID_HEADER):
+                raise ValueError(f"rows have {data.shape[1]} fields")
+            lat, lon, t, val = data.T
+            if not (np.all(np.isfinite(data)) and np.all(t == np.trunc(t))):
+                raise ValueError("fields must be finite and time an integer epoch")
+        except ValueError as exc:
+            raise _parse_error(path, exc) from None
     return lat, lon, t.astype(int), val
 
 
-def _parse_error(lines, exc) -> GridParseError:
+def _parse_error(path, exc) -> GridParseError:
     """The error naming the first data line that is not four finite numbers with an integer epoch.
 
     This re-scan runs only after the parse of the whole body failed with exc;
     that error is reported when no single line is at fault.
     """
-    reader = csv.reader(lines[1:])
-    for row in reader:
-        if not row:
-            continue
+    for line, row in _grid_rows(path):
         try:
             if len(row) != len(GRID_HEADER):
                 raise ValueError(f"expected {len(GRID_HEADER)} fields, got {len(row)}")
@@ -237,9 +228,7 @@ def _parse_error(lines, exc) -> GridParseError:
                 if not np.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value!r}")
         except ValueError as err:
-            return GridParseError(
-                f"line {reader.line_num + 1}: cannot parse row {row!r}: {err}"
-            )
+            return GridParseError(f"line {line}: cannot parse row {row!r}: {err}")
     return GridParseError(f"cannot parse the grid rows: {exc}")
 
 

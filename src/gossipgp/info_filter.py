@@ -19,20 +19,11 @@ D = L L^T (factorize): the predictive variance at phi is |L^-1 phi|^2 plus
 the noise variance, and the root of Sigma is B = L^-1. A prediction at N
 points forms Z = L^-1 Phi by a triangular solve when N < n, and as B Phi, a
 triangular product after one inversion (posterior_root), when N >= n.
-
-Snapshot serialization (see save_state/load_state): little-endian binary,
-magic b"GGPIF001", uint32 dim, float64 obs_variance, float64 prior_variance,
-then the full D row-major (dim*dim float64) and eta (dim float64). Loading
-rejects short data, non-finite values, an asymmetric D and trailing bytes
-with a ValueError that names the cause, then packs D.
 """
 from __future__ import annotations
 
 import functools
-import io
-import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO
 
 import numpy as np
 import scipy.linalg
@@ -49,12 +40,7 @@ __all__ = [
     "factorize",
     "posterior_root",
     "predict_batch",
-    "save_state",
-    "load_state",
 ]
-
-STATE_MAGIC = b"GGPIF001"
-_STATE_HEADER = struct.Struct("<Idd")  # dim, obs_variance, prior_variance
 
 # Relative jitter added once if the Cholesky factorization fails.
 _JITTER_SCALE = 1e-10
@@ -84,12 +70,6 @@ def _packed_layout(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _lower(D: np.ndarray, dim: int) -> np.ndarray:
     """A fresh Fortran-ordered dim x dim array whose lower triangle is the packed D."""
     return lapack.dtpttr(dim, D, uplo="L")[0]
-
-
-def _unpack(D: np.ndarray, dim: int) -> np.ndarray:
-    """The full symmetric dim x dim matrix of the packed D."""
-    A = _lower(D, dim)
-    return np.where(_strict_upper(dim), A.T, A)
 
 
 @dataclass
@@ -240,57 +220,3 @@ def predict_batch(
     if not np.all(np.isfinite(variances)):
         raise NumericalDegeneracyError("predictive variance overflows")
     return means, variances
-
-
-def save_state(state: InfoState, fp: BinaryIO) -> None:
-    """Write the binary snapshot of one InfoState (layout in module docstring)."""
-    fp.write(STATE_MAGIC)
-    fp.write(_STATE_HEADER.pack(state.dim, state.obs_variance, state.prior_variance))
-    fp.write(np.ascontiguousarray(_unpack(state.D, state.dim), dtype="<f8").tobytes())
-    fp.write(np.ascontiguousarray(state.eta, dtype="<f8").tobytes())
-
-
-def load_state(fp: BinaryIO) -> InfoState:
-    """Read one InfoState snapshot written by save_state; nothing may follow it."""
-    state = _read_state(fp)
-    if fp.read(1):
-        raise ValueError("trailing data after the snapshot state")
-    return state
-
-
-def _read_state(fp: BinaryIO) -> InfoState:
-    """Read and validate one state block, leaving fp just past it."""
-    magic = fp.read(len(STATE_MAGIC))
-    if magic != STATE_MAGIC:
-        raise ValueError(f"bad snapshot magic {magic!r}, expected {STATE_MAGIC!r}")
-    dim, obs_variance, prior_variance = _STATE_HEADER.unpack(
-        _read_exact(fp, _STATE_HEADER.size, "state header")
-    )
-    body = np.frombuffer(
-        _read_exact(fp, 8 * dim * (dim + 1), f"state of dim {dim}"), dtype="<f8"
-    )
-    if not (np.all(np.isfinite(body)) and np.isfinite(obs_variance)
-            and np.isfinite(prior_variance)):
-        raise ValueError(f"snapshot state of dim {dim} holds non-finite values")
-    D = body[: dim * dim].reshape(dim, dim).astype(float)
-    if not np.array_equal(D, D.T):
-        raise ValueError(f"snapshot state of dim {dim} has an asymmetric D")
-    return InfoState(
-        D=D.ravel()[_packed_layout(dim)[0]],
-        eta=body[dim * dim :].astype(float),
-        obs_variance=obs_variance,
-        prior_variance=prior_variance,
-    )
-
-
-def _read_exact(fp: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly n bytes, checking first that the stream holds them.
-
-    A corrupt length field is thus reported before any buffer is requested.
-    """
-    here = fp.tell()
-    left = fp.seek(0, io.SEEK_END) - here
-    fp.seek(here)
-    if left < n:
-        raise ValueError(f"truncated snapshot: {what} needs {n} bytes, only {left} remain")
-    return fp.read(n)

@@ -20,3 +20,10 @@ def features_at():
         return Phi / np.sqrt(fm.num_features)
 
     return featurize
+
+
+def unpack(D, dim):
+    """The full symmetric dim x dim matrix of a packed D, its row-major upper triangle."""
+    A = np.zeros((dim, dim))
+    A[np.triu_indices(dim)] = D
+    return np.where(np.tri(dim, dtype=bool), A.T, A)

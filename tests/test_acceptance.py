@@ -8,13 +8,15 @@ import time
 import numpy as np
 
 from gossipgp.features import KernelSpec, feature_matrix, sample_frequencies
-from gossipgp.info_filter import _unpack, apply_increment, prior_state
+from gossipgp.info_filter import apply_increment, prior_state
 from gossipgp.robust import hampel_weight, huber_weight, robust_increment
 from gossipgp.harness.cli import main
 from gossipgp.harness.config import scenario_from_dict
 from gossipgp.harness.metrics import write_metrics_csv
 from gossipgp.harness.runner import run_scenario
 from gossipgp.harness.streams import write_synthetic_weather_csv
+
+from conftest import unpack
 
 
 def report(name, ok, detail):
@@ -51,7 +53,7 @@ def test_online_updates_match_batch_posterior():
         Phi_all = feature_matrix(fm, X)
         D_direct = Phi_all @ Phi_all.T / spec.obs_variance + np.eye(2 * J)
         eta_direct = Phi_all @ y / spec.obs_variance
-        worst = max(worst, rel_fro(_unpack(state.D, 2 * J), D_direct),
+        worst = max(worst, rel_fro(unpack(state.D, 2 * J), D_direct),
                     rel_fro(state.eta, eta_direct))
     elapsed = time.perf_counter() - t0
     report("online updates match the pooled-batch posterior",
@@ -106,8 +108,8 @@ def test_complete_graph_round_matches_fusion_center():
         *agents, oracle_state = snap
         oracle = oracle_state.models[0]
         for agent in agents:
-            worst = max(worst, rel_fro(_unpack(agent.models[0].D, oracle.dim),
-                                       _unpack(oracle.D, oracle.dim)),
+            worst = max(worst, rel_fro(unpack(agent.models[0].D, oracle.dim),
+                                       unpack(oracle.D, oracle.dim)),
                         rel_fro(agent.models[0].eta, oracle.eta))
     elapsed = time.perf_counter() - t0
     report("one complete-graph round reproduces the fusion-center posterior",

@@ -12,7 +12,8 @@ from gossipgp import (
     metropolis_weights,
     robust_increment,
 )
-from gossipgp.info_filter import _unpack
+
+from conftest import unpack
 
 
 class TestBuildTopology:
@@ -278,6 +279,6 @@ class TestGossipInvariants:
 
         # W^L has nonnegative entries, so each mixed P, unpacked, stays PSD.
         for packed in out[:, :, :T].reshape(K * M, T):
-            Pk = _unpack(packed, n)
+            Pk = unpack(packed, n)
             smallest = np.linalg.eigvalsh(Pk)[0]
             assert smallest >= -1e-12 * np.trace(Pk)

@@ -18,7 +18,9 @@ from gossipgp import (
     sample_frequencies,
 )
 from gossipgp.dynamics import _MIN_UI_NU, MODES
-from gossipgp.info_filter import _packed_layout, _unpack
+from gossipgp.info_filter import _packed_layout
+
+from conftest import unpack
 
 
 def pack(A):
@@ -101,7 +103,7 @@ class TestApplyForgetting:
         state, spec = fitted_state(prior_variance=2.0)
         nu = 0.7
         out = forgotten(state, DynamicsConfig(mode="b2p", nu=nu))
-        full = _unpack(state.D, state.dim)
+        full = unpack(state.D, state.dim)
         expected_D = pack(nu * full + ((1.0 - nu) / 2.0) * np.eye(state.dim))
         assert np.array_equal(out.D, expected_D)
         assert np.array_equal(out.eta, nu * state.eta)
@@ -149,7 +151,7 @@ class TestApplyForgetting:
         cfg = DynamicsConfig(mode="b2p", nu=0.5)
         assert apply_forgetting(D, eta, state.prior_variance, cfg) is None
         assert state.D is D and state.eta is eta
-        expected = 0.5 * _unpack(D0, 6) + (0.5 / state.prior_variance) * np.eye(6)
+        expected = 0.5 * unpack(D0, 6) + (0.5 / state.prior_variance) * np.eye(6)
         assert np.array_equal(D, pack(expected))
         assert np.array_equal(eta, 0.5 * eta0)
 
@@ -172,7 +174,7 @@ class TestTimeAugmentation:
         G = turn_matrix(angles)
         D, eta = state.D.copy(), state.eta.copy()
         assert rotate(D, eta, angles) is None
-        assert np.allclose(_unpack(D, 6), G @ _unpack(state.D, 6) @ G.T, rtol=0, atol=1e-13)
+        assert np.allclose(unpack(D, 6), G @ unpack(state.D, 6) @ G.T, rtol=0, atol=1e-13)
         assert np.allclose(eta, G @ state.eta, rtol=0, atol=1e-14)
 
     def test_matrix_form(self):

@@ -1,6 +1,7 @@
 """Information-filter tests against brute-force Bayesian linear regression."""
-import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,16 +18,16 @@ from gossipgp import (
     apply_increment,
     factorize,
     feature_matrix,
-    load_state,
     posterior_root,
     predict_batch,
     prior_state,
     robust_increment,
     sample_frequencies,
-    save_state,
 )
 from gossipgp.harness.runner import load_snapshot, save_snapshot
-from gossipgp.info_filter import _packed_layout, _unpack
+from gossipgp.info_filter import _lower, _packed_layout
+
+from conftest import unpack
 
 
 def pack(A):
@@ -70,13 +71,13 @@ class TestPriorState:
         spec = KernelSpec(spatial_lengthscales=(1.0,), prior_variance=1.0)
         state = prior_state(spec, J=1)
         assert np.array_equal(state.D, [1.0, 0.0, 1.0])
-        assert np.array_equal(_unpack(state.D, 2), np.eye(2))
+        assert np.array_equal(unpack(state.D, 2), np.eye(2))
         assert np.array_equal(state.eta, np.zeros(2))
 
     def test_prior_variance_25(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,), prior_variance=25.0)
         state = prior_state(spec, J=2)
-        assert np.array_equal(_unpack(state.D, 4), 0.04 * np.eye(4))
+        assert np.array_equal(unpack(state.D, 4), 0.04 * np.eye(4))
 
     def test_prior_moments(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,), prior_variance=7.5)
@@ -106,7 +107,7 @@ class TestComputeIncrement:
         assert np.array_equal(Phi, np.array([[0.0], [1.0]]))
         P, s = increment(Phi, np.array([2.0]), obs_variance=0.5)
         assert np.array_equal(P, np.array([0.0, 0.0, 2.0]))
-        assert np.array_equal(_unpack(P, 2), np.array([[0.0, 0.0], [0.0, 2.0]]))
+        assert np.array_equal(unpack(P, 2), np.array([[0.0, 0.0], [0.0, 2.0]]))
         assert np.array_equal(s, np.array([0.0, 4.0]))
 
     def test_batch_equals_sum_of_singles(self):
@@ -133,7 +134,7 @@ class TestComputeIncrement:
         Phi = feature_matrix(fm, X)
         P, _ = increment(Phi, np.ones(10), 0.3)
         assert P.shape == (55,)
-        np.testing.assert_allclose(_unpack(P, 10), Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(unpack(P, 10), Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
 
 
 class TestApplyIncrement:
@@ -173,7 +174,7 @@ class TestApplyIncrement:
         y = np.concatenate(all_y)
         _, _, D_direct = brute_force_posterior(Phi, y, 0.3, spec.prior_variance)
         eta_direct = Phi @ y / 0.3
-        D = _unpack(state.D, 12)
+        D = unpack(state.D, 12)
         assert np.linalg.norm(D - D_direct) <= 1e-10 * np.linalg.norm(D_direct)
         assert np.linalg.norm(state.eta - eta_direct) <= 1e-10 * np.linalg.norm(eta_direct)
 
@@ -249,7 +250,7 @@ class TestPosteriorMoments:
         y = rng.standard_normal(20)
         state = fitted(spec, 5, feature_matrix(fm, X), y, 0.2)
         mu, _ = posterior_root(factorize(state))
-        residual = np.linalg.norm(_unpack(state.D, 10) @ mu - state.eta)
+        residual = np.linalg.norm(unpack(state.D, 10) @ mu - state.eta)
         assert residual <= 1e-10 * np.linalg.norm(state.eta)
 
     def test_degenerate_matrix_raises_with_eigenvalue(self):
@@ -266,7 +267,7 @@ class TestPosteriorMoments:
         state = fitted(spec, 6, feature_matrix(fm, X), y, 0.2)
         factor = factorize(state)
         _, B = posterior_root(factor)
-        D = _unpack(state.D, 12)
+        D = unpack(state.D, 12)
         assert np.array_equal(B, np.tril(B))
         assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T, D, rtol=1e-12, atol=1e-12)
         assert np.allclose(B @ D @ B.T, np.eye(12), atol=1e-10)
@@ -348,7 +349,7 @@ class TestPredict:
         single = [predict_batch(factor, Phi[:, i : i + 1]) for i in range(N)]
         assert np.allclose(means, [m[0] for m, _ in single], rtol=1e-12, atol=0)
         assert np.allclose(variances, [v[0] for _, v in single], rtol=1e-12, atol=0)
-        Sigma = np.linalg.inv(_unpack(state.D, 8))
+        Sigma = np.linalg.inv(unpack(state.D, 8))
         direct = np.einsum("jn,jk,kn->n", Phi, Sigma, Phi) + 0.1
         assert np.allclose(variances, direct, rtol=1e-10, atol=0)
 
@@ -372,7 +373,7 @@ class TestPredict:
         state = prior_state(spec, J=2)
         state.D = pack(np.diag([1.0, 1.0, 1.0, 0.0]))
         factor = factorize(state)
-        jittered = _unpack(state.D, 4) + 1e-10 * 0.75 * np.eye(4)
+        jittered = unpack(state.D, 4) + 1e-10 * 0.75 * np.eye(4)
         assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T, jittered,
                            rtol=0, atol=1e-15)
         Phi = feature_matrix(fm, np.array([[0.3], [-0.8]]))
@@ -401,16 +402,16 @@ class TestJitter:
 
 
 class TestSerialization:
-    def test_round_trip_bitwise(self):
+    """The state blocks of a snapshot file, written and read by the runner."""
+
+    def test_round_trip_bitwise(self, tmp_path):
         spec, fm = make_model(J=4, d=2, prior_variance=2.0, obs_variance=0.3)
         rng = np.random.default_rng(7)
         X = rng.uniform(size=(9, 2))
         y = rng.standard_normal(9)
         state = fitted(spec, 4, feature_matrix(fm, X), y, 0.3)
-        buf = io.BytesIO()
-        save_state(state, buf)
-        buf.seek(0)
-        loaded = load_state(buf)
+        save_snapshot(tmp_path / "state.bin", [state])
+        (loaded,) = load_snapshot(tmp_path / "state.bin")
         assert np.array_equal(loaded.D, state.D)
         assert np.array_equal(loaded.eta, state.eta)
         assert loaded.obs_variance == state.obs_variance
@@ -418,49 +419,41 @@ class TestSerialization:
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
-            load_state(io.BytesIO(b"NOTMAGIC" + b"\x00" * 64))
+            load_bytes(snapshot_bytes()[:12] + b"NOTMAGIC" + b"\x00" * 64)
 
     def test_short_header_rejected(self):
-        data = state_bytes()
         with pytest.raises(ValueError, match="state header"):
-            load_state(io.BytesIO(data[:14]))
+            load_bytes(snapshot_bytes()[:26])
 
     def test_corrupt_dim_rejected_without_reading_it(self):
-        # dim 2^32 - 1 implies ~1.5e20 bytes; the loader must report the
+        # dim 2^32 - 1 implies ~7e19 bytes; the loader must report the
         # shortfall instead of requesting that much memory.
-        data = bytearray(state_bytes())
-        data[8:12] = b"\xff\xff\xff\xff"
+        data = bytearray(snapshot_bytes())
+        data[20:24] = b"\xff\xff\xff\xff"
         with pytest.raises(ValueError, match="truncated"):
-            load_state(io.BytesIO(bytes(data)))
+            load_bytes(bytes(data))
 
     def test_non_finite_rejected(self):
         state = fitted_state()
         state.D[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            load_state(io.BytesIO(state_bytes(state)))
+            load_bytes(snapshot_bytes(state))
         state = fitted_state()
         state.eta[1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            load_state(io.BytesIO(state_bytes(state)))
+            load_bytes(snapshot_bytes(state))
 
-    def test_asymmetric_d_rejected(self):
-        # A packed state cannot be asymmetric, so D[0, 1] is changed in the bytes.
-        raw = bytearray(state_bytes())
-        at = 8 + 20 + 8 * 1
-        (d01,) = struct.unpack_from("<d", raw, at)
-        struct.pack_into("<d", raw, at, d01 + 1e-3)
-        with pytest.raises(ValueError, match="asymmetric"):
-            load_state(io.BytesIO(bytes(raw)))
-
-    def test_snapshot_layout_holds_the_full_row_major_d(self, tmp_path):
-        # The GGPIF001 block of a packed state is the one built by hand with
-        # the full row-major D, and a snapshot file built from such blocks
-        # loads back to the same packed states, bit for bit.
+    def test_snapshot_layout_holds_the_packed_d(self, tmp_path):
+        # A snapshot file is the one built by hand: the GGPSNAP1 container,
+        # then each state's GGPIF002 block with D packed column by column
+        # (column j holds D[j:, j]), and it loads back to the same packed
+        # states, bit for bit.
         state = fitted_state()
-        D = _unpack(state.D, 4)
-        block = (b"GGPIF001" + struct.pack("<Idd", 4, state.obs_variance, state.prior_variance)
-                 + D.astype("<f8").tobytes() + state.eta.astype("<f8").tobytes())
-        assert state_bytes(state) == block
+        D = unpack(state.D, 4)
+        block = (b"GGPIF002" + struct.pack("<Idd", 4, state.obs_variance, state.prior_variance)
+                 + np.concatenate([D[j:, j] for j in range(4)]).astype("<f8").tobytes()
+                 + state.eta.astype("<f8").tobytes())
+        assert len(block) == 8 + 20 + 8 * (10 + 4)
         path = tmp_path / "hand.bin"
         path.write_bytes(b"GGPSNAP1" + struct.pack("<I", 2) + block + block)
         loaded = load_snapshot(path)
@@ -468,25 +461,36 @@ class TestSerialization:
         for got in loaded:
             assert got.D.tobytes() == state.D.tobytes()
             assert got.eta.tobytes() == state.eta.tobytes()
-        save_snapshot(tmp_path / "again.bin", loaded)
+        save_snapshot(tmp_path / "again.bin", [state, state])
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_full_matrix_blocks_of_ggpif001_rejected(self, tmp_path):
+        # The earlier block format held the full row-major D under the magic
+        # GGPIF001; such a file is refused, not read as packed states.
+        state = fitted_state()
+        block = (b"GGPIF001" + struct.pack("<Idd", 4, state.obs_variance, state.prior_variance)
+                 + unpack(state.D, 4).astype("<f8").tobytes() + state.eta.astype("<f8").tobytes())
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"GGPSNAP1" + struct.pack("<I", 1) + block)
+        with pytest.raises(ValueError, match="magic b'GGPIF001'"):
+            load_snapshot(path)
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ValueError, match="trailing"):
-            load_state(io.BytesIO(state_bytes() + b"\x00"))
+            load_bytes(snapshot_bytes() + b"\x00")
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_truncation_and_bit_flips_fail_only_with_value_error(self, data):
-        raw = state_bytes()
+        raw = snapshot_bytes()
         cut = data.draw(st.integers(0, len(raw) - 1))
         with pytest.raises(ValueError):
-            load_state(io.BytesIO(raw[:cut]))
+            load_bytes(raw[:cut])
         flipped = bytearray(raw)
         bit = data.draw(st.integers(0, 8 * len(raw) - 1))
         flipped[bit // 8] ^= 1 << (bit % 8)
         try:
-            load_state(io.BytesIO(bytes(flipped)))
+            load_bytes(bytes(flipped))
         except ValueError:
             pass
 
@@ -498,10 +502,20 @@ def fitted_state():
     return fitted(spec, 2, Phi, np.ones(5), 0.3)
 
 
-def state_bytes(state=None):
-    buf = io.BytesIO()
-    save_state(fitted_state() if state is None else state, buf)
-    return buf.getvalue()
+def snapshot_bytes(state=None):
+    """The snapshot file of one state: a 12-byte container header, then its block."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.bin"
+        save_snapshot(path, [fitted_state() if state is None else state])
+        return path.read_bytes()
+
+
+def load_bytes(raw):
+    """load_snapshot of a file holding raw."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.bin"
+        path.write_bytes(raw)
+        return load_snapshot(path)
 
 
 class TestPackedLayout:
@@ -510,13 +524,15 @@ class TestPackedLayout:
         lambda n: arrays(np.float64, (n, n), elements=st.floats(allow_nan=False))))
     def test_round_trip(self, B):
         # Any symmetric A, signed zeros and infinities included: unpacking its
-        # packed triangle gives A back bit for bit, the packing is LAPACK's
-        # 'L' layout, and the packed diagonal offsets pick exactly diag(A).
+        # packed triangle gives A back bit for bit, and factorize's unpacking
+        # its lower triangle; the packing is LAPACK's 'L' layout, and the
+        # packed diagonal offsets pick exactly diag(A).
         n = len(B)
         A = np.where(np.tri(n, dtype=bool), B, B.T)
         packed = pack(A)
         assert packed.shape == (n * (n + 1) // 2,)
-        assert _unpack(packed, n).tobytes() == A.tobytes()
+        assert unpack(packed, n).tobytes() == A.tobytes()
+        assert np.tril(_lower(packed, n)).tobytes() == np.tril(A).tobytes()
         assert lapack.dtrttp(A, uplo="L")[0].tobytes() == packed.tobytes()
         assert packed[_packed_layout(n)[1]].tobytes() == np.diag(A).tobytes()
 

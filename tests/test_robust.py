@@ -19,7 +19,8 @@ from gossipgp import (
     standardized_residuals,
     weights_for,
 )
-from gossipgp.info_filter import _unpack
+
+from conftest import unpack
 
 
 class TestHuberWeight:
@@ -215,7 +216,7 @@ class TestRobustIncrement:
         Phi = feature_matrix(fm, X)
         P, s = robust_increment(Phi, y, np.ones(6), 0.3)
         assert P.shape == (36,)
-        assert np.allclose(_unpack(P, 8), Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
+        assert np.allclose(unpack(P, 8), Phi @ Phi.T / 0.3, rtol=1e-14, atol=1e-15)
         assert np.allclose(s, Phi @ y / 0.3, rtol=1e-14, atol=1e-15)
 
     def test_zero_weight_deletes_observation(self):
@@ -239,7 +240,7 @@ class TestRobustIncrement:
         w = np.array([1.0, 0.5])
         P, s = robust_increment(Phi, y, w, obs_variance=0.5)
         W = np.diag(w)
-        assert np.allclose(_unpack(P, 2), Phi @ W @ Phi.T / 0.5, atol=1e-15)
+        assert np.allclose(unpack(P, 2), Phi @ W @ Phi.T / 0.5, atol=1e-15)
         assert np.allclose(s, Phi @ W @ y / 0.5, atol=1e-15)
         # P is the Gram of Phi W^1/2, and sqrt(0.5)^2 rounds one ulp above
         # 0.5; s takes the weights themselves and stays exact. Packed, P is
@@ -256,8 +257,8 @@ class TestRobustIncrement:
         full_P, _ = robust_increment(Phi, y, np.ones(5), 0.1)
         half_P, _ = robust_increment(Phi, y, np.full(5, 0.5), 0.1)
         # trace measures total added information
-        assert np.trace(_unpack(half_P, 6)) == pytest.approx(
-            0.5 * np.trace(_unpack(full_P, 6)), rel=1e-12)
+        assert np.trace(unpack(half_P, 6)) == pytest.approx(
+            0.5 * np.trace(unpack(full_P, 6)), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 60), st.integers(1, 30), st.integers(0, 2**32 - 1))
@@ -272,7 +273,7 @@ class TestRobustIncrement:
         Phi_ld = Phi.astype(np.longdouble)
         want = (np.einsum("in,jn,n->ij", Phi_ld, Phi_ld, w.astype(np.longdouble))
                 / np.longdouble(0.3)).astype(float)
-        np.testing.assert_allclose(_unpack(P, n), want, rtol=1e-14,
+        np.testing.assert_allclose(unpack(P, n), want, rtol=1e-14,
                                    atol=1e-14 * np.diag(want).max())
 
     def test_out_writes_into_message_slices(self):
@@ -328,5 +329,5 @@ class TestRobustIncrement:
         apply_increment(state.D, state.eta, *robust_increment(Phi, y, w, 0.3))
         D_direct = Phi @ np.diag(w) @ Phi.T / 0.3 + np.eye(8) / 2.0
         eta_direct = Phi @ np.diag(w) @ y / 0.3
-        assert np.allclose(_unpack(state.D, 8), D_direct, atol=1e-12)
+        assert np.allclose(unpack(state.D, 8), D_direct, atol=1e-12)
         assert np.allclose(state.eta, eta_direct, atol=1e-12)

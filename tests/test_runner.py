@@ -33,7 +33,8 @@ from gossipgp.harness.runner import (
     save_snapshot,
 )
 from gossipgp.harness.streams import StreamBatch, write_synthetic_weather_csv
-from gossipgp.info_filter import _unpack
+
+from conftest import unpack
 
 
 def member_moments(agent, Phis):
@@ -152,8 +153,8 @@ class TestCompleteGraphExactness:
             for agent in agents:
                 for m in range(2):
                     dim = oracle.models[m].dim
-                    assert rel_fro(_unpack(agent.models[m].D, dim),
-                                   _unpack(oracle.models[m].D, dim)) <= 1e-10
+                    assert rel_fro(unpack(agent.models[m].D, dim),
+                                   unpack(oracle.models[m].D, dim)) <= 1e-10
                     assert rel_fro(agent.models[m].eta, oracle.models[m].eta) <= 1e-10
                 assert np.allclose(agent.log_evidence, oracle.log_evidence,
                                    rtol=1e-10, atol=1e-12)
@@ -1093,7 +1094,7 @@ class TestTimedKernel:
                     res.snapshots[t] if t == 1 else [])
                 for state in states:
                     got = state.models[m]
-                    assert np.allclose(_unpack(got.D, n), D, rtol=1e-9,
+                    assert np.allclose(unpack(got.D, n), D, rtol=1e-9,
                                        atol=1e-9 * np.abs(D).max())
                     assert np.allclose(got.eta, eta, rtol=1e-9, atol=1e-9 * np.abs(eta).max())
 

@@ -25,7 +25,6 @@ from gossipgp.harness.streams import (
     synth_stream,
     synthetic_weather_table,
     write_synthetic_weather_csv,
-    _grid_lines,
     _read_grid_rows,
 )
 
@@ -185,7 +184,7 @@ class TestGridReader:
         with open(path, newline="") as fp:
             rows = [row for row in list(csv.reader(fp))[1:] if row]
         want = [np.array([float(row[i]) for row in rows]) for i in range(4)]
-        got = _read_grid_rows(_grid_lines(path))
+        got = _read_grid_rows(path)
         assert got[2].dtype.kind == "i"
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
