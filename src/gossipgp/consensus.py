@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import blas
+
+from ._lapack import blas
 
 __all__ = [
     "Topology",

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas
 
+from ._lapack import blas
 from .features import FeatureMap, KernelSpec, sample_frequencies
 from .info_filter import InfoState, prior_state
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas
+
+from ._lapack import blas
 
 __all__ = [
     "KernelSpec",

@@ -34,9 +34,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas
 
+from .._lapack import blas, eigvalsh
 from ..ensemble import mixture_log_density
 
 __all__ = [
@@ -104,16 +103,16 @@ def wasserstein2_gaussians(mu1, B1, mu2, B2) -> float:
     for name, B in (("B1", B1), ("B2", B2)):
         if not np.all(np.isfinite(B)):
             raise ValueError(f"covariance root {name} holds non-finite values")
-    # A = B1 B2^T; the transposed views are Fortran-ordered, so BLAS reads
-    # them in place.
-    A = blas.dgemm(1.0, B1.T, B2.T, trans_a=True)
+    # A = B1 B2^T; BLAS reads Fortran-ordered roots, as posterior_root
+    # returns them, in place.
+    A = blas.dgemm(1.0, B1, B2, trans_b=True)
     if not np.all(np.isfinite(A)):
         raise ValueError("the cross product B1 B2^T of the covariance roots overflows")
     # Scaling A in place by 2^-e (largest entry in [0.5, 1)) keeps the Gram
     # A A^T finite; a power of two scales exactly, so ||A||_* = 2^e ||2^-e A||_*.
     _, e = np.frexp(max(A.max(), -A.min()))
     gram = blas.dsyrk(1.0, np.ldexp(A, -e, out=A))  # upper triangle
-    eig = scipy.linalg.eigvalsh(gram, lower=False, overwrite_a=True, check_finite=False)
+    eig = eigvalsh(gram, lower=0, overwrite_a=1)
     nuclear = float(np.ldexp(np.sum(np.sqrt(np.clip(eig, 0.0, None))), e))
     trace1, trace2 = _sq_frobenius(B1), _sq_frobenius(B2)
     d2 = float(np.sum((mu1 - mu2) ** 2)) + trace1 + trace2 - 2.0 * nuclear

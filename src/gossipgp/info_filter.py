@@ -26,9 +26,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
+from ._lapack import blas, eigvalsh, lapack
 from .features import KernelSpec
 
 __all__ = [
@@ -136,7 +135,7 @@ class PosteriorFactor:
     """One factorization of a posterior: D = L L^T and the mean mu = D^-1 eta.
 
     Only the lower triangle of L is meaningful; the strict upper triangle
-    holds whatever cho_factor left there. Predictions and the covariance
+    holds whatever dpotrf left there. Predictions and the covariance
     root of one state both come from one PosteriorFactor.
     """
 
@@ -154,26 +153,29 @@ def factorize(state: InfoState) -> PosteriorFactor:
     """Cholesky factor of D and the posterior mean it gives.
 
     If D is not numerically SPD, one retry factorizes D + jitter I, and the
-    factor records the jitter. Each attempt unpacks D afresh, since
-    cho_factor overwrites its input.
+    factor records the jitter. Each attempt unpacks D afresh, since dpotrf
+    overwrites its input. The LAPACK calls are those of scipy.linalg's
+    cho_factor(lower=True, overwrite_a=True) and cho_solve.
     """
     jitter = 0.0
-    try:
-        L = scipy.linalg.cho_factor(_lower(state.D, state.dim), lower=True, overwrite_a=True,
-                                    check_finite=False)[0]
-    except scipy.linalg.LinAlgError:
+    L, info = lapack.dpotrf(_lower(state.D, state.dim), lower=1, clean=0, overwrite_a=1)
+    if info > 0:
         a = _lower(state.D, state.dim)
         jitter = _JITTER_SCALE * np.trace(a) / state.dim
         a[np.diag_indices(state.dim)] += jitter
-        try:
-            L = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
-        except scipy.linalg.LinAlgError:
-            smallest = scipy.linalg.eigvalsh(_lower(state.D, state.dim), check_finite=False)[0]
+        L, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            smallest = eigvalsh(_lower(state.D, state.dim), lower=1, overwrite_a=1)[0]
             raise NumericalDegeneracyError(
                 f"information matrix is not positive definite even after jitter "
                 f"{jitter:.3e}; smallest eigenvalue {smallest:.6e}"
-            ) from None
-    mu = scipy.linalg.cho_solve((L, True), state.eta, check_finite=False)
+            )
+    if info < 0:
+        raise ValueError(f"dpotrf rejected its argument {-info}")
+    # eta may view the run's state, so dpotrs writes mu into a copy of it.
+    mu, info = lapack.dpotrs(L, state.eta, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs rejected its argument {-info}")
     return PosteriorFactor(L=L, mu=mu, obs_variance=state.obs_variance, jitter=jitter)
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+
+from ._lapack import blas, lapack
 
 __all__ = [
     "RobustConfig",

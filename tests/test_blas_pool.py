@@ -16,6 +16,7 @@ import gossipgp
 
 PACKAGE = Path(gossipgp.__file__).parent
 LOOP_MODULES = (
+    "_lapack.py",
     "features.py",
     "info_filter.py",
     "robust.py",

@@ -170,8 +170,8 @@ class TestWasserstein2:
     def test_negative_squared_distance_rejected(self, monkeypatch):
         # The nuclear norm never exceeds the mean of the two traces, so a
         # negative d^2 beyond rounding means broken linear algebra.
-        exact = scipy.linalg.eigvalsh
-        monkeypatch.setattr(scipy.linalg, "eigvalsh", lambda *a, **k: 4.0 * exact(*a, **k))
+        exact = metrics_mod.eigvalsh
+        monkeypatch.setattr(metrics_mod, "eigvalsh", lambda *a, **k: 4.0 * exact(*a, **k))
         with pytest.raises(ValueError, match="negative squared distance"):
             wasserstein2_gaussians(np.zeros(2), np.eye(2), np.zeros(2), np.eye(2))
 

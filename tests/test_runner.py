@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gossipgp.info_filter as info_filter_mod
 from gossipgp import (
     apply_increment,
     ensemble_weights,
@@ -554,11 +555,9 @@ class TestBlockLayout:
         # BLAS reads it in place: dgemv takes the block itself, the
         # triangular products its transpose, which they copy into their
         # output, and dsyrk the weighted block Phi W^1/2, Fortran-ordered too.
-        import scipy.linalg
-
         import gossipgp.harness.runner as runner_mod
-        import gossipgp.info_filter as info_filter_mod
         import gossipgp.robust as robust_mod
+        from gossipgp._lapack import blas
 
         grid, handed = [], []
         feature_matrix_ = runner_mod.feature_matrix
@@ -571,7 +570,7 @@ class TestBlockLayout:
             """scipy's blas, recording the feature operand of each call."""
 
             def __getattr__(self, name):
-                f = getattr(scipy.linalg.blas, name)
+                f = getattr(blas, name)
 
                 def call(*args, **kwargs):
                     handed.append((name, args[2] if name in ("dtrmm", "dtrsm") else args[1]))
@@ -1039,6 +1038,49 @@ class TestMemory:
         state, message = 8 * M * (K + 1) * width, 8 * K * width
         assert peak - state < message + 6 * n * n * 8 + 512 * 1024
 
+    def test_w2_hands_blas_the_covariance_roots_in_place(self, monkeypatch):
+        # posterior_root returns Fortran-ordered roots, and the cross product
+        # B1 B2^T hands them to dgemm as they are, so BLAS reads them in
+        # place; their transposes are C-ordered and would be copied.
+        import gossipgp.harness.metrics as metrics_mod
+        import gossipgp.harness.runner as runner_mod
+        from gossipgp._lapack import blas
+
+        roots, handed = [], []
+        posterior_root_ = runner_mod.posterior_root
+
+        def recorded_root(factor):
+            root = posterior_root_(factor)
+            roots.append(root[1])
+            return root
+
+        class Recorded:
+            """scipy's blas, recording the operands of each dgemm call."""
+
+            def __getattr__(self, name):
+                f = getattr(blas, name)
+
+                def call(*args, **kwargs):
+                    if name == "dgemm":
+                        handed.extend(args[1:3])
+                    return f(*args, **kwargs)
+                return call
+
+        monkeypatch.setattr(runner_mod, "posterior_root", recorded_root)
+        monkeypatch.setattr(metrics_mod, "blas", Recorded())
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": 3},
+            ensemble={"shared_J": 8,
+                      "members": [{"lengthscales": 0.4}, {"lengthscales": 0.2}]},
+            stream={"kind": "synthetic",
+                    "synthetic": {"epochs": 3, "batch_size": 10, "num_eval_points": 20}},
+            eval={"metrics": ["w2"]},
+        )
+        run_scenario(scenario_from_dict(cfg))
+        assert handed and len(handed) % 2 == 0
+        for B in handed:
+            assert B.flags.f_contiguous and any(B is root for root in roots)
+
 
 class TestTimedKernel:
     """A temporal scale turns the states; what leaves the run is in w's frame."""
@@ -1102,16 +1144,14 @@ class TestTimedKernel:
         # On a complete graph of four the mixing weights 1/4 are exact, so
         # the agents' rows agree bitwise; the turn keeps them so, and the
         # local step factorizes each member once per epoch.
-        import scipy.linalg
-
         factorizations = []
-        cho_factor = scipy.linalg.cho_factor
+        dpotrf = info_filter_mod.lapack.dpotrf
 
-        def counted_cho_factor(*args, **kwargs):
+        def counted_dpotrf(*args, **kwargs):
             factorizations.append(None)
-            return cho_factor(*args, **kwargs)
+            return dpotrf(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counted_cho_factor)
+        monkeypatch.setattr(info_filter_mod.lapack, "dpotrf", counted_dpotrf)
         path = tmp_path / "w.csv"
         write_synthetic_weather_csv(path, nlat=6, nlon=8, epochs=4, seed=4)
         cfg = {
@@ -1140,25 +1180,23 @@ class TestWorkCounts:
         # additionally: one factorization per (agent, member), and one per
         # member for the oracle. The fixed evaluation points are featurized
         # once per run, one matrix per member.
-        import scipy.linalg
-
         import gossipgp.harness.runner as runner_mod
 
         factorizations = []
         columns = []
-        cho_factor = scipy.linalg.cho_factor
+        dpotrf = info_filter_mod.lapack.dpotrf
         feature_matrix_ = runner_mod.feature_matrix
 
-        def counted_cho_factor(*args, **kwargs):
+        def counted_dpotrf(*args, **kwargs):
             factorizations.append(None)
-            return cho_factor(*args, **kwargs)
+            return dpotrf(*args, **kwargs)
 
         def counted_feature_matrix(fm, X):
             Phi = feature_matrix_(fm, X)
             columns.append(Phi.shape[1])
             return Phi
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counted_cho_factor)
+        monkeypatch.setattr(info_filter_mod.lapack, "dpotrf", counted_dpotrf)
         monkeypatch.setattr(runner_mod, "feature_matrix", counted_feature_matrix)
         K, M, epochs, batch, n_eval = 3, 2, 4, 10, 40
         cfg = make_config(
@@ -1302,23 +1340,21 @@ class TestWorkCounts:
         # batch, except that at epoch 0 every agent holds the prior and shares
         # the first agent's factors. On a ring of 4 no two agents share a
         # posterior after epoch 0.
-        import scipy.linalg
-
         import gossipgp.harness.runner as runner_mod
 
         factorizations, predictions = [], []
-        cho_factor = scipy.linalg.cho_factor
+        dpotrf = info_filter_mod.lapack.dpotrf
         predict_batch_ = runner_mod.predict_batch
 
-        def counted_cho_factor(*args, **kwargs):
+        def counted_dpotrf(*args, **kwargs):
             factorizations.append(None)
-            return cho_factor(*args, **kwargs)
+            return dpotrf(*args, **kwargs)
 
         def counted_predict_batch(*args):
             predictions.append(None)
             return predict_batch_(*args)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counted_cho_factor)
+        monkeypatch.setattr(info_filter_mod.lapack, "dpotrf", counted_dpotrf)
         monkeypatch.setattr(runner_mod, "predict_batch", counted_predict_batch)
         K, epochs, evaluated = 4, 4, 2
         cfg = make_config(
