@@ -166,12 +166,13 @@ def metropolis_weights(topo: Topology) -> np.ndarray:
 def consensus_sum(
     values: np.ndarray, topo: Topology, cfg: ConsensusConfig, add_to: np.ndarray | None = None
 ) -> np.ndarray:
-    """L synchronous mixing rounds, then scale by K to approximate the sum.
+    """Add to each agent K W^L times the messages under mode sum, its own under local.
 
     Axis 0 of `values` is the agent: values[k] is agent k's message, of any
     shape. After L rounds of v_k <- sum_j W[k][j] v_j elementwise, each agent
     holds an approximation of the network average, so K times it
-    approximates the network sum. L=0 gives K times each local value.
+    approximates the network sum. L=0 gives K times each local value. Mode
+    local sends nothing: each agent adds its own message, whatever L is.
 
     The L rounds are applied as one product with W^L, built from the K x K
     matrix, so each message is read once whatever L is. The product adds the
@@ -191,6 +192,8 @@ def consensus_sum(
               and add_to.flags.writeable and not np.may_share_memory(add_to, V)):
         raise ValueError(f"add_to must be a writeable C-contiguous float64 array of "
                          f"shape {V.shape} that does not overlap the messages")
+    if cfg.mode == "local":
+        return np.add(add_to, V, out=add_to)
     flat = V.reshape(K, -1)
     W = metropolis_weights(topo)
     WL = np.eye(K)

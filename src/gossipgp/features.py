@@ -57,12 +57,10 @@ class KernelSpec:
             raise ValueError("spatial_lengthscales must be non-empty")
         if any(l <= 0 or not np.isfinite(l) for l in ls):
             raise ValueError(f"lengthscales must be strictly positive, got {ls}")
-        if self.temporal_lengthscale is not None and self.temporal_lengthscale <= 0:
-            raise ValueError("temporal_lengthscale must be strictly positive")
-        if self.prior_variance <= 0:
-            raise ValueError("prior_variance must be strictly positive")
-        if self.obs_variance <= 0:
-            raise ValueError("obs_variance must be strictly positive")
+        for name in ("temporal_lengthscale", "prior_variance", "obs_variance"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
 
     @property
     def spatial_dim(self) -> int:

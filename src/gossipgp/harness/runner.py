@@ -1,11 +1,11 @@
 """Multi-agent simulation loop.
 
 Each epoch runs forgetting, then member by member residual weighing, local
-increment and evidence construction and gossip, which adds the mixed
-increments and evidence straight into the states, then metric evaluation,
-member by member too. All agents share the ensemble's feature maps, so
-network-wide sums of increments are exactly the increments a fusion center
-would form from the pooled batch.
+increment and evidence construction and one consensus_sum call, which adds
+what consensus.mode gives each agent (the mixed sums, or its own message)
+straight into the states, then metric evaluation, member by member too. All
+agents share the ensemble's feature maps, so network-wide sums of increments
+are exactly the increments a fusion center would form from the pooled batch.
 
 The local step predicts at each batch only where something reads the
 prediction: robust weights, or the evidence of an ensemble of two or more
@@ -152,8 +152,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     weighs = scenario.robust.kind != "none"
     local_predicts = weighs or M > 1
     unit_oracle = need_w2 and scenario.eval.w2_oracle == "unit" and weighs
-    share_increments = scenario.consensus.mode == "sum"
-    share_evidence = share_increments and scenario.ensemble.evidence == "consensus"
 
     eval_set = set(stream.epochs if scenario.eval.epochs is None else scenario.eval.epochs)
     snapshot_set = set(scenario.eval.snapshot_epochs)
@@ -248,18 +246,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
                         k + 1 < K and _same_posterior((eta[m], D[m]), k + 1, k)):
                     factor = None
 
-            # Gossip adds the approximate network sums straight into the
-            # agents' states; local mode adds each agent's own message. With
-            # local evidence the agents keep their own evidence terms. The
-            # oracle adds the exact sums, in agent order.
-            if share_increments:
-                local_evidence = None if share_evidence else log_evidence[m, :K] + message[:, -1]
-                consensus_sum(message, scenario.topology, scenario.consensus,
-                              add_to=state[m, :K])
-                if local_evidence is not None:
-                    log_evidence[m, :K] = local_evidence
-            else:
-                state[m, :K] += message
+            # Gossip adds what each agent receives straight into the agents'
+            # states. With local evidence the agents keep their own evidence
+            # terms. The oracle adds the exact sums, in agent order.
+            own = log_evidence[m, :K] + message[:, -1] if spec.evidence == "local" else None
+            consensus_sum(message, scenario.topology, scenario.consensus, add_to=state[m, :K])
+            if own is not None:
+                log_evidence[m, :K] = own
             if need_w2:
                 state[m, K] += oracle_message.sum(axis=0)
             del message, oracle_message

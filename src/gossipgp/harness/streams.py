@@ -255,8 +255,12 @@ class SynthConfig:
             raise ValueError("num_agents, epochs, spatial_dim, true_J must be >= 1")
         if self.batch_size < 0 or self.num_eval_points < 1:
             raise ValueError("batch_size must be >= 0 and num_eval_points >= 1")
-        if self.drift_scale < 0:
-            raise ValueError("drift_scale must be >= 0")
+        for name in ("lengthscale", "prior_variance", "obs_variance"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+        if not 0 <= self.drift_scale < np.inf:
+            raise ValueError(f"drift_scale must be finite and >= 0, got {self.drift_scale}")
         if self.kind == "static_gp" and self.drift_scale != 0:
             raise ValueError(f"a static_gp stream does not drift; drift_scale must be 0, "
                              f"got {self.drift_scale}")
@@ -346,8 +350,9 @@ class OutlierSpec:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
-        if self.magnitude_sd <= 0:
-            raise ValueError("magnitude_sd must be strictly positive")
+        if not 0 < self.magnitude_sd < np.inf:
+            raise ValueError(f"magnitude_sd must be finite and strictly positive, "
+                             f"got {self.magnitude_sd}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must lie in [0, 1]")
         if self.region is not None:

@@ -45,8 +45,8 @@ class RobustConfig:
     def __post_init__(self):
         if self.kind not in ("none", "huber", "hampel"):
             raise ValueError(f"unknown robust kind {self.kind!r}")
-        if self.kind == "huber" and self.delta <= 0:
-            raise ValueError("huber requires delta > 0")
+        if self.kind == "huber" and not 0 < self.delta < np.inf:
+            raise ValueError(f"huber requires delta finite and > 0, got {self.delta}")
         if self.kind == "hampel" and not (0 < self.a < self.b < self.c):
             raise ValueError(
                 f"hampel requires 0 < a < b < c, got ({self.a}, {self.b}, {self.c})"
@@ -70,8 +70,8 @@ def huber_weight(e, delta: float):
 
     Accepts a scalar or an array of residuals; returns the same shape.
     """
-    if delta <= 0:
-        raise ValueError("delta must be strictly positive")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and strictly positive, got {delta}")
     ae = np.abs(_residuals(e))
     w = np.where(ae <= delta, 1.0, delta / np.maximum(ae, delta))
     return float(w) if w.ndim == 0 else w

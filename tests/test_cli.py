@@ -1,5 +1,6 @@
 """Command-line harness: outputs, overrides, exit codes, sweeps."""
 import numpy as np
+import pytest
 import yaml
 
 from gossipgp.harness.cli import main
@@ -172,6 +173,29 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "outliers.region" in err
+
+    @pytest.mark.parametrize("section, overrides", [
+        ("ensemble.members[0]", {"ensemble": {"shared_J": 8, "members": [
+            {"lengthscales": 0.4, "prior_variance": float("nan")}]}}),
+        ("ensemble.members[0]", {"ensemble": {"shared_J": 8, "members": [
+            {"lengthscales": 0.4, "obs_variance": float("inf")}]}}),
+        ("ensemble.members[0]", {"ensemble": {"shared_J": 8, "members": [{"lengthscales": 0.4}],
+                                              "temporal_lengthscale": float("nan")}}),
+        ("robust", {"robust": {"kind": "huber", "delta": float("nan")}}),
+        ("stream.synthetic", {"stream": {"kind": "synthetic", "synthetic": {
+            "kind": "drifting_gp", "epochs": 3, "drift_scale": float("nan")}}}),
+        ("outliers", {"outliers": {"epoch": 1, "fraction": 0.1, "magnitude_sd": float("nan")}}),
+    ], ids=["prior_variance", "obs_variance", "temporal_lengthscale", "delta", "drift_scale",
+            "magnitude_sd"])
+    def test_non_finite_value_is_config_error_naming_its_section(self, tmp_path, capsys,
+                                                                 section, overrides):
+        # YAML's .nan and .inf pass a comparison such as x <= 0; each must
+        # still stop the run before it starts, naming its section.
+        rc = main(["run", write_config(tmp_path, {**BASE, **overrides}),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{section}: " in err and "finite" in err
 
     def test_negative_seed_option_is_config_error(self, tmp_path, capsys):
         rc = main(["run", write_config(tmp_path), "--out", str(tmp_path / "out"),

@@ -302,17 +302,53 @@ FLOAT_KEYS = [
 ]
 
 
+def _set_key(cfg, key, value):
+    """Set the dotted key (list entries as [i]) of cfg to value, making missing sections."""
+    node = cfg
+    *parents, leaf = [int(p) if p.isdigit() else p for p in re.findall(r"\w+", key)]
+    for name in parents:
+        node = node[name] if isinstance(node, list) else node.setdefault(name, {})
+    node[leaf] = value
+
+
 @pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "string"])
 @pytest.mark.parametrize("key, overrides", FLOAT_KEYS, ids=[k for k, _ in FLOAT_KEYS])
 def test_float_keys_reject_bools_and_strings(key, overrides, bad):
     # float() would read True as 1.0 and "0.5" as 0.5; both must fail loudly.
     cfg = minimal(**copy.deepcopy(overrides))
-    node = cfg
-    *parents, leaf = [int(p) if p.isdigit() else p for p in re.findall(r"\w+", key)]
-    for name in parents:
-        node = node[name] if isinstance(node, list) else node.setdefault(name, {})
-    node[leaf] = bad
+    _set_key(cfg, key, bad)
     with pytest.raises(ConfigError, match=re.escape(f"{key} must be a number")):
+        scenario_from_dict(cfg)
+
+
+# Keys that must be finite and positive (drift_scale: finite and >= 0), which
+# NaN would pass as a comparison x <= 0: each with the section its error
+# names and the scenario it is set in.
+NON_FINITE_KEYS = [
+    ("ensemble.members[0].prior_variance", "ensemble.members[0]", {}),
+    ("ensemble.members[0].obs_variance", "ensemble.members[0]", {}),
+    ("ensemble.temporal_lengthscale", "ensemble.members[0]", {}),
+    ("ensemble.grid.prior_variances[0]", "ensemble.grid", {"ensemble": {"grid": {
+        "lengthscales": [0.3], "prior_variances": [1.0]}}}),
+    ("ensemble.grid.obs_variance", "ensemble.grid", {"ensemble": {"grid": {
+        "lengthscales": [0.3], "prior_variances": [1.0]}}}),
+    ("robust.delta", "robust", {"robust": {"kind": "huber"}}),
+    ("stream.synthetic.lengthscale", "stream.synthetic", {}),
+    ("stream.synthetic.prior_variance", "stream.synthetic", {}),
+    ("stream.synthetic.obs_variance", "stream.synthetic", {}),
+    ("stream.synthetic.drift_scale", "stream.synthetic", {"stream": {
+        "kind": "synthetic", "synthetic": {"kind": "drifting_gp"}}}),
+    ("outliers.magnitude_sd", "outliers", {"outliers": {"epoch": 1, "fraction": 0.1}}),
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("key, section, overrides", NON_FINITE_KEYS,
+                         ids=[k for k, _, _ in NON_FINITE_KEYS])
+def test_non_finite_values_are_rejected_by_their_section(key, section, overrides, bad):
+    cfg = minimal(**copy.deepcopy(overrides))
+    _set_key(cfg, key, bad)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: .* finite"):
         scenario_from_dict(cfg)
 
 

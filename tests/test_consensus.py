@@ -172,6 +172,26 @@ class TestConsensusSum:
         np.testing.assert_allclose(target, before + consensus_sum(values, topo, cfg),
                                    rtol=1e-14, atol=1e-14 * np.abs(before).max())
 
+    @pytest.mark.parametrize("rounds", [0, 1, 5, 60])
+    @pytest.mark.parametrize("topo", [
+        build_topology("ring", 5),
+        build_topology("grid", 6),
+        build_topology("complete", 4),
+        build_topology("custom", 4, custom_edges=[(0, 1), (1, 2), (2, 3)]),
+    ], ids=["ring", "grid", "complete", "custom"])
+    def test_local_mode_adds_each_agents_own_message(self, topo, rounds):
+        # Nothing is sent under mode local: whatever the graph and L, each
+        # agent adds exactly its own message.
+        rng = np.random.default_rng(rounds)
+        K = topo.num_agents
+        values = rng.standard_normal((K, 2, 7))
+        target = rng.standard_normal(values.shape)
+        want = target + values
+        cfg = ConsensusConfig(rounds=rounds, mode="local")
+        assert consensus_sum(values, topo, cfg, add_to=target) is target
+        assert np.array_equal(target.view(np.int64), want.view(np.int64))
+        assert np.array_equal(consensus_sum(values, topo, cfg), values)
+
     def test_stacked_target_rows_are_updated_in_place(self):
         # The runner's case: the agents' rows of a buffer that also holds
         # an oracle row, which must be left alone.

@@ -24,6 +24,8 @@ CASES = {
     "ring_w2_hampel": GOLDEN / "ring_w2_hampel.yaml",
     "ring_stitched_outliers": GOLDEN / "ring_stitched_outliers.yaml",
     "grid_b2p_plain": GOLDEN / "grid_b2p_plain.yaml",
+    "ring_local_unit_oracle": GOLDEN / "ring_local_unit_oracle.yaml",
+    "ring_evidence_local": GOLDEN / "ring_evidence_local.yaml",
 }
 
 

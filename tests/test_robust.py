@@ -59,6 +59,11 @@ class TestHuberWeight:
         with pytest.raises(ValueError):
             huber_weight(1.0, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and strictly positive"):
+            huber_weight(1.0, delta=delta)
+
     def test_nan_residual_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             huber_weight(np.nan, 1.345)
