@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_filter import _packed_layout
+from .info_filter import _diagonal
 
 __all__ = ["DynamicsConfig", "apply_forgetting", "rotate"]
 
@@ -67,7 +67,7 @@ def apply_forgetting(D: np.ndarray, eta: np.ndarray, prior_variance, cfg: Dynami
     D *= nu
     eta *= nu
     if cfg.mode == "b2p":
-        diagonal = _packed_layout(eta.shape[-1])[1]
+        diagonal = _diagonal(eta.shape[-1])
         D[..., diagonal] += ((1.0 - nu) / np.asarray(prior_variance, dtype=float))[..., np.newaxis]
 
 
@@ -90,10 +90,11 @@ def rotate(D: np.ndarray, eta: np.ndarray, angles) -> None:
     if not angles.any():
         return
     c, s = np.cos(angles), np.sin(angles)
-    blocks = D[..., _symmetric_index(n)].reshape(D.shape[:-1] + (n // 2, 2, n // 2, 2))
+    unpack, pack = _packed_index(n)
+    blocks = D[..., unpack].reshape(D.shape[:-1] + (n // 2, 2, n // 2, 2))
     blocks = _turn(blocks, c[..., :, None, None], s[..., :, None, None], axis=-3)
     blocks = _turn(blocks, c[..., None, None, :], s[..., None, None, :], axis=-1)
-    D[...] = blocks.reshape(D.shape[:-1] + (n * n,))[..., _packed_layout(n)[0]]
+    D[...] = blocks.reshape(D.shape[:-1] + (n * n,))[..., pack]
     eta[...] = _turn(eta.reshape(eta.shape[:-1] + (n // 2, 2)), c, s, axis=-1).reshape(eta.shape)
 
 
@@ -104,10 +105,16 @@ def _turn(x: np.ndarray, c, s, axis: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _symmetric_index(dim: int) -> np.ndarray:
-    """Read-only packed offset of every entry of a symmetric dim x dim matrix."""
+def _packed_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gathers between a packed triangle and a C-ordered dim x dim matrix.
+
+    unpack[r, c] is the packed offset of entry (r, c) of a symmetric matrix;
+    pack is the flat index of each packed entry A[i >= j], in packed order.
+    """
     row, col = np.indices((dim, dim))
     r, c = np.maximum(row, col), np.minimum(row, col)
-    index = c * dim - c * (c - 1) // 2 + r - c
-    index.flags.writeable = False
-    return index
+    unpack = c * dim - c * (c - 1) // 2 + r - c
+    j, i = np.triu_indices(dim)
+    pack = i * dim + j
+    unpack.flags.writeable = pack.flags.writeable = False
+    return unpack, pack

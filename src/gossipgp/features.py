@@ -79,13 +79,11 @@ class FeatureMap:
     """Sampled spectral frequencies defining a 2J-dimensional embedding.
 
     frequencies: J x p matrix, row j is the frequency v_j.
-    num_features: J.
     seed: the seed the frequencies were drawn with (reproducibility tag).
     timed: whether the last column of frequencies is the time's, v_time.
     """
 
     frequencies: np.ndarray = field(repr=False)
-    num_features: int
     seed: int
     timed: bool = False
 
@@ -93,12 +91,13 @@ class FeatureMap:
         V = np.asarray(self.frequencies, dtype=float)
         if V.ndim != 2:
             raise ValueError("frequencies must be a 2-D matrix")
-        if V.shape[0] != self.num_features:
-            raise ValueError(
-                f"row count {V.shape[0]} does not match num_features {self.num_features}"
-            )
         V.setflags(write=False)
         object.__setattr__(self, "frequencies", V)
+
+    @property
+    def num_features(self) -> int:
+        """J, the number of frequencies."""
+        return self.frequencies.shape[0]
 
     @property
     def spatial_dim(self) -> int:
@@ -125,8 +124,7 @@ def sample_frequencies(spec: KernelSpec, J: int, d: int, seed: int) -> FeatureMa
     # Draw standard normals first, then scale columns: the map with a time
     # column is the spatial-only map on per-dimension-scaled inputs.
     V = rng.standard_normal((J, scales.size)) / scales[np.newaxis, :]
-    return FeatureMap(frequencies=V, num_features=J, seed=seed,
-                      timed=spec.temporal_lengthscale is not None)
+    return FeatureMap(frequencies=V, seed=seed, timed=spec.temporal_lengthscale is not None)
 
 
 def feature_matrix(fm: FeatureMap, X: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ triangular product after one inversion (posterior_root), when N >= n.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "PosteriorFactor",
     "NumericalDegeneracyError",
     "prior_state",
-    "apply_increment",
     "factorize",
     "posterior_root",
     "predict_batch",
@@ -49,25 +47,18 @@ class NumericalDegeneracyError(RuntimeError):
     """Raised when the information matrix cannot be factorized as SPD."""
 
 
-@functools.lru_cache(maxsize=8)
-def _strict_upper(dim: int) -> np.ndarray:
-    """Read-only mask of the strict upper triangle of a dim x dim matrix."""
-    mask = np.triu(np.ones((dim, dim), dtype=bool), 1)
-    mask.flags.writeable = False
-    return mask
-
-
-@functools.lru_cache(maxsize=8)
-def _packed_layout(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flat indices of A[i >= j] in a C-ordered A, and packed offsets of diag(A)."""
-    j, i = np.triu_indices(dim)
-    lower, diagonal = i * dim + j, np.flatnonzero(i == j)
-    lower.flags.writeable = diagonal.flags.writeable = False
-    return lower, diagonal
+def _diagonal(dim: int) -> np.ndarray:
+    """Packed offsets of diag(A) for a dim x dim A: column j starts at j dim - j(j-1)/2."""
+    j = np.arange(dim)
+    return j * dim - j * (j - 1) // 2
 
 
 def _lower(D: np.ndarray, dim: int) -> np.ndarray:
-    """A fresh Fortran-ordered dim x dim array whose lower triangle is the packed D."""
+    """A fresh Fortran-ordered dim x dim array whose lower triangle is the packed D.
+
+    Its strict upper triangle is exactly zero: dtpttr writes only the lower
+    triangle of an output that f2py allocates zero-filled.
+    """
     return lapack.dtpttr(dim, D, uplo="L")[0]
 
 
@@ -76,7 +67,7 @@ class InfoState:
     """Information-form Gaussian posterior of one RF-GP model.
 
     D is the packed precision. D and eta may be views into a run's stacked
-    state buffers; apply_increment and apply_forgetting update such arrays
+    state buffers; D += P, eta += s and apply_forgetting update such arrays
     in place, so copy a state that must outlive the next update.
     Single-writer per agent and per ensemble member.
     """
@@ -104,39 +95,24 @@ def prior_state(spec: KernelSpec, J: int) -> InfoState:
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
     dim = 2 * J
+    D = np.zeros(dim * (dim + 1) // 2)
+    D[_diagonal(dim)] = 1.0 / spec.prior_variance
     return InfoState(
-        D=np.eye(dim).ravel()[_packed_layout(dim)[0]] / spec.prior_variance,
+        D=D,
         eta=np.zeros(dim),
         obs_variance=spec.obs_variance,
         prior_variance=spec.prior_variance,
     )
 
 
-def apply_increment(D: np.ndarray, eta: np.ndarray, P: np.ndarray, s: np.ndarray) -> None:
-    """Add increments in place: D += P, eta += s.
-
-    D (..., dim(dim+1)/2) and eta (..., dim) are one state's packed arrays
-    or a stack of them, and P and s must have exactly their shapes.
-    """
-    P = np.asarray(P, dtype=float)
-    s = np.asarray(s, dtype=float)
-    n = eta.shape[-1]
-    if (P.shape, s.shape, D.shape) != (D.shape, eta.shape, eta.shape[:-1] + (n * (n + 1) // 2,)):
-        raise ValueError(
-            f"increment shapes P {P.shape}, s {s.shape} do not match state shapes "
-            f"D {D.shape}, eta {eta.shape}"
-        )
-    D += P
-    eta += s
-
-
 @dataclass(frozen=True)
 class PosteriorFactor:
     """One factorization of a posterior: D = L L^T and the mean mu = D^-1 eta.
 
-    Only the lower triangle of L is meaningful; the strict upper triangle
-    holds whatever dpotrf left there. Predictions and the covariance
-    root of one state both come from one PosteriorFactor.
+    L is exactly lower triangular: factorize hands dpotrf a fresh unpacked
+    D whose strict upper triangle is zero (_lower), and dpotrf(lower=1)
+    writes only the lower triangle. Predictions and the covariance root of
+    one state both come from one PosteriorFactor.
     """
 
     L: np.ndarray = field(repr=False)
@@ -182,13 +158,13 @@ def factorize(state: InfoState) -> PosteriorFactor:
 def posterior_root(factor: PosteriorFactor) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean mu and a covariance root B with Sigma = B^T B.
 
-    B = L^-1 is lower triangular, so the dense D^-1 is never formed.
+    B = L^-1 is exactly lower triangular: dtrtri(lower=1) inverts a copy of
+    L and writes only its lower triangle, so the zeros above L's diagonal
+    stay. The dense D^-1 is never formed.
     """
     inv, info = lapack.dtrtri(factor.L, lower=1)
     if info != 0:
         raise NumericalDegeneracyError(f"Cholesky factor is singular (dtrtri info {info})")
-    # dtrtri leaves the strict upper triangle of L's storage in its output.
-    np.copyto(inv, 0.0, where=_strict_upper(factor.dim))
     return factor.mu, inv
 
 

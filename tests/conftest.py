@@ -22,6 +22,12 @@ def features_at():
     return featurize
 
 
+def pack(A):
+    """The packed D of a symmetric A: its lower triangle in LAPACK's 'L' layout."""
+    A = np.asarray(A, dtype=float)
+    return A.T[np.triu_indices(len(A))]
+
+
 def unpack(D, dim):
     """The full symmetric dim x dim matrix of a packed D, its row-major upper triangle."""
     A = np.zeros((dim, dim))

@@ -8,7 +8,6 @@ from gossipgp import (
     DynamicsConfig,
     KernelSpec,
     apply_forgetting,
-    apply_increment,
     factorize,
     feature_matrix,
     posterior_root,
@@ -18,14 +17,8 @@ from gossipgp import (
     sample_frequencies,
 )
 from gossipgp.dynamics import _MIN_UI_NU, MODES
-from gossipgp.info_filter import _packed_layout
 
-from conftest import unpack
-
-
-def pack(A):
-    """The packed triangle of a symmetric matrix A."""
-    return A.ravel()[_packed_layout(len(A))[0]]
+from conftest import pack, unpack
 
 
 def fitted_state(seed=0, prior_variance=1.0, obs_variance=0.2):
@@ -37,8 +30,9 @@ def fitted_state(seed=0, prior_variance=1.0, obs_variance=0.2):
     X = rng.uniform(size=(12, 1))
     y = rng.standard_normal(12)
     state = prior_state(spec, J=3)
-    inc = robust_increment(feature_matrix(fm, X), y, np.ones(12), obs_variance)
-    apply_increment(state.D, state.eta, *inc)
+    P, s = robust_increment(feature_matrix(fm, X), y, np.ones(12), obs_variance)
+    state.D += P
+    state.eta += s
     return state, spec
 
 

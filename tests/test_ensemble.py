@@ -14,7 +14,6 @@ from gossipgp import (
     EnsembleSpec,
     EnsembleState,
     KernelSpec,
-    apply_increment,
     ensemble_weights,
     factorize,
     feature_matrix,
@@ -168,7 +167,9 @@ class TestMixturePrediction:
         y = rng.standard_normal(6)
         Phi = feature_matrix(maps[0], X)
         model = state.models[0]
-        apply_increment(model.D, model.eta, *robust_increment(Phi, y, np.ones(6), 0.2))
+        P, s = robust_increment(Phi, y, np.ones(6), 0.2)
+        model.D += P
+        model.eta += s
         X_star = np.array([[0.3, 0.6], [0.9, 0.1]])
         mean, variance, _, _, _ = mixture_at(state, maps, X_star)
         single_mean, single_variance = predict_batch(

@@ -1,6 +1,7 @@
 """Information-filter tests against brute-force Bayesian linear regression."""
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from gossipgp import (
     KernelSpec,
     NumericalDegeneracyError,
     PosteriorFactor,
-    apply_increment,
     factorize,
     feature_matrix,
     posterior_root,
@@ -25,14 +25,9 @@ from gossipgp import (
     sample_frequencies,
 )
 from gossipgp.harness.runner import load_snapshot, save_snapshot
-from gossipgp.info_filter import _lower, _packed_layout
+from gossipgp.info_filter import _diagonal, _lower
 
-from conftest import unpack
-
-
-def pack(A):
-    """The packed triangle of a symmetric matrix A."""
-    return np.asarray(A, dtype=float).ravel()[_packed_layout(len(A))[0]]
+from conftest import pack, unpack
 
 
 def increment(Phi, y, obs_variance):
@@ -43,7 +38,9 @@ def increment(Phi, y, obs_variance):
 def fitted(spec, J, Phi, y, obs_variance):
     """The prior state of spec with one plain increment applied in place."""
     state = prior_state(spec, J=J)
-    apply_increment(state.D, state.eta, *increment(Phi, y, obs_variance))
+    P, s = increment(Phi, y, obs_variance)
+    state.D += P
+    state.eta += s
     return state
 
 
@@ -89,6 +86,22 @@ class TestPriorState:
         spec = KernelSpec(spatial_lengthscales=(1.0,))
         with pytest.raises(ValueError):
             prior_state(spec, J=0)
+
+    def test_allocates_only_its_own_arrays(self):
+        # The prior writes 1/sigma_theta^2 at the packed diagonal offsets, so
+        # no dense n x n identity or n(n+1)/2 index table is built: at
+        # J = 500 (n = 1000) the traced peak stays within its own D and eta.
+        spec = KernelSpec(spatial_lengthscales=(1.0,), prior_variance=2.5)
+        tracemalloc.start()
+        try:
+            state = prior_state(spec, J=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (state.D.nbytes + state.eta.nbytes)
+        for n in (2, 100, 400):
+            D = prior_state(spec, J=n // 2).D
+            assert D.tobytes() == (pack(np.eye(n)) / 2.5).tobytes()
 
 
 class TestComputeIncrement:
@@ -142,7 +155,8 @@ class TestApplyIncrement:
         spec, fm = make_model(J=2)
         state = prior_state(spec, J=2)
         D0, eta0 = state.D.copy(), state.eta.copy()
-        apply_increment(state.D, state.eta, np.zeros(10), np.zeros(4))
+        state.D += np.zeros(10)
+        state.eta += np.zeros(4)
         assert np.array_equal(state.D, D0)
         assert np.array_equal(state.eta, eta0)
 
@@ -151,7 +165,8 @@ class TestApplyIncrement:
         state = prior_state(spec, J=2)
         D, eta = state.D, state.eta
         D0 = D.copy()
-        assert apply_increment(D, eta, pack(np.eye(4)), np.ones(4)) is None
+        D += pack(np.eye(4))
+        eta += np.ones(4)
         assert state.D is D and state.eta is eta
         assert np.array_equal(D, D0 + pack(np.eye(4)))
         assert np.array_equal(eta, np.ones(4))
@@ -167,7 +182,9 @@ class TestApplyIncrement:
             X = rng.uniform(size=(5, 2))
             y = rng.standard_normal(5)
             Phi = feature_matrix(fm, X)
-            apply_increment(state.D, state.eta, *increment(Phi, y, 0.3))
+            P, s = increment(Phi, y, 0.3)
+            state.D += P
+            state.eta += s
             all_Phi.append(Phi)
             all_y.append(y)
         Phi = np.hstack(all_Phi)
@@ -186,10 +203,12 @@ class TestApplyIncrement:
         for _ in range(2):
             X = rng.uniform(size=(3, 2))
             incs.append(increment(feature_matrix(fm, X), rng.standard_normal(3), 0.1))
-        for inc in incs:
-            apply_increment(ab.D, ab.eta, *inc)
-        for inc in reversed(incs):
-            apply_increment(ba.D, ba.eta, *inc)
+        for P, s in incs:
+            ab.D += P
+            ab.eta += s
+        for P, s in reversed(incs):
+            ba.D += P
+            ba.eta += s
         assert np.allclose(ab.D, ba.D, atol=1e-14)
         assert np.allclose(ab.eta, ba.eta, atol=1e-14)
 
@@ -204,31 +223,14 @@ class TestApplyIncrement:
         D = np.tile(pack(np.eye(5)), (2, 3, 1))
         eta = rng.standard_normal((2, 3, 5))
         D_each, eta_each = D.copy(), eta.copy()
-        apply_increment(D, eta, P, s)
+        D += P
+        eta += s
         for i in range(2):
             for m in range(3):
-                apply_increment(D_each[i, m], eta_each[i, m], P[i, m], s[i, m])
+                D_each[i, m] += P[i, m]
+                eta_each[i, m] += s[i, m]
         assert np.array_equal(D, D_each)
         assert np.array_equal(eta, eta_each)
-
-    def test_dim_mismatch_rejected(self):
-        spec, fm = make_model(J=2)
-        state = prior_state(spec, J=2)
-        with pytest.raises(ValueError, match="do not match state shapes"):
-            apply_increment(state.D, state.eta, np.zeros((2, 2)), np.zeros(2))
-
-    def test_stack_shape_mismatch_rejected(self):
-        D, eta = np.tile(pack(np.eye(3)), (2, 1)), np.zeros((2, 3))
-        with pytest.raises(ValueError, match="do not match state shapes"):
-            apply_increment(D, eta, pack(np.eye(3)), np.zeros(3))
-        with pytest.raises(ValueError, match="do not match state shapes"):
-            apply_increment(D, eta, D.copy(), np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="do not match state shapes"):
-            apply_increment(D, eta, np.tile(np.eye(3), (2, 1, 1)), eta.copy())
-        # A state whose D does not pack its eta is rejected, whatever P and s.
-        with pytest.raises(ValueError, match="do not match state shapes"):
-            apply_increment(D, np.zeros((2, 4)), D.copy(), np.zeros((2, 4)))
-        assert np.array_equal(D, np.tile(pack(np.eye(3)), (2, 1)))
 
 
 class TestPosteriorMoments:
@@ -268,8 +270,11 @@ class TestPosteriorMoments:
         factor = factorize(state)
         _, B = posterior_root(factor)
         D = unpack(state.D, 12)
+        # Exactly lower triangular, zeros above the diagonal included: the
+        # unpacked D is zero-filled and dpotrf and dtrtri write only below.
+        assert np.array_equal(factor.L, np.tril(factor.L))
         assert np.array_equal(B, np.tril(B))
-        assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T, D, rtol=1e-12, atol=1e-12)
+        assert np.allclose(factor.L @ factor.L.T, D, rtol=1e-12, atol=1e-12)
         assert np.allclose(B @ D @ B.T, np.eye(12), atol=1e-10)
         assert np.allclose(B.T @ B, np.linalg.inv(D), rtol=1e-9, atol=1e-12)
 
@@ -397,7 +402,12 @@ class TestJitter:
         state.D = pack(D)
         factor = factorize(state)
         assert factor.jitter == 1e-10 * np.trace(D) / 4 == 1e-10
-        assert np.allclose(np.tril(factor.L) @ np.tril(factor.L).T,
+        # The retry unpacks D afresh, so its factor and root are exactly
+        # lower triangular too.
+        _, B = posterior_root(factor)
+        assert np.array_equal(factor.L, np.tril(factor.L))
+        assert np.array_equal(B, np.tril(B))
+        assert np.allclose(factor.L @ factor.L.T,
                            D + factor.jitter * np.eye(4), rtol=0, atol=1e-15)
 
 
@@ -525,16 +535,16 @@ class TestPackedLayout:
     def test_round_trip(self, B):
         # Any symmetric A, signed zeros and infinities included: unpacking its
         # packed triangle gives A back bit for bit, and factorize's unpacking
-        # its lower triangle; the packing is LAPACK's 'L' layout, and the
-        # packed diagonal offsets pick exactly diag(A).
+        # its lower triangle with zeros above; the packing is LAPACK's 'L'
+        # layout, and the packed diagonal offsets pick exactly diag(A).
         n = len(B)
         A = np.where(np.tri(n, dtype=bool), B, B.T)
         packed = pack(A)
         assert packed.shape == (n * (n + 1) // 2,)
         assert unpack(packed, n).tobytes() == A.tobytes()
-        assert np.tril(_lower(packed, n)).tobytes() == np.tril(A).tobytes()
+        assert _lower(packed, n).tobytes() == np.tril(A).tobytes()
         assert lapack.dtrttp(A, uplo="L")[0].tobytes() == packed.tobytes()
-        assert packed[_packed_layout(n)[1]].tobytes() == np.diag(A).tobytes()
+        assert packed[_diagonal(n)].tobytes() == np.diag(A).tobytes()
 
 
 class TestValidation:
@@ -547,13 +557,3 @@ class TestValidation:
             InfoState(D=np.zeros(3), eta=np.zeros(3), obs_variance=1.0, prior_variance=1.0)
         with pytest.raises(ValueError):
             InfoState(D=np.zeros(3), eta=np.zeros(2), obs_variance=0.0, prior_variance=1.0)
-
-    def test_increment_shape_checks(self):
-        state = InfoState(D=pack(np.eye(2)), eta=np.zeros(2), obs_variance=1.0,
-                          prior_variance=1.0)
-        with pytest.raises(ValueError):
-            apply_increment(state.D, state.eta, np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ValueError):
-            apply_increment(state.D, state.eta, np.eye(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            apply_increment(state.D, state.eta, pack(np.eye(2)), np.zeros(3))

@@ -19,7 +19,9 @@ import gossipgp
 import gossipgp.info_filter as info_filter_mod
 from gossipgp import InfoState, _lapack, factorize
 from gossipgp._lapack import eigvalsh
-from gossipgp.info_filter import _lower, _packed_layout
+from gossipgp.info_filter import _lower
+
+from conftest import pack
 
 
 def run_fresh(code: str, *args: str) -> str:
@@ -95,7 +97,7 @@ def random_spd_state(rng, dim):
     """A packed SPD state with a random eta, as the runner holds one."""
     G = rng.standard_normal((dim, 2 * dim))
     D = G @ G.T / dim + 0.1 * np.eye(dim)
-    return InfoState(D=D.ravel()[_packed_layout(dim)[0]], eta=rng.standard_normal(dim),
+    return InfoState(D=pack(D), eta=rng.standard_normal(dim),
                      obs_variance=0.1, prior_variance=1.0)
 
 

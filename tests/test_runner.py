@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import gossipgp.info_filter as info_filter_mod
 from gossipgp import (
-    apply_increment,
     ensemble_weights,
     factorize,
     feature_matrix,
@@ -90,8 +89,9 @@ def manual_k1_pipeline(sc):
         log_pdf = -0.5 * (np.log(2.0 * np.pi * variances)
                           + (batch.y - means) ** 2 / variances)
         log_ev += float(np.sum(w * log_pdf))
-        inc = robust_increment(Phi, batch.y, w, obs_var)
-        apply_increment(model.D, model.eta, *inc)
+        P, s = robust_increment(Phi, batch.y, w, obs_var)
+        model.D += P
+        model.eta += s
     return model, log_ev
 
 

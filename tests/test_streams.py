@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gossipgp import (
-    apply_increment,
     build_topology,
     factorize,
     feature_matrix,
@@ -397,8 +396,9 @@ class TestSynthStream:
         for t in stream.epochs:
             batch = stream.batches[t][0]
             Phi = feature_matrix(fm, batch.X)
-            inc = robust_increment(Phi, batch.y, np.ones(batch.size), cfg.obs_variance)
-            apply_increment(state.D, state.eta, *inc)
+            P, s = robust_increment(Phi, batch.y, np.ones(batch.size), cfg.obs_variance)
+            state.D += P
+            state.eta += s
         mu, _ = posterior_root(factorize(state))
         theta_star = stream.truth["theta"][0]
         rel_err = np.linalg.norm(mu - theta_star) / np.linalg.norm(theta_star)
