@@ -14,16 +14,18 @@ A temporal scale adds linear dynamics: phi(x, t) = R(t) phi(x, 0) (see
 features), so a state kept in the frame of the t = 0 features moves from
 epoch t' to t by rotate with the angles v_time (t - t'), G = R(t - t')^T.
 This is exact: the prior is isotropic, forgetting commutes with G, and all
-states of a network share the frame.
+states of a network share the frame. rotate unpacks each state of a stack
+with LAPACK (info_filter._lower), turns its row pairs and then its column
+pairs through strided slices, and packs the lower triangle back (dtrttp).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .info_filter import _diagonal
+from ._lapack import lapack
+from .info_filter import _diagonal, _lower
 
 __all__ = ["DynamicsConfig", "apply_forgetting", "rotate"]
 
@@ -78,9 +80,16 @@ def rotate(D: np.ndarray, eta: np.ndarray, angles) -> None:
     as for apply_forgetting, and angles (..., n/2) broadcasts like its
     prior_variance. Elementwise, so equal states stay bitwise equal; zero
     angles change nothing.
+
+    The lower triangle of the turned matrix reads no entry of the strict
+    upper triangle but A[2p, 2p+1] in each diagonal block p, so only those
+    are copied from A[2p+1, 2p] after unpacking.
     """
     angles = np.asarray(angles, dtype=float)
     n = eta.shape[-1]
+    if n % 2:
+        raise ValueError(f"states of odd dimension {n} have no feature pairs to turn: "
+                         f"D {D.shape}, eta {eta.shape}, angles {angles.shape}")
     if (D.shape != eta.shape[:-1] + (n * (n + 1) // 2,) or D.dtype != np.float64
             or angles.shape[-1:] != (n // 2,)):
         raise ValueError(
@@ -89,32 +98,16 @@ def rotate(D: np.ndarray, eta: np.ndarray, angles) -> None:
         )
     if not angles.any():
         return
-    c, s = np.cos(angles), np.sin(angles)
-    unpack, pack = _packed_index(n)
-    blocks = D[..., unpack].reshape(D.shape[:-1] + (n // 2, 2, n // 2, 2))
-    blocks = _turn(blocks, c[..., :, None, None], s[..., :, None, None], axis=-3)
-    blocks = _turn(blocks, c[..., None, None, :], s[..., None, None, :], axis=-1)
-    D[...] = blocks.reshape(D.shape[:-1] + (n * n,))[..., pack]
-    eta[...] = _turn(eta.reshape(eta.shape[:-1] + (n // 2, 2)), c, s, axis=-1).reshape(eta.shape)
-
-
-def _turn(x: np.ndarray, c, s, axis: int) -> np.ndarray:
-    """x with each pair (x0, x1) along axis turned to (c x0 - s x1, s x0 + c x1)."""
-    x0, x1 = np.take(x, 0, axis), np.take(x, 1, axis)
-    return np.stack([c * x0 - s * x1, s * x0 + c * x1], axis=axis)
-
-
-@functools.lru_cache(maxsize=8)
-def _packed_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only gathers between a packed triangle and a C-ordered dim x dim matrix.
-
-    unpack[r, c] is the packed offset of entry (r, c) of a symmetric matrix;
-    pack is the flat index of each packed entry A[i >= j], in packed order.
-    """
-    row, col = np.indices((dim, dim))
-    r, c = np.maximum(row, col), np.minimum(row, col)
-    unpack = c * dim - c * (c - 1) // 2 + r - c
-    j, i = np.triu_indices(dim)
-    pack = i * dim + j
-    unpack.flags.writeable = pack.flags.writeable = False
-    return unpack, pack
+    c = np.broadcast_to(np.cos(angles), D.shape[:-1] + (n // 2,))
+    s = np.broadcast_to(np.sin(angles), c.shape)
+    even = np.arange(0, n, 2)
+    for i in np.ndindex(D.shape[:-1]):
+        a = _lower(D[i], n)
+        a[even, even + 1] = a[even + 1, even]
+        rc, rs = c[i][:, None], s[i][:, None]
+        a[0::2], a[1::2] = rc * a[0::2] - rs * a[1::2], rs * a[0::2] + rc * a[1::2]
+        a[:, 0::2], a[:, 1::2] = (c[i] * a[:, 0::2] - s[i] * a[:, 1::2],
+                                  s[i] * a[:, 0::2] + c[i] * a[:, 1::2])
+        D[i] = lapack.dtrttp(a, uplo="L")[0]
+    x0, x1 = eta[..., 0::2], eta[..., 1::2]
+    eta[..., 0::2], eta[..., 1::2] = c * x0 - s * x1, s * x0 + c * x1

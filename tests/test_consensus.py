@@ -14,6 +14,7 @@ from gossipgp import (
 )
 
 from conftest import unpack
+from network import edge_weights, run_gossip
 
 
 class TestBuildTopology:
@@ -241,6 +242,62 @@ class TestConsensusSum:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="sum or local"):
             ConsensusConfig(mode="average")
+
+
+EXECUTOR_TOPOLOGIES = [
+    build_topology("ring", 7),
+    build_topology("grid", 16),
+    build_topology("complete", 5),
+    build_topology("custom", 9, custom_edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                                              (5, 6), (6, 7), (7, 8), (0, 4), (2, 7)]),
+    build_topology("complete", 1),
+]
+EXECUTOR_IDS = ["ring", "grid", "complete", "custom", "single"]
+
+
+def links(topo):
+    """The directed links (i, j) of topo, one per neighbour of each agent."""
+    return {(i, int(j)) for i in range(topo.num_agents) for j in np.flatnonzero(topo.adjacency[i])}
+
+
+class TestMessageExecutor:
+    """consensus_sum against agents that exchange messages (tests/network.py)."""
+
+    @pytest.mark.parametrize("rounds", [0, 1, 3, 17, 60])
+    @pytest.mark.parametrize("topo", EXECUTOR_TOPOLOGIES, ids=EXECUTOR_IDS)
+    def test_sum_equals_the_executor(self, topo, rounds):
+        # Positive messages, so no entry cancels and a relative tolerance holds.
+        K = topo.num_agents
+        values = np.random.default_rng(rounds).uniform(0.5, 1.5, size=(K, 2, 5))
+        want, sent = run_gossip(values, topo, ConsensusConfig(rounds=rounds))
+        got = consensus_sum(values, topo, ConsensusConfig(rounds=rounds))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # Each agent sends its whole message to each neighbour once a round.
+        assert set(sent) == (links(topo) if rounds else set())
+        assert all(count == rounds * values[0].size for count in sent.values())
+
+    @pytest.mark.parametrize("rounds", [0, 5, 60])
+    @pytest.mark.parametrize("topo", EXECUTOR_TOPOLOGIES, ids=EXECUTOR_IDS)
+    def test_local_sends_nothing(self, topo, rounds):
+        values = np.random.default_rng(rounds).standard_normal((topo.num_agents, 3))
+        cfg = ConsensusConfig(rounds=rounds, mode="local")
+        want, sent = run_gossip(values, topo, cfg)
+        assert sent == {}
+        assert np.array_equal(want, values)
+        assert np.array_equal(consensus_sum(values, topo, cfg), want)
+
+    @pytest.mark.parametrize("topo", EXECUTOR_TOPOLOGIES + [
+        build_topology("ring", 32), build_topology("grid", 20), build_topology("complete", 17),
+    ], ids=EXECUTOR_IDS + ["ring32", "grid20", "complete17"])
+    def test_edge_weights_are_metropolis_weights_bitwise(self, topo):
+        # Each agent's weights, from its own and its neighbours' degrees,
+        # are the bits of the off-diagonal entries of metropolis_weights.
+        W = metropolis_weights(topo)
+        weights = edge_weights(topo)
+        assert set(weights) == links(topo)
+        got = np.array(list(weights.values()))
+        want = np.array([W[edge] for edge in weights])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite

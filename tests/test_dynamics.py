@@ -1,4 +1,5 @@
 """Forgetting operators and the time rotation of states."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -173,8 +174,12 @@ class TestTimeAugmentation:
 
     def test_matrix_form(self):
         # A stack of rows with one row of angles per member turns each row
-        # bitwise as it turns on its own.
+        # bitwise as it turns on its own, signed zeros included.
         rows = [[fitted_state(seed=2 * k + m)[0] for m in range(2)] for k in range(3)]
+        for k, row in enumerate(rows):
+            for m, x in enumerate(row):
+                x.D[(k + m) % 4::4] = 0.0 if (k + m) % 2 else -0.0
+                x.eta[k % 3] = -0.0
         D = np.stack([[x.D for x in row] for row in rows])
         eta = np.stack([[x.eta for x in row] for row in rows])
         angles = np.array([[0.3, -1.2, 2.5], [4.0, 0.1, -0.7]])
@@ -182,7 +187,8 @@ class TestTimeAugmentation:
         for k, row in enumerate(rows):
             for m, x in enumerate(row):
                 rotate(x.D, x.eta, angles[m])
-                assert np.array_equal(D[k, m], x.D) and np.array_equal(eta[k, m], x.eta)
+                assert np.array_equal(D[k, m].view(np.int64), x.D.view(np.int64))
+                assert np.array_equal(eta[k, m].view(np.int64), x.eta.view(np.int64))
 
     def test_time_column_not_normalized(self):
         # Epoch indices enter the angles v_time t unchanged, whatever their
@@ -195,6 +201,28 @@ class TestTimeAugmentation:
         rotate(state.D, state.eta, 47 * v_time)
         assert np.allclose(D, state.D, rtol=1e-12, atol=1e-12)
         assert np.allclose(eta, state.eta, rtol=1e-12, atol=1e-12)
+
+    def test_odd_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"odd dimension 3 .*D \(6,\), eta \(3,\), angles \(1,\)"):
+            rotate(np.zeros(6), np.zeros(3), np.ones(1))
+
+    def test_turns_without_index_tables(self):
+        # At dim 1010, one state turns within 3.5 unpacked copies of itself
+        # and keeps nothing once it returns: no cached index tables.
+        n = 1010
+        rng = np.random.default_rng(0)
+        D, eta = rng.standard_normal(n * (n + 1) // 2), rng.standard_normal(n)
+        angles = rng.uniform(-3.0, 3.0, n // 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rotate(D, eta, angles)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full = 8 * n * n
+        assert after - before < 0.01 * full
+        assert peak - before <= 3.5 * full
 
     def test_zero_dimensional_edge(self):
         D, eta = np.empty((0, 21)), np.empty((0, 6))

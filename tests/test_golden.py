@@ -26,6 +26,7 @@ CASES = {
     "grid_b2p_plain": GOLDEN / "grid_b2p_plain.yaml",
     "ring_local_unit_oracle": GOLDEN / "ring_local_unit_oracle.yaml",
     "ring_evidence_local": GOLDEN / "ring_evidence_local.yaml",
+    "ring_timed_b2p": GOLDEN / "ring_timed_b2p.yaml",
 }
 
 
