@@ -33,18 +33,14 @@ TOPOLOGY_KINDS = ("ring", "complete", "grid", "custom")
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected connected communication graph over K agents."""
+    """Undirected connected communication graph over K agents, K x K adjacency."""
 
-    num_agents: int
     adjacency: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.adjacency, dtype=bool)
-        K = self.num_agents
-        if K < 1:
-            raise ValueError(f"num_agents must be >= 1, got {K}")
-        if A.shape != (K, K):
-            raise ValueError(f"adjacency shape {A.shape} does not match K={K}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ValueError(f"adjacency must be a non-empty square matrix, got shape {A.shape}")
         if not np.array_equal(A, A.T):
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(A)):
@@ -53,6 +49,10 @@ class Topology:
             raise ValueError("topology is not connected")
         A.setflags(write=False)
         object.__setattr__(self, "adjacency", A)
+
+    @property
+    def num_agents(self) -> int:
+        return self.adjacency.shape[0]
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
@@ -134,7 +134,7 @@ def build_topology(
             if not (0 <= i < K and 0 <= j < K) or i == j:
                 raise ValueError(f"invalid edge ({i}, {j}) for K={K}")
             A[i, j] = A[j, i] = True
-    return Topology(num_agents=K, adjacency=A)
+    return Topology(adjacency=A)
 
 
 def _grid_shape(K: int) -> tuple[int, int]:

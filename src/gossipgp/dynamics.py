@@ -61,15 +61,20 @@ def apply_forgetting(D: np.ndarray, eta: np.ndarray, prior_variance, cfg: Dynami
 
     D (..., dim(dim+1)/2) and eta (..., dim) are one state's packed arrays or
     a stack of them; prior_variance is a scalar or an array that broadcasts
-    against their leading shape (one value per ensemble member, say).
+    against their leading shape (one value per ensemble member, say). A D
+    that does not pack eta's states is a ValueError, in every mode.
     """
+    n = eta.shape[-1]
+    if D.shape != eta.shape[:-1] + (n * (n + 1) // 2,) or D.dtype != np.float64:
+        raise ValueError(f"rows D {D.dtype} {D.shape} and eta {eta.shape} are not "
+                         f"packed float64 states")
     if cfg.mode == "static" or cfg.nu == 1.0:
         return
     nu = cfg.nu
     D *= nu
     eta *= nu
     if cfg.mode == "b2p":
-        diagonal = _diagonal(eta.shape[-1])
+        diagonal = _diagonal(n)
         D[..., diagonal] += ((1.0 - nu) / np.asarray(prior_variance, dtype=float))[..., np.newaxis]
 
 

@@ -92,10 +92,8 @@ class EnsembleState:
 
 def init_ensemble(spec: EnsembleSpec) -> tuple[EnsembleState, list[FeatureMap]]:
     """Prior states, zero evidence, and the shared per-member feature maps."""
-    maps = [
-        sample_frequencies(m, spec.shared_J, m.spatial_dim, member_seed(spec.base_seed, i))
-        for i, m in enumerate(spec.members)
-    ]
+    maps = [sample_frequencies(m, spec.shared_J, member_seed(spec.base_seed, i))
+            for i, m in enumerate(spec.members)]
     models = [prior_state(m, spec.shared_J) for m in spec.members]
     state = EnsembleState(models=models, log_evidence=np.zeros(spec.num_members))
     return state, maps
@@ -121,15 +119,16 @@ def mixture_log_density(
 ) -> np.ndarray:
     """log sum_m w_m N(y | mu_m, var_m) for vectors of evaluation points.
 
-    member_means/member_variances have shape (M, n); y has shape (n,).
+    member_means/member_variances have shape (M, n), weights (M,) and y
+    (n,); other shapes are a ValueError, not broadcast.
     """
-    member_means = np.asarray(member_means, dtype=float)
-    member_variances = np.asarray(member_variances, dtype=float)
+    w, mm, mv = _member_moments(weights, member_means, member_variances)
     y = np.asarray(y, dtype=float)
+    if y.shape != mm.shape[1:]:
+        raise ValueError(f"y {y.shape} does not match member moments {mm.shape}")
     with np.errstate(divide="ignore"):
-        log_w = np.log(np.asarray(weights, dtype=float))
-    terms = log_w[:, np.newaxis] + gaussian_log_density(y[np.newaxis, :], member_means,
-                                                        member_variances)
+        log_w = np.log(w)
+    terms = log_w[:, np.newaxis] + gaussian_log_density(y[np.newaxis, :], mm, mv)
     # Shift by the largest weighted term: exp cannot overflow, and that term
     # is exp(0) = 1, so the sum cannot underflow to 0 where a member whose
     # weight is 0 has the largest density.
@@ -143,8 +142,14 @@ def mixture_moments(weights, member_means, member_variances) -> tuple[np.ndarray
 
     The variance is moment-matched: sum_m w_m (var_m + mu_m^2) - mean^2.
     """
+    w, mm, mv = _member_moments(weights, member_means, member_variances)
+    mean = blas.dgemv(1.0, mm, w, trans=1)
+    return mean, blas.dgemv(1.0, mv + mm**2, w, trans=1) - mean**2
+
+
+def _member_moments(weights, member_means, member_variances):
+    """The three as float64 arrays, once weights is (M,) and the moments are both (M, n)."""
     w, mm, mv = (np.asarray(x, dtype=float) for x in (weights, member_means, member_variances))
     if mm.ndim != 2 or mv.shape != mm.shape or w.shape != mm.shape[:1]:
         raise ValueError(f"weights {w.shape} do not match member moments {mm.shape}, {mv.shape}")
-    mean = blas.dgemv(1.0, mm, w, trans=1)
-    return mean, blas.dgemv(1.0, mv + mm**2, w, trans=1) - mean**2
+    return w, mm, mv

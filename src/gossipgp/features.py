@@ -104,21 +104,16 @@ class FeatureMap:
         return self.frequencies.shape[1] - self.timed
 
 
-def sample_frequencies(spec: KernelSpec, J: int, d: int, seed: int) -> FeatureMap:
+def sample_frequencies(spec: KernelSpec, J: int, seed: int) -> FeatureMap:
     """Draw J spectral frequencies for an ARD RBF kernel, deterministically.
 
-    Each row is an independent N(0, diag(lengthscales)^-2) draw; a temporal
-    lengthscale on `spec` appends one extra column with scale 1/l_t. The same
-    (spec, J, d, seed) always reproduces the identical matrix bit-for-bit.
+    Each row is an independent N(0, diag(lengthscales)^-2) draw, one column
+    per spatial lengthscale of `spec`; a temporal lengthscale appends one
+    extra column with scale 1/l_t. The same (spec, J, seed) always
+    reproduces the identical matrix bit-for-bit.
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if spec.spatial_dim != d:
-        raise ValueError(
-            f"lengthscale vector has length {spec.spatial_dim}, expected d={d}"
-        )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     scales = spec.scales()
     # Draw standard normals first, then scale columns: the map with a time

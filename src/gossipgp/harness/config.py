@@ -61,8 +61,6 @@ from .streams import OutlierSpec, SynthConfig
 __all__ = [
     "ConfigError",
     "EvalConfig",
-    "GridFileSource",
-    "SyntheticSource",
     "Scenario",
     "load_config",
     "scenario_from_dict",
@@ -248,16 +246,6 @@ def _build(key: str, make, *args, **kwargs):
 
 
 @dataclass(frozen=True)
-class GridFileSource:
-    path: str
-
-
-@dataclass(frozen=True)
-class SyntheticSource:
-    params: SynthConfig
-
-
-@dataclass(frozen=True)
 class EvalConfig:
     epochs: tuple[int, ...] | None = None  # None means every stream epoch
     mode: str = "global"
@@ -285,7 +273,7 @@ class Scenario:
     ensemble: EnsembleSpec
     dynamics: DynamicsConfig
     robust: RobustConfig
-    stream_source: GridFileSource | SyntheticSource
+    stream_source: str | SynthConfig  # the grid file's path, or the synthetic parameters
     outliers: OutlierSpec | None
     eval: EvalConfig
     resolved: dict
@@ -330,11 +318,10 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     a, b, c = rob["breakpoints"]
     robust = _build("robust", RobustConfig, kind=rob["kind"], delta=rob["delta"], a=a, b=b, c=c)
     if stream["kind"] == "grid_file":
-        source, spatial_dim = GridFileSource(path=stream["path"]), 2
+        source, spatial_dim = stream["path"], 2
     else:
-        params = _build("stream.synthetic", SynthConfig, num_agents=topology.num_agents,
-                        **stream["synthetic"])
-        source, spatial_dim = SyntheticSource(params=params), params.spatial_dim
+        source = _build("stream.synthetic", SynthConfig, **stream["synthetic"])
+        spatial_dim = source.spatial_dim
     ensemble = _build_ensemble(ens, spatial_dim)
     outliers = out and _build("outliers", OutlierSpec, **{
         **out,
@@ -346,7 +333,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         mode=ev["mode"], metrics=tuple(ev["metrics"]), w2_oracle=ev["w2_oracle"],
         snapshot_epochs=tuple(ev["snapshots"]),
     )
-    if evaluation.mode == "stitched" and not isinstance(source, GridFileSource):
+    if evaluation.mode == "stitched" and isinstance(source, SynthConfig):
         raise ConfigError("eval.mode stitched requires a grid_file stream")
     return Scenario(
         seed=resolved["seed"],

@@ -68,6 +68,7 @@ def npll(member_means, member_variances, truths, weights=None) -> float:
     member_means / member_variances may be (n,) for a single predictive
     Gaussian per point or (M, n) for an M-component mixture; in the mixture
     case the exact mixture density is scored, not a moment-matched Gaussian.
+    weights (M,) and truths (n,) must match them (mixture_log_density).
     """
     means = np.asarray(member_means, dtype=float)
     variances = np.asarray(member_variances, dtype=float)
@@ -79,7 +80,6 @@ def npll(member_means, member_variances, truths, weights=None) -> float:
         if means.shape[0] != 1:
             raise ValueError("weights are required for a multi-member mixture")
         weights = np.ones(1)
-    weights = np.asarray(weights, dtype=float)
     if truths.size == 0:
         raise ValueError("npll over an empty set is undefined")
     log_densities = mixture_log_density(weights, means, variances, truths)

@@ -34,6 +34,10 @@ epoch: each member's features are built over the grid, and the local step
 and stitched evaluation read each agent's block of columns. Otherwise each
 batch is featurized on its own, and stitched evaluation is refused.
 
+The stream is built for the topology's K agents, so only stitching is
+checked before the run; an input dimension other than the kernel's stops
+the run at its first feature_matrix call, naming the epoch.
+
 An agent whose posterior is bitwise the previous agent's takes that agent's
 factors and evaluation instead of its own: every agent at epoch 0, and on a
 complete graph with exact mixing weights 1/K (K = 4, say) at every epoch.
@@ -62,9 +66,9 @@ from ..ensemble import (
 from ..features import feature_matrix
 from ..info_filter import InfoState, factorize, posterior_root, predict_batch
 from ..robust import robust_increment, standardized_residuals, weights_for
-from .config import GridFileSource, Scenario, SyntheticSource
+from .config import Scenario
 from .metrics import MetricsRecord, _add_w2, _negligible, _sq_frobenius, npll, rmse
-from .streams import Stream, inject_outliers, load_grid_dataset, synth_stream
+from .streams import Stream, SynthConfig, inject_outliers, load_grid_dataset, synth_stream
 
 __all__ = [
     "RunError",
@@ -126,12 +130,12 @@ class RunResult:
 
 
 def materialize_stream(scenario: Scenario) -> Stream:
-    if isinstance(scenario.stream_source, GridFileSource):
-        stream = load_grid_dataset(scenario.stream_source.path, scenario.num_agents)
-    elif isinstance(scenario.stream_source, SyntheticSource):
-        stream = synth_stream(scenario.stream_source.params, seed=scenario.seed)
+    """The scenario's stream over the topology's K agents, its outliers injected."""
+    source, K = scenario.stream_source, scenario.num_agents
+    if isinstance(source, SynthConfig):
+        stream = synth_stream(source, K, scenario.seed)
     else:
-        raise TypeError(f"unknown stream source {scenario.stream_source!r}")
+        stream = load_grid_dataset(source, K)
     if scenario.outliers is not None:
         stream = inject_outliers(stream, scenario.outliers)
     return stream
@@ -142,7 +146,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
     # Each epoch's row offsets of the agents' blocks in its evaluation grid,
     # or None where the batches are not its blocks (see Stream.blocks).
     blocks = {t: stream.blocks(t) for t in stream.epochs}
-    _check_stream(scenario, stream, blocks)
+    if scenario.eval.mode == "stitched":
+        for t in stream.epochs:
+            if blocks[t] is None:
+                raise RunError(
+                    f"stitched evaluation requires each agent's batch to be its block of "
+                    f"the evaluation grid, and epoch {t}'s batches are not"
+                )
     K = scenario.num_agents
     spec = scenario.ensemble
     M = spec.num_members
@@ -294,26 +304,6 @@ def _same_posterior(stacks, i: int, j: int) -> bool:
 def _split(message: np.ndarray, dim: int):
     """Views of a (..., dim(dim+1)/2+dim+1) message (or state): packed P (D), s (eta), evidence."""
     return message[..., : -dim - 1], message[..., -dim - 1 : -1], message[..., -1]
-
-
-def _check_stream(scenario: Scenario, stream: Stream, blocks) -> None:
-    if stream.num_agents != scenario.num_agents:
-        raise RunError(
-            f"stream has {stream.num_agents} agents, topology has {scenario.num_agents}"
-        )
-    member_dim = scenario.ensemble.members[0].spatial_dim
-    if stream.spatial_dim != member_dim:
-        raise RunError(
-            f"stream spatial dim {stream.spatial_dim} does not match "
-            f"ensemble spatial dim {member_dim}"
-        )
-    if scenario.eval.mode == "stitched":
-        for t in stream.epochs:
-            if blocks[t] is None:
-                raise RunError(
-                    f"stitched evaluation requires each agent's batch to be its block of "
-                    f"the evaluation grid, and epoch {t}'s batches are not"
-                )
 
 
 def _factorize(model, jittered):

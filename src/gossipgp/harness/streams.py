@@ -99,11 +99,6 @@ class Stream:
             offsets.append(start + batch.size)
         return offsets if offsets[-1] == len(sites) else None
 
-    @property
-    def spatial_dim(self) -> int:
-        first = self.eval_inputs[self.epochs[0]]
-        return first.shape[1]
-
 
 class GridParseError(ValueError):
     """Malformed gridded input file."""
@@ -237,7 +232,6 @@ class SynthConfig:
     """Parameters of a synthetic ground-truth stream."""
 
     kind: str = "static_gp"
-    num_agents: int = 1
     epochs: int = 10
     batch_size: int = 20
     spatial_dim: int = 2
@@ -251,8 +245,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.kind not in ("static_gp", "drifting_gp"):
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
-        if min(self.num_agents, self.epochs, self.spatial_dim, self.true_J) < 1:
-            raise ValueError("num_agents, epochs, spatial_dim, true_J must be >= 1")
+        if min(self.epochs, self.spatial_dim, self.true_J) < 1:
+            raise ValueError("epochs, spatial_dim, true_J must be >= 1")
         if self.batch_size < 0 or self.num_eval_points < 1:
             raise ValueError("batch_size must be >= 0 and num_eval_points >= 1")
         for name in ("lengthscale", "prior_variance", "obs_variance"):
@@ -266,8 +260,10 @@ class SynthConfig:
                              f"got {self.drift_scale}")
 
 
-def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
-    """Deterministic synthetic stream with a known random-feature truth."""
+def synth_stream(cfg: SynthConfig, K: int, seed: int) -> Stream:
+    """Deterministic synthetic stream of K agents with a known random-feature truth."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     root = np.random.SeedSequence(entropy=seed, spawn_key=(101,))
     feat_ss, theta_ss, drift_ss, x_ss, noise_ss, eval_ss = root.spawn(6)
     feature_seed = int(feat_ss.generate_state(1, dtype=np.uint64)[0])
@@ -277,7 +273,7 @@ def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
         prior_variance=cfg.prior_variance,
         obs_variance=cfg.obs_variance,
     )
-    fm = sample_frequencies(spec, cfg.true_J, cfg.spatial_dim, feature_seed)
+    fm = sample_frequencies(spec, cfg.true_J, feature_seed)
     dim = 2 * cfg.true_J
 
     theta_rng = np.random.default_rng(theta_ss)
@@ -297,7 +293,7 @@ def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
     all_y = []
     for t in epochs:
         per_agent = []
-        for _ in range(cfg.num_agents):
+        for _ in range(K):
             X = x_rng.uniform(size=(cfg.batch_size, cfg.spatial_dim))
             f = feature_matrix(fm, X).T @ theta[t]
             y = f + sigma * noise_rng.standard_normal(cfg.batch_size)
@@ -315,7 +311,7 @@ def synth_stream(cfg: SynthConfig, seed: int) -> Stream:
     stacked = np.concatenate(all_y)
     output_sd = float(stacked.std()) if stacked.size else 0.0
     return Stream(
-        num_agents=cfg.num_agents,
+        num_agents=K,
         epochs=epochs,
         batches=batches,
         eval_inputs=eval_inputs,

@@ -149,8 +149,9 @@ def robust_increment(
     dim = Phi.shape[0]
     packed = dim * (dim + 1) // 2
     P, s = out if out is not None else (np.empty(packed), np.empty(dim))
-    if P.shape != (packed,) or P.dtype != np.float64 or s.shape != (dim,):
-        raise ValueError(f"out needs a float64 ({packed},) packed P and a ({dim},) s")
+    if (P.shape != (packed,) or s.shape != (dim,)
+            or P.dtype != np.float64 or s.dtype != np.float64):
+        raise ValueError(f"out needs a float64 ({packed},) packed P and a float64 ({dim},) s")
     if y.size == 0:
         P.fill(0.0)
         s.fill(0.0)

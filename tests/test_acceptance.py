@@ -39,7 +39,7 @@ def test_online_updates_match_batch_posterior():
     worst = 0.0
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        fm = sample_frequencies(spec, J, d, seed)
+        fm = sample_frequencies(spec, J, seed)
         X = rng.uniform(0.0, 1.0, size=(T * N, d))
         y = rng.standard_normal(T * N)
         state = prior_state(spec, J)
@@ -74,7 +74,7 @@ def test_feature_inner_products_approximate_rbf():
         rng = np.random.default_rng(1000 + seed)
         X1 = rng.uniform(0.0, 1.0, size=(200, d))
         X2 = rng.uniform(0.0, 1.0, size=(200, d))
-        fm = sample_frequencies(spec, J, d, seed)
+        fm = sample_frequencies(spec, J, seed)
         approx = np.sum(feature_matrix(fm, X1) * feature_matrix(fm, X2), axis=0)
         exact = np.exp(-0.5 * np.sum(((X1 - X2) / ls) ** 2, axis=1))
         mae = float(np.mean(np.abs(approx - exact)))

@@ -8,13 +8,11 @@ import yaml
 from gossipgp.harness import config
 from gossipgp.harness.config import (
     ConfigError,
-    GridFileSource,
-    SyntheticSource,
     load_scenario,
     resolved_yaml,
     scenario_from_dict,
 )
-from gossipgp.harness.streams import OutlierSpec
+from gossipgp.harness.streams import OutlierSpec, SynthConfig
 
 
 def minimal(**overrides):
@@ -63,17 +61,17 @@ class TestDefaults:
     def test_grid_file_assumes_two_spatial_dims(self):
         cfg = minimal(stream={"kind": "grid_file", "path": "w.csv"})
         sc = scenario_from_dict(cfg)
-        assert isinstance(sc.stream_source, GridFileSource)
-        assert sc.stream_source.path == "w.csv"
+        assert sc.stream_source == "w.csv"
         assert sc.ensemble.members[0].spatial_lengthscales == (0.3, 0.3)
 
     def test_synthetic_params_built(self):
         sc = scenario_from_dict(minimal())
-        assert isinstance(sc.stream_source, SyntheticSource)
-        p = sc.stream_source.params
+        p = sc.stream_source
+        assert isinstance(p, SynthConfig)
         assert p.epochs == 3 and p.batch_size == 5
-        assert p.num_agents == 4  # inherited from topology
         assert p.kind == "static_gp"
+        # K has one record, the topology's, which the runner passes to the stream.
+        assert not hasattr(p, "num_agents") and sc.num_agents == 4
 
 
 class TestValidation:
@@ -224,7 +222,7 @@ class TestValidation:
                                               r"not drift; drift_scale must be 0, got 5.0$"):
             scenario_from_dict(cfg)
         cfg["stream"]["synthetic"]["kind"] = "drifting_gp"
-        assert scenario_from_dict(cfg).stream_source.params.drift_scale == 5.0
+        assert scenario_from_dict(cfg).stream_source.drift_scale == 5.0
 
     def test_bad_synthetic_kind_wrapped(self):
         cfg = minimal()

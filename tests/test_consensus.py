@@ -62,6 +62,12 @@ class TestBuildTopology:
         assert topo.num_agents == 1
         assert topo.degrees()[0] == 0
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+    def test_adjacency_that_is_not_square_rejected(self, shape):
+        # K is the adjacency's own size; there is no second record to match.
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            Topology(adjacency=np.zeros(shape, dtype=bool))
+
 
 class TestMetropolisWeights:
     def test_complete_k4_is_uniform(self):

@@ -26,7 +26,7 @@ def fitted_state(seed=0, prior_variance=1.0, obs_variance=0.2):
     spec = KernelSpec(
         spatial_lengthscales=(0.5,), prior_variance=prior_variance, obs_variance=obs_variance
     )
-    fm = sample_frequencies(spec, J=3, d=1, seed=seed)
+    fm = sample_frequencies(spec, J=3, seed=seed)
     rng = np.random.default_rng(seed + 1)
     X = rng.uniform(size=(12, 1))
     y = rng.standard_normal(12)
@@ -138,6 +138,22 @@ class TestApplyForgetting:
         assert np.array_equal(out.D, _MIN_UI_NU * state.D)
         # Other modes accept any nu in [0, 1].
         DynamicsConfig(mode="b2p", nu=0.0)
+
+    def test_b2p_rejects_a_d_of_another_dimension(self):
+        # A dim-6 D (21 floats) with a dim-4 eta would take the prior
+        # precision at dim 4's diagonal offsets [0, 4, 7, 9].
+        D, eta = np.ones(21), np.ones(4)
+        with pytest.raises(ValueError, match=r"D float64 \(21,\) and eta \(4,\) are not packed"):
+            apply_forgetting(D, eta, 1.0, DynamicsConfig(mode="b2p", nu=0.5))
+        assert np.all(D == 1.0) and np.all(eta == 1.0)
+
+    @pytest.mark.parametrize("cfg", [DynamicsConfig(), DynamicsConfig(mode="b2p", nu=0.5)],
+                             ids=["static", "b2p"])
+    def test_stacks_of_other_lengths_rejected_in_every_mode(self, cfg):
+        # Two packed dim-4 states against three etas: refused before the
+        # no-op return of static forgetting too.
+        with pytest.raises(ValueError, match=r"D float64 \(2, 10\) and eta \(3, 4\)"):
+            apply_forgetting(np.ones((2, 10)), np.ones((3, 4)), 1.0, cfg)
 
     def test_forgetting_updates_in_place(self):
         state, _ = fitted_state()

@@ -272,3 +272,15 @@ class TestMixturePrediction:
             mixture_moments(np.ones(2) / 2, mm, np.ones((2, 3)))
         with pytest.raises(ValueError, match="weights"):
             mixture_moments(np.ones(1), np.ones(4), np.ones(4))
+
+    @pytest.mark.parametrize("weights, variances, y", [
+        (np.ones(1), np.ones((3, 4)), np.zeros(4)),
+        (np.ones(3) / 3, np.ones((3, 1)), np.zeros(4)),
+        (np.ones(3) / 3, np.ones((3, 4)), np.zeros(1)),
+    ], ids=["one_weight", "variances", "y"])
+    def test_mixture_log_density_rejects_what_it_would_broadcast(self, weights, variances, y):
+        # Three members at four points: one weight would score the sum of the
+        # three densities, and (3, 1) variances or a (1,) y would be spread
+        # over every point.
+        with pytest.raises(ValueError, match="does not match member moments|do not match"):
+            mixture_log_density(weights, np.zeros((3, 4)), variances, y)

@@ -25,21 +25,21 @@ def rbf(x, xp, lengthscales):
 class TestSampleFrequencies:
     def test_seeded_determinism(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,))
-        a = sample_frequencies(spec, J=3, d=1, seed=42)
-        b = sample_frequencies(spec, J=3, d=1, seed=42)
+        a = sample_frequencies(spec, J=3, seed=42)
+        b = sample_frequencies(spec, J=3, seed=42)
         assert a.frequencies.shape == (3, 1)
         assert np.array_equal(a.frequencies, b.frequencies)
 
     def test_different_seeds_differ(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,))
-        a = sample_frequencies(spec, J=3, d=1, seed=0)
-        b = sample_frequencies(spec, J=3, d=1, seed=1)
+        a = sample_frequencies(spec, J=3, seed=0)
+        b = sample_frequencies(spec, J=3, seed=1)
         assert not np.array_equal(a.frequencies, b.frequencies)
 
     def test_spectral_variance_matches_inverse_squared_lengthscale(self):
         # Frequencies for an RBF with lengthscale l have variance 1/l^2.
         spec = KernelSpec(spatial_lengthscales=(0.1,))
-        fm = sample_frequencies(spec, J=10000, d=1, seed=5)
+        fm = sample_frequencies(spec, J=10000, seed=5)
         v = fm.frequencies[:, 0].var()
         assert abs(v - 100.0) / 100.0 < 0.05
 
@@ -47,27 +47,20 @@ class TestSampleFrequencies:
         # The sampler draws standard normals, then divides each column by its
         # lengthscale; the temporal column uses the temporal lengthscale.
         spec = KernelSpec(spatial_lengthscales=(1.0, 1.0), temporal_lengthscale=4.0)
-        fm = sample_frequencies(spec, J=5, d=2, seed=0)
+        fm = sample_frequencies(spec, J=5, seed=0)
         assert fm.frequencies.shape == (5, 3)
         raw = np.random.default_rng(np.random.SeedSequence(0)).standard_normal((5, 3))
         expected = raw / np.array([1.0, 1.0, 4.0])
         assert np.array_equal(fm.frequencies, expected)
 
-    def test_dimension_mismatch_rejected(self):
-        spec = KernelSpec(spatial_lengthscales=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            sample_frequencies(spec, J=3, d=3, seed=0)
-
     def test_invalid_sizes_rejected(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,))
         with pytest.raises(ValueError):
-            sample_frequencies(spec, J=0, d=1, seed=0)
-        with pytest.raises(ValueError):
-            sample_frequencies(spec, J=3, d=0, seed=0)
+            sample_frequencies(spec, J=0, seed=0)
 
     def test_frequencies_are_write_protected(self):
         spec = KernelSpec(spatial_lengthscales=(1.0,))
-        fm = sample_frequencies(spec, J=3, d=1, seed=0)
+        fm = sample_frequencies(spec, J=3, seed=0)
         with pytest.raises(ValueError):
             fm.frequencies[0, 0] = 99.0
 
@@ -90,7 +83,7 @@ class TestFeatureMapEvaluation:
     def test_origin_features_alternate_zero_and_inv_sqrt_j(self):
         spec = KernelSpec(spatial_lengthscales=(0.5, 0.5))
         J = 4
-        fm = sample_frequencies(spec, J=J, d=2, seed=1)
+        fm = sample_frequencies(spec, J=J, seed=1)
         phi = feature_matrix(fm, np.zeros((1, 2)))[:, 0]
         expected = np.zeros(2 * J)
         expected[1::2] = 1.0 / np.sqrt(J)
@@ -98,7 +91,7 @@ class TestFeatureMapEvaluation:
 
     def test_unit_norm(self):
         spec = KernelSpec(spatial_lengthscales=(0.3, 0.7))
-        fm = sample_frequencies(spec, J=16, d=2, seed=2)
+        fm = sample_frequencies(spec, J=16, seed=2)
         X = np.random.default_rng(3).uniform(-5, 5, size=(20, 2))
         Phi = feature_matrix(fm, X)
         assert np.all(np.abs(np.sum(Phi**2, axis=0) - 1.0) <= 1e-12)
@@ -107,7 +100,7 @@ class TestFeatureMapEvaluation:
     @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=2))
     def test_unit_norm_property(self, coords):
         spec = KernelSpec(spatial_lengthscales=(0.3, 0.7))
-        fm = sample_frequencies(spec, J=8, d=2, seed=2)
+        fm = sample_frequencies(spec, J=8, seed=2)
         phi = feature_matrix(fm, np.asarray([coords]))[:, 0]
         assert abs(phi @ phi - 1.0) <= 1e-12
 
@@ -115,7 +108,7 @@ class TestFeatureMapEvaluation:
         # Mean absolute error against the closed-form RBF stays below 3/sqrt(J).
         J = 2000
         spec = KernelSpec(spatial_lengthscales=(1.0,))
-        fm = sample_frequencies(spec, J=J, d=1, seed=7)
+        fm = sample_frequencies(spec, J=J, seed=7)
         rng = np.random.default_rng(11)
         errs = []
         for _ in range(100):
@@ -130,7 +123,7 @@ class TestFeatureMapEvaluation:
         # spatial RBF and a temporal RBF on inputs [x, t].
         J = 2000
         spec = KernelSpec(spatial_lengthscales=(1.0,), temporal_lengthscale=4.0)
-        fm = sample_frequencies(spec, J=J, d=1, seed=13)
+        fm = sample_frequencies(spec, J=J, seed=13)
         rng = np.random.default_rng(17)
         errs = []
         for _ in range(100):
@@ -145,7 +138,7 @@ class TestFeatureMapEvaluation:
         # A timed map takes spatial inputs only and gives their features at
         # t = 0, bitwise; the time column gives only the angles.
         spec = KernelSpec(spatial_lengthscales=(0.4, 0.9), temporal_lengthscale=3.0)
-        fm = sample_frequencies(spec, J=6, d=2, seed=4)
+        fm = sample_frequencies(spec, J=6, seed=4)
         X = np.random.default_rng(5).uniform(-2, 2, size=(9, 2))
         assert fm.timed and fm.spatial_dim == 2
         assert np.array_equal(feature_matrix(fm, X), features_at(fm, X, 0))
@@ -160,7 +153,7 @@ def blocks_of_sites(draw):
     d = draw(st.integers(1, 3))
     lengthscales = draw(st.lists(st.floats(0.05, 5.0), min_size=d, max_size=d))
     spec = KernelSpec(spatial_lengthscales=tuple(lengthscales))
-    fm = sample_frequencies(spec, J=J, d=d, seed=draw(st.integers(0, 2**32 - 1)))
+    fm = sample_frequencies(spec, J=J, seed=draw(st.integers(0, 2**32 - 1)))
     N = draw(st.integers(1, 40))
     sites = draw(st.lists(st.floats(-10.0, 10.0), min_size=N * d, max_size=N * d))
     a = draw(st.integers(0, N))
@@ -170,7 +163,7 @@ def blocks_of_sites(draw):
 class TestFeatureMatrix:
     def test_single_row_equals_column_of_batch(self):
         spec = KernelSpec(spatial_lengthscales=(0.4, 0.9))
-        fm = sample_frequencies(spec, J=6, d=2, seed=4)
+        fm = sample_frequencies(spec, J=6, seed=4)
         X = np.array([[0.7, 0.1], [0.3, -1.2], [-2.0, 0.5]])
         Phi = feature_matrix(fm, X[1:2])
         assert Phi.shape == (12, 1)
@@ -178,7 +171,7 @@ class TestFeatureMatrix:
 
     def test_identical_rows_give_identical_columns(self):
         spec = KernelSpec(spatial_lengthscales=(0.4,))
-        fm = sample_frequencies(spec, J=5, d=1, seed=4)
+        fm = sample_frequencies(spec, J=5, seed=4)
         X = np.array([[0.25], [0.25]])
         Phi = feature_matrix(fm, X)
         assert np.array_equal(Phi[:, 0], Phi[:, 1])
@@ -186,14 +179,14 @@ class TestFeatureMatrix:
     def test_shape_contract(self):
         # 2J x N and Fortran-ordered, so a block of columns is contiguous.
         spec = KernelSpec(spatial_lengthscales=(1.0, 1.0, 1.0))
-        fm = sample_frequencies(spec, J=5, d=3, seed=0)
+        fm = sample_frequencies(spec, J=5, seed=0)
         Phi = feature_matrix(fm, np.zeros((7, 3)))
         assert Phi.shape == (10, 7)
         assert Phi[:, 2:5].flags.f_contiguous
 
     def test_wrong_width_rejected(self):
         spec = KernelSpec(spatial_lengthscales=(1.0, 1.0))
-        fm = sample_frequencies(spec, J=5, d=2, seed=0)
+        fm = sample_frequencies(spec, J=5, seed=0)
         with pytest.raises(ValueError):
             feature_matrix(fm, np.zeros((3, 3)))
 
@@ -219,7 +212,7 @@ def timed_grids(draw):
     lengthscales = draw(st.lists(st.floats(0.05, 5.0), min_size=d, max_size=d))
     temporal = draw(st.floats(0.1, 100.0))
     spec = KernelSpec(spatial_lengthscales=tuple(lengthscales), temporal_lengthscale=temporal)
-    fm = sample_frequencies(spec, J=J, d=d, seed=draw(st.integers(0, 2**32 - 1)))
+    fm = sample_frequencies(spec, J=J, seed=draw(st.integers(0, 2**32 - 1)))
     N = draw(st.integers(1, 12))
     sites = draw(st.lists(st.floats(-10.0, 10.0), min_size=N * d, max_size=N * d))
     return fm, np.reshape(sites, (N, d)), draw(st.integers(0, 10**4))
@@ -275,7 +268,7 @@ class TestShiftTime:
         # angles per member, and leaves the evidence column alone; each row
         # comes out bitwise as if turned on its own.
         spec = KernelSpec(spatial_lengthscales=(0.5,), temporal_lengthscale=2.0)
-        fms = [sample_frequencies(spec, J=4, d=1, seed=seed) for seed in (1, 2)]
+        fms = [sample_frequencies(spec, J=4, seed=seed) for seed in (1, 2)]
         X = np.linspace(-1.0, 1.0, 5)[:, np.newaxis]
         states = [fitted(fm, X, features_at) for fm in fms]
         packed, n = states[0].D.size, states[0].dim

@@ -59,7 +59,7 @@ def make_model(J=4, d=2, seed=0, prior_variance=1.0, obs_variance=0.1):
         prior_variance=prior_variance,
         obs_variance=obs_variance,
     )
-    fm = sample_frequencies(spec, J=J, d=d, seed=seed)
+    fm = sample_frequencies(spec, J=J, seed=seed)
     return spec, fm
 
 

@@ -69,6 +69,14 @@ class TestNpll:
         with pytest.raises(ValueError):
             npll(np.zeros((2, 3)), np.ones((2, 3)), np.zeros(3))
 
+    def test_mixture_weights_and_truths_must_match_the_members(self):
+        # One weight for three members would score the sum of their densities.
+        mm, mv = np.zeros((3, 4)), np.ones((3, 4))
+        with pytest.raises(ValueError, match=r"weights \(1,\) do not match member moments"):
+            npll(mm, mv, np.zeros(4), weights=[1.0])
+        with pytest.raises(ValueError, match=r"y \(1,\) does not match member moments"):
+            npll(mm, mv, np.zeros(1), weights=np.ones(3) / 3)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             npll(np.zeros(0), np.ones(0), np.zeros(0))

@@ -164,7 +164,7 @@ class TestWeightsFor:
 class TestStandardizedResiduals:
     def test_exact_prediction_gives_zero(self):
         spec = KernelSpec(spatial_lengthscales=(0.5,), obs_variance=0.2)
-        fm = sample_frequencies(spec, J=3, d=1, seed=0)
+        fm = sample_frequencies(spec, J=3, seed=0)
         state = prior_state(spec, J=3)
         X = np.array([[0.4]])
         # prior mean is 0, so y=0 sits exactly at the prediction
@@ -175,7 +175,7 @@ class TestStandardizedResiduals:
     def test_prior_residual_scale(self):
         # Prior predictive variance is prior + obs = 2, so y = 2 gives 2/sqrt(2).
         spec = KernelSpec(spatial_lengthscales=(0.5,), prior_variance=1.0, obs_variance=1.0)
-        fm = sample_frequencies(spec, J=4, d=1, seed=1)
+        fm = sample_frequencies(spec, J=4, seed=1)
         state = prior_state(spec, J=4)
         moments = predict_batch(factorize(state), feature_matrix(fm, np.array([[0.3]])))
         e = standardized_residuals(np.array([2.0]), *moments)
@@ -190,8 +190,8 @@ class TestStandardizedResiduals:
         # while y scales by 2, so e is unchanged and so are the weights.
         spec1 = KernelSpec(spatial_lengthscales=(0.5,), prior_variance=1.0, obs_variance=1.0)
         spec2 = KernelSpec(spatial_lengthscales=(0.5,), prior_variance=4.0, obs_variance=4.0)
-        fm1 = sample_frequencies(spec1, J=4, d=1, seed=2)
-        fm2 = sample_frequencies(spec2, J=4, d=1, seed=2)
+        fm1 = sample_frequencies(spec1, J=4, seed=2)
+        fm2 = sample_frequencies(spec2, J=4, seed=2)
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.array([0.5, 3.0, -4.0])
         moments1 = predict_batch(factorize(prior_state(spec1, J=4)), feature_matrix(fm1, X))
@@ -213,7 +213,7 @@ class TestStandardizedResiduals:
 class TestRobustIncrement:
     def test_unit_weights_equal_plain_increment(self):
         spec = KernelSpec(spatial_lengthscales=(0.5, 0.5), obs_variance=0.3)
-        fm = sample_frequencies(spec, J=4, d=2, seed=3)
+        fm = sample_frequencies(spec, J=4, seed=3)
         rng = np.random.default_rng(4)
         X = rng.uniform(size=(6, 2))
         y = rng.standard_normal(6)
@@ -225,7 +225,7 @@ class TestRobustIncrement:
 
     def test_zero_weight_deletes_observation(self):
         spec = KernelSpec(spatial_lengthscales=(0.5,), obs_variance=0.2)
-        fm = sample_frequencies(spec, J=3, d=1, seed=5)
+        fm = sample_frequencies(spec, J=3, seed=5)
         rng = np.random.default_rng(6)
         X = rng.uniform(size=(4, 1))
         y = rng.standard_normal(4)
@@ -254,7 +254,7 @@ class TestRobustIncrement:
 
     def test_downweighting_shrinks_information(self):
         spec = KernelSpec(spatial_lengthscales=(0.5,), obs_variance=0.1)
-        fm = sample_frequencies(spec, J=3, d=1, seed=7)
+        fm = sample_frequencies(spec, J=3, seed=7)
         X = np.random.default_rng(8).uniform(size=(5, 1))
         Phi = feature_matrix(fm, X)
         y = np.ones(5)
@@ -308,6 +308,14 @@ class TestRobustIncrement:
             with pytest.raises(ValueError, match=r"out needs a float64 \(6,\) packed P"):
                 robust_increment(Phi, y, w, 0.1, out=(P, s))
 
+    def test_out_rejects_an_integer_information_vector(self):
+        # An int64 s would hold the information vector truncated to integers.
+        Phi, y, w = np.full((4, 3), 2.5), np.array([1.3, -0.7, 2.1]), np.ones(3)
+        s = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"a float64 \(4,\) s"):
+            robust_increment(Phi, y, w, 0.1, out=(np.empty(10), s))
+        assert not s.any()
+
     def test_rejects_out_of_range_weights(self):
         Phi = np.zeros((2, 1))
         with pytest.raises(ValueError):
@@ -323,7 +331,7 @@ class TestRobustIncrement:
     def test_weighted_posterior_against_brute_force(self):
         # Weighted updates equal a dense recomputation with W folded in.
         spec = KernelSpec(spatial_lengthscales=(0.4,), prior_variance=2.0, obs_variance=0.3)
-        fm = sample_frequencies(spec, J=4, d=1, seed=9)
+        fm = sample_frequencies(spec, J=4, seed=9)
         rng = np.random.default_rng(10)
         X = rng.uniform(size=(8, 1))
         y = rng.standard_normal(8)

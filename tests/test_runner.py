@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import gossipgp.info_filter as info_filter_mod
 from gossipgp import (
+    build_topology,
     ensemble_weights,
     factorize,
     feature_matrix,
@@ -796,6 +797,25 @@ class TestRunErrors:
         cfg = make_config(eval={"snapshots": [99]})
         with pytest.raises(RunError, match="not in the stream"):
             run_scenario(scenario_from_dict(cfg))
+
+    def test_kernel_of_another_input_dimension_stops_at_its_features(self):
+        # A 3-D kernel on the 2-D synthetic stream: feature_matrix's own check
+        # stops the run at epoch 0, in the runner's context.
+        sc = scenario_from_dict(make_config())
+        members = tuple(dataclasses.replace(m, spatial_lengthscales=(0.4,) * 3)
+                        for m in sc.ensemble.members)
+        sc = dataclasses.replace(sc, ensemble=dataclasses.replace(sc.ensemble, members=members))
+        with pytest.raises(RunError, match=r"^epoch 0, .*: input dimension 2 does not match "
+                                           r"spatial columns 3$"):
+            run_scenario(sc)
+
+    def test_synthetic_stream_takes_the_topologys_agents(self):
+        # K has one record, the topology: a scenario given another topology
+        # runs a stream of that many agents.
+        sc = scenario_from_dict(make_config())
+        sc = dataclasses.replace(sc, topology=build_topology("ring", 5))
+        assert materialize_stream(sc).num_agents == 5
+        assert sorted({r.agent_id for r in run_scenario(sc).records}) == list(range(5))
 
     def test_member_failure_is_annotated_with_context(self, monkeypatch):
         import gossipgp.harness.runner as runner_mod

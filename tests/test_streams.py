@@ -300,7 +300,7 @@ class TestBatchRows:
 
     def test_synthetic_streams_record_no_rows(self):
         # Synthetic batches are drawn apart from the evaluation points.
-        stream = synth_stream(SynthConfig(num_agents=2, epochs=2), seed=0)
+        stream = synth_stream(SynthConfig(epochs=2), 2, seed=0)
         assert [stream.blocks(t) for t in stream.epochs] == [None, None]
 
     def test_outliers_keep_the_rows(self, tmp_path):
@@ -343,9 +343,9 @@ class TestBatchRows:
 
 class TestSynthStream:
     def test_same_seed_identical(self):
-        cfg = SynthConfig(num_agents=2, epochs=3, batch_size=5)
-        a = synth_stream(cfg, seed=9)
-        b = synth_stream(cfg, seed=9)
+        cfg = SynthConfig(epochs=3, batch_size=5)
+        a = synth_stream(cfg, 2, seed=9)
+        b = synth_stream(cfg, 2, seed=9)
         for t in a.epochs:
             for k in range(2):
                 assert np.array_equal(a.batches[t][k].X, b.batches[t][k].X)
@@ -353,15 +353,15 @@ class TestSynthStream:
         assert np.array_equal(a.truth["theta"], b.truth["theta"])
 
     def test_different_seeds_differ(self):
-        cfg = SynthConfig(num_agents=1, epochs=2, batch_size=5)
-        a = synth_stream(cfg, seed=0)
-        b = synth_stream(cfg, seed=1)
+        cfg = SynthConfig(epochs=2, batch_size=5)
+        a = synth_stream(cfg, 1, seed=0)
+        b = synth_stream(cfg, 1, seed=1)
         assert not np.array_equal(a.batches[0][0].y, b.batches[0][0].y)
 
     def test_zero_drift_matches_static_bitwise(self):
-        base = dict(num_agents=2, epochs=4, batch_size=6, drift_scale=0.0)
-        static = synth_stream(SynthConfig(kind="static_gp", **base), seed=3)
-        drifting = synth_stream(SynthConfig(kind="drifting_gp", **base), seed=3)
+        base = dict(epochs=4, batch_size=6, drift_scale=0.0)
+        static = synth_stream(SynthConfig(kind="static_gp", **base), 2, seed=3)
+        drifting = synth_stream(SynthConfig(kind="drifting_gp", **base), 2, seed=3)
         for t in static.epochs:
             for k in range(2):
                 assert np.array_equal(static.batches[t][k].y, drifting.batches[t][k].y)
@@ -369,11 +369,11 @@ class TestSynthStream:
 
     def test_drift_changes_theta_over_time(self):
         cfg = SynthConfig(kind="drifting_gp", epochs=5, batch_size=4, drift_scale=0.1)
-        stream = synth_stream(cfg, seed=4)
+        stream = synth_stream(cfg, 1, seed=4)
         theta = stream.truth["theta"]
         assert not np.array_equal(theta[0], theta[4])
         # static truth is constant
-        static = synth_stream(SynthConfig(kind="static_gp", epochs=5, batch_size=4), seed=4)
+        static = synth_stream(SynthConfig(kind="static_gp", epochs=5, batch_size=4), 1, seed=4)
         assert np.array_equal(static.truth["theta"][0], static.truth["theta"][4])
 
     def test_truth_recovery_with_known_basis(self):
@@ -385,13 +385,13 @@ class TestSynthStream:
         # and the seed is one whose feature Gram is well conditioned
         # (smallest eigenvalue ~5e-2 over this stream's 200 inputs).
         cfg = SynthConfig(
-            num_agents=1, epochs=5, batch_size=40, spatial_dim=1,
+            epochs=5, batch_size=40, spatial_dim=1,
             true_J=8, obs_variance=1e-8, prior_variance=1.0,
             lengthscale=0.05,
         )
-        stream = synth_stream(cfg, seed=15)
+        stream = synth_stream(cfg, 1, seed=15)
         spec = stream.truth["kernel"]
-        fm = sample_frequencies(spec, cfg.true_J, cfg.spatial_dim, stream.truth["feature_seed"])
+        fm = sample_frequencies(spec, cfg.true_J, stream.truth["feature_seed"])
         state = prior_state(spec, cfg.true_J)
         for t in stream.epochs:
             batch = stream.batches[t][0]
@@ -405,11 +405,9 @@ class TestSynthStream:
         assert rel_err <= 1e-3
 
     def test_eval_truth_is_noiseless(self):
-        cfg = SynthConfig(num_agents=1, epochs=2, batch_size=5, num_eval_points=50)
-        stream = synth_stream(cfg, seed=6)
-        fm = sample_frequencies(
-            stream.truth["kernel"], cfg.true_J, cfg.spatial_dim, stream.truth["feature_seed"]
-        )
+        cfg = SynthConfig(epochs=2, batch_size=5, num_eval_points=50)
+        stream = synth_stream(cfg, 1, seed=6)
+        fm = sample_frequencies(stream.truth["kernel"], cfg.true_J, stream.truth["feature_seed"])
         Phi = feature_matrix(fm, stream.eval_inputs[0])
         expected = Phi.T @ stream.truth["theta"][0]
         assert np.array_equal(stream.eval_truth[0], expected)
@@ -427,16 +425,23 @@ class TestSynthStream:
     def test_empty_batches_take_a_unit_output_sd(self):
         # No observation to take the spread of: no numpy warning (an error
         # under this suite's filter), and the unit fallback.
-        stream = synth_stream(SynthConfig(num_agents=2, epochs=3, batch_size=0), seed=2)
+        stream = synth_stream(SynthConfig(epochs=3, batch_size=0), 2, seed=2)
         assert all(b.size == 0 for t in stream.epochs for b in stream.batches[t])
         assert stream.output_sd == 1.0
+
+    def test_agent_count_from_the_caller(self):
+        # K is the caller's (the topology's): the stream has K batches per
+        # epoch, and no agent is refused, as load_grid_dataset refuses it.
+        stream = synth_stream(SynthConfig(epochs=2, batch_size=3), 5, seed=1)
+        assert stream.num_agents == 5
+        assert all(len(stream.batches[t]) == 5 for t in stream.epochs)
+        with pytest.raises(ValueError, match="K must be >= 1, got 0"):
+            synth_stream(SynthConfig(), 0, seed=1)
 
 
 class TestInjectOutliers:
     def make_stream(self, batch_size=10):
-        return synth_stream(
-            SynthConfig(num_agents=2, epochs=3, batch_size=batch_size), seed=7
-        )
+        return synth_stream(SynthConfig(epochs=3, batch_size=batch_size), 2, seed=7)
 
     def test_fraction_zero_unchanged(self):
         stream = self.make_stream()
