@@ -9,13 +9,15 @@ sweep repeats the scenario once per parameter value, writes each run under
 into --out/sweep_summary.csv.
 
 Exit codes: 0 success, 1 runtime failure (numerical or module error with
-epoch/agent context), 2 configuration or input error.
+epoch/agent context, or outputs that cannot be written), 2 configuration or
+input error, a scenario or grid file that cannot be read included.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import yaml
@@ -76,16 +78,26 @@ def _apply_override(cfg: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
+@contextmanager
+def _writing():
+    """An OSError inside becomes a RunError: outputs that cannot be written exit 1."""
+    try:
+        yield
+    except OSError as exc:
+        raise RunError(f"cannot write outputs: {exc}") from exc
+
+
 def _write_run(out_dir: Path, result: RunResult) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out_dir / "metrics.csv", result.records)
-    (out_dir / "config_resolved.txt").write_text(resolved_yaml(result.scenario))
-    if result.snapshots:
-        snap_dir = out_dir / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
-        for t, rows in sorted(result.snapshots.items()):
-            for k in range(result.scenario.num_agents):
-                save_snapshot(snap_dir / f"epoch_{t}_agent_{k}.bin", rows[k].models)
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_metrics_csv(out_dir / "metrics.csv", result.records)
+        (out_dir / "config_resolved.txt").write_text(resolved_yaml(result.scenario))
+        if result.snapshots:
+            snap_dir = out_dir / "snapshots"
+            snap_dir.mkdir(exist_ok=True)
+            for t, rows in sorted(result.snapshots.items()):
+                for k in range(result.scenario.num_agents):
+                    save_snapshot(snap_dir / f"epoch_{t}_agent_{k}.bin", rows[k].models)
 
 
 def _cmd_run(args) -> int:
@@ -128,7 +140,8 @@ def _cmd_sweep(args) -> int:
                 f"--param values {runs[sub_dir][0]!r} and {tok!r} would both write {sub_dir}"
             )
         runs[sub_dir] = (tok, value)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     for sub_dir, (_, value) in runs.items():
         sub_cfg = yaml.safe_load(yaml.safe_dump(cfg))  # deep copy via round-trip
@@ -144,7 +157,7 @@ def _cmd_sweep(args) -> int:
         print(f"{dotted}={value}: wrote {sub_dir / 'metrics.csv'}")
 
     summary_path = out_dir / "sweep_summary.csv"
-    with open(summary_path, "w", newline="") as fp:
+    with _writing(), open(summary_path, "w", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow((dotted,) + CSV_HEADER)
         for value, r in summary_rows:
@@ -160,11 +173,11 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except (ValueError, TypeError, yaml.YAMLError, FileNotFoundError) as exc:
-        # ConfigError, GridParseError, and module-level validation errors
+    except (ValueError, TypeError, yaml.YAMLError, OSError) as exc:
+        # ConfigError, GridParseError, module validation and unreadable inputs
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (RunError, NumericalDegeneracyError, OSError) as exc:
+    except (RunError, NumericalDegeneracyError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

@@ -56,7 +56,7 @@ from ..dynamics import DynamicsConfig
 from ..ensemble import EnsembleSpec
 from ..features import KernelSpec
 from ..robust import RobustConfig
-from .streams import OutlierSpec, SynthConfig
+from .streams import GRID_SPATIAL, OutlierSpec, SynthConfig
 
 __all__ = [
     "ConfigError",
@@ -318,7 +318,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     a, b, c = rob["breakpoints"]
     robust = _build("robust", RobustConfig, kind=rob["kind"], delta=rob["delta"], a=a, b=b, c=c)
     if stream["kind"] == "grid_file":
-        source, spatial_dim = stream["path"], 2
+        source, spatial_dim = stream["path"], len(GRID_SPATIAL)
     else:
         source = _build("stream.synthetic", SynthConfig, **stream["synthetic"])
         spatial_dim = source.spatial_dim

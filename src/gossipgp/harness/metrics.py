@@ -23,7 +23,8 @@ adding it would round back to S: its W2 is not computed and the sum is
 bitwise the one that computes every term. The first term (S = 0) and any
 term whose bound is not finite are always computed, so a non-finite root
 still raises. An upper bound on ||B1||_F^2 in its place only raises u_m, so
-a term negligible even then needs no B1 (see _negligible).
+a term negligible even then needs no B1. The runner applies both forms of
+_negligible in its member loop, the bound before it builds B1.
 
 Floats are written with repr(), which round-trips float64 exactly, so two
 runs that produce bitwise-equal numbers produce byte-identical files.
@@ -62,27 +63,17 @@ def rmse(predictions: np.ndarray, truths: np.ndarray) -> float:
     return float(np.sqrt(np.mean((predictions - truths) ** 2)))
 
 
-def npll(member_means, member_variances, truths, weights=None) -> float:
-    """Mean negative predictive log-likelihood of truths.
+def npll(member_means, member_variances, truths, weights) -> float:
+    """Mean negative predictive log-likelihood of truths under a mixture.
 
-    member_means / member_variances may be (n,) for a single predictive
-    Gaussian per point or (M, n) for an M-component mixture; in the mixture
-    case the exact mixture density is scored, not a moment-matched Gaussian.
-    weights (M,) and truths (n,) must match them (mixture_log_density).
+    member_means and member_variances are (M, n), weights (M,) and truths
+    (n,), as mixture_log_density takes them: the exact mixture density is
+    scored, not a moment-matched Gaussian, and other shapes are its
+    ValueError. One Gaussian per point is the mixture of M = 1.
     """
-    means = np.asarray(member_means, dtype=float)
-    variances = np.asarray(member_variances, dtype=float)
-    truths = np.asarray(truths, dtype=float)
-    if means.ndim == 1:
-        means = means[np.newaxis, :]
-        variances = variances[np.newaxis, :]
-    if weights is None:
-        if means.shape[0] != 1:
-            raise ValueError("weights are required for a multi-member mixture")
-        weights = np.ones(1)
-    if truths.size == 0:
+    if np.size(truths) == 0:
         raise ValueError("npll over an empty set is undefined")
-    log_densities = mixture_log_density(weights, means, variances, truths)
+    log_densities = mixture_log_density(weights, member_means, member_variances, truths)
     return float(-np.mean(log_densities))
 
 
@@ -123,25 +114,13 @@ def wasserstein2_gaussians(mu1, B1, mu2, B2) -> float:
     return float(np.sqrt(max(d2, 0.0)))
 
 
-def _add_w2(total, w, root, other, other_trace) -> float:
-    """total + w * wasserstein2_gaussians(*root, *other), one term of a weighted sum.
-
-    root and other are (mu, B) pairs, and other_trace is _sq_frobenius of
-    other's B, so a caller that scores many roots against the same other
-    computes it once. Where the term cannot change total (see the module
-    docstring), its W2 is not computed and total is returned, so terms
-    added in member order from 0.0 give bitwise the full sum. The bound
-    w * u is computed as W2 computes its parts; a non-finite root or weight
-    makes it inf or nan, silently, so the term is computed and W2 reports it.
-    """
-    (mu1, B1), (mu2, B2) = root, other
-    if _negligible(total, w, mu1, mu2, _sq_frobenius(B1), other_trace):
-        return total
-    return float(total + w * wasserstein2_gaussians(mu1, B1, mu2, B2))
-
-
 def _negligible(total, w, mu1, mu2, trace1, trace2) -> bool:
-    """Whether total > 0 and w * sqrt(|mu1 - mu2|^2 + trace1 + trace2) < spacing(total) / 4."""
+    """Whether total > 0 and w * sqrt(|mu1 - mu2|^2 + trace1 + trace2) < spacing(total) / 4.
+
+    If so, adding w * W2 of roots with these means and traces, or smaller
+    traces, rounds back to total (see the module docstring). A non-finite
+    input makes the bound inf or nan, silently, and the answer False.
+    """
     with np.errstate(all="ignore"):
         d = np.asarray(mu1, dtype=float) - np.asarray(mu2, dtype=float)
         u = np.sqrt(float(np.sum(d**2)) + trace1 + trace2)

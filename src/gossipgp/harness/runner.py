@@ -67,7 +67,7 @@ from ..features import feature_matrix
 from ..info_filter import InfoState, factorize, posterior_root, predict_batch
 from ..robust import robust_increment, standardized_residuals, weights_for
 from .config import Scenario
-from .metrics import MetricsRecord, _add_w2, _negligible, _sq_frobenius, npll, rmse
+from .metrics import MetricsRecord, _negligible, _sq_frobenius, npll, rmse, wasserstein2_gaussians
 from .streams import Stream, SynthConfig, inject_outliers, load_grid_dataset, synth_stream
 
 __all__ = [
@@ -321,10 +321,11 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets, 
     Phis are each member's features over the whole evaluation grid; stitched
     evaluation reads agent k's columns offsets[k]:offsets[k + 1] as a view.
     The work runs member by member, with one oracle root and one agent
-    factor alive: each agent's W2 terms are summed in member order, with
-    trace_bounds[m] bounding ||B||_F^2 of member m's roots (see _negligible),
-    and its member moments are held until its last member, then scored and
-    freed. An agent whose posterior (evidence included) is bitwise the
+    factor alive: each agent's W2 terms are summed in member order, a term
+    skipped where _negligible finds it cannot move the sum, first with
+    trace_bounds[m] bounding ||B||_F^2 of member m's roots and then with the
+    root's own, and its member moments are held until its last member, then
+    scored and freed. An agent whose posterior (evidence included) is bitwise the
     previous agent's copies its record, or under stitched evaluation its
     factors and w2.
     """
@@ -357,17 +358,20 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets, 
                         if m == 0:
                             moments[k] = np.empty((2, M, y_true[sel[k]].size))
                         moments[k][:, m] = predict_batch(factor, Phis[m][:, sel[k]])
+                    w = weights[k][m]
                     if need_w2 and not shared[k] and not _negligible(
-                            w2[k], weights[k][m], factor.mu, oracle_root[0],
+                            w2[k], w, factor.mu, oracle_root[0],
                             np.inf if factor.jitter else trace_bounds[m], oracle_trace):
                         root = posterior_root(factor)
                     # Freed before W2 makes its n x n arrays, the factor leaves
                     # less at the heap's top for glibc to return and fault in.
                     if not (stitched and k + 1 < K and shared[k + 1]):
                         factor = None
-                    if root is not None:
-                        w2[k], root = _add_w2(w2[k], weights[k][m], root, oracle_root,
-                                              oracle_trace), None
+                    if root is not None and not _negligible(
+                            w2[k], w, root[0], oracle_root[0], _sq_frobenius(root[1]),
+                            oracle_trace):
+                        w2[k] = float(w2[k] + w * wasserstein2_gaussians(*root, *oracle_root))
+                    root = None
             if m < M - 1:
                 continue
             if not scored[k]:
@@ -381,7 +385,7 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets, 
                     if "rmse" in want:
                         rmse_val = rmse(mean, y_true[sel[k]])
                     if "npll" in want:
-                        npll_val = npll(*moments[k], y_true[sel[k]], weights=weights[k])
+                        npll_val = npll(*moments[k], y_true[sel[k]], weights[k])
                 moments[k] = None
             out.append(MetricsRecord(t=t, agent_id=k, rmse=rmse_val, npll=npll_val,
                                      w2_to_centralized=w2[k]))

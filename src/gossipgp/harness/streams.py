@@ -35,7 +35,9 @@ __all__ = [
     "write_synthetic_weather_csv",
 ]
 
-GRID_HEADER = ("lat", "lon", "t", "value")
+# The grid file's spatial columns, the stream's input columns in this order.
+GRID_SPATIAL = ("lat", "lon")
+GRID_HEADER = (*GRID_SPATIAL, "t", "value")
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,12 @@ class StreamBatch:
 class Stream:
     """Per-epoch per-agent batches plus the evaluation grid and its truth.
 
-    output_sd is the output standard deviation in stream units, used to
-    scale injected outlier magnitudes. For synthetic streams, `truth`
-    records the generating basis and weights.
+    K, the agent count, is each epoch's number of batches. output_sd is
+    the output standard deviation in stream units, used to scale injected
+    outlier magnitudes. For synthetic streams, `truth` records the
+    generating basis and weights.
     """
 
-    num_agents: int
     epochs: tuple[int, ...]
     batches: dict[int, list[StreamBatch]] = field(repr=False)
     eval_inputs: dict[int, np.ndarray] = field(repr=False)
@@ -86,10 +88,11 @@ class Stream:
         When the K batches of epoch t, in agent order, are consecutive blocks
         of its evaluation grid (as a grid file's are), agent k's batch is
         rows offsets[k]:offsets[k + 1] of it, an empty block included, and
-        the K + 1 offsets are returned. Otherwise (a synthetic stream, or
-        batches out of that order) the result is None.
+        the K + 1 offsets are returned. Otherwise (a synthetic stream,
+        batches out of that order, or K other than the first epoch's) the
+        result is None.
         """
-        if len(self.batches[t]) != self.num_agents:
+        if len(self.batches[t]) != len(self.batches[self.epochs[0]]):
             return None
         sites, offsets = self.eval_inputs[t], [0]
         for batch in self.batches[t]:
@@ -113,7 +116,8 @@ def load_grid_dataset(path, K: int) -> Stream:
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    lat, lon, t_raw, val = _read_grid_rows(path)
+    *spatial, t_raw, val = _read_grid_rows(path)
+    lat, lon = spatial
 
     rows, cols = _grid_shape(K)
     uniq_lat = np.unique(lat)
@@ -125,7 +129,7 @@ def load_grid_dataset(path, K: int) -> Stream:
         )
 
     # Min-max inputs to [0, 1] per column; standardize the outputs.
-    X = np.column_stack([lat, lon])
+    X = np.column_stack(spatial)
     x_min, x_max = X.min(axis=0), X.max(axis=0)
     X = (X - x_min) / np.where(x_max > x_min, x_max - x_min, 1.0)
     y = (val - float(val.mean())) / (float(val.std()) if val.std() > 0 else 1.0)
@@ -161,7 +165,6 @@ def load_grid_dataset(path, K: int) -> Stream:
         batches[t] = [StreamBatch(X=eval_inputs[t][a:b], y=eval_truth[t][a:b])
                       for a, b in zip(bounds[:-1], bounds[1:])]
     return Stream(
-        num_agents=K,
         epochs=epochs,
         batches=batches,
         eval_inputs=eval_inputs,
@@ -183,7 +186,7 @@ def _grid_rows(path):
 
 
 def _read_grid_rows(path):
-    """The lat, lon, t and value columns of the grid file at path."""
+    """The columns of the grid file at path, in GRID_HEADER order."""
     with open(path) as fp:
         header = next(csv.reader([fp.readline()]))
         if tuple(h.strip() for h in header) != GRID_HEADER:
@@ -198,12 +201,12 @@ def _read_grid_rows(path):
             data = np.loadtxt(fp, delimiter=",", quotechar='"', comments=None, ndmin=2)
             if data.shape[1] != len(GRID_HEADER):
                 raise ValueError(f"rows have {data.shape[1]} fields")
-            lat, lon, t, val = data.T
+            *spatial, t, val = data.T
             if not (np.all(np.isfinite(data)) and np.all(t == np.trunc(t))):
                 raise ValueError("fields must be finite and time an integer epoch")
         except ValueError as exc:
             raise _parse_error(path, exc) from None
-    return lat, lon, t.astype(int), val
+    return *spatial, t.astype(int), val
 
 
 def _parse_error(path, exc) -> GridParseError:
@@ -311,7 +314,6 @@ def synth_stream(cfg: SynthConfig, K: int, seed: int) -> Stream:
     stacked = np.concatenate(all_y)
     output_sd = float(stacked.std()) if stacked.size else 0.0
     return Stream(
-        num_agents=K,
         epochs=epochs,
         batches=batches,
         eval_inputs=eval_inputs,
@@ -365,10 +367,11 @@ def inject_outliers(stream: Stream, spec: OutlierSpec) -> Stream:
     """Return a copy of the stream with one epoch contaminated."""
     if spec.epoch not in stream.batches:
         raise ValueError(f"outlier epoch {spec.epoch} is not in the stream")
-    targets = range(stream.num_agents) if spec.agents is None else spec.agents
+    K = len(stream.batches[spec.epoch])
+    targets = range(K) if spec.agents is None else spec.agents
     for k in targets:
-        if not 0 <= k < stream.num_agents:
-            raise ValueError(f"outlier agent {k} out of range for K={stream.num_agents}")
+        if not 0 <= k < K:
+            raise ValueError(f"outlier agent {k} out of range for K={K}")
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     new_epoch: list[StreamBatch] = []

@@ -111,6 +111,33 @@ class TestExitCodes:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_directory_as_scenario_file_is_an_input_error(self, tmp_path, capsys):
+        scenario = tmp_path / "adir"
+        scenario.mkdir()
+        rc = main(["run", str(scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_directory_as_grid_file_is_an_input_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid"
+        grid.mkdir()
+        cfg = write_config(tmp_path, {**BASE, "stream": {"kind": "grid_file", "path": str(grid)}})
+        rc = main(["run", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "consensus.rounds=1"]],
+                             ids=["run", "sweep"])
+    def test_outputs_that_cannot_be_written_exit_one(self, tmp_path, capsys, command):
+        # --out names an existing file, so its directory cannot be made.
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main([command[0], cfg, *command[1:], "--out", str(out)])
+        assert rc == 1
+        assert "run failed: cannot write outputs" in capsys.readouterr().err
+
     def test_malformed_yaml(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("stream: [unclosed\n")

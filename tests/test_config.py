@@ -12,7 +12,12 @@ from gossipgp.harness.config import (
     resolved_yaml,
     scenario_from_dict,
 )
-from gossipgp.harness.streams import OutlierSpec, SynthConfig
+from gossipgp.harness.streams import (
+    OutlierSpec,
+    SynthConfig,
+    load_grid_dataset,
+    write_synthetic_weather_csv,
+)
 
 
 def minimal(**overrides):
@@ -63,6 +68,16 @@ class TestDefaults:
         sc = scenario_from_dict(cfg)
         assert sc.stream_source == "w.csv"
         assert sc.ensemble.members[0].spatial_lengthscales == (0.3, 0.3)
+
+    def test_grid_file_lengthscale_covers_the_loaders_input_columns(self, tmp_path):
+        # The spatial columns have one record, the loader's: a scalar
+        # lengthscale expands to as many entries as the inputs it reads.
+        path = tmp_path / "w.csv"
+        write_synthetic_weather_csv(path, nlat=4, nlon=4, epochs=1, seed=0)
+        sc = scenario_from_dict(minimal(stream={"kind": "grid_file", "path": str(path)}))
+        stream = load_grid_dataset(path, sc.num_agents)
+        columns = {b.X.shape[1] for b in stream.batches[0]} | {stream.eval_inputs[0].shape[1]}
+        assert columns == {len(sc.ensemble.members[0].spatial_lengthscales)}
 
     def test_synthetic_params_built(self):
         sc = scenario_from_dict(minimal())

@@ -9,7 +9,7 @@ from scipy.stats import norm
 import gossipgp.harness.metrics as metrics_mod
 from gossipgp.harness.metrics import (
     MetricsRecord,
-    _add_w2,
+    _negligible,
     _sq_frobenius,
     npll,
     read_metrics_csv,
@@ -43,14 +43,14 @@ class TestRmse:
 
 class TestNpll:
     def test_standard_normal_at_mode(self):
-        val = npll(np.array([0.0]), np.array([1.0]), np.array([0.0]))
+        val = npll(np.array([[0.0]]), np.array([[1.0]]), np.array([0.0]), np.ones(1))
         assert val == pytest.approx(0.5 * np.log(2.0 * np.pi), abs=1e-12)
 
     def test_matches_scipy_single_gaussian(self):
         means = np.array([0.5, -1.0, 2.0])
         variances = np.array([1.0, 0.25, 4.0])
         truths = np.array([0.0, -1.5, 3.0])
-        ours = npll(means, variances, truths)
+        ours = npll(means[np.newaxis], variances[np.newaxis], truths, np.ones(1))
         direct = -np.mean(norm.logpdf(truths, means, np.sqrt(variances)))
         assert ours == pytest.approx(direct, abs=1e-12)
 
@@ -59,27 +59,34 @@ class TestNpll:
         mm = np.array([[0.0, 1.0], [2.0, 3.0]])
         mv = np.array([[1.0, 1.0], [0.5, 2.0]])
         truths = np.array([0.4, 2.0])
-        ours = npll(mm, mv, truths, weights=w)
+        ours = npll(mm, mv, truths, w)
         dens = w[0] * norm.pdf(truths, mm[0], np.sqrt(mv[0])) + w[1] * norm.pdf(
             truths, mm[1], np.sqrt(mv[1])
         )
         assert ours == pytest.approx(-np.mean(np.log(dens)), abs=1e-12)
 
     def test_mixture_requires_weights(self):
-        with pytest.raises(ValueError):
-            npll(np.zeros((2, 3)), np.ones((2, 3)), np.zeros(3))
+        # Weights have no default, one member's included.
+        for M in (1, 2):
+            with pytest.raises(TypeError, match="weights"):
+                npll(np.zeros((M, 3)), np.ones((M, 3)), np.zeros(3))
+
+    def test_one_dimensional_moments_are_refused(self):
+        # (n,) moments are not read as one member: mixture_log_density refuses them.
+        with pytest.raises(ValueError, match=r"weights \(1,\) do not match member moments \(3,\)"):
+            npll(np.zeros(3), np.ones(3), np.zeros(3), np.ones(1))
 
     def test_mixture_weights_and_truths_must_match_the_members(self):
         # One weight for three members would score the sum of their densities.
         mm, mv = np.zeros((3, 4)), np.ones((3, 4))
         with pytest.raises(ValueError, match=r"weights \(1,\) do not match member moments"):
-            npll(mm, mv, np.zeros(4), weights=[1.0])
+            npll(mm, mv, np.zeros(4), [1.0])
         with pytest.raises(ValueError, match=r"y \(1,\) does not match member moments"):
-            npll(mm, mv, np.zeros(1), weights=np.ones(3) / 3)
+            npll(mm, mv, np.zeros(1), np.ones(3) / 3)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            npll(np.zeros(0), np.ones(0), np.zeros(0))
+        with pytest.raises(ValueError, match="empty set"):
+            npll(np.zeros((1, 0)), np.ones((1, 0)), np.zeros(0), np.ones(1))
 
 
 def root(Sigma):
@@ -241,16 +248,28 @@ def random_roots(rng, count, n=3):
 
 
 
+def add_term(total, w, root, other, other_trace):
+    """total plus one weighted W2 term, as the runner's evaluation adds it.
+
+    _negligible with root's own trace decides whether the term is computed;
+    W2 is looked up in the module at each call, so a test can count it.
+    """
+    (mu1, B1), (mu2, B2) = root, other
+    if _negligible(total, w, mu1, mu2, _sq_frobenius(B1), other_trace):
+        return total
+    return float(total + w * metrics_mod.wasserstein2_gaussians(mu1, B1, mu2, B2))
+
+
 def traces_of(others):
-    """Each other root's ||B||_F^2, as _add_w2 takes them."""
+    """Each other root's ||B||_F^2, as add_term takes them."""
     return [_sq_frobenius(B) for _, B in others]
 
 
 def added_w2(weights, roots, others):
-    """The evidence-weighted W2, each term added by _add_w2 in member order."""
+    """The evidence-weighted W2, each term added by add_term in member order."""
     total = 0.0
     for w_m, root, other, trace in zip(weights, roots, others, traces_of(others)):
-        total = _add_w2(total, w_m, root, other, trace)
+        total = add_term(total, w_m, root, other, trace)
     return total
 
 
@@ -307,10 +326,10 @@ class TestWeightedW2:
         roots, others = random_roots(rng, 3), random_roots(rng, 3)
         roots[1][1][2, 0] = bad
         traces = traces_of(others)
-        total = _add_w2(0.0, 1.0, roots[0], others[0], traces[0])
+        total = add_term(0.0, 1.0, roots[0], others[0], traces[0])
         assert total > 0.0
         with pytest.raises(ValueError, match="covariance root B1 holds non-finite"):
-            _add_w2(total, weight, roots[1], others[1], traces[1])
+            add_term(total, weight, roots[1], others[1], traces[1])
 
 
 class TestMetricsCsv:

@@ -814,7 +814,7 @@ class TestRunErrors:
         # runs a stream of that many agents.
         sc = scenario_from_dict(make_config())
         sc = dataclasses.replace(sc, topology=build_topology("ring", 5))
-        assert materialize_stream(sc).num_agents == 5
+        assert len(materialize_stream(sc).batches[0]) == 5
         assert sorted({r.agent_id for r in run_scenario(sc).records}) == list(range(5))
 
     def test_member_failure_is_annotated_with_context(self, monkeypatch):
@@ -906,7 +906,7 @@ class TestRunErrors:
         assert info.value.__cause__ is failure
 
     def test_evaluation_member_failure_names_the_member(self, monkeypatch):
-        import gossipgp.harness.metrics as metrics_mod
+        import gossipgp.harness.runner as runner_mod
 
         failure = ValueError("synthetic failure")
         calls = []
@@ -917,7 +917,7 @@ class TestRunErrors:
                 raise failure
             return 0.0
 
-        monkeypatch.setattr(metrics_mod, "wasserstein2_gaussians", fail_second)
+        monkeypatch.setattr(runner_mod, "wasserstein2_gaussians", fail_second)
         cfg = make_config(
             ensemble={"shared_J": 8,
                       "members": [{"lengthscales": 0.4}, {"lengthscales": 0.1}]},
@@ -1444,11 +1444,10 @@ class TestNegligibleW2Terms:
 
     def run_counting_w2(self, full, dynamics=None, jitter=False):
         """The run, its W2 calls and the covariance roots the runner builds."""
-        import gossipgp.harness.metrics as metrics_mod
         import gossipgp.harness.runner as runner_mod
 
         calls, roots = [], []
-        exact, posterior_root_ = metrics_mod.wasserstein2_gaussians, runner_mod.posterior_root
+        exact, posterior_root_ = runner_mod.wasserstein2_gaussians, runner_mod.posterior_root
         factorize_ = runner_mod.factorize
 
         def counted(*args):
@@ -1459,15 +1458,12 @@ class TestNegligibleW2Terms:
             roots.append(None)
             return posterior_root_(factor)
 
-        def every_term(total, w, root, other, other_trace):
-            return float(total + w * metrics_mod.wasserstein2_gaussians(*root, *other))
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics_mod, "wasserstein2_gaussians", counted)
+            mp.setattr(runner_mod, "wasserstein2_gaussians", counted)
             mp.setattr(runner_mod, "posterior_root", counted_root)
             if full:
+                # Both skip rules are the runner's _negligible calls.
                 mp.setattr(runner_mod, "_negligible", lambda *args: False)
-                mp.setattr(runner_mod, "_add_w2", every_term)
             if jitter:
                 mp.setattr(runner_mod, "factorize",
                            lambda state: dataclasses.replace(factorize_(state), jitter=1e-300))
@@ -1487,29 +1483,40 @@ class TestNegligibleW2Terms:
         )
 
     def test_oracle_traces_are_computed_once_per_evaluated_epoch(self, monkeypatch):
-        # Every agent's bound reads the oracle member's ||B'||_F^2, computed
-        # once per evaluated epoch and member rather than once per agent.
+        # Both rules read the oracle member's ||B'||_F^2, computed once per
+        # evaluated epoch and member rather than once per agent. Per epoch
+        # and member the runner takes the oracle's trace, then per agent
+        # applies the bound rule and, where it leaves the term (members 0
+        # and 1), takes the root's trace and applies the exact rule.
         import gossipgp.harness.runner as runner_mod
 
-        traces, weighed = [], []
+        events = []
         sq_frobenius_, negligible_ = runner_mod._sq_frobenius, runner_mod._negligible
 
         def counted(B):
-            traces.append(sq_frobenius_(B))
-            return traces[-1]
+            events.append(("trace", sq_frobenius_(B)))
+            return events[-1][1]
 
         def negligible(total, w, mu1, mu2, trace1, trace2):
-            weighed.append(trace2)
+            events.append(("weigh", trace2))
             return negligible_(total, w, mu1, mu2, trace1, trace2)
 
         monkeypatch.setattr(runner_mod, "_sq_frobenius", counted)
         monkeypatch.setattr(runner_mod, "_negligible", negligible)
         run_scenario(scenario_from_dict(self.config()))
         E, K, M = len(self.evaluated), self.K, self.M
-        assert len(traces) == E * M
-        assert len(weighed) == E * M * K
-        for e in range(E * M):
-            assert weighed[K * e: K * (e + 1)] == [traces[e]] * K
+        at = 0
+        for m in list(range(M)) * E:
+            kind, oracle = events[at]
+            assert kind == "trace"
+            at += 1
+            for _ in range(K):
+                assert events[at] == ("weigh", oracle)
+                at += 1
+                if m < M - 1:
+                    assert events[at][0] == "trace" and events[at + 1] == ("weigh", oracle)
+                    at += 2
+        assert at == len(events)
 
     def test_skipped_terms_leave_every_bit_in_place(self):
         skipping, calls, roots = self.run_counting_w2(full=False)

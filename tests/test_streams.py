@@ -433,7 +433,6 @@ class TestSynthStream:
         # K is the caller's (the topology's): the stream has K batches per
         # epoch, and no agent is refused, as load_grid_dataset refuses it.
         stream = synth_stream(SynthConfig(epochs=2, batch_size=3), 5, seed=1)
-        assert stream.num_agents == 5
         assert all(len(stream.batches[t]) == 5 for t in stream.epochs)
         with pytest.raises(ValueError, match="K must be >= 1, got 0"):
             synth_stream(SynthConfig(), 0, seed=1)
@@ -536,7 +535,7 @@ class TestSyntheticWeather:
         path = tmp_path / "w.csv"
         write_synthetic_weather_csv(path, nlat=4, nlon=4, epochs=2, seed=1)
         stream = load_grid_dataset(path, K=4)
-        assert stream.num_agents == 4
+        assert all(len(stream.batches[t]) == 4 for t in stream.epochs)
         assert stream.epochs == (0, 1)
         assert sum(b.size for b in stream.batches[0]) == 16
 
