@@ -11,13 +11,11 @@ The package exports each module's __all__; the modules list their names.
 """
 
 # OpenBLAS's worker threads busy-wait for about 0.1 s after the library
-# loads. Loading scipy's first lets that overlap the imports below, not the
-# first epoch of a run.
+# loads. Loading scipy's early (after numpy's: the other order doubled the
+# spin) lets that overlap the imports below, not the first epoch of a run.
 from . import _lapack  # noqa: F401
 
-# numpy loads these two on first use; loading them with the package keeps
-# that cost out of a run.
-import numpy.ma  # noqa: F401  np.unique, which harness.streams calls, reads it
+# numpy loads numpy.random on first use; loading it here keeps that out of a run.
 import numpy.random  # noqa: F401  features, ensemble and harness.streams draw from it
 
 from . import features, info_filter, robust, dynamics, consensus, ensemble

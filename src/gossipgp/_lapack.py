@@ -5,7 +5,8 @@ linalg submodule and scipy's array-API layer (numpy.f2py and numpy.testing
 come with it): about 0.25 s and 17 MB per process, none of which the epoch
 loop uses. The loop calls only the f2py extensions scipy.linalg._fblas and
 scipy.linalg._flapack, which need numpy alone. This module loads the two
-from scipy's linalg directory and registers them in sys.modules under those
+from scipy's linalg directory, found through scipy's import spec, so scipy's
+__init__ runs only on Windows, and registers them in sys.modules under those
 names, so a later `import scipy.linalg` shares these module objects.
 
 blas and lapack are the extension modules themselves; their routines take
@@ -18,7 +19,9 @@ import os
 import sys
 from importlib.machinery import PathFinder
 
-import scipy
+import numpy  # noqa: F401  its OpenBLAS loads before scipy's (see gossipgp/__init__.py)
+if sys.platform == "win32":
+    import scipy  # noqa: F401  its __init__ (about 1 MB) adds the wheel's DLL directory
 
 
 def _extension(name: str):
@@ -26,7 +29,10 @@ def _extension(name: str):
     fullname = f"scipy.linalg.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]
-    directory = os.path.join(scipy.__path__[0], "linalg")
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("gossipgp needs scipy, which is not installed", name="scipy")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
     spec = PathFinder.find_spec(fullname, [directory])
     if spec is None:
         raise ImportError(f"scipy's extension {fullname} is not in {directory}", name=fullname)

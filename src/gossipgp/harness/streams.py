@@ -120,8 +120,8 @@ def load_grid_dataset(path, K: int) -> Stream:
     lat, lon = spatial
 
     rows, cols = _grid_shape(K)
-    uniq_lat = np.unique(lat)
-    uniq_lon = np.unique(lon)
+    uniq_lat = _unique(lat)
+    uniq_lon = _unique(lon)
     if uniq_lat.size < rows or uniq_lon.size < cols:
         raise ValueError(
             f"cannot split a {uniq_lat.size} x {uniq_lon.size} grid into "
@@ -171,6 +171,12 @@ def load_grid_dataset(path, K: int) -> Stream:
         eval_truth=eval_truth,
         output_sd=1.0,
     )
+
+
+def _unique(a):
+    """np.unique(a) of a finite 1-D array, without np.unique's numpy.ma lookup (numpy >= 2.3)."""
+    a = np.sort(a)
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
 
 
 def _grid_rows(path):

@@ -2,9 +2,10 @@
 
 Importing scipy.linalg costs about 0.25 s per process, and a scenario runs
 as its own process. gossipgp._lapack loads scipy's f2py extensions on their
-own instead. These tests check that no package import pulls scipy.linalg
-in, that a run imports nothing once the package is loaded, and that the
-direct LAPACK calls give bitwise what scipy.linalg's functions give.
+own instead, found without running scipy's __init__. These tests check that
+no package import pulls scipy, scipy.linalg or numpy.ma in, that a run
+imports nothing once the package is loaded, and that the direct LAPACK
+calls give bitwise what scipy.linalg's functions give.
 """
 import os
 import subprocess
@@ -32,15 +33,46 @@ def run_fresh(code: str, *args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def test_package_import_leaves_scipy_linalg_out():
-    code = "import sys, gossipgp, gossipgp.harness; print('scipy.linalg' in sys.modules)"
-    assert run_fresh(code) == "False"
+def test_package_import_leaves_scipy_and_numpy_ma_out():
+    # The extensions are found through scipy's import spec, so neither
+    # scipy's __init__ nor scipy.linalg's runs, and the grid loader's
+    # unique coordinates do not need numpy.ma. numpy 1.x imports numpy.ma
+    # itself, so what `import numpy` loads is exempt.
+    code = ("import sys, numpy\n"
+            "unwanted = {'scipy', 'scipy.linalg', 'numpy.ma'} - set(sys.modules)\n"
+            "import gossipgp, gossipgp.harness\n"
+            "print(sorted(unwanted & set(sys.modules)))")
+    assert run_fresh(code) == "[]"
+
+
+def test_numpy_loads_before_scipy_extensions():
+    # Creating _fblas loads scipy's OpenBLAS. Loading it before numpy's
+    # doubled the two libraries' busy-wait and cost about 50 ms of setup
+    # on two vCPUs.
+    code = ("import sys, importlib.util\n"
+            "create = importlib.util.module_from_spec\n"
+            "def record(spec):\n"
+            "    print(spec.name, 'numpy' in sys.modules)\n"
+            "    return create(spec)\n"
+            "importlib.util.module_from_spec = record\n"
+            "import gossipgp")
+    assert run_fresh(code).splitlines() == ["scipy.linalg._fblas True",
+                                            "scipy.linalg._flapack True"]
 
 
 def test_missing_extension_is_an_import_error_that_names_it():
     with pytest.raises(ImportError, match=r"extension scipy\.linalg\._fnone is not in "):
         _lapack._extension("_fnone")
     assert "scipy.linalg._fnone" not in sys.modules
+
+
+def test_missing_scipy_is_an_import_error_that_names_it(monkeypatch):
+    monkeypatch.setattr(_lapack.importlib.util, "find_spec", lambda name, package=None: None)
+    before = set(sys.modules)
+    with pytest.raises(ImportError, match="scipy, which is not installed") as info:
+        _lapack._extension("_fnone")
+    assert info.value.name == "scipy"
+    assert set(sys.modules) == before
 
 
 @pytest.mark.parametrize("first", ["gossipgp", "scipy.linalg"])
@@ -70,16 +102,21 @@ common = {
     "dynamics": {"mode": "b2p", "nu": 0.9},
     "robust": {"kind": "hampel"},
 }
-streams = {
-    "grid_file": ({"kind": "grid_file", "path": str(grid)}, "stitched"),
-    "synthetic": ({"kind": "synthetic",
-                   "synthetic": {"epochs": 3, "batch_size": 10, "num_eval_points": 20}},
-                  "global"),
+synthetic = {"kind": "synthetic",
+             "synthetic": {"epochs": 3, "batch_size": 10, "num_eval_points": 20}}
+metrics = ["rmse", "npll", "w2"]
+cases = {
+    "grid_file": {"stream": {"kind": "grid_file", "path": str(grid)},
+                  "eval": {"mode": "stitched", "metrics": metrics}},
+    "synthetic": {"stream": synthetic, "eval": {"mode": "global", "metrics": metrics}},
+    # What the two cases above skip: an outlier burst, Huber weights, ui
+    # forgetting and agents that keep their own increments.
+    "local_huber_ui": {"stream": synthetic, "consensus": {"mode": "local"},
+                       "dynamics": {"mode": "ui", "nu": 0.5}, "robust": {"kind": "huber"},
+                       "outliers": {"epoch": 1, "fraction": 0.3},
+                       "eval": {"metrics": metrics, "w2_oracle": "unit"}},
 }
-kind = sys.argv[2]
-stream, mode = streams[kind]
-scenario = scenario_from_dict({**common, "stream": stream,
-                               "eval": {"mode": mode, "metrics": ["rmse", "npll", "w2"]}})
+scenario = scenario_from_dict({**common, **cases[sys.argv[2]]})
 before = set(sys.modules)
 result = run_scenario(scenario)
 write_metrics_csv(out / "metrics.csv", result.records)
@@ -87,7 +124,7 @@ print(sorted(set(sys.modules) - before))
 """
 
 
-@pytest.mark.parametrize("kind", ["grid_file", "synthetic"])
+@pytest.mark.parametrize("kind", ["grid_file", "synthetic", "local_huber_ui"])
 def test_run_imports_nothing(tmp_path, kind):
     # A module a run imports on first use would be timed as part of the run.
     assert run_fresh(RUN_IMPORTS, str(tmp_path), kind) == "[]"

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipgp import (
     build_topology,
@@ -25,6 +27,7 @@ from gossipgp.harness.streams import (
     synthetic_weather_table,
     write_synthetic_weather_csv,
     _read_grid_rows,
+    _unique,
 )
 
 
@@ -142,6 +145,21 @@ class TestGridLoader:
         for t in stream.epochs:
             assert stream.eval_inputs[t].shape == (16, 2)
             assert stream.eval_truth[t].shape == (16,)
+
+
+# Arrays drawn from a few finite values plus both zeros, so most repeat.
+repeating_floats = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from([*pool, 0.0, -0.0]), max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeating_floats)
+def test_loader_unique_is_np_unique(values):
+    # The loader's coordinates are finite; on those, the sort-based unique
+    # keeps what np.unique keeps (0.0 and -0.0 compare equal: one is kept).
+    a = np.array(values, dtype=float)
+    got, expected = _unique(a), np.unique(a)
+    assert got.size == expected.size and np.all(got == expected)
 
 
 def stream_arrays(stream):
