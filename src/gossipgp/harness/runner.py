@@ -30,9 +30,11 @@ featurized at t = 0 only. Snapshots and final states are in w's frame.
 
 Where an epoch's batches are the agents' blocks of its evaluation grid, as
 a grid file's are, Stream.blocks gives their row offsets, read once per
-epoch: each member's features are built over the grid, and the local step
-and stitched evaluation read each agent's block of columns. Otherwise each
-batch is featurized on its own, and stitched evaluation is refused.
+epoch: each member's features are built over the grid before the local
+step, and the local step and stitched evaluation read each agent's block of
+columns. Otherwise each batch is featurized on its own, stitched evaluation
+is refused, and an evaluation that predicts builds each member's features
+over its inputs when it reaches that member, and drops them before the next.
 
 The stream is built for the topology's K agents, so only stitching is
 checked before the run; an input dimension other than the kernel's stops
@@ -186,7 +188,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     rows = [EnsembleState(models=[replace(x, D=D[m, i], eta=eta[m, i])
                                   for m, x in enumerate(prior.models)],
                           log_evidence=log_evidence[:, i]) for i in range(R)]
-    del prior
+    del prior, x
     # Each member's v_time, and the epoch whose frame the states are in.
     v_time = np.stack([fm.frequencies[:, -1] for fm in fmaps]) if fmaps[0].timed else None
     frame = stream.epochs[0]
@@ -197,13 +199,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     records: list[MetricsRecord] = []
     snapshots: dict[int, list[EnsembleState]] = {}
     jittered = []
-    # Each member's features over the evaluation inputs are built at t = 0,
-    # again only when an epoch's inputs differ from the ones they were built
-    # for. An epoch whose batches are blocks of the grid needs them, since
-    # each batch's features are its block of the grid's columns, read as a
-    # view; otherwise each batch is featurized, and the evaluation inputs
-    # only at epochs that predict.
-    predict = "rmse" in scenario.eval.metrics or "npll" in scenario.eval.metrics
+    # The grid's features are built at its first epoch with blocks, again
+    # only when its sites differ from the ones they were built for.
     sites = Phis = None
     for t in stream.epochs:
         apply_forgetting(D, eta, prior_variances[:, None], scenario.dynamics)
@@ -212,18 +209,19 @@ def run_scenario(scenario: Scenario) -> RunResult:
             frame = t
 
         offsets = blocks[t]
-        if offsets is not None or (predict and t in eval_set):
-            if sites is None or not np.array_equal(stream.eval_inputs[t], sites):
-                sites = stream.eval_inputs[t]
-                with _context(f"epoch {t}, features of the evaluation grid"):
-                    Phis = [feature_matrix(fm, sites) for fm in fmaps]
+        if offsets is not None and (sites is None
+                                    or not np.array_equal(stream.eval_inputs[t], sites)):
+            sites = stream.eval_inputs[t]
+            with _context(f"epoch {t}, features of the evaluation grid"):
+                Phis = [feature_matrix(fm, sites) for fm in fmaps]
 
         for m in range(M):
             obs_variance = spec.members[m].obs_variance
             # Member m's message (each agent's P, s and evidence) lives from
             # its local step to its gossip; the oracle's holds the same or the
             # unit-weight increments. A factor is kept only while the next
-            # agent's member-m posterior is bitwise this one's.
+            # agent's member-m posterior is bitwise this one's, and otherwise
+            # dropped before the increment's n x n scratch is made.
             message = np.empty((K, width))
             oracle_message = np.empty_like(message) if unit_oracle else message
             factor = None
@@ -237,6 +235,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
                         if factor is None:
                             factor = _factorize(rows[k].models[m], jittered)
                         means, variances = predict_batch(factor, Phi)
+                        if not (k + 1 < K and _same_posterior((eta[m], D[m]), k + 1, k)):
+                            factor = None
                         w = weights_for(standardized_residuals(batch.y, means, variances),
                                         scenario.robust)
                         log_pdf = gaussian_log_density(batch.y, means, variances)
@@ -252,9 +252,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     for term in (message[k, -1], oracle_message[k, -1]):
                         if not np.isfinite(term):
                             raise ValueError(f"evidence term {float(term)} is not finite")
-                if factor is not None and not (
-                        k + 1 < K and _same_posterior((eta[m], D[m]), k + 1, k)):
-                    factor = None
 
             # Gossip adds what each agent receives straight into the agents'
             # states. With local evidence the agents keep their own evidence
@@ -268,8 +265,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
             del message, oracle_message
 
         if t in eval_set:
-            records.extend(_evaluate_epoch(scenario, stream, t, (log_evidence, eta, D), rows,
-                                           jittered, Phis, offsets, trace_bounds))
+            records.extend(_evaluate_epoch(
+                scenario, stream, t, (log_evidence, eta, D), rows, jittered,
+                iter(Phis) if offsets is not None
+                else (feature_matrix(fm, stream.eval_inputs[t]) for fm in fmaps),
+                offsets, trace_bounds))
         if t in snapshot_set:
             snapshots[t] = copy.deepcopy(rows)
             for row in snapshots[t] if v_time is not None else ():
@@ -318,8 +318,11 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets, 
 
     rows are the posteriors of the agents, then the oracle's when w2 is
     requested, and stacks their member-major log-evidence, eta and packed D.
-    Phis are each member's features over the whole evaluation grid; stitched
-    evaluation reads agent k's columns offsets[k]:offsets[k + 1] as a view.
+    Phis yields each member's features over the whole evaluation grid, in
+    member order: the grid's own matrices, or a generator that builds each
+    one as it is taken. One is taken per member, only when some agent
+    predicts, and dropped before the next; stitched evaluation reads agent
+    k's columns offsets[k]:offsets[k + 1] as a view.
     The work runs member by member, with one oracle root and one agent
     factor alive: each agent's W2 terms are summed in member order, a term
     skipped where _negligible finds it cannot move the sum, first with
@@ -343,7 +346,10 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets, 
                 for k in range(K)]
     moments, w2, out = [None] * K, [0.0 if need_w2 else None] * K, []
     for m in range(M):
-        factor = root = oracle_root = None
+        factor = root = oracle_root = Phi = None
+        if any(predicts):
+            with _context(f"epoch {t}, features of the evaluation grid"):
+                Phi = next(Phis)
         if need_w2:
             # Only the oracle's root is kept, not its factor.
             with _context(f"epoch {t}, centralized oracle"):
@@ -357,7 +363,7 @@ def _evaluate_epoch(scenario, stream, t, stacks, rows, jittered, Phis, offsets, 
                     if predicts[k]:
                         if m == 0:
                             moments[k] = np.empty((2, M, y_true[sel[k]].size))
-                        moments[k][:, m] = predict_batch(factor, Phis[m][:, sel[k]])
+                        moments[k][:, m] = predict_batch(factor, Phi[:, sel[k]])
                     w = weights[k][m]
                     if need_w2 and not shared[k] and not _negligible(
                             w2[k], w, factor.mu, oracle_root[0],

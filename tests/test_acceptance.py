@@ -87,66 +87,96 @@ def test_feature_inner_products_approximate_rbf():
            f"{elapsed:.2f}s < 5s")
 
 
-def exact_gp_errors(J, seed):
+def exact_gp_errors(J, seed, temporal_lengthscale=None):
     """Agent 0's predictive errors against the exact GP after a complete-graph run.
 
     A static_gp stream of 3 epochs of 25 points for each of 4 agents, one
     gossip round per epoch, no robust weights; the exact GP has the model's
     RBF kernel (lengthscale 0.3, prior variance 1) and noise variance 0.05,
-    and is conditioned on all 300 observations by Cholesky. Returns the rms
-    of the mean error and the largest variance error over the 200
-    evaluation points.
+    and is conditioned on all 300 observations by Cholesky. With a temporal
+    lengthscale the kernel is the product of that RBF on x and one on the
+    epoch t, under static dynamics: each observation's input is (x, t), and
+    the agent's final state, which the run turns back from the frame of the
+    t = 0 features, predicts at the last epoch through features of (x, t)
+    built here from the frequencies, time column included. The stream then
+    drifts (drift_scale 0.5), so a posterior that misplaces its batches in
+    time is far from the exact one. Returns the rms of the mean error and
+    the largest variance error over the 200 evaluation points.
     """
     ls, prior_variance, obs_variance = 0.3, 1.0, 0.05
+    timed = {} if temporal_lengthscale is None else {"temporal_lengthscale": temporal_lengthscale}
+    kind = {"kind": "drifting_gp", "drift_scale": 0.5} if timed else {"kind": "static_gp"}
     cfg = {
         "seed": seed,
         "topology": {"kind": "complete", "num_agents": 4},
         "consensus": {"rounds": 1},
-        "ensemble": {"shared_J": J, "members": [{
+        "ensemble": {"shared_J": J, **timed, "members": [{
             "lengthscales": ls, "prior_variance": prior_variance,
             "obs_variance": obs_variance}]},
         "stream": {"kind": "synthetic", "synthetic": {
-            "kind": "static_gp", "epochs": 3, "batch_size": 25, "lengthscale": ls,
+            **kind, "epochs": 3, "batch_size": 25, "lengthscale": ls,
             "prior_variance": prior_variance, "num_eval_points": 200}},
         "eval": {"metrics": ["rmse"], "epochs": [2]},
     }
     result = run_scenario(scenario_from_dict(cfg))
     stream = result.stream
-    batches = [b for t in stream.epochs for b in stream.batches[t]]
-    X, y = np.concatenate([b.X for b in batches]), np.concatenate([b.y for b in batches])
-    X_eval = stream.eval_inputs[stream.epochs[-1]]
+    scales = np.array([ls, ls, *timed.values()])
+
+    def inputs(X, t):
+        return np.hstack([X, np.full((len(X), 1), float(t))]) if timed else X
+
+    batches = [(b, t) for t in stream.epochs for b in stream.batches[t]]
+    X = np.concatenate([inputs(b.X, t) for b, t in batches])
+    y = np.concatenate([b.y for b, _ in batches])
+    X_eval = inputs(stream.eval_inputs[stream.epochs[-1]], stream.epochs[-1])
 
     def kernel(A, B):
         return prior_variance * np.exp(
-            -0.5 * np.sum((A[:, None] - B[None]) ** 2, axis=-1) / ls**2)
+            -0.5 * np.sum(((A[:, None] - B[None]) / scales) ** 2, axis=-1))
 
     L = np.linalg.cholesky(kernel(X, X) + obs_variance * np.eye(len(y)))
     V = np.linalg.solve(L, kernel(X, X_eval))
     exact_mean = V.T @ np.linalg.solve(L, y)
     exact_var = prior_variance - np.sum(V**2, axis=0) + obs_variance
+    projections = result.feature_maps[0].frequencies @ X_eval.T
+    Phi = np.empty((2 * J, len(X_eval)), order="F")
+    Phi[0::2], Phi[1::2] = np.sin(projections), np.cos(projections)
     factor = factorize(result.agent_states[0].models[0])
-    mean, var = predict_batch(factor, feature_matrix(result.feature_maps[0], X_eval))
+    mean, var = predict_batch(factor, Phi / np.sqrt(J))
     return (float(np.sqrt(np.mean((mean - exact_mean) ** 2))),
             float(np.max(np.abs(var - exact_var))))
 
 
-def test_posterior_approaches_the_exact_gp():
-    # With one round on a complete graph an agent holds the pooled
-    # random-feature posterior, which approaches the exact GP as J grows:
-    # the median errors over seeds 0-2 decrease with J, and at the largest
-    # J both are at most 1/sqrt(J).
+def _approaches_the_exact_gp(name, temporal_lengthscale=None):
+    """The median errors over seeds 0-2 decrease with J, and at the largest
+    J both are at most 1/sqrt(J)."""
     t0 = time.perf_counter()
     Js = (25, 100, 400)
-    medians = np.array([np.median([exact_gp_errors(J, seed) for seed in range(3)], axis=0)
-                        for J in Js])
+    medians = np.array([np.median([exact_gp_errors(J, seed, temporal_lengthscale)
+                                   for seed in range(3)], axis=0) for J in Js])
     elapsed = time.perf_counter() - t0
     bound = 1.0 / np.sqrt(Js[-1])
     shrinking = bool(np.all(np.diff(medians, axis=0) < 0))
-    report("the posterior approaches the exact GP as J grows",
-           shrinking and np.all(medians[-1] <= bound),
+    report(name, shrinking and np.all(medians[-1] <= bound),
            "median rms(mean) " + ", ".join(f"{e:.4f}" for e in medians[:, 0])
            + "; max |var| " + ", ".join(f"{e:.4f}" for e in medians[:, 1])
            + f" at J = {Js}; <= {bound:.3f} at J = {Js[-1]}, in {elapsed:.2f}s")
+
+
+def test_posterior_approaches_the_exact_gp():
+    # With one round on a complete graph an agent holds the pooled
+    # random-feature posterior, which approaches the exact GP as J grows.
+    _approaches_the_exact_gp("the posterior approaches the exact GP as J grows")
+
+
+def test_rotated_posterior_approaches_the_exact_gp_in_space_and_time():
+    # With a temporal lengthscale the runner featurizes every batch at
+    # t = 0 and turns the states each epoch instead, then turns the final
+    # states back: only if each turn matches its epoch does the pooled
+    # posterior approach the exact GP with the product kernel on (x, t).
+    _approaches_the_exact_gp(
+        "the rotated posterior approaches the exact space-time GP as J grows",
+        temporal_lengthscale=2.0)
 
 
 def test_complete_graph_round_matches_fusion_center():

@@ -411,13 +411,14 @@ class TestEvalModes:
 
     def test_synthetic_eval_features_built_once_and_rotated(self, monkeypatch, features_at):
         # A synthetic stream evaluates at the same points every epoch: each
-        # member's features over them are built once, at t = 0, from the
-        # sites alone. Time turns the states instead: one rotate of the whole
-        # member-major stack per epoch, by the time since the epoch before,
-        # one per row and member to turn each snapshot's copy back to w's
-        # frame, and one of the whole stack to turn the final states back.
-        # Scoring the snapshots with each epoch's time-t features gives the
-        # recorded metrics.
+        # member's features over them are built from the sites alone, once
+        # per evaluated epoch, when the evaluation reaches that member, and
+        # dropped after it. Time turns the states instead: one rotate of the
+        # whole member-major stack per epoch, by the time since the epoch
+        # before, one per row and member to turn each snapshot's copy back to
+        # w's frame, and one of the whole stack to turn the final states
+        # back. Scoring the snapshots with each epoch's time-t features gives
+        # the recorded metrics.
         import gossipgp.harness.runner as runner_mod
 
         K, M, n_eval = 2, 2, 40
@@ -445,7 +446,7 @@ class TestEvalModes:
         monkeypatch.setattr(runner_mod, "feature_matrix", counted_feature_matrix)
         monkeypatch.setattr(runner_mod, "rotate", counted_rotate)
         res = run_scenario(scenario)
-        assert built == [scenario.ensemble.members[0].spatial_dim] * M
+        assert built == [scenario.ensemble.members[0].spatial_dim] * M * 2
         v_time = np.stack([fm.frequencies[:, -1] for fm in res.feature_maps])
         R = K + 1
 
@@ -867,14 +868,16 @@ class TestRunErrors:
     # Each site that names where a run failed: the function made to fail,
     # the call of it that fails, and the prefix. On a ring of 4, rounds 1,
     # the agents' posteriors differ from epoch 1 on, so none shares another's
-    # work there. The grid is featurized before the local step of the first
-    # evaluated epoch. Both the local step and the evaluation run member by
-    # member, the oracle's root before the agents' work on each member, and
-    # the evaluation predicts with predict_batch too: 8 calls per epoch and
-    # per evaluated epoch, from the prior's 2 factorizations on.
+    # work there. Both the local step and the evaluation run member by
+    # member, the member's features over the evaluation points and then the
+    # oracle's root before the agents' work on each member, and the
+    # evaluation predicts with predict_batch too: 8 calls per epoch and per
+    # evaluated epoch, from the prior's 2 factorizations on. The local steps
+    # featurize their 8 batches per epoch, so the 17th feature matrix is
+    # member 0's over the evaluation points of epoch 1.
     @pytest.mark.parametrize("name, call, prefix", [
         ("predict_batch", 31, "epoch 2, agent 2, member 1"),
-        ("feature_matrix", 9, "epoch 1, features of the evaluation grid"),
+        ("feature_matrix", 17, "epoch 1, features of the evaluation grid"),
         ("posterior_root", 1, "epoch 1, centralized oracle"),
         ("factorize", 18, "epoch 1, agent 1, member 1, evaluation"),
         ("mixture_moments", 7, "epoch 3, agent 2, evaluation"),
@@ -1058,6 +1061,38 @@ class TestMemory:
         state, message = 8 * M * (K + 1) * width, 8 * K * width
         assert peak - state < message + 6 * n * n * 8 + 512 * 1024
 
+    def test_one_members_evaluation_features_at_a_time(self):
+        # Beside every row's posterior, the run holds one member's gossip
+        # message in the local step, and in the evaluation one member's
+        # features over the evaluation points with predict_batch's
+        # Z = L^-1 Phi of their shape, every agent's member moments (2 M
+        # floats per point) and a few n x n factors and roots. At 3000
+        # points one member's features are 3.8 MB: holding every member's
+        # through the run, or building them all for the evaluation, breaks
+        # the budget.
+        K, M, J, N = 4, 3, 80, 3000
+        n = 2 * J
+        width = n * (n + 1) // 2 + n + 1
+        cfg = make_config(
+            topology={"kind": "ring", "num_agents": K},
+            ensemble={"shared_J": J,
+                      "members": [{"lengthscales": ls} for ls in (0.15, 0.3, 0.6)]},
+            robust={"kind": "hampel"},
+            stream={"kind": "synthetic",
+                    "synthetic": {"epochs": 3, "batch_size": 20, "num_eval_points": N}},
+            eval={"metrics": ["rmse", "npll", "w2"]},
+        )
+        scenario = scenario_from_dict(cfg)
+        tracemalloc.start()
+        try:
+            run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state, message, features = 8 * M * (K + 1) * width, 8 * K * width, 8 * n * N
+        moments = 8 * K * 2 * M * N
+        assert peak - state <= message + 2 * features + moments + 4 * n * n * 8
+
     def test_w2_hands_blas_the_covariance_roots_in_place(self, monkeypatch):
         # posterior_root returns Fortran-ordered roots, and the cross product
         # B1 B2^T hands them to dgemm as they are, so BLAS reads them in
@@ -1199,7 +1234,8 @@ class TestWorkCounts:
         # and shares the first agent's factors. Per evaluated epoch,
         # additionally: one factorization per (agent, member), and one per
         # member for the oracle. The fixed evaluation points are featurized
-        # once per run, one matrix per member.
+        # once per evaluated epoch, one matrix per member, each dropped
+        # before the next is built.
         import gossipgp.harness.runner as runner_mod
 
         factorizations = []
@@ -1234,8 +1270,8 @@ class TestWorkCounts:
         assert len(factorizations) == (
             epochs * K * M - (K - 1) * M + evaluated * (K * M + M)
         )
-        assert len(columns) == epochs * K * M + M
-        assert sum(columns) == epochs * K * M * batch + M * n_eval
+        assert len(columns) == epochs * K * M + M * evaluated
+        assert sum(columns) == epochs * K * M * batch + M * evaluated * n_eval
 
     @pytest.mark.parametrize("metrics", [["rmse", "npll", "w2"], ["w2"]],
                              ids=["some_epochs", "no_epoch"])
